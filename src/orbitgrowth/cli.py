@@ -69,10 +69,6 @@ def _open_cache(args) -> FactorCache:
     return FactorCache(path=path)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -209,7 +205,7 @@ def _cmd_k_exact(args) -> int:
 def _cmd_greedy(args) -> int:
     cache = _open_cache(args)
     trace = greedy_L(
-        _parse_fraction(args.target), _parse_fraction(args.eps), cache,
+        Fraction(args.target), Fraction(args.eps), cache,
         cap=args.cap,
     )
     print(
@@ -257,12 +253,12 @@ def _cmd_construct(args) -> int:
         raise ContractError(f"cli: unknown construction {args.construction!r}")
     seed = args.construct_seed if args.construct_seed is not None else args.seed
     trace = rn_recursion(
-        _parse_fraction(args.delta),
+        Fraction(args.delta),
         args.y,
         args.n_max,
         mode=args.mode,
-        a_prime=_parse_fraction(args.a_prime) if args.a_prime else None,
-        c=_parse_fraction(args.c) if args.c else None,
+        a_prime=Fraction(args.a_prime) if args.a_prime else None,
+        c=Fraction(args.c) if args.c else None,
         x=args.x,
         seed=seed,
         sign_pattern=args.sign,
@@ -333,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for all randomized components (default 0)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker bound; evaluation is deterministic single-"
-                         "partition at desk scale regardless")
     ap.add_argument("--cache", default=None,
                     help="writable factor-cache path (default "
                          "$ORBITGROWTH_CACHE; the packaged seed cache is "
@@ -421,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error("--threads must be >= 1")
     try:
         return args.fn(args)
     except CacheMissError as exc:

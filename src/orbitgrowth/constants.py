@@ -25,12 +25,15 @@ from .errors import (
     InfeasibleError,
     InvariantViolation,
 )
+from .fitting import _linear_fit
 from .mersenne import FactorCache, primitive_primes
+from .mertens import _SCALE, _harmonic_fixed_point
 from .sets import (
     CongruenceSource,
     ExplicitFinitePrimes,
     ListSource,
     PrimeSource,
+    has_factor_outside,
     omega_array,
     prime_mask,
     squarefree_mask,
@@ -329,13 +332,7 @@ def landau_count(
         hit = omega == r
         hit[0] = False
         if source is not None:
-            bad = np.zeros(x + 1, dtype=bool)
-            allowed = np.zeros(x + 1, dtype=bool)
-            allowed[source.primes_up_to(x)] = True
-            for p in np.flatnonzero(prime_mask(x)).tolist():
-                if not allowed[p]:
-                    bad[p::p] = True
-            hit &= ~bad
+            hit &= ~has_factor_outside(source, x)
         return int(np.count_nonzero(hit))
     if mode == "asymptotic":
         if source is None:
@@ -905,37 +902,26 @@ def squarefree_slope(n_max: int, capacity: int = 10**8) -> SquarefreeSlope:
         raise ContractError("constants: n_max must be >= 1")
     if n_max > capacity:
         raise CapacityError(f"constants: {n_max} over capacity")
-    mask = squarefree_mask(n_max)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(squarefree_mask(n_max))
     grid = []
     g = 64
     while g < n_max:
         grid.append(g)
         g *= 2
     grid.append(n_max)
-    scale = 1 << 96
-    acc = 0
-    pos = 0
-    samples = []
-    for g in grid:
-        hi = int(np.searchsorted(idx, g, side="right"))
-        for n in idx[pos:hi].tolist():
-            acc += scale // n
-        pos = hi
-        samples.append((g, acc / scale))
-    fit_pts = [(math.log(g), v) for g, v in samples if g >= 1024]
+    accs = _harmonic_fixed_point(idx, grid)
+    samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
+    fit_pts = [(g, v) for g, v in samples if g >= 1024]
     if len(fit_pts) < 2:
-        fit_pts = [(math.log(g), v) for g, v in samples]
+        fit_pts = samples
     if len(fit_pts) < 2:
         slope = math.nan
     else:
-        a = np.array([[1.0, lg] for lg, _ in fit_pts])
-        b = np.array([v for _, v in fit_pts])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        slope = float(coef[1])
+        slope, _, _ = _linear_fit(np.array([math.log(g) for g, _ in fit_pts]),
+                                  np.array([v for _, v in fit_pts]))
     return SquarefreeSlope(
         n_max=n_max,
-        total=Fraction(acc, scale),
+        total=Fraction(accs[-1], _SCALE),
         slope=slope,
         samples=tuple(samples),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +60,8 @@ def _tail_sup(pred: np.ndarray, vs: np.ndarray) -> float:
 
 
 def _linear_fit(g: np.ndarray, vs: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(slope, intercept, prediction) of vs against {1, g}: the package's one
+    least-squares routine, also behind constants.squarefree_slope."""
     a = np.column_stack([np.ones_like(g), g])
     coef, *_ = np.linalg.lstsq(a, vs, rcond=None)
     pred = a @ coef
@@ -205,10 +206,3 @@ def classify_growth(samples, penalty: float = PARAM_PENALTY) -> FitReport:
     if best is None:
         raise ContractError("asymptotics-fit: no model applicable to this grid")
     return best[1]
-
-
-def series_to_samples(series) -> list[tuple[int, float]]:
-    """Adapter from a MertensSeries (or (N, value) pairs) to float samples."""
-    if hasattr(series, "samples"):
-        return [(n, float(v)) for n, v in series.samples]
-    return [(int(n), float(v)) for n, v in series]

@@ -222,16 +222,26 @@ def dominant_sum(
     member = oset.indicator(n_max)
     keep = np.flatnonzero(~member)
     keep = keep[keep >= 1]
+    samples = [(g, Fraction(acc, _SCALE))
+               for g, acc in zip(grid, _harmonic_fixed_point(keep, grid))]
+    return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
+
+
+def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
+    """sum_{n in keep, n <= g} floor(2^96 / n) for each g of the increasing
+    grid; keep is sorted and positive.  The sums are exact integers, so
+    callers divide by 2^96 exactly (as Fraction or correctly rounded float).
+    """
     acc = 0
     pos = 0
-    samples = []
+    out = []
     for g in grid:
         hi = int(np.searchsorted(keep, g, side="right"))
         for n in keep[pos:hi].tolist():
             acc += _SCALE // n
         pos = hi
-        samples.append((g, Fraction(acc, _SCALE)))
-    return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)

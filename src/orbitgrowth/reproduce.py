@@ -1,9 +1,11 @@
 """Desk-scale reproduction recipes, one per headline result.
 
-Each recipe runs a fixed, documented configuration and returns a
-CriterionResult with pass/fail, elapsed time and detail lines.  The CLI
-`reproduce --theorem NAME` and the acceptance test suite both dispatch
-here, so there is a single source of truth for every tolerance.
+Each recipe takes the same optional (cache, orders) pair (recipes that
+need no factorizations ignore it), runs a fixed, documented configuration
+and returns a CriterionResult with pass/fail, elapsed time and detail
+lines.  The CLI `reproduce --theorem NAME` and the acceptance test suite
+both dispatch here, so there is a single source of truth for every
+tolerance.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .arith import OrderTable
 from .constants import (
@@ -85,16 +85,13 @@ def check_dense(cache: FactorCache | None = None,
 ONTO_GRID = (10**4, 31623, 10**5, 316228, 10**6)
 
 
-def check_onto() -> CriterionResult:
+def check_onto(cache: FactorCache | None = None,
+               orders: OrderTable | None = None) -> CriterionResult:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
     t0 = time.monotonic()
     series = dominant_sum(10**6, MultiplesOf(ells=[3], verify=False),
                           grid=list(ONTO_GRID))
-    pts = series.float_samples()
-    a = np.array([[1.0, math.log(n)] for n, _ in pts])
-    b = np.array([v for _, v in pts])
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    slope = float(coef[1])
+    slope = fit_model(series.float_samples(), "k_log", strict=False).k
     ok = abs(slope - 2.0 / 3.0) <= 0.01
     return CriterionResult(
         "onto", ok, time.monotonic() - t0,
@@ -102,7 +99,8 @@ def check_onto() -> CriterionResult:
     )
 
 
-def check_loglog() -> CriterionResult:
+def check_loglog(cache: FactorCache | None = None,
+                 orders: OrderTable | None = None) -> CriterionResult:
     """Prime-harmonic dominant sum minus loglog N settles at the oracle
     constant: tail oscillation < 1e-3 and limit within 1e-3 of 0.26149.
 
@@ -127,7 +125,8 @@ def check_loglog() -> CriterionResult:
     )
 
 
-def check_logdelta() -> CriterionResult:
+def check_logdelta(cache: FactorCache | None = None,
+                   orders: OrderTable | None = None) -> CriterionResult:
     """Squarefree-augmented orders over primes = 1 mod 3: classified as
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
@@ -171,7 +170,8 @@ def check_zero(cache: FactorCache | None = None,
     )
 
 
-def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
+def check_transcendental(cache: FactorCache | None = None,
+                         orders: OrderTable | None = None) -> CriterionResult:
     """The ell = 3 order-power series: exact convergents with a rigorous
     tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
     t0 = time.monotonic()
@@ -206,7 +206,8 @@ def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
     )
 
 
-def check_section9() -> CriterionResult:
+def check_section9(cache: FactorCache | None = None,
+                   orders: OrderTable | None = None) -> CriterionResult:
     """Interval recursion: idealized mode has the exact closed form; the
     perturbed mode passes all three invariants for every extremal sign
     pattern at delta = 1/2, Y = 50, n <= 40."""
@@ -253,8 +254,4 @@ def run_theorem(name: str, cache: FactorCache | None = None,
         fn = THEOREMS[name]
     except KeyError:
         raise ContractError(f"cli: unknown theorem {name!r}") from None
-    if name in ("dense", "zero"):
-        return fn(cache, orders)
-    if name == "transcendental":
-        return fn(cache)
-    return fn()
+    return fn(cache, orders)

@@ -21,6 +21,7 @@ omega_bounded.  Prime sources: {"kind": "list", ...} and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
@@ -37,63 +38,74 @@ CLOSURE_BOUND = 10**5
 
 
 # ---------------------------------------------------------------------------
-# Shared sieve helpers (memoized per limit).
+# Shared sieve helpers, memoized in one table keyed by (kind, limit).
 
-_mask_lock = threading.Lock()
-_prime_masks: dict[int, np.ndarray] = {}
-_omega_arrays: dict[int, np.ndarray] = {}
-_squarefree_masks: dict[int, np.ndarray] = {}
+_sieve_lock = threading.Lock()
+_sieves: dict[tuple[str, int], np.ndarray] = {}
 
 
+def _memoized_per_limit(build):
+    """Build each (sieve kind, limit) array once; later calls share it."""
+    kind = build.__name__
+
+    @functools.wraps(build)
+    def get(limit: int) -> np.ndarray:
+        with _sieve_lock:
+            cached = _sieves.get((kind, limit))
+        if cached is None:
+            cached = build(limit)
+            with _sieve_lock:
+                _sieves[(kind, limit)] = cached
+        return cached
+
+    return get
+
+
+@_memoized_per_limit
 def prime_mask(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; True exactly at primes."""
-    with _mask_lock:
-        cached = _prime_masks.get(limit)
-    if cached is not None:
-        return cached
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    with _mask_lock:
-        _prime_masks[limit] = mask
     return mask
 
 
+@_memoized_per_limit
 def omega_array(limit: int) -> np.ndarray:
     """Omega(n) (prime factors with multiplicity) for n in [0, limit]."""
-    with _mask_lock:
-        cached = _omega_arrays.get(limit)
-    if cached is not None:
-        return cached
     omega = np.zeros(limit + 1, dtype=np.int8)
-    mask = prime_mask(limit)
-    for p in np.flatnonzero(mask).tolist():
+    for p in np.flatnonzero(prime_mask(limit)).tolist():
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
             pk *= p
-    with _mask_lock:
-        _omega_arrays[limit] = omega
     return omega
 
 
+@_memoized_per_limit
 def squarefree_mask(limit: int) -> np.ndarray:
     """Boolean array; True at squarefree n (True at 1)."""
-    with _mask_lock:
-        cached = _squarefree_masks.get(limit)
-    if cached is not None:
-        return cached
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
     for p in range(2, math.isqrt(limit) + 1):
         sq = p * p
         if mask[p]:  # p prime is enough; composite p*p already covered
             mask[sq::sq] = False
-    with _mask_lock:
-        _squarefree_masks[limit] = mask
     return mask
+
+
+def has_factor_outside(source: PrimeSource, limit: int) -> np.ndarray:
+    """Boolean array over [0, limit]; True at n >= 2 with a prime factor
+    that source does not contain."""
+    bad = np.zeros(limit + 1, dtype=bool)
+    allowed = np.zeros(limit + 1, dtype=bool)
+    allowed[source.primes_up_to(limit)] = True
+    for p in np.flatnonzero(prime_mask(limit)).tolist():
+        if not allowed[p]:
+            bad[p::p] = True
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +623,8 @@ class OmegaBounded(OrderSet):
         g = np.gcd(idx, self.m)
         q = np.ones(limit + 1, dtype=np.int64)
         q[1:] = idx[1:] // g[1:]
-        omega = omega_array(limit)
-        bad = np.zeros(limit + 1, dtype=bool)
-        in_l = np.zeros(limit + 1, dtype=bool)
-        in_l[self.ell_set.primes_up_to(limit)] = True
-        for p in np.flatnonzero(prime_mask(limit)).tolist():
-            if not in_l[p]:
-                bad[p::p] = True
-        member = (omega[q] > self.r) | bad[q]
+        outside = has_factor_outside(self.ell_set, limit)
+        member = (omega_array(limit)[q] > self.r) | outside[q]
         member[0] = False
         return member
 
@@ -661,10 +667,6 @@ def order_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> OrderS
     if builder is None:
         raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
     return builder(obj, verify=verify, seed=seed)
-
-
-def order_set_contains(oset: OrderSet, n: int) -> bool:
-    return oset.contains(n)
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +740,6 @@ def prime_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> PrimeS
         return InducedPrimes(order_set_from_json(obj["order_set"], verify=verify,
                                                  seed=seed))
     raise ContractError(f"prime-sets: unknown prime-set kind {kind!r}")
-
-
-def prime_set_contains(pset: PrimeSet, p: int, orders: OrderTable | None = None) -> bool:
-    return pset.contains(p, orders)
 
 
 # ---------------------------------------------------------------------------

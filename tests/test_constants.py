@@ -28,7 +28,13 @@ from orbitgrowth.errors import (
     InvariantViolation,
 )
 from orbitgrowth.mersenne import primitive_primes
-from orbitgrowth.sets import CongruenceSource, squarefree_mask
+from orbitgrowth.mertens import dominant_sum
+from orbitgrowth.sets import (
+    CongruenceSource,
+    ExplicitList,
+    SquarefreeAugmented,
+    squarefree_mask,
+)
 
 
 class TestKExact:
@@ -373,6 +379,31 @@ class TestSquarefree:
     def test_slope_at_1e6(self):
         sf = squarefree_slope(10**6)
         assert abs(sf.slope - 6 / math.pi**2) < 0.01
+
+    def test_small_n_max_pinned(self):
+        # Pinned bit for bit.  Below two grid points the slope is NaN; 100
+        # fits its 2 points (none >= 1024), 3000 fits 1024, 2048 and 3000:
+        # fewer samples than fit_model accepts.
+        for n_max in (1, 64):
+            sf = squarefree_slope(n_max)
+            assert len(sf.samples) == 1 and math.isnan(sf.slope)
+        sf = squarefree_slope(100)
+        assert [g for g, _ in sf.samples] == [64, 100]
+        assert sf.slope.hex() == "0x1.3e74e1dc08e0fp-1"
+        sf = squarefree_slope(3000)
+        assert [g for g, _ in sf.samples] == [64, 128, 256, 512, 1024, 2048, 3000]
+        assert sf.slope.hex() == "0x1.36d525ef57b9cp-1"
+
+    def test_samples_match_dominant_sum(self):
+        # Both callers of the shared fixed-point accumulator: the squarefree
+        # n are exactly the non-members of squarefree_augmented(empty).
+        n_max = 10**5
+        grid = [64 << k for k in range(11)] + [n_max]
+        oset = SquarefreeAugmented(ExplicitList([], verify=False), verify=False)
+        series = dominant_sum(n_max, oset, grid=grid)
+        sf = squarefree_slope(n_max)
+        assert sf.samples == tuple(series.float_samples())
+        assert sf.total == series.value_at(n_max)
 
 
 class TestJointProductMonitor:

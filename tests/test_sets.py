@@ -15,6 +15,7 @@ from orbitgrowth.sets import (
     ExplicitFinitePrimes,
     ExplicitList,
     InducedPrimes,
+    ListSource,
     MultiplesOf,
     OmegaBounded,
     PrimeNumbers,
@@ -62,6 +63,7 @@ class TestMembership:
             SquarefreeAugmented(MultiplesOf(ells=[3], verify=False), verify=False),
             CongruencePrimes(3, [1], verify=False),
             OmegaBounded(2, CongruenceSource(4, [1, 3]), 12, verify=False),
+            OmegaBounded(1, ListSource([3, 5, 7]), 4, verify=False),
         ]
         for spec in specs:
             ind = spec.indicator(500)
