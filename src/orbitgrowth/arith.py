@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvariantViolation
+from .errors import BudgetError, CapacityError, InvariantViolation
 
-DEFAULT_SIEVE_CAPACITY = 10**8
+SIEVE_CAPACITY = 10**8
 
 # Deterministic Miller-Rabin bases.  The first 13 prime bases are a proven
 # witness set below 3.3e24; the remaining bases (40 fixed odd-prime bases in
@@ -71,11 +72,6 @@ class PrimeTable:
     primes: np.ndarray
     smallest_factor: np.ndarray  # index n in [0, limit], 0 at 0 and 1
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            raise CapacityError(f"core-arith: {n} outside table range [2, {self.limit}]")
-        return int(self.smallest_factor[n]) == n
-
     def least_factor(self, n: int) -> int:
         if n < 2 or n > self.limit:
             raise CapacityError(f"core-arith: {n} outside table range [2, {self.limit}]")
@@ -96,13 +92,13 @@ class PrimeTable:
         return out
 
 
-def sieve_primes(limit: int, capacity: int = DEFAULT_SIEVE_CAPACITY) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Least-factor sieve of [2, limit]."""
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
-    if limit > capacity:
+    if limit > SIEVE_CAPACITY:
         raise CapacityError(
-            f"core-arith: sieve limit {limit} exceeds capacity bound {capacity}"
+            f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
@@ -121,19 +117,20 @@ _small_table_lock = threading.Lock()
 _small_table: PrimeTable | None = None
 
 
-def small_prime_table(limit: int = 10**5) -> PrimeTable:
+def small_prime_table() -> PrimeTable:
     global _small_table
     with _small_table_lock:
-        if _small_table is None or _small_table.limit < limit:
-            _small_table = sieve_primes(limit)
+        if _small_table is None:
+            _small_table = sieve_primes(10**5)
     return _small_table
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, deadline: float) -> int:
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n.
 
     Fully deterministic: the polynomial offset c walks 1, 2, 3, ... so runs
-    are reproducible.
+    are reproducible.  The monotonic clock is checked against `deadline`
+    before every batch of at most 128 squarings; past it, BudgetError.
     """
     if n % 2 == 0:
         return 2
@@ -144,10 +141,13 @@ def _brent_rho(n: int) -> int:
         m = 128
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for k in range(0, r, m):
+                _check_deadline(deadline, n)
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                _check_deadline(deadline, n)
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
@@ -163,6 +163,11 @@ def _brent_rho(n: int) -> int:
         if g != n:
             return g
     raise InvariantViolation(f"core-arith: rho failed to split {n}")  # pragma: no cover
+
+
+def _check_deadline(deadline: float, n: int) -> None:
+    if time.monotonic() > deadline:
+        raise BudgetError(f"core-arith: deadline passed while splitting {n}")
 
 
 def factorize(n: int, table: PrimeTable | None = None) -> dict[int, int]:
@@ -195,35 +200,35 @@ def factorize(n: int, table: PrimeTable | None = None) -> dict[int, int]:
         if root * root == m:
             stack.extend((root, root))
             continue
-        d = _brent_rho(m)
+        d = _brent_rho(m, math.inf)
         stack.extend((d, m // d))
     return out
 
 
-def divisors(n: int, table: PrimeTable | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Sorted divisors of n."""
     divs = [1]
-    for p, e in factorize(n, table).items():
+    for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
 
-def moebius(n: int, table: PrimeTable | None = None) -> int:
+def moebius(n: int) -> int:
     """Möbius function; 0 on squareful n."""
     if n < 1:
         raise ValueError(f"core-arith: moebius undefined at {n}")
-    fac = factorize(n, table)
+    fac = factorize(n)
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
-def euler_phi(n: int, table: PrimeTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler totient."""
     if n < 1:
         raise ValueError(f"core-arith: totient undefined at {n}")
     out = n
-    for p in factorize(n, table):
+    for p in factorize(n):
         out = out // p * (p - 1)
     return out
 
@@ -263,17 +268,15 @@ class OrderTable:
     is ever needed, so Wieferich-style e_p >= 2 is handled uniformly.
     """
 
-    def __init__(self, table: PrimeTable | None = None):
-        self.table = table
+    def __init__(self):
         self._orders: dict[int, int] = {}
         self._exponents: dict[int, int] = {}
-        self._classes: dict[int, frozenset[tuple[int, int]]] = {}
         self._lock = threading.Lock()
 
     def order(self, p: int) -> int:
         m = self._orders.get(p)
         if m is None:
-            m = mult_order(p, self.table)
+            m = mult_order(p)
             with self._lock:
                 self._orders[p] = m
         return m
@@ -290,19 +293,11 @@ class OrderTable:
         return e
 
     def register_class(self, m: int, members: frozenset[tuple[int, int]]) -> None:
-        """Record the complete primitive class of m (from a factor cache)."""
+        """Record m_p = m and e_p for the primitive class of m (from a factor cache)."""
         with self._lock:
-            self._classes[m] = members
             for p, e in members:
                 self._orders[p] = m
                 self._exponents[p] = e
-
-    def complete_class(self, m: int) -> frozenset[tuple[int, int]] | None:
-        return self._classes.get(m)
-
-    @property
-    def entries(self) -> dict[int, int]:
-        return dict(self._orders)
 
 
 def ord_p_mersenne(p: int, n: int, orders: OrderTable | None = None) -> int:
@@ -320,7 +315,7 @@ def ord_p_mersenne(p: int, n: int, orders: OrderTable | None = None) -> int:
     return orders.exponent(p) + ord_p(n, p)
 
 
-def cyclotomic_eval2(n: int, table: PrimeTable | None = None) -> int:
+def cyclotomic_eval2(n: int) -> int:
     """Phi_n(2), evaluated exactly as prod_{d|n} (2^d - 1)^{mu(n/d)}.
 
     The mu = +1 and mu = -1 passes are kept as separate integers so the
@@ -330,8 +325,8 @@ def cyclotomic_eval2(n: int, table: PrimeTable | None = None) -> int:
         raise ValueError(f"core-arith: cyclotomic index must be >= 1, got {n}")
     num = 1
     den = 1
-    for d in divisors(n, table):
-        mu = moebius(n // d, table)
+    for d in divisors(n):
+        mu = moebius(n // d)
         if mu == 1:
             num *= (1 << d) - 1
         elif mu == -1:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -41,12 +40,7 @@ from .mertens import (
     remainder_bounds,
 )
 from .reproduce import THEOREMS, run_theorem
-from .sets import (
-    ExplicitFinitePrimes,
-    InducedPrimes,
-    estimate_density,
-    prime_set_from_json,
-)
+from .sets import InducedPrimes, estimate_density, prime_set_from_json
 
 EXIT_USAGE = 2
 EXIT_CACHE_MISS = 3

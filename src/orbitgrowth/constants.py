@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .arith import OrderTable, divisors, is_probable_prime, ord_p
+from .arith import SIEVE_CAPACITY, OrderTable, is_probable_prime, ord_p
 from .errors import (
     BudgetError,
     CapacityError,
@@ -31,7 +31,6 @@ from .mertens import _SCALE, _harmonic_fixed_point
 from .sets import (
     CongruenceSource,
     ExplicitFinitePrimes,
-    ListSource,
     PrimeSource,
     has_factor_outside,
     omega_array,
@@ -49,10 +48,6 @@ class ExactConstant:
     value: Fraction
     provenance: str
     error_bound: Fraction | None = None
-
-    @property
-    def is_truncation(self) -> bool:
-        return self.error_bound is not None
 
     def __float__(self) -> float:
         return float(self.value)
@@ -320,13 +315,12 @@ def landau_count(
     r: int,
     source: PrimeSource | None = None,
     mode: str = "exact",
-    capacity: int = 10**8,
 ):
     """|{n <= x : Omega_L(n) = Omega(n) = r}| exactly, or its asymptotic."""
     if r < 1:
         raise ContractError("constants: r must be >= 1")
     if mode == "exact":
-        if x > capacity:
+        if x > SIEVE_CAPACITY:
             raise CapacityError(f"constants: exact count at {x} over capacity")
         omega = omega_array(x)
         hit = omega == r
@@ -381,9 +375,7 @@ def _valuation_harmonic(s: tuple[int, ...], n_max: int) -> np.ndarray:
     return np.cumsum(w)
 
 
-def f_error_check(
-    s_prime, p_new: int, grid=None, a_margin: float = 0.5
-) -> FErrorReport:
+def f_error_check(s_prime, p_new: int, grid=None) -> FErrorReport:
     """f_S(N) = sum |n|_S / n - k'_S log N on a grid, and the x2 growth bound
     after adjoining one new prime."""
     s = tuple(sorted(set(int(p) for p in s_prime)))
@@ -399,7 +391,7 @@ def f_error_check(
     cum2 = _valuation_harmonic(s + (p_new,), n_max)
     f_vals = tuple(float(cum[g] - kp * math.log(g)) for g in grid)
     f2_vals = tuple(float(cum2[g] - kp2 * math.log(g)) for g in grid)
-    a_bound = max(4.0 + a_margin, max(abs(v) for v in f_vals))
+    a_bound = max(4.5, max(abs(v) for v in f_vals))  # 4 plus a 0.5 margin
     ok = all(abs(v) <= 2.0 * a_bound for v in f2_vals)
     return FErrorReport(
         s_prime=s,
@@ -427,6 +419,9 @@ def _default_pow_grid(n_max: int) -> list[int]:
 # Interval prime sets (the rational-free density construction).
 
 
+INTERVAL_CAPACITY = 3 * 10**7
+
+
 @dataclass(frozen=True)
 class IntervalRecord:
     m: int
@@ -437,9 +432,7 @@ class IntervalRecord:
     target: float
 
 
-def interval_L(
-    delta: float, m_lo: int, m_hi: int, capacity: int = 3 * 10**7
-) -> list[IntervalRecord]:
+def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
     """Primes in (2^m, 2^(m+delta)] for m in [m_lo, m_hi], with the per-
     interval sums of log p / p (target delta * log 2 each)."""
     if not 0 < delta <= 1:
@@ -447,9 +440,9 @@ def interval_L(
     if m_lo < 1 or m_hi < m_lo:
         raise ContractError("constants: bad interval exponent range")
     top = math.floor(2.0 ** (m_hi + delta))
-    if top > capacity:
+    if top > INTERVAL_CAPACITY:
         raise CapacityError(
-            f"constants: interval sieve to {top} exceeds capacity {capacity}"
+            f"constants: interval sieve to {top} exceeds capacity {INTERVAL_CAPACITY}"
         )
     mask = prime_mask(top)
     out = []
@@ -891,7 +884,7 @@ class SquarefreeSlope:
     samples: tuple[tuple[int, float], ...]
 
 
-def squarefree_slope(n_max: int, capacity: int = 10**8) -> SquarefreeSlope:
+def squarefree_slope(n_max: int) -> SquarefreeSlope:
     """Sum of 1/n over squarefree n <= N and its slope against log N.
 
     Sampled on the dyadic grid; the regression uses points >= 2^10 to skip
@@ -900,7 +893,7 @@ def squarefree_slope(n_max: int, capacity: int = 10**8) -> SquarefreeSlope:
     """
     if n_max < 1:
         raise ContractError("constants: n_max must be >= 1")
-    if n_max > capacity:
+    if n_max > SIEVE_CAPACITY:
         raise CapacityError(f"constants: {n_max} over capacity")
     idx = np.flatnonzero(squarefree_mask(n_max))
     grid = []

@@ -8,7 +8,7 @@ traced without a stack trace.
 
 
 class CapacityError(ValueError):
-    """A requested limit exceeds the configured memory/enumeration bound."""
+    """A requested limit exceeds a fixed memory/enumeration bound."""
 
 
 class ContractError(ValueError):
@@ -18,11 +18,9 @@ class ContractError(ValueError):
 class CacheMissError(LookupError):
     """A needed Mersenne factorization is not available in the cache."""
 
-    def __init__(self, exponent: int, message: str | None = None):
+    def __init__(self, exponent: int):
         self.exponent = exponent
-        super().__init__(
-            message or f"mersenne-factors: no cached factorization of 2^{exponent}-1"
-        )
+        super().__init__(f"mersenne-factors: no cached factorization of 2^{exponent}-1")
 
 
 class BudgetError(RuntimeError):

@@ -32,7 +32,6 @@ class FitReport:
     constant: float
     residual: float
     n_samples: int
-    grid: str
 
     def to_json(self) -> dict:
         return {
@@ -66,10 +65,6 @@ def _linear_fit(g: np.ndarray, vs: np.ndarray) -> tuple[float, float, np.ndarray
     coef, *_ = np.linalg.lstsq(a, vs, rcond=None)
     pred = a @ coef
     return float(coef[1]), float(coef[0]), pred
-
-
-def _grid_label(ns: np.ndarray) -> str:
-    return f"{len(ns)} points on [{int(ns[0])}, {int(ns[-1])}]"
 
 
 def fit_model(
@@ -107,8 +102,7 @@ def fit_model(
         residual = float(np.max(tail) - np.min(tail))
         return FitReport(
             model="bounded", k=None, delta=None, r=None,
-            constant=constant, residual=residual,
-            n_samples=n_samples, grid=_grid_label(ns),
+            constant=constant, residual=residual, n_samples=n_samples,
         )
 
     if model == "k_log":
@@ -118,7 +112,6 @@ def fit_model(
         return FitReport(
             model="k_log", k=k, delta=None, r=None, constant=c,
             residual=_tail_sup(pred, vs), n_samples=n_samples,
-            grid=_grid_label(ns),
         )
 
     if model == "k_logdelta":
@@ -138,7 +131,6 @@ def fit_model(
         return FitReport(
             model="k_logdelta", k=k, delta=float(delta), r=None, constant=c,
             residual=_tail_sup(pred, vs), n_samples=n_samples,
-            grid=_grid_label(ns),
         )
 
     # k_loglogr
@@ -157,7 +149,7 @@ def fit_model(
     res, rr, k, c = best
     return FitReport(
         model="k_loglogr", k=k, delta=None, r=rr, constant=c,
-        residual=res, n_samples=n_samples, grid=_grid_label(ns),
+        residual=res, n_samples=n_samples,
     )
 
 
@@ -180,10 +172,10 @@ def _golden_section(f, lo: float, hi: float, iters: int = 80) -> float:
     return (a + b) / 2.0
 
 
-def classify_growth(samples, penalty: float = PARAM_PENALTY) -> FitReport:
+def classify_growth(samples) -> FitReport:
     """Best of the four regimes by penalized tail residual.
 
-    Score = tail sup residual * penalty^(free parameters); ties go to the
+    Score = tail sup residual * PARAM_PENALTY^(free parameters); ties go to the
     slower-growing model.  Deterministic and invariant under permutation of
     the samples (they are sorted internally).
     """
@@ -200,7 +192,7 @@ def classify_growth(samples, penalty: float = PARAM_PENALTY) -> FitReport:
             rep = fit_model(samples, model, strict=False)
         except ContractError:
             continue
-        score = rep.residual * penalty ** PARAM_COUNT[model]
+        score = rep.residual * PARAM_PENALTY ** PARAM_COUNT[model]
         if best is None or score < best[0]:
             best = (score, rep)
     if best is None:

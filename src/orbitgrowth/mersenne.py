@@ -21,11 +21,9 @@ from importlib import resources
 
 from .arith import (
     OrderTable,
-    factorize,
     is_probable_prime,
     primality_certified,
     divisors,
-    small_prime_table,
     _brent_rho,
 )
 from .errors import BudgetError, CacheMissError, InvariantViolation
@@ -133,9 +131,6 @@ class FactorCache:
         except KeyError:
             raise CacheMissError(m) from None
 
-    def get_or_none(self, m: int) -> MersenneFactorization | None:
-        return self._entries.get(m)
-
     def put(self, fz: MersenneFactorization) -> None:
         with self._lock:
             if fz.m not in self._entries:
@@ -170,7 +165,10 @@ def factor_mersenne(
     Strategy: peel the algebraic part using cached/recursive factorizations
     of 2^d - 1 for proper divisors d | m, trial-divide the primitive part by
     candidates p = 1 (mod m) (any new prime must have order exactly m), then
-    split what remains with Brent rho under the time budget.
+    split what remains with Brent rho under the time budget.  The budget
+    covers the whole call: recursive calls get the time that is left.  When
+    it runs out, the BudgetError carries a MersennePartial for this m whose
+    factors and cofactors multiply to 2^m - 1.
     """
     if m < 1:
         raise ValueError(f"mersenne-factors: exponent must be >= 1, got {m}")
@@ -190,11 +188,22 @@ def factor_mersenne(
         if e:
             found[p] = found.get(p, 0) + e
 
+    def out_of_time(cofactors: list[int]) -> BudgetError:
+        cofactors = sorted(cofactors)
+        return BudgetError(
+            f"mersenne-factors: budget exhausted for m={m}; "
+            f"composite cofactor(s) {cofactors} remain",
+            partial=MersennePartial(m, dict(found), tuple(cofactors)),
+        )
+
     remaining = value
     for d in divisors(m)[:-1]:
         if d == 1:
             continue
-        sub = factor_mersenne(d, cache, budget)
+        try:
+            sub = factor_mersenne(d, cache, deadline - time.monotonic())
+        except BudgetError:
+            raise out_of_time([remaining]) from None
         for p in sub.primes():
             record(p)
 
@@ -208,6 +217,7 @@ def factor_mersenne(
             record(cand)
         cand += step
 
+    # From here on found times composites stays 2^m - 1, piece by piece.
     composites: list[int] = []
     if remaining > 1:
         if is_probable_prime(remaining):
@@ -216,23 +226,19 @@ def factor_mersenne(
             composites.append(remaining)
     while composites:
         if time.monotonic() > deadline:
-            partial = MersennePartial(
-                m=m, factors=dict(found), cofactors=tuple(sorted(composites))
-            )
-            raise BudgetError(
-                f"mersenne-factors: budget exhausted for m={m}; "
-                f"composite cofactor(s) {composites} remain",
-                partial=partial,
-            )
+            raise out_of_time(composites)
         n = composites.pop()
         root = math.isqrt(n)
         if root * root == n:
             composites.extend((root, root))
             continue
-        d = _brent_rho(n)
+        try:
+            d = _brent_rho(n, deadline)
+        except BudgetError:
+            raise out_of_time(composites + [n]) from None
         for piece in (d, n // d):
             if is_probable_prime(piece):
-                record(piece)
+                found[piece] = found.get(piece, 0) + 1
             else:
                 composites.append(piece)
 

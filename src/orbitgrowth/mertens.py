@@ -4,8 +4,8 @@ dominant-term evaluators that need no factorizations at all.
 Two evaluation regimes:
 
   * exact mode: F(n), O(n) and M_S(N) = sum O(n) 2^-n as exact rationals,
-    viable up to a configurable ceiling (default 120, covered by the seed
-    factor cache for every divisor).
+    up to N = EXACT_CEILING = 120 (the seed factor cache covers every
+    divisor).
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
     order set, never a factorization.
@@ -36,6 +36,7 @@ from .sets import (
 
 FRAC_BITS = 96
 _SCALE = 1 << FRAC_BITS
+_CHUNK = 1 << 16
 
 EXACT_CEILING = 120
 DOMINANT_CAPACITY = 10**7
@@ -158,7 +159,6 @@ def mertens_exact(
     s,
     orders: OrderTable | None = None,
     cache: FactorCache | None = None,
-    ceiling: int = EXACT_CEILING,
 ) -> MertensSeries:
     """M_S(N) = sum_{n <= N} O(n) 2^-n for every N <= n_max, exactly.
 
@@ -166,9 +166,9 @@ def mertens_exact(
     """
     if n_max < 1:
         raise ContractError("mertens-engine: n_max must be >= 1")
-    if n_max > ceiling:
+    if n_max > EXACT_CEILING:
         raise ContractError(
-            f"mertens-engine: exact mode ceiling is {ceiling}, got n_max={n_max}"
+            f"mertens-engine: exact mode ceiling is {EXACT_CEILING}, got n_max={n_max}"
         )
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
@@ -200,7 +200,6 @@ def dominant_sum(
     n_max: int,
     oset: OrderSet,
     grid: list[int] | None = None,
-    capacity: int = DOMINANT_CAPACITY,
 ) -> MertensSeries:
     """sum_{n <= N, n not in M} 1/n over a grid, by membership sieving.
 
@@ -214,8 +213,9 @@ def dominant_sum(
             "mertens-engine: order set is not closed under multiplication by N; "
             "use decompose_lcm_closed instead"
         )
-    if n_max > capacity:
-        raise CapacityError(f"mertens-engine: n_max {n_max} over capacity {capacity}")
+    if n_max > DOMINANT_CAPACITY:
+        raise CapacityError(
+            f"mertens-engine: n_max {n_max} over capacity {DOMINANT_CAPACITY}")
     grid = sorted(set(grid)) if grid else default_grid(n_max)
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")
@@ -231,14 +231,17 @@ def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
     """sum_{n in keep, n <= g} floor(2^96 / n) for each g of the increasing
     grid; keep is sorted and positive.  The sums are exact integers, so
     callers divide by 2^96 exactly (as Fraction or correctly rounded float).
+    Terms are converted to Python ints _CHUNK at a time, which bounds the
+    memory a long grid segment needs.
     """
     acc = 0
     pos = 0
     out = []
     for g in grid:
         hi = int(np.searchsorted(keep, g, side="right"))
-        for n in keep[pos:hi].tolist():
-            acc += _SCALE // n
+        for lo in range(pos, hi, _CHUNK):
+            for n in keep[lo : min(lo + _CHUNK, hi)].tolist():
+                acc += _SCALE // n
         pos = hi
         out.append(acc)
     return out

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import OrderTable, PrimeTable, factorize, mult_order, sieve_primes
+from .arith import (SIEVE_CAPACITY, OrderTable, PrimeTable, factorize, mult_order,
+                    sieve_primes)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .mersenne import FactorCache, primitive_primes
 
@@ -165,12 +166,22 @@ class CongruenceSource(PrimeSource):
         }
 
 
+def _field(obj, key: str):
+    """obj[key] of a JSON spec, or a ContractError naming the kind and field."""
+    if not isinstance(obj, dict):
+        raise ContractError(f"prime-sets: a spec must be a JSON object, "
+                            f"got {type(obj).__name__}")
+    if key not in obj:
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} spec needs field {key!r}")
+    return obj[key]
+
+
 def prime_source_from_json(obj: dict) -> PrimeSource:
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "list":
-        return ListSource(obj["primes"])
+        return ListSource(_field(obj, "primes"))
     if kind == "congruence_primes":
-        return CongruenceSource(obj["modulus"], obj["residues"])
+        return CongruenceSource(_field(obj, "modulus"), _field(obj, "residues"))
     raise ContractError(f"prime-sets: unknown prime source kind {kind!r}")
 
 
@@ -206,26 +217,21 @@ def _lcm_factors(fa: dict[int, int], fb: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def verify_closure_flags(
-    oset: "OrderSet",
-    seed: int = 0,
-    pairs: int = CLOSURE_PAIRS,
-    bound: int = CLOSURE_BOUND,
-) -> ClosureReport:
+def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     """Randomized closure testing of the claimed flags.
 
-    A flag claimed True must survive `pairs` random products/lcms of members
-    within [1, bound]; a flag claimed False must come with a concrete witness
-    pair, found by a deterministic small search.
+    A flag claimed True must survive CLOSURE_PAIRS random products/lcms of
+    members within [1, CLOSURE_BOUND]; a flag claimed False must come with a
+    concrete witness pair, found by a deterministic small search.
     """
-    key = (repr(sorted(oset.to_json().items())), seed, pairs, bound)
+    key = (repr(sorted(oset.to_json().items())), seed)
     with _closure_lock:
         hit = _closure_memo.get(key)
     if hit is not None:
         return hit
 
     rng = random.Random(seed)
-    indicator = oset.indicator(bound)
+    indicator = oset.indicator(CLOSURE_BOUND)
     members = [m for m in np.flatnonzero(indicator).tolist() if m >= 1]
     factor_memo: dict[int, dict[int, int]] = {}
 
@@ -245,19 +251,19 @@ def verify_closure_flags(
 
     if oset.closed_under_nat_multiplication:
         if nat_pool:
-            for _ in range(pairs):
+            for _ in range(CLOSURE_PAIRS):
                 a = nat_pool[rng.randrange(len(nat_pool))]
-                b = rng.randint(1, bound)
+                b = rng.randint(1, CLOSURE_BOUND)
                 if not oset._member(a * b, _merged_factors(fac(a), fac(b))):
                     nat_ok, nat_wit = False, (a, b)
                     break
     else:
         nat_ok = False
-        nat_wit = _search_witness(oset, members, rng, bound, mode="mul")
+        nat_wit = _search_witness(oset, members, rng, CLOSURE_BOUND, mode="mul")
 
     if oset.closed_under_lcm:
         if members:
-            for _ in range(pairs):
+            for _ in range(CLOSURE_PAIRS):
                 a = members[rng.randrange(len(members))]
                 b = members[rng.randrange(len(members))]
                 l = a * b // math.gcd(a, b)
@@ -266,14 +272,14 @@ def verify_closure_flags(
                     break
     else:
         lcm_ok = False
-        lcm_wit = _search_witness(oset, members, rng, bound, mode="lcm")
+        lcm_wit = _search_witness(oset, members, rng, CLOSURE_BOUND, mode="lcm")
 
     report = ClosureReport(
         nat_multiplication_ok=nat_ok,
         nat_witness=nat_wit,
         lcm_ok=lcm_ok,
         lcm_witness=lcm_wit,
-        pairs_tested=pairs,
+        pairs_tested=CLOSURE_PAIRS,
     )
     if oset.closed_under_nat_multiplication and not nat_ok:
         raise InvariantViolation(
@@ -417,7 +423,9 @@ class MultiplesOf(OrderSet):
                  verify: bool = True, seed: int = 0):
         if (ells is None) == (ell_set is None):
             raise ContractError("prime-sets: multiples_of needs ells or ell_set")
-        self.ells = tuple(sorted(set(int(v) for v in ells))) if ells else None
+        self.ells = None if ells is None else tuple(sorted(set(int(v) for v in ells)))
+        if self.ells == ():
+            raise ContractError("prime-sets: multiples_of needs at least one ell")
         if self.ells is not None and any(v < 2 for v in self.ells):
             raise ContractError("prime-sets: multiples_of divisors must be >= 2")
         self.ell_set = ell_set
@@ -638,31 +646,34 @@ class OmegaBounded(OrderSet):
 
 
 _ORDER_KINDS = {
-    "explicit_list": lambda o, **kw: ExplicitList(o["values"], **kw),
-    "prime_list": lambda o, **kw: PrimeList(o["primes"], **kw),
+    "explicit_list": lambda o, **kw: ExplicitList(_field(o, "values"), **kw),
+    "prime_list": lambda o, **kw: PrimeList(_field(o, "primes"), **kw),
     "multiples_of": lambda o, **kw: MultiplesOf(
         ells=o.get("ells"),
         ell_set=prime_source_from_json(o["ell_set"]) if "ell_set" in o else None,
         **kw,
     ),
-    "complement_multiples_of": lambda o, **kw: ComplementMultiplesOf(o["ell"], **kw),
+    "complement_multiples_of": lambda o, **kw: ComplementMultiplesOf(
+        _field(o, "ell"), **kw
+    ),
     "composite_numbers": lambda o, **kw: CompositeNumbers(**kw),
     "prime_numbers": lambda o, **kw: PrimeNumbers(**kw),
-    "ell_powers": lambda o, **kw: EllPowers(o["ell"], **kw),
+    "ell_powers": lambda o, **kw: EllPowers(_field(o, "ell"), **kw),
     "squarefree_augmented": lambda o, **kw: SquarefreeAugmented(
-        order_set_from_json(o["base"], **kw), **kw
+        order_set_from_json(_field(o, "base"), **kw), **kw
     ),
     "congruence_primes": lambda o, **kw: CongruencePrimes(
-        o["modulus"], o["residues"], **kw
+        _field(o, "modulus"), _field(o, "residues"), **kw
     ),
     "omega_bounded": lambda o, **kw: OmegaBounded(
-        o["r"], prime_source_from_json(o["ell_set"]), o["m"], **kw
+        _field(o, "r"), prime_source_from_json(_field(o, "ell_set")),
+        _field(o, "m"), **kw
     ),
 }
 
 
 def order_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> OrderSet:
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     builder = _ORDER_KINDS.get(kind)
     if builder is None:
         raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
@@ -733,12 +744,12 @@ class InducedPrimes(PrimeSet):
 
 
 def prime_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> PrimeSet:
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "explicit_finite":
-        return ExplicitFinitePrimes(obj["primes"])
+        return ExplicitFinitePrimes(_field(obj, "primes"))
     if kind == "induced":
-        return InducedPrimes(order_set_from_json(obj["order_set"], verify=verify,
-                                                 seed=seed))
+        return InducedPrimes(order_set_from_json(_field(obj, "order_set"),
+                                                 verify=verify, seed=seed))
     raise ContractError(f"prime-sets: unknown prime-set kind {kind!r}")
 
 
@@ -746,15 +757,15 @@ def prime_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> PrimeS
 # m-bar machinery, inner/outer hulls, density, entropy.
 
 
-def mbar_of(n: int, oset: OrderSet, table: PrimeTable | None = None) -> int:
+def mbar_of(n: int, oset: OrderSet) -> int:
     """lcm of the realized orders in M dividing n (empty lcm = 1)."""
     from .arith import divisors
 
     out = 1
-    for d in divisors(n, table):
+    for d in divisors(n):
         if d in (1, 6):
             continue
-        if oset.contains(d, table):
+        if oset.contains(d):
             out = out * d // math.gcd(out, d)
     return out
 
@@ -820,10 +831,9 @@ def estimate_density(
     pset: PrimeSet,
     limit: int,
     table: PrimeTable | None = None,
-    capacity: int = 10**8,
 ) -> DensityEstimate:
     """Share of odd primes <= limit lying in the set."""
-    if limit > capacity:
+    if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
     if table is None or table.limit < limit:
         table = sieve_primes(limit)

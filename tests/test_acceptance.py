@@ -44,7 +44,7 @@ def test_criterion_01_exact_constant(capsys):
 def test_criterion_02_valuation_oracle():
     t0 = time.monotonic()
     table = sieve_primes(10**4)
-    orders = OrderTable(table)
+    orders = OrderTable()
     ok = True
     for p in table.primes[1:].tolist():
         for n in range(1, 65):

@@ -46,7 +46,7 @@ class TestSieve:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            sieve_primes(10**9, capacity=10**8)
+            sieve_primes(10**9)
         with pytest.raises(CapacityError):
             sieve_primes(1)
 

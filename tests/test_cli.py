@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -169,6 +170,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
                            "factor", "--exponent", "149", "--budget", "0")
         assert code == 4
+
+    def test_budget_stops_rho(self, capsys, tmp_path):
+        # A positive budget must also hold once Brent rho is running.
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                           "factor", "--exponent", "137", "--budget", "0.2")
+        assert code == 4
+        assert time.monotonic() - t0 < 2.0
+        assert "m=137" in err
+
+    def test_malformed_spec_is_2(self, capsys, tmp_path):
+        spec = tmp_path / "list.json"
+        spec.write_text("[3, 7]\n")
+        code, _, err = run(capsys, "set-density", "--spec", str(spec),
+                           "--limit", "1000")
+        assert code == 2
+        assert "JSON object" in err
 
     def test_invariant_violation_is_5(self, capsys, monkeypatch):
         from orbitgrowth import cli

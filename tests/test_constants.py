@@ -379,6 +379,10 @@ class TestSquarefree:
     def test_slope_at_1e6(self):
         sf = squarefree_slope(10**6)
         assert abs(sf.slope - 6 / math.pi**2) < 0.01
+        # Pinned bit for bit from the accumulator that listed whole grid
+        # segments; the last segment, (2^19, 10^6], holds 289201 terms and
+        # so spans several conversion chunks.
+        assert sf.total == Fraction(748129049326425230915469102589, 1 << 96)
 
     def test_small_n_max_pinned(self):
         # Pinned bit for bit.  Below two grid points the slope is NaN; 100

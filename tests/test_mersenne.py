@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -33,6 +34,22 @@ class TestFactorization:
         partial = err.value.partial
         assert partial.cofactors
         assert 101 not in fresh
+
+    def test_budget_covers_recursion(self):
+        # 2^137 - 1 is beyond rho at desk scale, so splitting it for the
+        # divisor 137 of 274 runs out of time; the partial is the outer m's.
+        t0 = time.monotonic()
+        with pytest.raises(BudgetError) as err:
+            factor_mersenne(274, FactorCache(), budget=0.2)
+        assert time.monotonic() - t0 < 2.0
+        partial = err.value.partial
+        assert partial.m == 274
+        prod = 1
+        for p, e in partial.factors.items():
+            prod *= p**e
+        for c in partial.cofactors:
+            prod *= c
+        assert prod == (1 << 274) - 1
 
     def test_product_check_rejects_bad_entry(self):
         with pytest.raises(Exception):

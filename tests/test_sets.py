@@ -230,5 +230,16 @@ class TestJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
             order_set_from_json({"kind": "mystery"})
-        with pytest.raises(ContractError):
-            prime_set_from_json({"kind": "mystery"})
+        # Malformed specs are contract errors too, never a KeyError or an
+        # AttributeError from deep inside a constructor.
+        omega = {"kind": "omega_bounded", "r": 2, "m": 6,
+                 "ell_set": {"kind": "list"}}
+        for spec in (
+            {"kind": "mystery"},
+            [3, 7],
+            {"kind": "induced"},
+            {"kind": "induced", "order_set": omega},
+            {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": []}},
+        ):
+            with pytest.raises(ContractError):
+                prime_set_from_json(spec)
