@@ -18,6 +18,8 @@ import numpy as np
 from .errors import BudgetError, CapacityError, InvariantViolation
 
 SIEVE_CAPACITY = 10**8
+SIEVE_BLOCK = 2**20
+ORDER_CHUNK = 2**16
 
 # Deterministic Miller-Rabin bases.  The first 13 prime bases are a proven
 # witness set below 3.3e24; the remaining bases (40 fixed odd-prime bases in
@@ -92,24 +94,47 @@ class PrimeTable:
         return out
 
 
+def prime_flags(limit: int) -> np.ndarray:
+    """Boolean array over [0, limit]; True exactly at primes."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Least-factor sieve of [2, limit]."""
+    """Least-factor sieve of [2, limit], walked in blocks of SIEVE_BLOCK.
+
+    In each block the primes up to sqrt(limit) write themselves over their
+    multiples in descending order, so the least factor is written last;
+    entries no prime reaches are primes and take their own value.
+    """
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_CAPACITY:
         raise CapacityError(
             f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    unmarked = spf == 0
-    unmarked[:2] = False
-    primes = np.flatnonzero(unmarked)
-    spf[primes] = primes
-    return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
+    base = np.flatnonzero(prime_flags(math.isqrt(limit)))[::-1].tolist()
+    spf = np.empty(limit + 1, dtype=np.int32)
+    found = []
+    for lo in range(0, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        block = spf[lo:hi]
+        block[:] = 0
+        for p in base:
+            start = max(p * p, -(-lo // p) * p)
+            if start < hi:
+                block[start - lo :: p] = p
+        primes = np.flatnonzero(block == 0) + lo
+        if lo == 0:
+            primes = primes[2:]  # 0 and 1 keep the value 0
+        block[primes - lo] = primes
+        found.append(primes)
+    return PrimeTable(limit=limit, primes=np.concatenate(found),
+                      smallest_factor=spf)
 
 
 # Shared small table for factoring moderate integers without re-sieving.
@@ -170,18 +195,15 @@ def _check_deadline(deadline: float, n: int) -> None:
         raise BudgetError(f"core-arith: deadline passed while splitting {n}")
 
 
-def factorize(n: int, table: PrimeTable | None = None) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Full factorization of n >= 1 by trial division then rho splitting."""
     if n < 1:
         raise ValueError(f"core-arith: cannot factor {n}")
     out: dict[int, int] = {}
     if n == 1:
         return out
-    tab = table if table is not None and n <= table.limit else None
-    if tab is None and n <= small_prime_table().limit:
-        tab = small_prime_table()
-    if tab is not None:
-        return tab.factorize(n)
+    if n <= small_prime_table().limit:
+        return small_prime_table().factorize(n)
     for p in small_prime_table().primes.tolist():
         if p * p > n:
             break
@@ -244,20 +266,87 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-def mult_order(p: int, table: PrimeTable | None = None, *, checked: bool = True) -> int:
+def mult_order(p: int) -> int:
     """Least m with 2^m = 1 mod p, for an odd prime p.
 
-    Factors p-1 (least-factor table when available, trial/rho otherwise)
-    and strips prime factors from the exponent while congruence survives.
-    `checked=False` skips the primality test for callers iterating a sieve.
+    Factors p-1 and strips prime factors from the exponent while the
+    congruence survives.
     """
-    if p < 3 or p % 2 == 0 or (checked and not is_probable_prime(p)):
+    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise ValueError(f"core-arith: mult_order needs an odd prime, got {p}")
     m = p - 1
-    for q in factorize(p - 1, table):
+    for q in factorize(p - 1):
         while m % q == 0 and pow(2, m // q, p) == 1:
             m //= q
     return m
+
+
+def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
+    """m_p for every p of an array of odd primes <= table.limit, as int64.
+
+    p-1 is factored by gathering table.smallest_factor; for each prime q
+    with q^a || p-1 the exponent drops to m/q^a and climbs back by factors
+    of q while 2^m != 1 mod p.  Products of residues below p < 2^32 fit in
+    uint64, so the arithmetic is exact.  Works through ORDER_CHUNK primes at
+    a time to keep the temporaries small.
+    """
+    if table.limit >= 2**32:
+        raise CapacityError(f"core-arith: bulk orders need a table below 2^32, "
+                            f"got {table.limit}")
+    primes = np.asarray(primes, dtype=np.int64)
+    if primes.size and (primes.min() < 3 or primes.max() > table.limit
+                        or np.any(table.smallest_factor[primes] != primes)):
+        raise ValueError("core-arith: mult_orders needs odd primes within the table")
+    out = np.empty(primes.size, dtype=np.int64)
+    for lo in range(0, primes.size, ORDER_CHUNK):
+        chunk = primes[lo : lo + ORDER_CHUNK].astype(np.uint64)
+        out[lo : lo + ORDER_CHUNK] = _orders_of_chunk(chunk, table.smallest_factor)
+    return out
+
+
+def _orders_of_chunk(p: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """mult_orders of one chunk of primes, given as uint64."""
+    m = p - 1  # a multiple of m_p whose handled primes are exact
+    rest = m.copy()  # the part of p-1 whose primes are not yet handled
+    todo = np.arange(p.size)  # the positions where rest > 1
+    while todo.size:
+        # q is the least prime of rest; strip q^a || rest.
+        r = rest[todo]
+        q = spf[r].astype(np.uint64)
+        qa = np.ones_like(q)
+        a = np.zeros(r.size, dtype=np.int64)
+        div = np.arange(r.size)
+        while div.size:
+            r[div] //= q[div]
+            qa[div] *= q[div]
+            a[div] += 1
+            div = div[r[div] % q[div] == 0]
+        rest[todo] = r
+        # Drop q^a from m, then restore factors of q while 2^m != 1 mod p.
+        pt, mt = p[todo], m[todo] // qa
+        up = np.flatnonzero(_pow2_mod(mt, pt) != 1)
+        while up.size:
+            mt[up] *= q[up]
+            a[up] -= 1
+            up = up[a[up] > 0]
+            up = up[_pow2_mod(mt[up], pt[up]) != 1]
+        m[todo] = mt
+        todo = todo[r > 1]
+    return m
+
+
+def _pow2_mod(exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """2^exp % mod elementwise in uint64, for odd mod < 2^32.
+
+    Left to right: square, then double where the exponent bit is set.
+    """
+    out = np.ones_like(mod)
+    for k in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
+        out *= out
+        out %= mod
+        out <<= (exp >> np.uint64(k)) & np.uint64(1)
+        out -= mod * (out >= mod)
+    return out
 
 
 class OrderTable:

@@ -32,7 +32,7 @@ from .errors import (
     InvariantViolation,
 )
 from .fitting import classify_growth, fit_model
-from .mersenne import FactorCache, factor_mersenne
+from .mersenne import FactorCache, MersennePartial, factor_mersenne
 from .mertens import (
     default_grid,
     dominant_sum,
@@ -415,6 +415,14 @@ def main(argv=None) -> int:
         return EXIT_CACHE_MISS
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        part = exc.partial
+        if isinstance(part, MersennePartial):
+            payload = {
+                "m": part.m,
+                "factors": [list(pe) for pe in sorted(part.factors.items())],
+                "cofactors": list(part.cofactors),
+            }
+            print(f"partial: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

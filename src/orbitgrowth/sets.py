@@ -29,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (SIEVE_CAPACITY, OrderTable, PrimeTable, factorize, mult_order,
-                    sieve_primes)
+from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, PrimeTable, factorize,
+                    mult_order, mult_orders, prime_flags, sieve_primes)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .mersenne import FactorCache, primitive_primes
 
 CLOSURE_PAIRS = 10**4
 CLOSURE_BOUND = 10**5
+DENSITY_CROSS_CHECKS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +66,7 @@ def _memoized_per_limit(build):
 @_memoized_per_limit
 def prime_mask(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; True exactly at primes."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
+    return prime_flags(limit)
 
 
 @_memoized_per_limit
@@ -176,12 +172,31 @@ def _field(obj, key: str):
     return obj[key]
 
 
+def _int(obj, key: str) -> int:
+    """An integer field of a JSON spec (JSON true/false are not integers)."""
+    value = _field(obj, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
+                            f"must be an integer, got {value!r}")
+    return value
+
+
+def _ints(obj, key: str) -> list[int]:
+    """A list-of-integers field of a JSON spec."""
+    value = _field(obj, key)
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
+                            f"must be a list of integers, got {value!r}")
+    return value
+
+
 def prime_source_from_json(obj: dict) -> PrimeSource:
     kind = _field(obj, "kind")
     if kind == "list":
-        return ListSource(_field(obj, "primes"))
+        return ListSource(_ints(obj, "primes"))
     if kind == "congruence_primes":
-        return CongruenceSource(_field(obj, "modulus"), _field(obj, "residues"))
+        return CongruenceSource(_int(obj, "modulus"), _ints(obj, "residues"))
     raise ContractError(f"prime-sets: unknown prime source kind {kind!r}")
 
 
@@ -336,10 +351,10 @@ class OrderSet:
         )
 
     # Membership --------------------------------------------------------
-    def contains(self, n: int, table: PrimeTable | None = None) -> bool:
+    def contains(self, n: int) -> bool:
         if n < 1:
             raise ContractError(f"prime-sets: order-set membership needs n >= 1")
-        return self._member(n, factorize(n, table))
+        return self._member(n, factorize(n))
 
     def _member(self, n: int, fac: dict[int, int]) -> bool:
         raise NotImplementedError
@@ -627,12 +642,15 @@ class OmegaBounded(OrderSet):
         return omega_q > self.r
 
     def indicator(self, limit):
-        idx = np.arange(limit + 1, dtype=np.int64)
-        g = np.gcd(idx, self.m)
-        q = np.ones(limit + 1, dtype=np.int64)
-        q[1:] = idx[1:] // g[1:]
-        outside = has_factor_outside(self.ell_set, limit)
-        member = (omega_array(limit)[q] > self.r) | outside[q]
+        # n is a member iff q = n/gcd(m, n) has more than r prime factors or
+        # one outside L; q is formed a block at a time, so no full-length
+        # integer array is built.
+        bad = has_factor_outside(self.ell_set, limit)
+        bad |= omega_array(limit) > self.r
+        member = np.empty(limit + 1, dtype=bool)
+        for lo in range(0, limit + 1, SIEVE_BLOCK):
+            n = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
+            member[lo : lo + n.size] = bad[n // np.gcd(n, self.m)]
         member[0] = False
         return member
 
@@ -646,28 +664,28 @@ class OmegaBounded(OrderSet):
 
 
 _ORDER_KINDS = {
-    "explicit_list": lambda o, **kw: ExplicitList(_field(o, "values"), **kw),
-    "prime_list": lambda o, **kw: PrimeList(_field(o, "primes"), **kw),
+    "explicit_list": lambda o, **kw: ExplicitList(_ints(o, "values"), **kw),
+    "prime_list": lambda o, **kw: PrimeList(_ints(o, "primes"), **kw),
     "multiples_of": lambda o, **kw: MultiplesOf(
-        ells=o.get("ells"),
+        ells=_ints(o, "ells") if "ells" in o else None,
         ell_set=prime_source_from_json(o["ell_set"]) if "ell_set" in o else None,
         **kw,
     ),
     "complement_multiples_of": lambda o, **kw: ComplementMultiplesOf(
-        _field(o, "ell"), **kw
+        _int(o, "ell"), **kw
     ),
     "composite_numbers": lambda o, **kw: CompositeNumbers(**kw),
     "prime_numbers": lambda o, **kw: PrimeNumbers(**kw),
-    "ell_powers": lambda o, **kw: EllPowers(_field(o, "ell"), **kw),
+    "ell_powers": lambda o, **kw: EllPowers(_int(o, "ell"), **kw),
     "squarefree_augmented": lambda o, **kw: SquarefreeAugmented(
         order_set_from_json(_field(o, "base"), **kw), **kw
     ),
     "congruence_primes": lambda o, **kw: CongruencePrimes(
-        _field(o, "modulus"), _field(o, "residues"), **kw
+        _int(o, "modulus"), _ints(o, "residues"), **kw
     ),
     "omega_bounded": lambda o, **kw: OmegaBounded(
-        _field(o, "r"), prime_source_from_json(_field(o, "ell_set")),
-        _field(o, "m"), **kw
+        _int(o, "r"), prime_source_from_json(_field(o, "ell_set")),
+        _int(o, "m"), **kw
     ),
 }
 
@@ -746,7 +764,7 @@ class InducedPrimes(PrimeSet):
 def prime_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> PrimeSet:
     kind = _field(obj, "kind")
     if kind == "explicit_finite":
-        return ExplicitFinitePrimes(_field(obj, "primes"))
+        return ExplicitFinitePrimes(_ints(obj, "primes"))
     if kind == "induced":
         return InducedPrimes(order_set_from_json(_field(obj, "order_set"),
                                                  verify=verify, seed=seed))
@@ -832,22 +850,33 @@ def estimate_density(
     limit: int,
     table: PrimeTable | None = None,
 ) -> DensityEstimate:
-    """Share of odd primes <= limit lying in the set."""
+    """Share of odd primes <= limit lying in the set.
+
+    Induced sets take every m_p from one bulk pass, after a seeded sample of
+    DENSITY_CROSS_CHECKS of them agrees with scalar mult_order, and count
+    membership with one gather from the order set's indicator (m_p <= p-1).
+    """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
     if table is None or table.limit < limit:
         table = sieve_primes(limit)
-    odd_primes = table.primes[table.primes > 2].tolist()
+    # primes[0] is 2; the odd primes <= limit follow it.
+    odd_primes = table.primes[1 : np.searchsorted(table.primes, limit, side="right")]
     if isinstance(pset, ExplicitFinitePrimes):
-        members = sum(1 for p in odd_primes if p in pset.primes)
-        return DensityEstimate(limit, members, len(odd_primes))
-    oset = pset.order_set
-    members = 0
-    for p in odd_primes:
-        m = mult_order(p, table, checked=False)
-        if oset.contains(m, table):
-            members += 1
-    return DensityEstimate(limit, members, len(odd_primes))
+        listed = np.array([p for p in pset.primes if p <= limit], dtype=np.int64)
+        members = np.count_nonzero(np.isin(odd_primes, listed))
+        return DensityEstimate(limit, int(members), odd_primes.size)
+    orders = mult_orders(odd_primes, table)
+    sample = random.Random(0).sample(range(odd_primes.size),
+                                     min(DENSITY_CROSS_CHECKS, odd_primes.size))
+    for i in sample:
+        p, bulk = int(odd_primes[i]), int(orders[i])
+        expect = mult_order(p)
+        if bulk != expect:
+            raise InvariantViolation(f"prime-sets: bulk order {bulk} of {p} "
+                                     f"disagrees with mult_order {expect}")
+    members = np.count_nonzero(pset.order_set.indicator(limit)[orders])
+    return DensityEstimate(limit, int(members), odd_primes.size)
 
 
 def entropy(pset: PrimeSet | None = None) -> float:

@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitgrowth.arith import (
+    SIEVE_BLOCK,
     OrderTable,
     cyclotomic_eval2,
     divisors,
@@ -10,6 +14,7 @@ from orbitgrowth.arith import (
     factorize,
     moebius,
     mult_order,
+    mult_orders,
     ord_p,
     ord_p_mersenne,
     sieve_primes,
@@ -29,7 +34,45 @@ def trial_division_prime_count(limit: int) -> int:
     return count
 
 
+def least_factor_by_trial_division(n: int) -> int:
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            return d
+    return n
+
+
+def least_factor_reference(limit: int) -> np.ndarray:
+    """Independent whole-table oracle: an ascending int64 sieve that only
+    writes entries no smaller prime has claimed."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            seg = spf[p * p :: p]
+            seg[seg == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    unmarked = unmarked[unmarked >= 2]
+    spf[unmarked] = unmarked
+    return spf
+
+
 class TestSieve:
+    @pytest.mark.parametrize("limit", [2, 3, 4, SIEVE_BLOCK - 1, SIEVE_BLOCK,
+                                       SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7])
+    def test_least_factor_across_blocks(self, limit):
+        table = sieve_primes(limit)
+        spf = table.smallest_factor
+        assert spf.dtype == np.int32 and table.primes.dtype == np.int64
+        assert spf.shape == (limit + 1,)
+        assert spf[:2].tolist() == [0, 0]
+        # Scalar trial division on every n near a block edge and the top.
+        edges = list(range(0, limit + 1, SIEVE_BLOCK)) + [limit]
+        probe = {n for edge in edges for n in range(edge - 200, edge + 40)}
+        for n in sorted(n for n in probe if 2 <= n <= limit):
+            assert spf[n] == least_factor_by_trial_division(n), n
+        assert np.array_equal(spf, least_factor_reference(limit))
+        n = np.arange(2, limit + 1)
+        assert np.array_equal(table.primes, n[spf[2:] == n])
+
     def test_small(self):
         assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
 
@@ -82,13 +125,46 @@ class TestMultOrder:
             mult_order(2)
 
     def test_divides_p_minus_1_bulk(self, table_1e6):
-        for p in table_1e6.primes[1:].tolist():
-            m = mult_order(p, table_1e6, checked=False)
+        primes = table_1e6.primes[1:]
+        orders = mult_orders(primes, table_1e6)
+        for p, m in zip(primes.tolist(), orders.tolist()):
             assert (p - 1) % m == 0
 
     def test_order_at_least_log2(self, table_1e6):
-        for p in table_1e6.primes[1:2000].tolist():
-            assert mult_order(p, table_1e6, checked=False) >= math.log2(p)
+        primes = table_1e6.primes[1:2000]
+        orders = mult_orders(primes, table_1e6)
+        for p, m in zip(primes.tolist(), orders.tolist()):
+            assert m >= math.log2(p)
+
+
+class TestMultOrders:
+    def test_every_odd_prime_below_1e5(self):
+        table = sieve_primes(10**5)
+        primes = table.primes[1:]
+        bulk = mult_orders(primes, table)
+        assert bulk.dtype == np.int64
+        assert bulk.tolist() == [mult_order(p) for p in primes.tolist()]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_matches_scalar_on_sieve_draws(self, table_1e6, data):
+        odd = table_1e6.primes[1:].tolist()
+        if data is None:  # the ends of the table: 3 and the largest prime
+            drawn = [odd[0], odd[-1]]
+        else:
+            drawn = data.draw(st.lists(st.sampled_from(odd), min_size=1, max_size=50))
+        bulk = mult_orders(np.array(drawn, dtype=np.int64), table_1e6)
+        assert bulk.tolist() == [mult_order(p) for p in drawn]
+
+    def test_empty(self, table_1e6):
+        assert mult_orders(np.array([], dtype=np.int64), table_1e6).size == 0
+
+    @pytest.mark.parametrize("bad", [[2], [9], [4], [1000003]])
+    def test_domain(self, table_1e6, bad):
+        # 2 and composites are refused, as is a prime past the table.
+        with pytest.raises(ValueError):
+            mult_orders(np.array(bad, dtype=np.int64), table_1e6)
 
 
 class TestMoebiusPhi:

@@ -180,6 +180,46 @@ class TestExitCodes:
         assert time.monotonic() - t0 < 2.0
         assert "m=137" in err
 
+    def test_budget_reports_partial_factors(self, capsys, tmp_path):
+        # 2^274 - 1 = (2^137 - 1)(2^137 + 1): the factor 3 of 2^2 - 1 is found
+        # before the budget runs out on 2^137 - 1, and must be reported.
+        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                           "factor", "--exponent", "274", "--budget", "0.2")
+        assert code == 4
+        line = next(ln for ln in err.splitlines() if ln.startswith("partial: "))
+        partial = json.loads(line.removeprefix("partial: "))
+        assert partial["m"] == 274
+        assert [3, 1] in partial["factors"]
+        prod = 1
+        for p, e in partial["factors"]:
+            prod *= p**e
+        for c in partial["cofactors"]:
+            prod *= c
+        assert prod == (1 << 274) - 1
+
+    def test_wrongly_typed_spec_field_is_2(self, capsys, tmp_path):
+        spec = tmp_path / "typed.json"
+        spec.write_text('{"kind": "induced", "order_set": '
+                        '{"kind": "multiples_of", "ells": 3}}\n')
+        code, _, err = run(capsys, "set-density", "--spec", str(spec),
+                           "--limit", "1000")
+        assert code == 2
+        assert "'ells' must be a list of integers" in err
+
+    def test_bulk_order_mismatch_is_5(self, capsys, tmp_path, monkeypatch):
+        from orbitgrowth import sets
+
+        real = sets.mult_orders
+        monkeypatch.setattr(sets, "mult_orders",
+                            lambda primes, table: real(primes, table) + 1)
+        spec = tmp_path / "set.json"
+        spec.write_text('{"kind": "induced", "order_set": '
+                        '{"kind": "multiples_of", "ells": [3]}}\n')
+        code, _, err = run(capsys, "set-density", "--spec", str(spec),
+                           "--limit", "1000")
+        assert code == 5
+        assert "disagrees with mult_order" in err
+
     def test_malformed_spec_is_2(self, capsys, tmp_path):
         spec = tmp_path / "list.json"
         spec.write_text("[3, 7]\n")

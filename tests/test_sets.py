@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from orbitgrowth.errors import ContractError
+from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
+from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
@@ -18,12 +19,15 @@ from orbitgrowth.sets import (
     ListSource,
     MultiplesOf,
     OmegaBounded,
+    PrimeList,
     PrimeNumbers,
     SquarefreeAugmented,
     entropy,
     estimate_density,
+    has_factor_outside,
     inner_outer,
     mbar_of,
+    omega_array,
     order_set_from_json,
     prime_set_from_json,
     s_mbar,
@@ -64,11 +68,28 @@ class TestMembership:
             CongruencePrimes(3, [1], verify=False),
             OmegaBounded(2, CongruenceSource(4, [1, 3]), 12, verify=False),
             OmegaBounded(1, ListSource([3, 5, 7]), 4, verify=False),
+            ExplicitList([1, 2, 6, 28, 500], verify=False),
+            PrimeList([2, 3, 5, 7, 499], verify=False),
+            MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
+            MultiplesOf(ell_set=ListSource([5, 11, 499]), verify=False),
         ]
         for spec in specs:
             ind = spec.indicator(500)
             for n in range(1, 501):
                 assert bool(ind[n]) == spec.contains(n), (spec.kind, n)
+
+    def test_omega_bounded_indicator_across_blocks(self):
+        # The blockwise indicator equals the whole-array formula it replaced.
+        limit = 2 * SIEVE_BLOCK + 77
+        for oset in (OmegaBounded(2, CongruenceSource(4, [1, 3]), 12, verify=False),
+                     OmegaBounded(1, ListSource([3, 5, 7]), 4, verify=False)):
+            idx = np.arange(limit + 1, dtype=np.int64)
+            q = np.ones(limit + 1, dtype=np.int64)
+            q[1:] = idx[1:] // np.gcd(idx[1:], oset.m)
+            expect = ((omega_array(limit)[q] > oset.r)
+                      | has_factor_outside(oset.ell_set, limit)[q])
+            expect[0] = False
+            assert np.array_equal(oset.indicator(limit), expect)
 
 
 class TestClosureFlags:
@@ -196,6 +217,39 @@ class TestDensity:
         assert abs(est.ratio - 7 / 24) < 0.02
         assert abs(est.ratio - 1 / 3) > 0.02
 
+    @pytest.mark.parametrize("pset,members", [
+        (InducedPrimes(MultiplesOf(ells=[3], verify=False)), 62),
+        (ExplicitFinitePrimes([3, 7, 997, 1009, 2**127 - 1]), 3),
+    ])
+    def test_larger_table_counts_to_limit(self, pset, members):
+        # A table sieved past the limit must not add primes beyond it.
+        with_table = estimate_density(pset, 1000, sieve_primes(10**5))
+        assert with_table == estimate_density(pset, 1000)
+        assert (with_table.member_count, with_table.total_count) == (members, 167)
+
+    def test_counts_match_scalar_orders(self, table_1e6, orders):
+        # The bulk orders and the indicator gather against InducedPrimes.contains.
+        limit = 20000
+        for oset in (MultiplesOf(ells=[3], verify=False),
+                     MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
+                     OmegaBounded(2, CongruenceSource(4, [1]), 6, verify=False),
+                     EllPowers(2, verify=False)):
+            pset = InducedPrimes(oset)
+            odd = [p for p in table_1e6.primes[1:].tolist() if p <= limit]
+            members = sum(pset.contains(p, orders) for p in odd)
+            est = estimate_density(pset, limit, table_1e6)
+            assert (est.member_count, est.total_count) == (members, len(odd))
+
+    def test_corrupted_bulk_orders_are_caught(self, table_1e6, monkeypatch):
+        from orbitgrowth import sets
+
+        real = sets.mult_orders
+        monkeypatch.setattr(sets, "mult_orders",
+                            lambda primes, table: 2 * real(primes, table))
+        with pytest.raises(InvariantViolation, match="disagrees with mult_order"):
+            estimate_density(InducedPrimes(MultiplesOf(ells=[3], verify=False)),
+                             10**5, table_1e6)
+
 
 class TestEntropy:
     def test_always_log_2(self):
@@ -240,6 +294,22 @@ class TestJson:
             {"kind": "induced"},
             {"kind": "induced", "order_set": omega},
             {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": []}},
+            # Wrongly typed fields.
+            {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": 3}},
+            {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": ["3"]}},
+            {"kind": "induced", "order_set": {"kind": "explicit_list", "values": [1.5]}},
+            {"kind": "induced", "order_set": {"kind": "prime_list", "primes": 7}},
+            {"kind": "induced", "order_set": {"kind": "complement_multiples_of",
+                                              "ell": "3"}},
+            {"kind": "induced", "order_set": {"kind": "ell_powers", "ell": [2]}},
+            {"kind": "induced", "order_set": {"kind": "congruence_primes",
+                                              "modulus": 3, "residues": 1}},
+            {"kind": "induced", "order_set": {"kind": "omega_bounded", "r": True,
+                                              "m": 6, "ell_set": {"kind": "list",
+                                                                  "primes": [3]}}},
+            {"kind": "induced", "order_set": {"kind": "multiples_of", "ell_set": {
+                "kind": "congruence_primes", "modulus": None, "residues": [1]}}},
+            {"kind": "explicit_finite", "primes": "3,7"},
         ):
             with pytest.raises(ContractError):
                 prime_set_from_json(spec)
