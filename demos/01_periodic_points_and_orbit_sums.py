@@ -45,7 +45,7 @@ print("M_{}(4) =", mertens_exact(4, [], orders, cache).value_at(4),
 
 print()
 print("An induced set: S = all primes whose order is divisible by 3.")
-s = InducedPrimes(MultiplesOf(ells=[3], verify=False))
+s = InducedPrimes(MultiplesOf(ells=[3]))
 series = mertens_exact(60, s, orders, cache)
 for n in (10, 20, 40, 60):
     print(f"  M(N={n:>3}) ~ {float(series.value_at(n)):.6f}")

@@ -21,6 +21,8 @@ PARAM_COUNT = {"bounded": 1, "k_log": 2, "k_logdelta": 3, "k_loglogr": 3}
 PARAM_PENALTY = 3.0
 MIN_SAMPLES = 8
 MIN_DECADES = 3.0
+LOGLOG_POWERS = (1, 2, 3)
+GOLDEN_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,10 @@ def fit_model(
     samples,
     model: str,
     delta: float | None = None,
-    r: int | None = None,
     strict: bool = True,
 ) -> FitReport:
-    """Least-squares fit of one regime; free delta by golden section, free r
-    over {1, 2, 3}.
+    """Least-squares fit of one regime; free delta by golden section, r the
+    best of LOGLOG_POWERS.
 
     Strict mode enforces the growth-model grid contract (>= 8 samples over
     >= 3 decades); the classifier relaxes it since it only compares
@@ -137,11 +138,8 @@ def fit_model(
     if ns[0] < 3:
         raise ContractError("asymptotics-fit: k_loglogr needs N >= 3")
     loglogn = np.log(np.log(ns))
-    choices = (r,) if r is not None else (1, 2, 3)
     best = None
-    for rr in choices:
-        if rr not in (1, 2, 3):
-            raise ContractError("asymptotics-fit: r restricted to {1, 2, 3}")
+    for rr in LOGLOG_POWERS:
         k, c, pred = _linear_fit(loglogn**rr, vs)
         res = _tail_sup(pred, vs)
         if best is None or res < best[0]:
@@ -153,14 +151,14 @@ def fit_model(
     )
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 80) -> float:
+def _golden_section(f, lo: float, hi: float) -> float:
     """Deterministic golden-section minimizer on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -40,6 +40,7 @@ _CHUNK = 1 << 16
 
 EXACT_CEILING = 120
 DOMINANT_CAPACITY = 10**7
+LCM_STRATA_CAP = 4096
 
 
 @dataclass
@@ -196,6 +197,14 @@ def default_grid(n_max: int, start: int = 10) -> list[int]:
     return sorted(set(grid))
 
 
+def _sample_grid(n_max: int, grid: list[int] | None) -> list[int]:
+    """The sorted grid of a dominant-mode series, default_grid(n_max) if
+    none is given."""
+    if n_max < 1:
+        raise ContractError("mertens-engine: n_max must be >= 1")
+    return sorted(set(grid)) if grid else default_grid(n_max)
+
+
 def dominant_sum(
     n_max: int,
     oset: OrderSet,
@@ -216,7 +225,7 @@ def dominant_sum(
     if n_max > DOMINANT_CAPACITY:
         raise CapacityError(
             f"mertens-engine: n_max {n_max} over capacity {DOMINANT_CAPACITY}")
-    grid = sorted(set(grid)) if grid else default_grid(n_max)
+    grid = _sample_grid(n_max, grid)
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")
     member = oset.indicator(n_max)
@@ -256,16 +265,15 @@ class StratumContribution:
     terms: int
 
 
-def _lcm_closure(gens: list[int], limit: int, cap: int = 4096) -> list[int]:
+def _lcm_closure(gens: list[int], limit: int) -> list[int]:
     closed = {1}
     frontier = [g for g in gens if g <= limit]
     for g in frontier:
         new = {g * c // math.gcd(g, c) for c in closed}
         closed.update(v for v in new if v <= limit)
-        if len(closed) > cap:
-            raise CapacityError(
-                f"mertens-engine: lcm closure exceeds {cap} strata below {limit}"
-            )
+        if len(closed) > LCM_STRATA_CAP:
+            raise CapacityError(f"mertens-engine: lcm closure exceeds "
+                                f"{LCM_STRATA_CAP} strata below {limit}")
     return sorted(closed)
 
 
@@ -287,6 +295,7 @@ def decompose_lcm_closed(
     if cache is None:
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
+    grid = _sample_grid(n_max, grid)
     from .sets import ExplicitList
 
     if isinstance(oset, ExplicitList):
@@ -295,7 +304,7 @@ def decompose_lcm_closed(
         # contained them.
         gens = [m for m in oset.values if m not in (1, 6) and m <= n_max]
         mbars = _lcm_closure(gens, n_max)
-        effective = ExplicitList(mbars, verify=False)
+        effective = ExplicitList(mbars)
     elif oset.closed_under_lcm:
         gens = [m for m in oset.generating_orders(n_max) if m not in (1, 6)]
         mbars = sorted(set(gens) | {1})
@@ -305,7 +314,6 @@ def decompose_lcm_closed(
             "mertens-engine: order set must be lcm-closed (or an explicit list)"
         )
 
-    grid = sorted(set(grid)) if grid else default_grid(n_max)
     events: list[tuple[int, Fraction]] = []
     breakdown: list[StratumContribution] = []
     for mbar in mbars:
@@ -357,9 +365,9 @@ def f_series_direct(
     grid: list[int] | None = None,
 ) -> MertensSeries:
     """F_S(N) = sum_{n <= N} |2^n - 1|_S / n summed term by term, exactly."""
+    grid = _sample_grid(n_max, grid)
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
-    grid = sorted(set(grid)) if grid else default_grid(n_max)
     acc = Fraction(0)
     samples = []
     gi = 0

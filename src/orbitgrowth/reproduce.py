@@ -89,8 +89,7 @@ def check_onto(cache: FactorCache | None = None,
                orders: OrderTable | None = None) -> CriterionResult:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
     t0 = time.monotonic()
-    series = dominant_sum(10**6, MultiplesOf(ells=[3], verify=False),
-                          grid=list(ONTO_GRID))
+    series = dominant_sum(10**6, MultiplesOf(ells=[3]), grid=list(ONTO_GRID))
     slope = fit_model(series.float_samples(), "k_log", strict=False).k
     ok = abs(slope - 2.0 / 3.0) <= 0.01
     return CriterionResult(
@@ -108,7 +107,7 @@ def check_loglog(cache: FactorCache | None = None,
     at 31623, past the early Mertens transient.
     """
     t0 = time.monotonic()
-    series = dominant_sum(10**7, CompositeNumbers(verify=False),
+    series = dominant_sum(10**7, CompositeNumbers(),
                           grid=default_grid(10**7, start=100))
     devs = [(n, float(v) - math.log(math.log(n))) for n, v in series.samples]
     tail = [d for _, d in devs[len(devs) // 2 :]]
@@ -131,10 +130,7 @@ def check_logdelta(cache: FactorCache | None = None,
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
     t0 = time.monotonic()
-    mprime = SquarefreeAugmented(
-        MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
-        verify=False,
-    )
+    mprime = SquarefreeAugmented(MultiplesOf(ell_set=CongruenceSource(3, [1])))
     series = dominant_sum(10**7, mprime, grid=default_grid(10**7, start=100))
     rep = classify_growth(series.float_samples())
     ok = rep.model == "k_logdelta" and 0.4 <= (rep.delta or 0.0) <= 0.6
@@ -158,7 +154,7 @@ def check_zero(cache: FactorCache | None = None,
     t0 = time.monotonic()
     cache = cache or FactorCache()
     orders = orders or OrderTable()
-    s = InducedPrimes(ComplementMultiplesOf(3, verify=False))
+    s = InducedPrimes(ComplementMultiplesOf(3))
     series = mertens_exact(120, s, orders, cache)
     sub = [(n, float(v)) for n, v in series.samples if n in ZERO_GRID]
     rep = classify_growth(sub)

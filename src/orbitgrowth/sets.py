@@ -4,8 +4,9 @@ An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
 membership over [1, limit] is served by numpy sieves so that dominant sums
 never need factorizations.  Closure flags (multiplication by naturals,
-least common multiples) are verified by seeded randomized testing at
-construction, with witnesses recorded when a closure genuinely fails.
+least common multiples) are verified by seeded randomized testing when a
+spec is loaded (order_set_from_json, prime_set_from_json), with witnesses
+recorded when a closure genuinely fails; sets built in code are trusted.
 
 JSON wire forms (the single schema used by the CLI):
 
@@ -345,11 +346,6 @@ class OrderSet:
     closed_under_nat_multiplication = False
     closed_under_lcm = False
 
-    def __init__(self, verify: bool = True, seed: int = 0):
-        self.closure_report = (
-            verify_closure_flags(self, seed=seed) if verify else None
-        )
-
     # Membership --------------------------------------------------------
     def contains(self, n: int) -> bool:
         if n < 1:
@@ -381,14 +377,13 @@ class OrderSet:
 class ExplicitList(OrderSet):
     kind = "explicit_list"
 
-    def __init__(self, values, verify: bool = True, seed: int = 0):
+    def __init__(self, values):
         self.values = tuple(sorted(set(int(v) for v in values)))
         if any(v < 1 for v in self.values):
             raise ContractError("prime-sets: explicit order values must be >= 1")
         # A nonempty finite set cannot absorb multiplication by N.
         self.closed_under_nat_multiplication = not self.values
         self.closed_under_lcm = self._lcm_closed()
-        super().__init__(verify=verify, seed=seed)
 
     def _lcm_closed(self) -> bool:
         vals = set(self.values)
@@ -415,13 +410,13 @@ class PrimeList(ExplicitList):
 
     kind = "prime_list"
 
-    def __init__(self, primes, verify: bool = True, seed: int = 0):
+    def __init__(self, primes):
         from .arith import is_probable_prime
 
         for p in primes:
             if not is_probable_prime(int(p)):
                 raise ContractError(f"prime-sets: prime_list element {p} not prime")
-        super().__init__(primes, verify=verify, seed=seed)
+        super().__init__(primes)
 
     def to_json(self):
         return {"kind": "prime_list", "primes": list(self.values)}
@@ -434,8 +429,7 @@ class MultiplesOf(OrderSet):
     closed_under_nat_multiplication = True
     closed_under_lcm = True
 
-    def __init__(self, ells=None, ell_set: PrimeSource | None = None,
-                 verify: bool = True, seed: int = 0):
+    def __init__(self, ells=None, ell_set: PrimeSource | None = None):
         if (ells is None) == (ell_set is None):
             raise ContractError("prime-sets: multiples_of needs ells or ell_set")
         self.ells = None if ells is None else tuple(sorted(set(int(v) for v in ells)))
@@ -444,7 +438,6 @@ class MultiplesOf(OrderSet):
         if self.ells is not None and any(v < 2 for v in self.ells):
             raise ContractError("prime-sets: multiples_of divisors must be >= 2")
         self.ell_set = ell_set
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         if self.ells is not None:
@@ -472,11 +465,10 @@ class ComplementMultiplesOf(OrderSet):
     closed_under_nat_multiplication = False
     closed_under_lcm = True
 
-    def __init__(self, ell: int, verify: bool = True, seed: int = 0):
+    def __init__(self, ell: int):
         self.ell = int(ell)
         if self.ell < 2:
             raise ContractError("prime-sets: complement divisor must be >= 2")
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         return n % self.ell != 0
@@ -498,9 +490,6 @@ class CompositeNumbers(OrderSet):
     closed_under_nat_multiplication = True
     closed_under_lcm = True
 
-    def __init__(self, verify: bool = True, seed: int = 0):
-        super().__init__(verify=verify, seed=seed)
-
     def _member(self, n, fac):
         return sum(fac.values()) != 1
 
@@ -519,9 +508,6 @@ class PrimeNumbers(OrderSet):
     closed_under_nat_multiplication = False
     closed_under_lcm = False
 
-    def __init__(self, verify: bool = True, seed: int = 0):
-        super().__init__(verify=verify, seed=seed)
-
     def _member(self, n, fac):
         return sum(fac.values()) == 1
 
@@ -539,11 +525,10 @@ class EllPowers(OrderSet):
     closed_under_nat_multiplication = False
     closed_under_lcm = True
 
-    def __init__(self, ell: int, verify: bool = True, seed: int = 0):
+    def __init__(self, ell: int):
         self.ell = int(ell)
         if self.ell < 2:
             raise ContractError("prime-sets: ell must be >= 2")
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         return n == 1 or set(fac) == {self.ell}
@@ -565,11 +550,10 @@ class SquarefreeAugmented(OrderSet):
 
     kind = "squarefree_augmented"
 
-    def __init__(self, base: OrderSet, verify: bool = True, seed: int = 0):
+    def __init__(self, base: OrderSet):
         self.base = base
         self.closed_under_nat_multiplication = base.closed_under_nat_multiplication
         self.closed_under_lcm = base.closed_under_lcm
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         if any(e >= 2 for e in fac.values()):
@@ -592,9 +576,8 @@ class CongruencePrimes(OrderSet):
     closed_under_nat_multiplication = False
     closed_under_lcm = False
 
-    def __init__(self, modulus: int, residues, verify: bool = True, seed: int = 0):
+    def __init__(self, modulus: int, residues):
         self.source = CongruenceSource(modulus, residues)
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1 and self.source.contains_prime(n)
@@ -621,15 +604,13 @@ class OmegaBounded(OrderSet):
     closed_under_nat_multiplication = True
     closed_under_lcm = True
 
-    def __init__(self, r: int, ell_set: PrimeSource, m: int,
-                 verify: bool = True, seed: int = 0):
+    def __init__(self, r: int, ell_set: PrimeSource, m: int):
         if r < 1 or m < 1:
             raise ContractError("prime-sets: omega_bounded needs r >= 1, m >= 1")
         self.r = int(r)
         self.ell_set = ell_set
         self.m = int(m)
         self._m_fac = factorize(self.m)
-        super().__init__(verify=verify, seed=seed)
 
     def _member(self, n, fac):
         omega_q = 0
@@ -664,38 +645,38 @@ class OmegaBounded(OrderSet):
 
 
 _ORDER_KINDS = {
-    "explicit_list": lambda o, **kw: ExplicitList(_ints(o, "values"), **kw),
-    "prime_list": lambda o, **kw: PrimeList(_ints(o, "primes"), **kw),
-    "multiples_of": lambda o, **kw: MultiplesOf(
+    "explicit_list": lambda o: ExplicitList(_ints(o, "values")),
+    "prime_list": lambda o: PrimeList(_ints(o, "primes")),
+    "multiples_of": lambda o: MultiplesOf(
         ells=_ints(o, "ells") if "ells" in o else None,
         ell_set=prime_source_from_json(o["ell_set"]) if "ell_set" in o else None,
-        **kw,
     ),
-    "complement_multiples_of": lambda o, **kw: ComplementMultiplesOf(
-        _int(o, "ell"), **kw
+    "complement_multiples_of": lambda o: ComplementMultiplesOf(_int(o, "ell")),
+    "composite_numbers": lambda o: CompositeNumbers(),
+    "prime_numbers": lambda o: PrimeNumbers(),
+    "ell_powers": lambda o: EllPowers(_int(o, "ell")),
+    "congruence_primes": lambda o: CongruencePrimes(
+        _int(o, "modulus"), _ints(o, "residues")
     ),
-    "composite_numbers": lambda o, **kw: CompositeNumbers(**kw),
-    "prime_numbers": lambda o, **kw: PrimeNumbers(**kw),
-    "ell_powers": lambda o, **kw: EllPowers(_int(o, "ell"), **kw),
-    "squarefree_augmented": lambda o, **kw: SquarefreeAugmented(
-        order_set_from_json(_field(o, "base"), **kw), **kw
-    ),
-    "congruence_primes": lambda o, **kw: CongruencePrimes(
-        _int(o, "modulus"), _ints(o, "residues"), **kw
-    ),
-    "omega_bounded": lambda o, **kw: OmegaBounded(
-        _int(o, "r"), prime_source_from_json(_field(o, "ell_set")),
-        _int(o, "m"), **kw
+    "omega_bounded": lambda o: OmegaBounded(
+        _int(o, "r"), prime_source_from_json(_field(o, "ell_set")), _int(o, "m")
     ),
 }
 
 
-def order_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> OrderSet:
+def order_set_from_json(obj: dict, seed: int = 0) -> OrderSet:
+    """The order set a JSON spec describes, its closure flags verified with
+    seed; a squarefree_augmented base is verified before the set around it."""
     kind = _field(obj, "kind")
-    builder = _ORDER_KINDS.get(kind)
-    if builder is None:
-        raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
-    return builder(obj, verify=verify, seed=seed)
+    if kind == "squarefree_augmented":
+        oset = SquarefreeAugmented(order_set_from_json(_field(obj, "base"), seed))
+    else:
+        builder = _ORDER_KINDS.get(kind)
+        if builder is None:
+            raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
+        oset = builder(obj)
+    verify_closure_flags(oset, seed)
+    return oset
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +742,12 @@ class InducedPrimes(PrimeSet):
         return {"kind": "induced", "order_set": self.order_set.to_json()}
 
 
-def prime_set_from_json(obj: dict, verify: bool = True, seed: int = 0) -> PrimeSet:
+def prime_set_from_json(obj: dict, seed: int = 0) -> PrimeSet:
     kind = _field(obj, "kind")
     if kind == "explicit_finite":
         return ExplicitFinitePrimes(_ints(obj, "primes"))
     if kind == "induced":
-        return InducedPrimes(order_set_from_json(_field(obj, "order_set"),
-                                                 verify=verify, seed=seed))
+        return InducedPrimes(order_set_from_json(_field(obj, "order_set"), seed))
     raise ContractError(f"prime-sets: unknown prime-set kind {kind!r}")
 
 
@@ -817,8 +797,8 @@ def inner_outer(
         m for m in m_s
         if all(p in s for p, _ in primitive_primes(m, cache, orders))
     ]
-    inner = InducedPrimes(ExplicitList(m_inner, verify=False))
-    outer = InducedPrimes(ExplicitList(m_s, verify=False))
+    inner = InducedPrimes(ExplicitList(m_inner))
+    outer = InducedPrimes(ExplicitList(m_s))
     return inner, outer
 
 
@@ -879,7 +859,7 @@ def estimate_density(
     return DensityEstimate(limit, int(members), odd_primes.size)
 
 
-def entropy(pset: PrimeSet | None = None) -> float:
+def entropy(pset: PrimeSet) -> float:
     """Topological entropy of the doubling map on the dual of R_S.
 
     Independent of S under the standing exclusion of 2: every inverted odd

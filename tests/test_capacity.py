@@ -17,7 +17,7 @@ from orbitgrowth.sets import ExplicitFinitePrimes, MultiplesOf, estimate_density
 OVER_CAPACITY = {
     "sieve_primes": lambda: sieve_primes(SIEVE_CAPACITY + 1),
     "dominant_sum": lambda: dominant_sum(
-        DOMINANT_CAPACITY + 1, MultiplesOf(ells=[3], verify=False)),
+        DOMINANT_CAPACITY + 1, MultiplesOf(ells=[3])),
     "squarefree_slope": lambda: squarefree_slope(SIEVE_CAPACITY + 1),
     "landau_count": lambda: landau_count(SIEVE_CAPACITY + 1, 2),
     "estimate_density": lambda: estimate_density(

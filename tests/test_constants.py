@@ -403,7 +403,7 @@ class TestSquarefree:
         # n are exactly the non-members of squarefree_augmented(empty).
         n_max = 10**5
         grid = [64 << k for k in range(11)] + [n_max]
-        oset = SquarefreeAugmented(ExplicitList([], verify=False), verify=False)
+        oset = SquarefreeAugmented(ExplicitList([]))
         series = dominant_sum(n_max, oset, grid=grid)
         sf = squarefree_slope(n_max)
         assert sf.samples == tuple(series.float_samples())

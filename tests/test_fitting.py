@@ -29,17 +29,17 @@ class TestFitModel:
         assert abs(rep.constant - 1.23) < 1e-6
 
     def test_harmonic_slope_is_1(self):
-        series = dominant_sum(10**6, ExplicitList([], verify=False))
+        series = dominant_sum(10**6, ExplicitList([]))
         rep = fit_model(series.float_samples(), "k_log")
         assert abs(rep.k - 1.0) < 0.005
 
     def test_dominant_multiples_of_3(self):
-        series = dominant_sum(10**6, MultiplesOf(ells=[3], verify=False))
+        series = dominant_sum(10**6, MultiplesOf(ells=[3]))
         rep = fit_model(series.float_samples(), "k_log")
         assert abs(rep.k - 2 / 3) < 0.01
 
     def test_loglog_free_r_on_prime_harmonic(self):
-        series = dominant_sum(10**7, CompositeNumbers(verify=False),
+        series = dominant_sum(10**7, CompositeNumbers(),
                               grid=default_grid(10**7, start=100))
         rep = fit_model(series.float_samples(), "k_loglogr")
         assert rep.r == 1

@@ -99,7 +99,7 @@ class TestOrbitCounts:
             [],
             [3],
             [3, 7],
-            InducedPrimes(MultiplesOf(ells=[3], verify=False)),
+            InducedPrimes(MultiplesOf(ells=[3])),
         ]
         for s in sets:
             for n in range(1, 41):
@@ -146,29 +146,57 @@ class TestMertensExact:
 
 class TestDominant:
     def test_exclude_multiples_of_3(self):
-        series = dominant_sum(10, MultiplesOf(ells=[3], verify=False), grid=[10])
+        series = dominant_sum(10, MultiplesOf(ells=[3]), grid=[10])
         expect = sum(Fraction(1, n) for n in (1, 2, 4, 5, 7, 8, 10))
         assert abs(series.value_at(10) - expect) < Fraction(1, 1 << 80)
 
     def test_empty_order_set_is_harmonic(self):
-        series = dominant_sum(10, ExplicitList([], verify=False), grid=[10])
+        series = dominant_sum(10, ExplicitList([]), grid=[10])
         h10 = sum(Fraction(1, n) for n in range(1, 11))
         assert abs(series.value_at(10) - h10) < Fraction(1, 1 << 80)
 
     def test_prime_harmonic_constant(self):
-        series = dominant_sum(10**6, CompositeNumbers(verify=False), grid=[10**6])
+        series = dominant_sum(10**6, CompositeNumbers(), grid=[10**6])
         value = float(series.value_at(10**6))
         # Mertens: sum 1/p = loglog N + 0.2614972... (prime-harmonic oracle)
         assert abs(value - (math.log(math.log(10**6)) + 0.2614972128)) < 1e-3
 
     def test_contract_error_directs_to_decomposition(self):
         with pytest.raises(ContractError, match="decompose"):
-            dominant_sum(100, EllPowers(3, verify=False))
+            dominant_sum(100, EllPowers(3))
+
+
+class TestSeriesDomain:
+    # default_grid(n_max) is [n_max] for n_max < 1, a grid no series can
+    # have, so such an n_max is a usage error before any work is done.
+    @pytest.mark.parametrize("n_max", [0, -1, -10])
+    def test_dominant_sum(self, n_max):
+        for grid in (None, default_grid(n_max)):
+            with pytest.raises(ContractError, match="n_max must be >= 1"):
+                dominant_sum(n_max, MultiplesOf(ells=[3]), grid=grid)
+
+    @pytest.mark.parametrize("n_max", [0, -1, -10])
+    def test_decompose_lcm_closed(self, n_max, orders, cache):
+        for oset in (EllPowers(3), ComplementMultiplesOf(3), ExplicitList([2, 3])):
+            with pytest.raises(ContractError, match="n_max must be >= 1"):
+                decompose_lcm_closed(n_max, oset, orders, cache)
+
+    @pytest.mark.parametrize("n_max", [0, -1, -10])
+    def test_f_series_direct(self, n_max, orders, cache):
+        for s in ([3, 7], InducedPrimes(EllPowers(3))):
+            with pytest.raises(ContractError, match="n_max must be >= 1"):
+                f_series_direct(n_max, s, orders, cache)
+
+    def test_smallest_n_max(self, orders, cache):
+        assert dominant_sum(1, MultiplesOf(ells=[3])).samples == [(1, Fraction(1))]
+        series, _ = decompose_lcm_closed(1, EllPowers(3), orders, cache)
+        assert series.samples == f_series_direct(1, InducedPrimes(EllPowers(3)),
+                                                 orders, cache).samples
 
 
 class TestDecomposition:
     def test_ell_powers_matches_direct(self, orders, cache):
-        oset = EllPowers(3, verify=False)
+        oset = EllPowers(3)
         series, breakdown = decompose_lcm_closed(120, oset, orders, cache)
         direct = f_series_direct(120, InducedPrimes(oset), orders, cache,
                                  grid=series.grid)
@@ -176,7 +204,7 @@ class TestDecomposition:
         assert [b.mbar for b in breakdown] == [1, 3, 9, 27, 81]
 
     def test_complement_strata_are_ell_power_fibres(self, orders, cache):
-        oset = ComplementMultiplesOf(3, verify=False)
+        oset = ComplementMultiplesOf(3)
         series, breakdown = decompose_lcm_closed(100, oset, orders, cache)
         direct = f_series_direct(100, InducedPrimes(oset), orders, cache,
                                  grid=series.grid)
@@ -191,7 +219,7 @@ class TestDecomposition:
             assert q == 1
 
     def test_explicit_list_closure_and_slope(self, orders, cache):
-        oset = ExplicitList([2, 3], verify=False)
+        oset = ExplicitList([2, 3])
         grid = default_grid(1000)
         series, breakdown = decompose_lcm_closed(1000, oset, orders, cache,
                                                  grid=grid)
@@ -212,7 +240,7 @@ class TestDecomposition:
         from orbitgrowth.sets import PrimeNumbers
 
         with pytest.raises(ContractError):
-            decompose_lcm_closed(100, PrimeNumbers(verify=False), orders, cache)
+            decompose_lcm_closed(100, PrimeNumbers(), orders, cache)
 
 
 class TestRemainderBounds:
@@ -231,7 +259,7 @@ class TestRemainderBounds:
             remainder_bounds(5)
 
     def test_exact_vs_dominant_envelope(self, orders, cache):
-        oset = MultiplesOf(ells=[3], verify=False)
+        oset = MultiplesOf(ells=[3])
         grid = list(range(40, 121))
         exact = mertens_exact(120, InducedPrimes(oset), orders, cache)
         dom = dominant_sum(120, oset, grid=grid)

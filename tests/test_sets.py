@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from orbitgrowth import sets
 from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.mersenne import primitive_primes
@@ -31,17 +33,18 @@ from orbitgrowth.sets import (
     order_set_from_json,
     prime_set_from_json,
     s_mbar,
+    verify_closure_flags,
 )
 
 
 class TestMembership:
     def test_multiples(self):
-        m = MultiplesOf(ells=[3], verify=False)
+        m = MultiplesOf(ells=[3])
         assert m.contains(12)
         assert not m.contains(10)
 
     def test_composite_orders(self, orders):
-        s = InducedPrimes(CompositeNumbers(verify=False))
+        s = InducedPrimes(CompositeNumbers())
         # m_7 = 3 and m_23 = m_89 = 11 are prime; m_5 = 4 is composite.
         assert not s.contains(7, orders)
         assert not s.contains(23, orders)
@@ -49,29 +52,29 @@ class TestMembership:
         assert s.contains(5, orders)
 
     def test_ell_power_orders(self, orders):
-        s = InducedPrimes(EllPowers(3, verify=False))
+        s = InducedPrimes(EllPowers(3))
         assert s.contains(73, orders)  # m_73 = 9
         assert not s.contains(5, orders)
 
     def test_two_never_member(self, orders):
         assert not ExplicitFinitePrimes([2, 3]).contains(2)
-        assert not InducedPrimes(MultiplesOf(ells=[2], verify=False)).contains(2, orders)
+        assert not InducedPrimes(MultiplesOf(ells=[2])).contains(2, orders)
 
     def test_indicator_matches_scalar(self):
         specs = [
-            MultiplesOf(ells=[3, 5], verify=False),
-            ComplementMultiplesOf(3, verify=False),
-            CompositeNumbers(verify=False),
-            PrimeNumbers(verify=False),
-            EllPowers(3, verify=False),
-            SquarefreeAugmented(MultiplesOf(ells=[3], verify=False), verify=False),
-            CongruencePrimes(3, [1], verify=False),
-            OmegaBounded(2, CongruenceSource(4, [1, 3]), 12, verify=False),
-            OmegaBounded(1, ListSource([3, 5, 7]), 4, verify=False),
-            ExplicitList([1, 2, 6, 28, 500], verify=False),
-            PrimeList([2, 3, 5, 7, 499], verify=False),
-            MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
-            MultiplesOf(ell_set=ListSource([5, 11, 499]), verify=False),
+            MultiplesOf(ells=[3, 5]),
+            ComplementMultiplesOf(3),
+            CompositeNumbers(),
+            PrimeNumbers(),
+            EllPowers(3),
+            SquarefreeAugmented(MultiplesOf(ells=[3])),
+            CongruencePrimes(3, [1]),
+            OmegaBounded(2, CongruenceSource(4, [1, 3]), 12),
+            OmegaBounded(1, ListSource([3, 5, 7]), 4),
+            ExplicitList([1, 2, 6, 28, 500]),
+            PrimeList([2, 3, 5, 7, 499]),
+            MultiplesOf(ell_set=CongruenceSource(3, [1])),
+            MultiplesOf(ell_set=ListSource([5, 11, 499])),
         ]
         for spec in specs:
             ind = spec.indicator(500)
@@ -81,8 +84,8 @@ class TestMembership:
     def test_omega_bounded_indicator_across_blocks(self):
         # The blockwise indicator equals the whole-array formula it replaced.
         limit = 2 * SIEVE_BLOCK + 77
-        for oset in (OmegaBounded(2, CongruenceSource(4, [1, 3]), 12, verify=False),
-                     OmegaBounded(1, ListSource([3, 5, 7]), 4, verify=False)):
+        for oset in (OmegaBounded(2, CongruenceSource(4, [1, 3]), 12),
+                     OmegaBounded(1, ListSource([3, 5, 7]), 4)):
             idx = np.arange(limit + 1, dtype=np.int64)
             q = np.ones(limit + 1, dtype=np.int64)
             q[1:] = idx[1:] // np.gcd(idx[1:], oset.m)
@@ -94,31 +97,88 @@ class TestMembership:
 
 class TestClosureFlags:
     def test_multiples_closed(self):
-        m = MultiplesOf(ells=[3])
-        assert m.closure_report.nat_multiplication_ok
-        assert m.closure_report.lcm_ok
+        report = verify_closure_flags(MultiplesOf(ells=[3]))
+        assert report.nat_multiplication_ok
+        assert report.lcm_ok
 
     def test_squarefree_augmented_closed(self):
-        s = SquarefreeAugmented(MultiplesOf(ells=[3], verify=False))
+        s = SquarefreeAugmented(MultiplesOf(ells=[3]))
         assert s.closed_under_nat_multiplication
-        assert s.closure_report.nat_multiplication_ok
+        assert verify_closure_flags(s).nat_multiplication_ok
 
     def test_ell_powers_witness(self):
         e = EllPowers(3)
-        assert e.closure_report.lcm_ok
-        a, b = e.closure_report.nat_witness
+        report = verify_closure_flags(e)
+        assert report.lcm_ok
+        a, b = report.nat_witness
         assert e.contains(a) and not e.contains(a * b)
 
     def test_complement_witness(self):
         c = ComplementMultiplesOf(3)
-        assert c.closure_report.lcm_ok
-        a, b = c.closure_report.nat_witness
+        report = verify_closure_flags(c)
+        assert report.lcm_ok
+        a, b = report.nat_witness
         assert c.contains(a) and not c.contains(a * b)
 
     def test_omega_bounded_closed(self):
         o = OmegaBounded(2, CongruenceSource(3, [1]), 6)
-        assert o.closure_report.nat_multiplication_ok
-        assert o.closure_report.lcm_ok
+        report = verify_closure_flags(o)
+        assert report.nat_multiplication_ok
+        assert report.lcm_ok
+
+    # The memo is keyed by the JSON spec, which fixes the flags of every
+    # real kind; the sets below that claim a closure they lack serialize
+    # under their own kind so that no honest report is reused.
+
+    def test_false_nat_claim_raises_with_pair(self):
+        class Lying(ComplementMultiplesOf):
+            kind = "lying_complement_multiples_of"
+            closed_under_nat_multiplication = True
+
+            def to_json(self):
+                return {"kind": self.kind, "ell": self.ell}
+
+        oset = Lying(3)
+        with pytest.raises(InvariantViolation) as err:
+            verify_closure_flags(oset)
+        msg = str(err.value)
+        assert "lying_complement_multiples_of claims multiplication closure" in msg
+        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)", msg).groups())
+        assert oset.contains(a) and not oset.contains(a * b)
+
+    def test_false_lcm_claim_raises_with_pair(self):
+        class Lying(PrimeNumbers):
+            kind = "lying_prime_numbers"
+            closed_under_lcm = True
+
+            def to_json(self):
+                return {"kind": self.kind}
+
+        oset = Lying()
+        with pytest.raises(InvariantViolation) as err:
+            verify_closure_flags(oset)
+        msg = str(err.value)
+        assert "lying_prime_numbers claims lcm closure" in msg
+        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)", msg).groups())
+        assert oset.contains(a) and oset.contains(b)
+        assert not oset.contains(a * b // math.gcd(a, b))
+
+    def test_loader_verifies_base_then_outer_with_its_seed(self, monkeypatch):
+        calls = []
+        real = sets.verify_closure_flags
+
+        def recording(oset, seed=0):
+            calls.append((oset.to_json(), seed))
+            return real(oset, seed)
+
+        monkeypatch.setattr(sets, "verify_closure_flags", recording)
+        base = {"kind": "multiples_of", "ells": [3]}
+        spec = {"kind": "squarefree_augmented", "base": base}
+        order_set_from_json(spec, seed=7)
+        assert calls == [(base, 7), (spec, 7)]
+        calls.clear()
+        prime_set_from_json({"kind": "induced", "order_set": spec}, seed=7)
+        assert calls == [(base, 7), (spec, 7)]
 
 
 class TestCorrespondence:
@@ -130,15 +190,15 @@ class TestCorrespondence:
         for _ in range(100):
             s = rng.sample(pool, rng.randint(1, 6))
             m_s = sorted({orders.order(p) for p in s})
-            induced = InducedPrimes(ExplicitList(m_s, verify=False))
+            induced = InducedPrimes(ExplicitList(m_s))
             assert all(induced.contains(p, orders) for p in s)
 
     def test_induced_idempotent(self, orders):
         # S_{M_{S_M}} = S_M: membership agrees on a prime sample.
-        base = InducedPrimes(MultiplesOf(ells=[3], verify=False))
+        base = InducedPrimes(MultiplesOf(ells=[3]))
         sample = [3, 5, 7, 73, 233, 331, 4051]
         m_realized = sorted({orders.order(p) for p in sample if base.contains(p, orders)})
-        again = InducedPrimes(ExplicitList(m_realized, verify=False))
+        again = InducedPrimes(ExplicitList(m_realized))
         for p in sample:
             if base.contains(p, orders):
                 assert again.contains(p, orders)
@@ -171,13 +231,13 @@ class TestCorrespondence:
 
 class TestMbar:
     def test_explicit(self):
-        assert mbar_of(12, ExplicitList([2, 3], verify=False)) == 6
+        assert mbar_of(12, ExplicitList([2, 3])) == 6
 
     def test_coprime_gives_unit(self):
-        assert mbar_of(35, ExplicitList([2, 3], verify=False)) == 1
+        assert mbar_of(35, ExplicitList([2, 3])) == 1
 
     def test_ell_powers(self, cache):
-        oset = EllPowers(3, verify=False)
+        oset = EllPowers(3)
         assert mbar_of(18, oset) == 9
         assert set(s_mbar(9, oset, cache)) == {7, 73}
 
@@ -185,13 +245,13 @@ class TestMbar:
 class TestDensity:
     def test_multiples_of_3(self, table_1e6, orders):
         est = estimate_density(
-            InducedPrimes(MultiplesOf(ells=[3], verify=False)), 10**6, table_1e6
+            InducedPrimes(MultiplesOf(ells=[3])), 10**6, table_1e6
         )
         assert abs(est.ratio - 3 / 8) < 0.02
 
     def test_multiples_of_2(self, table_1e6, orders):
         est = estimate_density(
-            InducedPrimes(MultiplesOf(ells=[2], verify=False)), 10**6, table_1e6
+            InducedPrimes(MultiplesOf(ells=[2])), 10**6, table_1e6
         )
         assert abs(est.ratio - 17 / 24) < 0.02
 
@@ -203,7 +263,7 @@ class TestDensity:
     def test_complement_multiples_density(self, table_1e6, orders):
         # density of {p : 3 does not divide m_p} is 1 - 3/8 = 5/8
         est = estimate_density(
-            InducedPrimes(ComplementMultiplesOf(3, verify=False)), 10**6, table_1e6
+            InducedPrimes(ComplementMultiplesOf(3)), 10**6, table_1e6
         )
         assert abs(est.ratio - 5 / 8) < 0.02
 
@@ -212,13 +272,13 @@ class TestDensity:
         # formula would predict 1 - 2/3 = 1/3, which it visibly is not.
         # Empirical only: no exactness is claimed for the ell = 2 case.
         est = estimate_density(
-            InducedPrimes(ComplementMultiplesOf(2, verify=False)), 10**6, table_1e6
+            InducedPrimes(ComplementMultiplesOf(2)), 10**6, table_1e6
         )
         assert abs(est.ratio - 7 / 24) < 0.02
         assert abs(est.ratio - 1 / 3) > 0.02
 
     @pytest.mark.parametrize("pset,members", [
-        (InducedPrimes(MultiplesOf(ells=[3], verify=False)), 62),
+        (InducedPrimes(MultiplesOf(ells=[3])), 62),
         (ExplicitFinitePrimes([3, 7, 997, 1009, 2**127 - 1]), 3),
     ])
     def test_larger_table_counts_to_limit(self, pset, members):
@@ -230,10 +290,10 @@ class TestDensity:
     def test_counts_match_scalar_orders(self, table_1e6, orders):
         # The bulk orders and the indicator gather against InducedPrimes.contains.
         limit = 20000
-        for oset in (MultiplesOf(ells=[3], verify=False),
-                     MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
-                     OmegaBounded(2, CongruenceSource(4, [1]), 6, verify=False),
-                     EllPowers(2, verify=False)):
+        for oset in (MultiplesOf(ells=[3]),
+                     MultiplesOf(ell_set=CongruenceSource(3, [1])),
+                     OmegaBounded(2, CongruenceSource(4, [1]), 6),
+                     EllPowers(2)):
             pset = InducedPrimes(oset)
             odd = [p for p in table_1e6.primes[1:].tolist() if p <= limit]
             members = sum(pset.contains(p, orders) for p in odd)
@@ -247,7 +307,7 @@ class TestDensity:
         monkeypatch.setattr(sets, "mult_orders",
                             lambda primes, table: 2 * real(primes, table))
         with pytest.raises(InvariantViolation, match="disagrees with mult_order"):
-            estimate_density(InducedPrimes(MultiplesOf(ells=[3], verify=False)),
+            estimate_density(InducedPrimes(MultiplesOf(ells=[3])),
                              10**5, table_1e6)
 
 
@@ -255,20 +315,20 @@ class TestEntropy:
     def test_always_log_2(self):
         assert entropy(ExplicitFinitePrimes([])) == math.log(2)
         assert entropy(ExplicitFinitePrimes([3, 7])) == math.log(2)
-        assert entropy(InducedPrimes(MultiplesOf(ells=[3], verify=False))) == math.log(2)
+        assert entropy(InducedPrimes(MultiplesOf(ells=[3]))) == math.log(2)
 
 
 class TestJson:
     def test_roundtrip(self):
         specs = [
-            MultiplesOf(ells=[3], verify=False),
-            MultiplesOf(ell_set=CongruenceSource(3, [1]), verify=False),
-            SquarefreeAugmented(ComplementMultiplesOf(5, verify=False), verify=False),
-            OmegaBounded(2, CongruenceSource(4, [1]), 6, verify=False),
-            ExplicitList([2, 3], verify=False),
+            MultiplesOf(ells=[3]),
+            MultiplesOf(ell_set=CongruenceSource(3, [1])),
+            SquarefreeAugmented(ComplementMultiplesOf(5)),
+            OmegaBounded(2, CongruenceSource(4, [1]), 6),
+            ExplicitList([2, 3]),
         ]
         for spec in specs:
-            clone = order_set_from_json(spec.to_json(), verify=False)
+            clone = order_set_from_json(spec.to_json())
             for n in (1, 5, 12, 30, 49, 450):
                 assert clone.contains(n) == spec.contains(n)
 
@@ -276,8 +336,7 @@ class TestJson:
         ps = prime_set_from_json({"kind": "explicit_finite", "primes": [3, 7]})
         assert ps.contains(3) and not ps.contains(5)
         ind = prime_set_from_json(
-            {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}},
-            verify=False,
+            {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}}
         )
         assert ind.contains(73, orders)
 
