@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .arith import SIEVE_CAPACITY, OrderTable, is_probable_prime, ord_p
@@ -514,6 +513,8 @@ def _g_bounds(n: int) -> tuple[Fraction, Fraction]:
     if n % 4 == 0:
         g = Fraction(1, 100 ** (2 ** (n // 4)))
         return g, g
+    import mpmath  # deferred: only these bounds need it, and it is slow to import
+
     with mpmath.workprec(160):
         g = _mpf_to_fraction(
             mpmath.power(100, -mpmath.power(2, mpmath.mpf(n) / 4))
@@ -524,6 +525,8 @@ def _g_bounds(n: int) -> tuple[Fraction, Fraction]:
 
 def _log1p_fraction_lower(q: Fraction) -> Fraction:
     """A rational lower bound of log(1 + q) tight to ~2^-150."""
+    import mpmath
+
     with mpmath.workprec(200):
         f = _mpf_to_fraction(
             mpmath.log1p(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator))

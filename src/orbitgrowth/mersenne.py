@@ -4,10 +4,12 @@ The cache file is line-delimited JSON, one object per line:
 
     {"m": 29, "factors": [[233, 1], [1103, 1], [2089, 1]]}
 
-Every entry is re-verified by an exact product check on load; a line that
-fails the check is a hard error naming the line number.  A seed cache for
-all m <= 128, generated by this same engine with a generous budget, ships
-inside the package.  Partial factorizations are never cached.
+Every entry is re-verified by an exact product check on load; a complete
+line that is malformed or fails the check is a hard error naming the line
+number.  An unterminated final line of the overlay file, left by a writer
+cut off mid-line, is skipped and counted in `FactorCache.torn_lines`.  A
+seed cache for all m <= 128, generated by this same engine with a generous
+budget, ships inside the package.  Partial factorizations are never cached.
 """
 
 from __future__ import annotations
@@ -105,15 +107,22 @@ class FactorCache:
         self._entries: dict[int, MersenneFactorization] = {}
         self._dirty: list[int] = []
         self._lock = threading.Lock()
+        self.torn_lines = 0  # unterminated final overlay lines skipped on load
         if load_seed:
             seed = resources.files("orbitgrowth.data").joinpath(SEED_RESOURCE)
             self._load_text(seed.read_text(encoding="utf-8"), source=SEED_RESOURCE)
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    self._load_text(fh.read(), source=path)
+                    text = fh.read()
             except FileNotFoundError:
-                pass
+                text = ""
+            # A writer cut off mid-line leaves an unterminated final line:
+            # it is skipped and counted, while every complete line is checked.
+            body, _, torn = text.rpartition("\n")
+            if torn.strip():
+                self.torn_lines += 1
+            self._load_text(body, source=path)
 
     def _load_text(self, text: str, source: str) -> None:
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -143,11 +152,10 @@ class FactorCache:
             if self.path is None or not self._dirty:
                 self._dirty.clear()
                 return 0
-            n = 0
+            batch = "".join(self._entries[m].to_json() + "\n" for m in self._dirty)
             with open(self.path, "a", encoding="utf-8") as fh:
-                for m in self._dirty:
-                    fh.write(self._entries[m].to_json() + "\n")
-                    n += 1
+                fh.write(batch)
+            n = len(self._dirty)
             self._dirty.clear()
             return n
 

@@ -8,7 +8,9 @@ Two evaluation regimes:
     divisor).
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
-    order set, never a factorization.
+    order set, never a factorization.  The accumulator finds each term
+    floor(2^96 / n) as three base-2^32 digits by uint64 long division over
+    whole chunks of n, and the digit sums are combined as exact Python ints.
 
 The lcm-stratified decomposition of F_S(N) is implemented independently of
 the direct sum so the two code paths can cross-validate each other.
@@ -37,6 +39,7 @@ from .sets import (
 FRAC_BITS = 96
 _SCALE = 1 << FRAC_BITS
 _CHUNK = 1 << 16
+_DIGIT = 1 << 32
 
 EXACT_CEILING = 120
 DOMINANT_CAPACITY = 10**7
@@ -240,17 +243,31 @@ def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
     """sum_{n in keep, n <= g} floor(2^96 / n) for each g of the increasing
     grid; keep is sorted and positive.  The sums are exact integers, so
     callers divide by 2^96 exactly (as Fraction or correctly rounded float).
-    Terms are converted to Python ints _CHUNK at a time, which bounds the
-    memory a long grid segment needs.
+
+    Each term floor(2^96 / n) is found as three base-2^32 digits by uint64
+    long division: cur = 2^32, then three times q = cur // n, r = cur % n,
+    cur = r << 32.  Every digit is floor-exact because n < 2^32 keeps
+    r << 32 below 2^64, and n = 1 needs no special case.  The digits are
+    summed per chunk of at most _CHUNK terms, far below 2^64, and combined
+    as Python ints; the chunks bound the memory a long grid segment needs.
     """
+    if len(keep) and int(keep[-1]) >= _DIGIT:
+        raise CapacityError(
+            f"mertens-engine: fixed-point terms need n < 2^32, got {int(keep[-1])}")
     acc = 0
     pos = 0
     out = []
     for g in grid:
         hi = int(np.searchsorted(keep, g, side="right"))
         for lo in range(pos, hi, _CHUNK):
-            for n in keep[lo : min(lo + _CHUNK, hi)].tolist():
-                acc += _SCALE // n
+            n = keep[lo : min(lo + _CHUNK, hi)].astype(np.uint64)
+            cur = np.full(n.shape, _DIGIT, dtype=np.uint64)
+            digits = []
+            for _ in range(3):
+                q, r = np.divmod(cur, n)
+                digits.append(int(q.sum()))
+                cur = r << np.uint64(32)
+            acc += (digits[0] << 64) + (digits[1] << 32) + digits[2]
         pos = hi
         out.append(acc)
     return out

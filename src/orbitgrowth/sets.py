@@ -240,7 +240,10 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     members within [1, CLOSURE_BOUND]; a flag claimed False must come with a
     concrete witness pair, found by a deterministic small search.
     """
-    key = (repr(sorted(oset.to_json().items())), seed)
+    # The claimed flags belong in the key: a set built in code can claim
+    # other flags than the kind its JSON names.
+    key = (type(oset), oset.closed_under_nat_multiplication,
+           oset.closed_under_lcm, repr(sorted(oset.to_json().items())), seed)
     with _closure_lock:
         hit = _closure_memo.get(key)
     if hit is not None:
@@ -446,10 +449,19 @@ class MultiplesOf(OrderSet):
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
-        divs = self.ells if self.ells is not None else self.ell_set.primes_up_to(limit)
-        for l in divs:
-            if l <= limit:
-                out[l::l] = True
+        divs = np.array(self.ell_set.primes_up_to(limit) if self.ells is None
+                        else [l for l in self.ells if l <= limit], dtype=np.int64)
+        small = math.isqrt(limit)
+        for l in divs[divs <= small].tolist():
+            out[l::l] = True
+        # Every multiple k * ell <= limit of a larger ell has k <= isqrt(limit),
+        # so one gather per k marks them all instead of one slice per ell.
+        big = divs[divs > small]
+        for k in range(1, small + 1):
+            hi = int(np.searchsorted(big, limit // k, side="right"))
+            if hi == 0:
+                break
+            out[big[:hi] * k] = True
         return out
 
     def to_json(self):

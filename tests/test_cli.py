@@ -1,15 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import orbitgrowth
 from orbitgrowth.cli import main
+
+SRC = str(Path(orbitgrowth.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cold(*argv):
+    """The CLI as a fresh process, as a user runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "orbitgrowth.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestBasicCommands:
@@ -248,3 +263,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "order", "--prime", "7")
         assert code == 5
         assert "core-arith" in err
+
+
+class TestCacheFile:
+    M11 = '{"m": 11, "factors": [[23, 1], [89, 1]]}\n'
+
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.M11 + '{"m": 130, "fac')
+        proc = run_cold("--cache", str(path), "factor", "--exponent", "29")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout.splitlines()[0])
+        assert payload["factors"] == [[233, 1], [1103, 1], [2089, 1]]
+
+    def test_corrupt_complete_line_is_2(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.M11 + '{"m": 130, "fac\n')
+        proc = run_cold("--cache", str(path), "factor", "--exponent", "29")
+        assert proc.returncode == 2
+        assert "line 2: malformed entry" in proc.stderr

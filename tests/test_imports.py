@@ -1,10 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the CLI
+does not import mpmath before a command needs it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,17 @@ def test_checker():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # Every cold CLI process pays for what `orbitgrowth.cli` imports; only
+    # the section 9 bounds use mpmath, so they import it themselves.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orbitgrowth.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

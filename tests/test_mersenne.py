@@ -86,6 +86,43 @@ class TestCache:
         line = json.loads(path.read_text().splitlines()[0])
         assert line == {"m": 11, "factors": [[23, 1], [89, 1]]}
 
+    def test_torn_final_line_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"m": 11, "factors": [[23, 1], [89, 1]]}\n'
+                        '{"m": 130, "fac')
+        c = FactorCache(path=str(path), load_seed=False)
+        assert c.torn_lines == 1
+        assert c.exponents() == [11]
+
+    def test_unterminated_valid_line_is_torn(self, tmp_path):
+        # Without its newline a line may be cut short, so it is not trusted.
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"m": 11, "factors": [[23, 1], [89, 1]]}')
+        c = FactorCache(path=str(path), load_seed=False)
+        assert c.torn_lines == 1
+        assert c.exponents() == []
+
+    def test_flush_writes_batch_in_one_call(self, tmp_path, monkeypatch):
+        from orbitgrowth import mersenne
+
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            real_write = fh.write
+            fh.write = lambda text: writes.append(text) or real_write(text)
+            return fh
+
+        monkeypatch.setattr(mersenne, "open", recording_open, raising=False)
+        path = tmp_path / "user.jsonl"
+        c = FactorCache(path=str(path), load_seed=False)
+        factor_mersenne(11, c)
+        factor_mersenne(13, c)
+        assert c.flush() == 2
+        assert len(writes) == 1
+        monkeypatch.undo()
+        assert FactorCache(path=str(path), load_seed=False).exponents() == [11, 13]
+
 
 class TestPrimitive:
     def test_zsigmondy_exceptions(self, cache):

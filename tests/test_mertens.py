@@ -2,11 +2,17 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitgrowth.arith import divisors
-from orbitgrowth.errors import ContractError
+from orbitgrowth.arith import SIEVE_CAPACITY, divisors
+from orbitgrowth.errors import CapacityError, ContractError
 from orbitgrowth.mertens import (
+    _CHUNK,
+    _SCALE,
+    _harmonic_fixed_point,
     decompose_lcm_closed,
     default_grid,
     dominant_sum,
@@ -164,6 +170,64 @@ class TestDominant:
     def test_contract_error_directs_to_decomposition(self):
         with pytest.raises(ContractError, match="decompose"):
             dominant_sum(100, EllPowers(3))
+
+
+def scalar_fixed_point(keep, grid):
+    """The accumulator as one Python-int floor division per term: the
+    reference the uint64-digit version must match exactly."""
+    acc = 0
+    pos = 0
+    out = []
+    for g in grid:
+        hi = int(np.searchsorted(keep, g, side="right"))
+        for n in keep[pos:hi].tolist():
+            acc += _SCALE // n
+        pos = hi
+        out.append(acc)
+    return out
+
+
+def assert_matches_scalar(keep, grid):
+    keep = np.asarray(keep, dtype=np.int64)
+    assert _harmonic_fixed_point(keep, grid) == scalar_fixed_point(keep, grid)
+
+
+class TestFixedPointAccumulator:
+    def test_empty(self):
+        assert_matches_scalar([], [1, 10])
+        assert _harmonic_fixed_point(np.array([], dtype=np.int64), [5]) == [0]
+
+    def test_unit_term(self):
+        assert _harmonic_fixed_point(np.array([1]), [1]) == [_SCALE]
+        assert_matches_scalar([1, 2, 3, 7], [1, 2, 7])
+
+    @pytest.mark.parametrize("length", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_edges(self, length):
+        keep = np.arange(1, length + 1)
+        assert_matches_scalar(keep, [length])
+        assert_matches_scalar(keep, sorted({1, _CHUNK - 1, _CHUNK, length}))
+        assert_matches_scalar(3 * keep, [3 * length])
+
+    def test_grid_before_between_and_after_terms(self):
+        keep = [5, 9, 10, 400, 401]
+        assert_matches_scalar(keep, [1, 4, 5, 7, 9, 10, 100, 401, 10**6])
+
+    def test_terms_near_sieve_capacity(self):
+        keep = np.arange(SIEVE_CAPACITY - 3000, SIEVE_CAPACITY + 1, 7)
+        assert_matches_scalar(keep, [SIEVE_CAPACITY - 1500, SIEVE_CAPACITY])
+
+    def test_largest_term(self):
+        assert_matches_scalar([2, 2**32 - 5, 2**32 - 1], [2, 2**32 - 1])
+
+    def test_term_past_2_pow_32_is_capacity_error(self):
+        with pytest.raises(CapacityError):
+            _harmonic_fixed_point(np.array([3, 2**32]), [2**32])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.integers(1, 2**32 - 1), max_size=300),
+           st.sets(st.integers(1, 2**32), min_size=1, max_size=8))
+    def test_matches_scalar_on_draws(self, terms, grid):
+        assert_matches_scalar(sorted(terms), sorted(grid))
 
 
 class TestSeriesDomain:

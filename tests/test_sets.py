@@ -75,11 +75,16 @@ class TestMembership:
             PrimeList([2, 3, 5, 7, 499]),
             MultiplesOf(ell_set=CongruenceSource(3, [1])),
             MultiplesOf(ell_set=ListSource([5, 11, 499])),
+            MultiplesOf(ells=[7, 31, 37]),
         ]
-        for spec in specs:
-            ind = spec.indicator(500)
-            for n in range(1, 501):
-                assert bool(ind[n]) == spec.contains(n), (spec.kind, n)
+        # MultiplesOf splits its ells at isqrt(limit), so the limits straddle
+        # the square of 31, an ell of two specs.
+        for limit in (500, 31 * 31 - 1, 31 * 31, 31 * 31 + 1):
+            for spec in specs:
+                ind = spec.indicator(limit)
+                assert len(ind) == limit + 1
+                for n in range(1, limit + 1):
+                    assert bool(ind[n]) == spec.contains(n), (spec.kind, limit, n)
 
     def test_omega_bounded_indicator_across_blocks(self):
         # The blockwise indicator equals the whole-array formula it replaced.
@@ -126,9 +131,21 @@ class TestClosureFlags:
         assert report.nat_multiplication_ok
         assert report.lcm_ok
 
-    # The memo is keyed by the JSON spec, which fixes the flags of every
-    # real kind; the sets below that claim a closure they lack serialize
-    # under their own kind so that no honest report is reused.
+    def test_false_claim_sharing_honest_json_raises(self):
+        # The memo is keyed on the claimed flags as well as the JSON, so a
+        # set that claims a closure it lacks gets no honest cached report.
+        class Lying(ComplementMultiplesOf):
+            closed_under_nat_multiplication = True
+
+        honest = ComplementMultiplesOf(5)
+        assert not verify_closure_flags(honest).nat_multiplication_ok
+        oset = Lying(5)
+        assert oset.to_json() == honest.to_json()
+        with pytest.raises(InvariantViolation) as err:
+            verify_closure_flags(oset)
+        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)",
+                                  str(err.value)).groups())
+        assert oset.contains(a) and not oset.contains(a * b)
 
     def test_false_nat_claim_raises_with_pair(self):
         class Lying(ComplementMultiplesOf):
