@@ -17,7 +17,6 @@ from .mersenne import (
     FactorCache,
     MersenneFactorization,
     factor_mersenne,
-    primitive_part,
     primitive_primes,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "FactorCache",
     "MersenneFactorization",
     "factor_mersenne",
-    "primitive_part",
     "primitive_primes",
 ]

@@ -27,15 +27,7 @@ from .errors import (
 from .fitting import _linear_fit
 from .mersenne import FactorCache, primitive_primes
 from .mertens import _SCALE, _harmonic_fixed_point
-from .sets import (
-    CongruenceSource,
-    ExplicitFinitePrimes,
-    PrimeSource,
-    has_factor_outside,
-    omega_array,
-    prime_mask,
-    squarefree_mask,
-)
+from .sets import ExplicitFinitePrimes, prime_mask, squarefree_mask
 
 _LN2 = math.log(2.0)
 
@@ -303,115 +295,6 @@ def transcendental_series(
         convergents=tuple(convergents),
         term_values=tuple(term_values),
     )
-
-
-# ---------------------------------------------------------------------------
-# Counting integers with r prime factors from a prescribed set.
-
-
-def landau_count(
-    x: int,
-    r: int,
-    source: PrimeSource | None = None,
-    mode: str = "exact",
-):
-    """|{n <= x : Omega_L(n) = Omega(n) = r}| exactly, or its asymptotic."""
-    if r < 1:
-        raise ContractError("constants: r must be >= 1")
-    if mode == "exact":
-        if x > SIEVE_CAPACITY:
-            raise CapacityError(f"constants: exact count at {x} over capacity")
-        omega = omega_array(x)
-        hit = omega == r
-        hit[0] = False
-        if source is not None:
-            hit &= ~has_factor_outside(source, x)
-        return int(np.count_nonzero(hit))
-    if mode == "asymptotic":
-        if source is None:
-            delta = 1.0
-        elif isinstance(source, CongruenceSource):
-            from .arith import euler_phi
-
-            q = source.modulus
-            units = [a for a in source.residues if math.gcd(a, q) == 1]
-            delta = len(units) / euler_phi(q)
-        else:
-            raise ContractError(
-                "constants: asymptotic mode needs a positive-density source"
-            )
-        lx = math.log(x)
-        return (
-            delta**r * (x / lx) * math.log(lx) ** (r - 1) / math.factorial(r - 1)
-        )
-    raise ContractError(f"constants: unknown landau mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Uniform error bounds for the partial valuation sums.
-
-
-@dataclass(frozen=True)
-class FErrorReport:
-    s_prime: tuple[int, ...]
-    p_new: int
-    grid: tuple[int, ...]
-    f_values: tuple[float, ...]
-    f_new_values: tuple[float, ...]
-    a_bound: float
-    ok: bool
-
-
-def _valuation_harmonic(s: tuple[int, ...], n_max: int) -> np.ndarray:
-    """Cumulative sums of |n|_S / n for n <= n_max (index = N)."""
-    w = np.zeros(n_max + 1)
-    w[1:] = 1.0 / np.arange(1, n_max + 1)
-    for p in s:
-        pk = p
-        while pk <= n_max:
-            w[pk::pk] /= p
-            pk *= p
-    return np.cumsum(w)
-
-
-def f_error_check(s_prime, p_new: int, grid=None) -> FErrorReport:
-    """f_S(N) = sum |n|_S / n - k'_S log N on a grid, and the x2 growth bound
-    after adjoining one new prime."""
-    s = tuple(sorted(set(int(p) for p in s_prime)))
-    if p_new in s:
-        raise ContractError(f"constants: {p_new} already in S'")
-    grid = tuple(grid) if grid else tuple(g for g in _default_pow_grid(10**6))
-    n_max = max(grid)
-    kp = 1.0
-    for p in s:
-        kp *= p / (p + 1.0)
-    kp2 = kp * p_new / (p_new + 1.0)
-    cum = _valuation_harmonic(s, n_max)
-    cum2 = _valuation_harmonic(s + (p_new,), n_max)
-    f_vals = tuple(float(cum[g] - kp * math.log(g)) for g in grid)
-    f2_vals = tuple(float(cum2[g] - kp2 * math.log(g)) for g in grid)
-    a_bound = max(4.5, max(abs(v) for v in f_vals))  # 4 plus a 0.5 margin
-    ok = all(abs(v) <= 2.0 * a_bound for v in f2_vals)
-    return FErrorReport(
-        s_prime=s,
-        p_new=p_new,
-        grid=grid,
-        f_values=f_vals,
-        f_new_values=f2_vals,
-        a_bound=a_bound,
-        ok=ok,
-    )
-
-
-def _default_pow_grid(n_max: int) -> list[int]:
-    grid = []
-    g = 10
-    while g <= n_max:
-        grid.append(g)
-        g *= 10
-    if grid[-1] != n_max:
-        grid.append(n_max)
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -921,45 +804,3 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
         slope=slope,
         samples=tuple(samples),
     )
-
-
-# ---------------------------------------------------------------------------
-# The jointly truncated two-product constant (monitored, never asserted).
-
-
-@dataclass(frozen=True)
-class JointProductRow:
-    x: int
-    value: float
-    drift: float  # change from the previous grid point
-
-
-def joint_product_monitor(
-    delta: float, source: PrimeSource, grid
-) -> list[JointProductRow]:
-    """Partial products (1/Gamma(delta+1)) prod_{p<=x} (1-1/p)^delta
-    prod_{p<=x, p not in L} (1+1/p), reported with their drift.
-
-    Both products are truncated at the same x; the truncation diverges under
-    independent limits, so only the joint drift is meaningful and no value
-    is ever asserted.
-    """
-    grid = sorted(set(int(g) for g in grid))
-    top = grid[-1]
-    mask = prime_mask(top)
-    primes = np.flatnonzero(mask)
-    in_l = np.zeros(top + 1, dtype=bool)
-    in_l[source.primes_up_to(top)] = True
-    logs = delta * np.log1p(-1.0 / primes)
-    outside = ~in_l[primes]
-    logs = logs + np.where(outside, np.log1p(1.0 / primes), 0.0)
-    cum = np.cumsum(logs)
-    base = -math.lgamma(delta + 1.0)
-    rows = []
-    prev = None
-    for g in grid:
-        hi = int(np.searchsorted(primes, g, side="right"))
-        v = math.exp(base + (cum[hi - 1] if hi else 0.0))
-        rows.append(JointProductRow(x=g, value=v, drift=0.0 if prev is None else v - prev))
-        prev = v
-    return rows

@@ -7,15 +7,19 @@ The cache file is line-delimited JSON, one object per line:
 Every entry is re-verified by an exact product check on load; a complete
 line that is malformed or fails the check is a hard error naming the line
 number.  An unterminated final line of the overlay file, left by a writer
-cut off mid-line, is skipped and counted in `FactorCache.torn_lines`.  A
-seed cache for all m <= 128, generated by this same engine with a generous
-budget, ships inside the package.  Partial factorizations are never cached.
+cut off mid-line, is skipped and counted in `FactorCache.torn_lines`; the
+next flush, which holds an exclusive `flock` on the overlay, cuts it off
+before appending and fsyncs the file.  A seed cache for all m <= 128,
+generated by this same engine with a generous budget, ships inside the
+package.  Partial factorizations are never cached.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -153,8 +157,20 @@ class FactorCache:
                 self._dirty.clear()
                 return 0
             batch = "".join(self._entries[m].to_json() + "\n" for m in self._dirty)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(batch)
+            with open(self.path, "a+b") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        # Every writer holds the lock, so an unterminated
+                        # tail seen here is a dead write: cut it off, or the
+                        # batch would be glued onto it.
+                        fh.seek(0)
+                        fh.truncate(fh.read().rfind(b"\n") + 1)
+                fh.write(batch.encode("utf-8"))
+                fh.flush()
+                os.fsync(fh.fileno())
             n = len(self._dirty)
             self._dirty.clear()
             return n
@@ -288,18 +304,3 @@ def primitive_primes(
     if orders is not None:
         orders.register_class(m, members)
     return members
-
-
-def primitive_part(n: int, cache: FactorCache) -> int:
-    """(2^n - 1)^*: the maximal primitive divisor of 2^n - 1."""
-    out = 1
-    for p, e in primitive_primes(n, cache):
-        out *= p**e
-    return out
-
-
-def order_class(
-    m: int, cache: FactorCache, orders: OrderTable | None = None
-) -> dict[int, int]:
-    """Primitive class of m as a dict p -> e_p (empty for m in {1, 6})."""
-    return dict(primitive_primes(m, cache, orders))

@@ -71,18 +71,6 @@ def prime_mask(limit: int) -> np.ndarray:
 
 
 @_memoized_per_limit
-def omega_array(limit: int) -> np.ndarray:
-    """Omega(n) (prime factors with multiplicity) for n in [0, limit]."""
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    for p in np.flatnonzero(prime_mask(limit)).tolist():
-        pk = p
-        while pk <= limit:
-            omega[pk::pk] += 1
-            pk *= p
-    return omega
-
-
-@_memoized_per_limit
 def squarefree_mask(limit: int) -> np.ndarray:
     """Boolean array; True at squarefree n (True at 1)."""
     mask = np.ones(limit + 1, dtype=bool)
@@ -92,18 +80,6 @@ def squarefree_mask(limit: int) -> np.ndarray:
         if mask[p]:  # p prime is enough; composite p*p already covered
             mask[sq::sq] = False
     return mask
-
-
-def has_factor_outside(source: PrimeSource, limit: int) -> np.ndarray:
-    """Boolean array over [0, limit]; True at n >= 2 with a prime factor
-    that source does not contain."""
-    bad = np.zeros(limit + 1, dtype=bool)
-    allowed = np.zeros(limit + 1, dtype=bool)
-    allowed[source.primes_up_to(limit)] = True
-    for p in np.flatnonzero(prime_mask(limit)).tolist():
-        if not allowed[p]:
-            bad[p::p] = True
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +581,37 @@ class CongruencePrimes(OrderSet):
                 "residues": j["residues"]}
 
 
+def _omega_or_outside(limit: int, r: int, source: PrimeSource) -> np.ndarray:
+    """Boolean array over [0, limit]; True at n >= 1 with Omega(n) > r or a
+    prime factor that source does not contain.
+
+    Every n <= limit has at most one prime factor above isqrt(limit).  So
+    each block of n has the primes up to the root and their powers divided
+    out, and what is left above 1 is that one large prime.
+    """
+    allowed = np.zeros(limit + 1, dtype=bool)
+    allowed[source.primes_up_to(limit)] = True
+    small = np.flatnonzero(prime_mask(math.isqrt(limit))).tolist()
+    out = np.zeros(limit + 1, dtype=bool)
+    for lo in range(0, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        rem = np.arange(lo, hi, dtype=np.int32)
+        omega = np.zeros(hi - lo, dtype=np.int8)
+        bad = out[lo:hi]
+        for p in small:
+            if not allowed[p]:
+                bad[-lo % p :: p] = True
+            pk = p
+            while pk < hi:
+                omega[-lo % pk :: pk] += 1
+                rem[-lo % pk :: pk] //= p
+                pk *= p
+        big = rem > 1
+        bad |= (omega + big > r) | (big & ~allowed[rem])
+    out[0] = False
+    return out
+
+
 class OmegaBounded(OrderSet):
     """n with Omega(n/gcd(m,n)) > r, or a factor of n/gcd(m,n) outside L.
 
@@ -638,8 +645,7 @@ class OmegaBounded(OrderSet):
         # n is a member iff q = n/gcd(m, n) has more than r prime factors or
         # one outside L; q is formed a block at a time, so no full-length
         # integer array is built.
-        bad = has_factor_outside(self.ell_set, limit)
-        bad |= omega_array(limit) > self.r
+        bad = _omega_or_outside(limit, self.r, self.ell_set)
         member = np.empty(limit + 1, dtype=bool)
         for lo in range(0, limit + 1, SIEVE_BLOCK):
             n = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
@@ -764,7 +770,7 @@ def prime_set_from_json(obj: dict, seed: int = 0) -> PrimeSet:
 
 
 # ---------------------------------------------------------------------------
-# m-bar machinery, inner/outer hulls, density, entropy.
+# m-bar machinery and density.
 
 
 def mbar_of(n: int, oset: OrderSet) -> int:
@@ -795,23 +801,6 @@ def s_mbar(
             for p, e in primitive_primes(d, cache, orders):
                 out[p] = e
     return out
-
-
-def inner_outer(
-    pset: ExplicitFinitePrimes, orders: OrderTable, cache: FactorCache
-) -> tuple[InducedPrimes, InducedPrimes]:
-    """(S^o, S-bar): largest induced subset and smallest induced superset."""
-    if not isinstance(pset, ExplicitFinitePrimes):
-        raise ContractError("prime-sets: inner_outer needs an explicit finite set")
-    s = set(pset.primes)
-    m_s = sorted(set(orders.order(p) for p in s))
-    m_inner = [
-        m for m in m_s
-        if all(p in s for p, _ in primitive_primes(m, cache, orders))
-    ]
-    inner = InducedPrimes(ExplicitList(m_inner))
-    outer = InducedPrimes(ExplicitList(m_s))
-    return inner, outer
 
 
 @dataclass(frozen=True)
@@ -869,12 +858,3 @@ def estimate_density(
                                      f"disagrees with mult_order {expect}")
     members = np.count_nonzero(pset.order_set.indicator(limit)[orders])
     return DensityEstimate(limit, int(members), odd_primes.size)
-
-
-def entropy(pset: PrimeSet) -> float:
-    """Topological entropy of the doubling map on the dual of R_S.
-
-    Independent of S under the standing exclusion of 2: every inverted odd
-    prime contributes |2|_p = 1 to the sum of max(log|2|_p, 0).
-    """
-    return math.log(2.0)

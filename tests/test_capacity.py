@@ -7,7 +7,6 @@ from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.constants import (
     INTERVAL_CAPACITY,
     interval_L,
-    landau_count,
     squarefree_slope,
 )
 from orbitgrowth.errors import CapacityError
@@ -19,7 +18,6 @@ OVER_CAPACITY = {
     "dominant_sum": lambda: dominant_sum(
         DOMINANT_CAPACITY + 1, MultiplesOf(ells=[3])),
     "squarefree_slope": lambda: squarefree_slope(SIEVE_CAPACITY + 1),
-    "landau_count": lambda: landau_count(SIEVE_CAPACITY + 1, 2),
     "estimate_density": lambda: estimate_density(
         ExplicitFinitePrimes([3]), SIEVE_CAPACITY + 1),
     # The sieve would reach 2^(m_hi + 1) > INTERVAL_CAPACITY.

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from orbitgrowth.constants import (
-    FErrorReport,
     a_prime_window,
-    f_error_check,
     greedy_L,
     greedy_product_subset,
     greedy_subsequence,
     interval_L,
-    joint_product_monitor,
     k_exact_finite_s,
     k_order_bounds,
-    landau_count,
     rn_recursion,
     squarefree_slope,
     transcendental_series,
@@ -32,6 +28,7 @@ from orbitgrowth.mertens import dominant_sum
 from orbitgrowth.sets import (
     CongruenceSource,
     ExplicitList,
+    OmegaBounded,
     SquarefreeAugmented,
     squarefree_mask,
 )
@@ -187,7 +184,24 @@ class TestTranscendental:
             transcendental_series(2, 3, cache)
 
 
+ALL_PRIMES = CongruenceSource(2, [0, 1])
+
+
+def landau_count(x: int, r: int, source=ALL_PRIMES) -> int:
+    """|{n <= x : Omega(n) = r, every prime factor in source}|, counted from
+    omega_bounded sets with m = 1: their non-members in [1, x] are exactly
+    the n with Omega(n) <= r and every prime factor in source."""
+    def kept(k: int) -> int:
+        if k == 0:
+            return 1
+        return x - int(np.count_nonzero(OmegaBounded(k, source, 1).indicator(x)))
+
+    return kept(r) - kept(r - 1)
+
+
 class TestLandau:
+    # Landau's count of integers with r prime factors from a prescribed set
+    # is what the omega_bounded order set is built on.
     def test_semiprimes_to_100(self):
         brute = sum(
             1
@@ -200,9 +214,10 @@ class TestLandau:
         assert landau_count(10**6, 1) == len(table_1e6.primes) == 78498
 
     def test_exact_vs_asymptotic_band(self):
-        exact = landau_count(10**6, 2)
-        asym = landau_count(10**6, 2, mode="asymptotic")
-        assert 0.8 <= exact / asym <= 1.2
+        # (x / log x) (log log x)^(r-1) / (r-1)! for r = 2 over all primes.
+        x = 10**6
+        asym = x / math.log(x) * math.log(math.log(x))
+        assert 0.8 <= landau_count(x, 2) / asym <= 1.2
 
     def test_congruence_source(self):
         src = CongruenceSource(4, [1])
@@ -237,26 +252,6 @@ def factor_brute(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-class TestFError:
-    def test_harmonic_minus_log_bounded_by_1(self):
-        report = f_error_check([], 3, grid=[10, 100, 1000, 10**4, 10**5, 10**6])
-        assert all(abs(v) <= 1 for v in report.f_values)
-
-    def test_adjoin_5_to_3(self):
-        report = f_error_check([3], 5)
-        assert report.ok
-        assert report.a_bound >= 4
-
-    def test_doubling_chain(self):
-        a_prev = f_error_check([], 3).a_bound
-        step1 = f_error_check([3], 5)
-        assert max(abs(v) for v in step1.f_new_values) <= 2 * a_prev
-        a_next = step1.a_bound
-        step2 = f_error_check([3, 5], 7)
-        assert max(abs(v) for v in step2.f_new_values) <= 2 * a_next
-        assert a_next <= 2 * a_prev
 
 
 class TestIntervals:
@@ -408,15 +403,3 @@ class TestSquarefree:
         sf = squarefree_slope(n_max)
         assert sf.samples == tuple(series.float_samples())
         assert sf.total == series.value_at(n_max)
-
-
-class TestJointProductMonitor:
-    def test_monitor_reports_drift(self):
-        # The monitor never asserts a limit (the truncation only makes sense
-        # jointly); it reports positive values and a broadly shrinking drift.
-        rows = joint_product_monitor(
-            0.5, CongruenceSource(3, [1]), [10**3, 10**4, 10**5, 10**6]
-        )
-        assert all(r.value > 0 for r in rows)
-        drifts = [abs(r.drift) for r in rows[1:]]
-        assert drifts[-1] < drifts[0]

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and the CLI
-does not import mpmath before a command needs it.
+"""No module of the package imports a name it never uses, every public
+definition has a caller outside the tests, and the CLI does not import
+mpmath before a command needs it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbitgrowth"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbitgrowth"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +51,61 @@ def test_checker():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the top-level functions and classes not starting with _."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def uncalled(definitions: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.name` of every public definition no caller source reads."""
+    read = set().union(*map(names_read, callers))
+    return sorted(f"{module}.{name}" for module, source in definitions.items()
+                  for name in public_definitions(source) if name not in read)
+
+
+# Independent oracles, called only by tests: `ord_p_mersenne` is checked
+# against the big-integer valuation, `cyclotomic_eval2` bounds the
+# primitive parts of 2^n - 1, and `euler_phi` gives the exponent of the
+# paper's bound 2^(phi(n) - 2) on both.
+ORACLES = {"arith.ord_p_mersenne", "arith.cyclotomic_eval2", "arith.euler_phi"}
+
+
+def test_caller_checker():
+    defs = {"m": ("def used(): pass\n"
+                  "def _private(): pass\n"
+                  "class Unused: pass\n"
+                  "def attr_only(): pass\n"
+                  "def written(): pass\n")}
+    callers = ["used()\n", "import m\nm.attr_only\nm.written = 1\n"
+               "def Unused(): pass\n"]
+    assert uncalled(defs, callers) == ["m.Unused", "m.written"]
+
+
+def test_every_public_definition_has_a_caller():
+    # A re-export in __init__.py is not a caller; the package's own
+    # modules, the demos, the tools and the benchmark are.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    outside = [p for d in ("demos", "tools", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    definitions = {p.stem: p.read_text(encoding="utf-8") for p in modules}
+    callers = [p.read_text(encoding="utf-8") for p in modules + outside]
+    assert [name for name in uncalled(definitions, callers)
+            if name not in ORACLES] == []
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -1,5 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +14,10 @@ from orbitgrowth.mersenne import (
     FactorCache,
     MersenneFactorization,
     factor_mersenne,
-    order_class,
-    primitive_part,
     primitive_primes,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFactorization:
@@ -102,6 +107,42 @@ class TestCache:
         assert c.torn_lines == 1
         assert c.exponents() == []
 
+    def test_flush_after_torn_line_cuts_it_off(self, tmp_path):
+        # Appending after the torn fragment would make one complete but
+        # malformed line, and every later load would fail on it.
+        path = tmp_path / "torn.jsonl"
+        good = '{"m":11,"factors":[[23,1],[89,1]]}\n'
+        path.write_text('{"m": 3, "factors": [[7, 1]]}\n{"m": 130, "fac')
+        c = FactorCache(path=str(path), load_seed=False)
+        factor_mersenne(11, c)
+        assert c.flush() == 1
+        assert path.read_text() == '{"m": 3, "factors": [[7, 1]]}\n' + good
+        again = FactorCache(path=str(path), load_seed=False)
+        assert again.exponents() == [3, 11] and again.torn_lines == 0
+
+    def test_concurrent_appenders_write_whole_lines(self, tmp_path):
+        # Three processes flush one entry at a time onto the same overlay.
+        path = tmp_path / "shared.jsonl"
+        script = (
+            "import sys\n"
+            "from orbitgrowth.mersenne import FactorCache\n"
+            "seed = FactorCache()\n"
+            "c = FactorCache(path=sys.argv[1], load_seed=False)\n"
+            "for m in range(int(sys.argv[2]), int(sys.argv[3])):\n"
+            "    c.put(seed.get(m))\n"
+            "    assert c.flush() == 1\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(path), lo, hi],
+                                  env=env)
+                 for lo, hi in (("1", "44"), ("44", "87"), ("87", "129"))]
+        assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+        text = path.read_text()
+        assert text.endswith("\n") and len(text.splitlines()) == 128
+        c = FactorCache(path=str(path), load_seed=False)
+        assert c.torn_lines == 0 and c.exponents() == list(range(1, 129))
+
     def test_flush_writes_batch_in_one_call(self, tmp_path, monkeypatch):
         from orbitgrowth import mersenne
 
@@ -124,6 +165,12 @@ class TestCache:
         assert FactorCache(path=str(path), load_seed=False).exponents() == [11, 13]
 
 
+def primitive_product(n: int, cache) -> int:
+    """(2^n - 1)^*, the product of the primes of order exactly n with their
+    exponents."""
+    return math.prod(p**e for p, e in primitive_primes(n, cache))
+
+
 class TestPrimitive:
     def test_zsigmondy_exceptions(self, cache):
         assert primitive_primes(1, cache) == frozenset()
@@ -140,22 +187,22 @@ class TestPrimitive:
         assert empty == [1, 6]
 
     def test_primitive_part_examples(self, cache):
-        assert primitive_part(6, cache) == 1
-        assert primitive_part(11, cache) == 2047
-        assert primitive_part(4, cache) == 5
+        assert primitive_product(6, cache) == 1
+        assert primitive_product(11, cache) == 2047
+        assert primitive_product(4, cache) == 5
 
     def test_primitive_part_vs_cyclotomic(self, cache):
         from orbitgrowth.arith import cyclotomic_eval2
 
         for n in range(2, 65):
             # (2^n - 1)^* >= Phi_n(2) / n
-            assert n * primitive_part(n, cache) >= cyclotomic_eval2(n)
+            assert n * primitive_product(n, cache) >= cyclotomic_eval2(n)
 
     def test_valuation_bound_at_primitive_set(self, cache):
         # |2^n - 1|_S <= n / 2^(phi(n) - 2) for S containing the class of n:
         # equivalently n * (2^n - 1)^* >= 2^(phi(n) - 2).
         for n in range(2, 65):
-            assert n * primitive_part(n, cache) >= 1 << max(euler_phi(n) - 2, 0)
+            assert n * primitive_product(n, cache) >= 1 << max(euler_phi(n) - 2, 0)
 
     def test_multiple_primitive_primes_exist(self, cache):
         multi = [m for m in range(2, 65) if len(primitive_primes(m, cache)) >= 2]
@@ -174,7 +221,7 @@ class TestPrimitive:
 
     def test_order_class_registers(self, cache):
         orders = OrderTable()
-        members = order_class(29, cache, orders)
-        assert members == {233: 1, 1103: 1, 2089: 1}
+        members = primitive_primes(29, cache, orders)
+        assert dict(members) == {233: 1, 1103: 1, 2089: 1}
         assert orders.order(233) == 29
         assert orders.exponent(2089) == 1

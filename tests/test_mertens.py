@@ -30,7 +30,6 @@ from orbitgrowth.sets import (
     ExplicitList,
     InducedPrimes,
     MultiplesOf,
-    inner_outer,
     mbar_of,
 )
 
@@ -139,8 +138,11 @@ class TestMertensExact:
             mertens_exact(121, [], orders, cache)
 
     def test_sandwich_inner_outer(self, orders, cache):
+        # 233 is one of the three primes of order 29: S^o induced by no
+        # order lies inside S, S-bar induced by the order 29 around it.
         s = ExplicitFinitePrimes([233])
-        inner, outer = inner_outer(s, orders, cache)
+        inner = InducedPrimes(ExplicitList([]))
+        outer = InducedPrimes(ExplicitList([29]))
         m_mid = mertens_exact(40, s, orders, cache)
         m_inner = mertens_exact(40, inner, orders, cache)  # S^o, fewer removals
         m_outer = mertens_exact(40, outer, orders, cache)  # S-bar, more removals

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitgrowth import sets
 from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
@@ -24,17 +26,51 @@ from orbitgrowth.sets import (
     PrimeList,
     PrimeNumbers,
     SquarefreeAugmented,
-    entropy,
     estimate_density,
-    has_factor_outside,
-    inner_outer,
     mbar_of,
-    omega_array,
     order_set_from_json,
     prime_set_from_json,
     s_mbar,
+    prime_mask,
     verify_closure_flags,
 )
+
+
+def omega_reference(limit: int) -> np.ndarray:
+    """Omega(n) for n in [0, limit], one slice per prime power up to limit:
+    the loop the indicator's pass over the primes up to the root replaced."""
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    for p in np.flatnonzero(prime_mask(limit)).tolist():
+        pk = p
+        while pk <= limit:
+            omega[pk::pk] += 1
+            pk *= p
+    return omega
+
+
+def outside_reference(source, limit: int) -> np.ndarray:
+    """True at n >= 2 with a prime factor source lacks, one slice per prime."""
+    bad = np.zeros(limit + 1, dtype=bool)
+    allowed = np.zeros(limit + 1, dtype=bool)
+    allowed[source.primes_up_to(limit)] = True
+    for p in np.flatnonzero(prime_mask(limit)).tolist():
+        if not allowed[p]:
+            bad[p::p] = True
+    return bad
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@st.composite
+def omega_bounded_specs(draw):
+    if draw(st.booleans()):
+        source = ListSource(draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=6)))
+    else:
+        modulus = draw(st.integers(2, 12))
+        source = CongruenceSource(modulus, draw(st.lists(
+            st.integers(0, modulus - 1), min_size=1, max_size=modulus)))
+    return OmegaBounded(draw(st.integers(1, 4)), source, draw(st.integers(1, 60)))
 
 
 class TestMembership:
@@ -87,17 +123,27 @@ class TestMembership:
                     assert bool(ind[n]) == spec.contains(n), (spec.kind, limit, n)
 
     def test_omega_bounded_indicator_across_blocks(self):
-        # The blockwise indicator equals the whole-array formula it replaced.
-        limit = 2 * SIEVE_BLOCK + 77
-        for oset in (OmegaBounded(2, CongruenceSource(4, [1, 3]), 12),
-                     OmegaBounded(1, ListSource([3, 5, 7]), 4)):
+        # The blockwise pass over the primes up to the root equals the
+        # every-prime formula it replaced, across blocks and on both sides
+        # of a prime square (isqrt(limit) reaches 1031 at 1031^2).
+        for limit in (1031 * 1031 - 1, 1031 * 1031, 2 * SIEVE_BLOCK + 77):
             idx = np.arange(limit + 1, dtype=np.int64)
-            q = np.ones(limit + 1, dtype=np.int64)
-            q[1:] = idx[1:] // np.gcd(idx[1:], oset.m)
-            expect = ((omega_array(limit)[q] > oset.r)
-                      | has_factor_outside(oset.ell_set, limit)[q])
-            expect[0] = False
-            assert np.array_equal(oset.indicator(limit), expect)
+            omega, q = omega_reference(limit), np.ones(limit + 1, dtype=np.int64)
+            for oset in (OmegaBounded(2, CongruenceSource(4, [1, 3]), 12),
+                         OmegaBounded(1, ListSource([3, 5, 7]), 4),
+                         OmegaBounded(3, ListSource([2, 1031]), 6)):
+                q[1:] = idx[1:] // np.gcd(idx[1:], oset.m)
+                expect = ((omega[q] > oset.r)
+                          | outside_reference(oset.ell_set, limit)[q])
+                expect[0] = False
+                assert np.array_equal(oset.indicator(limit), expect), (oset, limit)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oset=omega_bounded_specs(), limit=st.integers(1, 3000))
+    def test_omega_bounded_indicator_matches_contains(self, oset, limit):
+        ind = oset.indicator(limit)
+        assert len(ind) == limit + 1 and not ind[0]
+        assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
 
 
 class TestClosureFlags:
@@ -229,22 +275,6 @@ class TestCorrespondence:
             ]
             assert realized == [m for m in values if m not in (1, 6)]
 
-    def test_inner_outer_single_member(self, orders, cache):
-        inner, outer = inner_outer(ExplicitFinitePrimes([233]), orders, cache)
-        assert inner.order_set.values == ()
-        assert outer.order_set.values == (29,)
-
-    def test_inner_outer_full_class(self, orders, cache):
-        inner, outer = inner_outer(
-            ExplicitFinitePrimes([233, 1103, 2089]), orders, cache
-        )
-        assert inner.order_set.values == (29,)
-        assert outer.order_set.values == (29,)
-
-    def test_inner_outer_empty(self, orders, cache):
-        inner, outer = inner_outer(ExplicitFinitePrimes([]), orders, cache)
-        assert inner.order_set.values == () and outer.order_set.values == ()
-
 
 class TestMbar:
     def test_explicit(self):
@@ -326,13 +356,6 @@ class TestDensity:
         with pytest.raises(InvariantViolation, match="disagrees with mult_order"):
             estimate_density(InducedPrimes(MultiplesOf(ells=[3])),
                              10**5, table_1e6)
-
-
-class TestEntropy:
-    def test_always_log_2(self):
-        assert entropy(ExplicitFinitePrimes([])) == math.log(2)
-        assert entropy(ExplicitFinitePrimes([3, 7])) == math.log(2)
-        assert entropy(InducedPrimes(MultiplesOf(ells=[3]))) == math.log(2)
 
 
 class TestJson:
