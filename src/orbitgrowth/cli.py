@@ -4,7 +4,8 @@ Subcommands: sieve, order, factor, set-density, series, fit, k-exact,
 greedy, series-transcendental, construct, reproduce.  Exit codes: 2 on
 usage or contract errors, 3 on cache misses, 4 on exhausted budgets, 5 on
 internal invariant violations.  All randomness is seeded (--seed, default
-0) and outputs are byte-identical across identical invocations.  The
+0) and outputs are byte-identical across identical invocations, except
+that reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
 path; the packaged seed cache is always loaded underneath it.
 """

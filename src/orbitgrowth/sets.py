@@ -22,7 +22,6 @@ omega_bounded.  Prime sources: {"kind": "list", ...} and
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import threading
@@ -30,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, PrimeTable, factorize,
-                    mult_order, mult_orders, prime_flags, sieve_primes)
+from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, factorize,
+                    is_probable_prime, mult_order, mult_orders, prime_flags,
+                    sieve_primes)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .mersenne import FactorCache, primitive_primes
 
@@ -41,44 +41,20 @@ DENSITY_CROSS_CHECKS = 64
 
 
 # ---------------------------------------------------------------------------
-# Shared sieve helpers, memoized in one table keyed by (kind, limit).
-
-_sieve_lock = threading.Lock()
-_sieves: dict[tuple[str, int], np.ndarray] = {}
+# Sieve masks.  Each call builds a new array, which the caller owns.
 
 
-def _memoized_per_limit(build):
-    """Build each (sieve kind, limit) array once; later calls share it."""
-    kind = build.__name__
-
-    @functools.wraps(build)
-    def get(limit: int) -> np.ndarray:
-        with _sieve_lock:
-            cached = _sieves.get((kind, limit))
-        if cached is None:
-            cached = build(limit)
-            with _sieve_lock:
-                _sieves[(kind, limit)] = cached
-        return cached
-
-    return get
-
-
-@_memoized_per_limit
 def prime_mask(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; True exactly at primes."""
     return prime_flags(limit)
 
 
-@_memoized_per_limit
 def squarefree_mask(limit: int) -> np.ndarray:
     """Boolean array; True at squarefree n (True at 1)."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        sq = p * p
-        if mask[p]:  # p prime is enough; composite p*p already covered
-            mask[sq::sq] = False
+    for p in np.flatnonzero(prime_flags(math.isqrt(limit))).tolist():
+        mask[p * p :: p * p] = False
     return mask
 
 
@@ -90,7 +66,8 @@ class PrimeSource:
     def contains_prime(self, p: int) -> bool:
         raise NotImplementedError
 
-    def primes_up_to(self, limit: int) -> list[int]:
+    def primes_up_to(self, limit: int) -> np.ndarray:
+        """The source's primes <= limit, ascending, as an int64 array."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -100,12 +77,16 @@ class PrimeSource:
 class ListSource(PrimeSource):
     def __init__(self, primes):
         self.primes = tuple(sorted(set(int(p) for p in primes)))
+        for p in self.primes:
+            if not is_probable_prime(p):
+                raise ContractError(f"prime-sets: list source element {p} not prime")
 
     def contains_prime(self, p: int) -> bool:
         return p in self.primes
 
-    def primes_up_to(self, limit: int) -> list[int]:
-        return [p for p in self.primes if p <= limit]
+    def primes_up_to(self, limit: int) -> np.ndarray:
+        # Filter first: the list may hold primes past the int64 range.
+        return np.array([p for p in self.primes if p <= limit], dtype=np.int64)
 
     def to_json(self) -> dict:
         return {"kind": "list", "primes": list(self.primes)}
@@ -125,11 +106,9 @@ class CongruenceSource(PrimeSource):
     def contains_prime(self, p: int) -> bool:
         return p % self.modulus in self.residues
 
-    def primes_up_to(self, limit: int) -> list[int]:
-        mask = prime_mask(limit)
-        idx = np.flatnonzero(mask)
-        keep = np.isin(idx % self.modulus, self.residues)
-        return idx[keep].tolist()
+    def primes_up_to(self, limit: int) -> np.ndarray:
+        idx = np.flatnonzero(prime_mask(limit))
+        return idx[np.isin(idx % self.modulus, self.residues)]
 
     def to_json(self) -> dict:
         return {
@@ -291,7 +270,13 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
 
 
 def _search_witness(oset, members, rng, bound, mode) -> tuple[int, int] | None:
-    """Small deterministic scan, then random probing, for a closure breaker."""
+    """Small deterministic scan, then random probing, for a closure breaker.
+
+    A witness starts from a member, so a set with none up to the bound has
+    no witness.
+    """
+    if not members:
+        return None
     head = [a for a in members if a <= 512][:64] or members[:64]
     other = range(1, 65) if mode == "mul" else head
     for a in head:
@@ -303,11 +288,10 @@ def _search_witness(oset, members, rng, bound, mode) -> tuple[int, int] | None:
             if not oset.contains(n):
                 return (a, b)
     for _ in range(2000):
-        a = members[rng.randrange(len(members))] if members else rng.randint(1, bound)
+        a = members[rng.randrange(len(members))]
         b = rng.randint(1, bound)
         if mode == "lcm":
-            if members:
-                b = members[rng.randrange(len(members))]
+            b = members[rng.randrange(len(members))]
             n = a * b // math.gcd(a, b)
         else:
             n = a * b
@@ -390,8 +374,6 @@ class PrimeList(ExplicitList):
     kind = "prime_list"
 
     def __init__(self, primes):
-        from .arith import is_probable_prime
-
         for p in primes:
             if not is_probable_prime(int(p)):
                 raise ContractError(f"prime-sets: prime_list element {p} not prime")
@@ -425,8 +407,8 @@ class MultiplesOf(OrderSet):
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
-        divs = np.array(self.ell_set.primes_up_to(limit) if self.ells is None
-                        else [l for l in self.ells if l <= limit], dtype=np.int64)
+        divs = (self.ell_set.primes_up_to(limit) if self.ells is None
+                else np.array([l for l in self.ells if l <= limit], dtype=np.int64))
         small = math.isqrt(limit)
         for l in divs[divs <= small].tolist():
             out[l::l] = True
@@ -483,7 +465,6 @@ class CompositeNumbers(OrderSet):
 
     def indicator(self, limit):
         out = ~prime_mask(limit)
-        out = out.copy()
         out[0] = False
         return out
 
@@ -500,7 +481,7 @@ class PrimeNumbers(OrderSet):
         return sum(fac.values()) == 1
 
     def indicator(self, limit):
-        return prime_mask(limit).copy()
+        return prime_mask(limit)
 
     def to_json(self):
         return {"kind": "prime_numbers"}
@@ -720,8 +701,6 @@ class ExplicitFinitePrimes(PrimeSet):
     kind = "explicit_finite"
 
     def __init__(self, primes):
-        from .arith import is_probable_prime
-
         ps = sorted(set(int(p) for p in primes))
         for p in ps:
             if not is_probable_prime(p):
@@ -742,19 +721,13 @@ class InducedPrimes(PrimeSet):
 
     def __init__(self, order_set: OrderSet):
         self.order_set = order_set
-        self._memo: dict[int, bool] = {}
 
     def contains(self, p: int, orders: OrderTable | None = None) -> bool:
         if p == 2:
             return False
-        hit = self._memo.get(p)
-        if hit is not None:
-            return hit
         if orders is None:
             orders = OrderTable()
-        out = self.order_set.contains(orders.order(p))
-        self._memo[p] = out
-        return out
+        return self.order_set.contains(orders.order(p))
 
     def to_json(self):
         return {"kind": "induced", "order_set": self.order_set.to_json()}
@@ -826,11 +799,7 @@ class DensityEstimate:
         }
 
 
-def estimate_density(
-    pset: PrimeSet,
-    limit: int,
-    table: PrimeTable | None = None,
-) -> DensityEstimate:
+def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
     """Share of odd primes <= limit lying in the set.
 
     Induced sets take every m_p from one bulk pass, after a seeded sample of
@@ -839,10 +808,8 @@ def estimate_density(
     """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
-    if table is None or table.limit < limit:
-        table = sieve_primes(limit)
-    # primes[0] is 2; the odd primes <= limit follow it.
-    odd_primes = table.primes[1 : np.searchsorted(table.primes, limit, side="right")]
+    table = sieve_primes(limit)
+    odd_primes = table.primes[1:]  # primes[0] is 2
     if isinstance(pset, ExplicitFinitePrimes):
         listed = np.array([p for p in pset.primes if p <= limit], dtype=np.int64)
         members = np.count_nonzero(np.isin(odd_primes, listed))

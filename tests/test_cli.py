@@ -230,6 +230,15 @@ class TestExitCodes:
         assert code == 2
         assert "'ells' must be a list of integers" in err
 
+    def test_non_prime_list_source_is_2(self, capsys, tmp_path):
+        spec = tmp_path / "list.json"
+        spec.write_text('{"kind": "induced", "order_set": {"kind": "multiples_of", '
+                        '"ell_set": {"kind": "list", "primes": [4]}}}\n')
+        code, _, err = run(capsys, "set-density", "--spec", str(spec),
+                           "--limit", "1000")
+        assert code == 2
+        assert "list source element 4 not prime" in err
+
     def test_bulk_order_mismatch_is_5(self, capsys, tmp_path, monkeypatch):
         from orbitgrowth import sets
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import sets
-from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
+from orbitgrowth.arith import SIEVE_BLOCK, is_probable_prime, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
@@ -32,6 +32,7 @@ from orbitgrowth.sets import (
     prime_set_from_json,
     s_mbar,
     prime_mask,
+    squarefree_mask,
     verify_closure_flags,
 )
 
@@ -71,6 +72,32 @@ def omega_bounded_specs(draw):
         source = CongruenceSource(modulus, draw(st.lists(
             st.integers(0, modulus - 1), min_size=1, max_size=modulus)))
     return OmegaBounded(draw(st.integers(1, 4)), source, draw(st.integers(1, 60)))
+
+
+class TestSieveArrays:
+    @pytest.mark.parametrize("build", [
+        prime_mask,
+        squarefree_mask,
+        PrimeNumbers().indicator,
+        CompositeNumbers().indicator,
+    ], ids=["prime_mask", "squarefree_mask", "prime_numbers", "composite_numbers"])
+    def test_each_call_returns_a_new_array(self, build):
+        first = build(1000)
+        expect = first.copy()
+        first[:] = ~first
+        assert np.array_equal(build(1000), expect)
+
+    @pytest.mark.parametrize("source", [
+        ListSource([2, 3, 97, 101, 99991, 2**127 - 1]),
+        CongruenceSource(4, [1, 3]),
+        CongruenceSource(3, [1]),
+    ], ids=["list", "congruence_odd", "congruence_1mod3"])
+    def test_primes_up_to_is_sorted_int64(self, source):
+        for limit in (1, 2, 3, 100, 10**5):
+            got = source.primes_up_to(limit)
+            expect = [p for p in range(2, limit + 1)
+                      if is_probable_prime(p) and source.contains_prime(p)]
+            assert got.dtype == np.int64 and got.tolist() == expect, limit
 
 
 class TestMembership:
@@ -171,6 +198,27 @@ class TestClosureFlags:
         a, b = report.nat_witness
         assert c.contains(a) and not c.contains(a * b)
 
+    def test_witnesses_pinned(self):
+        # The deterministic scan finds the first two; the scan finds nothing
+        # on the other two, so their witnesses pin the seeded random probe.
+        chain = ExplicitList([2**k for k in range(17)] + [3072, 5120])
+        for seed, expect in ((0, [(2, 2), (2, 3), (7, 2), (7, 13), (5141, 10519),
+                                  None, (1, 3), (3072, 4096)]),
+                             (7, [(2, 2), (2, 3), (7, 2), (7, 13), (545, 19095),
+                                  None, (1, 3), (4096, 5120)])):
+            got = []
+            for oset in (PrimeNumbers(), CongruencePrimes(3, [1]),
+                         ComplementMultiplesOf(67), chain):
+                report = verify_closure_flags(oset, seed)
+                got += [report.nat_witness, report.lcm_witness]
+            assert got == expect, seed
+
+    def test_no_member_no_witness(self):
+        # No member up to CLOSURE_BOUND, so no pair can start from one.
+        report = verify_closure_flags(ExplicitList([10**6]))
+        assert not report.nat_multiplication_ok
+        assert report.nat_witness is None
+
     def test_omega_bounded_closed(self):
         o = OmegaBounded(2, CongruenceSource(3, [1]), 6)
         report = verify_closure_flags(o)
@@ -247,8 +295,6 @@ class TestClosureFlags:
 class TestCorrespondence:
     def test_s_of_m_of_s_contains_s(self, orders):
         rng = random.Random(0)
-        from orbitgrowth.arith import sieve_primes
-
         pool = [int(p) for p in sieve_primes(10**4).primes[1:]]
         for _ in range(100):
             s = rng.sample(pool, rng.randint(1, 6))
@@ -290,37 +336,29 @@ class TestMbar:
 
 
 class TestDensity:
-    def test_multiples_of_3(self, table_1e6, orders):
-        est = estimate_density(
-            InducedPrimes(MultiplesOf(ells=[3])), 10**6, table_1e6
-        )
+    def test_multiples_of_3(self):
+        est = estimate_density(InducedPrimes(MultiplesOf(ells=[3])), 10**6)
         assert abs(est.ratio - 3 / 8) < 0.02
 
-    def test_multiples_of_2(self, table_1e6, orders):
-        est = estimate_density(
-            InducedPrimes(MultiplesOf(ells=[2])), 10**6, table_1e6
-        )
+    def test_multiples_of_2(self):
+        est = estimate_density(InducedPrimes(MultiplesOf(ells=[2])), 10**6)
         assert abs(est.ratio - 17 / 24) < 0.02
 
-    def test_explicit_finite_vanishes(self, table_1e6):
-        est = estimate_density(ExplicitFinitePrimes([3, 7]), 10**6, table_1e6)
+    def test_explicit_finite_vanishes(self):
+        est = estimate_density(ExplicitFinitePrimes([3, 7]), 10**6)
         assert est.member_count == 2
         assert est.ratio < 1e-4
 
-    def test_complement_multiples_density(self, table_1e6, orders):
+    def test_complement_multiples_density(self):
         # density of {p : 3 does not divide m_p} is 1 - 3/8 = 5/8
-        est = estimate_density(
-            InducedPrimes(ComplementMultiplesOf(3)), 10**6, table_1e6
-        )
+        est = estimate_density(InducedPrimes(ComplementMultiplesOf(3)), 10**6)
         assert abs(est.ratio - 5 / 8) < 0.02
 
-    def test_ell_2_complement_is_not_the_odd_prime_formula(self, table_1e6):
+    def test_ell_2_complement_is_not_the_odd_prime_formula(self):
         # {p : m_p odd} has density 1 - 17/24 = 7/24; the odd-prime product
         # formula would predict 1 - 2/3 = 1/3, which it visibly is not.
         # Empirical only: no exactness is claimed for the ell = 2 case.
-        est = estimate_density(
-            InducedPrimes(ComplementMultiplesOf(2)), 10**6, table_1e6
-        )
+        est = estimate_density(InducedPrimes(ComplementMultiplesOf(2)), 10**6)
         assert abs(est.ratio - 7 / 24) < 0.02
         assert abs(est.ratio - 1 / 3) > 0.02
 
@@ -329,10 +367,9 @@ class TestDensity:
         (ExplicitFinitePrimes([3, 7, 997, 1009, 2**127 - 1]), 3),
     ])
     def test_larger_table_counts_to_limit(self, pset, members):
-        # A table sieved past the limit must not add primes beyond it.
-        with_table = estimate_density(pset, 1000, sieve_primes(10**5))
-        assert with_table == estimate_density(pset, 1000)
-        assert (with_table.member_count, with_table.total_count) == (members, 167)
+        # No prime beyond the limit is counted, listed ones past 2^63 included.
+        est = estimate_density(pset, 1000)
+        assert (est.member_count, est.total_count) == (members, 167)
 
     def test_counts_match_scalar_orders(self, table_1e6, orders):
         # The bulk orders and the indicator gather against InducedPrimes.contains.
@@ -344,18 +381,17 @@ class TestDensity:
             pset = InducedPrimes(oset)
             odd = [p for p in table_1e6.primes[1:].tolist() if p <= limit]
             members = sum(pset.contains(p, orders) for p in odd)
-            est = estimate_density(pset, limit, table_1e6)
+            est = estimate_density(pset, limit)
             assert (est.member_count, est.total_count) == (members, len(odd))
 
-    def test_corrupted_bulk_orders_are_caught(self, table_1e6, monkeypatch):
+    def test_corrupted_bulk_orders_are_caught(self, monkeypatch):
         from orbitgrowth import sets
 
         real = sets.mult_orders
         monkeypatch.setattr(sets, "mult_orders",
                             lambda primes, table: 2 * real(primes, table))
         with pytest.raises(InvariantViolation, match="disagrees with mult_order"):
-            estimate_density(InducedPrimes(MultiplesOf(ells=[3])),
-                             10**5, table_1e6)
+            estimate_density(InducedPrimes(MultiplesOf(ells=[3])), 10**5)
 
 
 class TestJson:
@@ -409,6 +445,9 @@ class TestJson:
             {"kind": "induced", "order_set": {"kind": "multiples_of", "ell_set": {
                 "kind": "congruence_primes", "modulus": None, "residues": [1]}}},
             {"kind": "explicit_finite", "primes": "3,7"},
+            # List prime sources hold primes only.
+            *({"kind": "induced", "order_set": {"kind": "multiples_of", "ell_set": {
+                "kind": "list", "primes": bad}}} for bad in ([4], [1], [0], [-3])),
         ):
             with pytest.raises(ContractError):
                 prime_set_from_json(spec)
