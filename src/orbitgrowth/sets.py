@@ -7,6 +7,9 @@ never need factorizations.  Closure flags (multiplication by naturals,
 least common multiples) are verified by seeded randomized testing when a
 spec is loaded (order_set_from_json, prime_set_from_json), with witnesses
 recorded when a closure genuinely fails; sets built in code are trusted.
+A claimed flag's pairs are drawn in bulk and tested at once by each kind's
+_members on exponent rows; the first 64 pairs are cross-checked by the
+scalar _member.
 
 JSON wire forms (the single schema used by the CLI):
 
@@ -25,19 +28,21 @@ from __future__ import annotations
 import math
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, factorize,
                     is_probable_prime, mult_order, mult_orders, prime_flags,
-                    sieve_primes)
+                    sieve_primes, small_prime_table)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .mersenne import FactorCache, primitive_primes
 
 CLOSURE_PAIRS = 10**4
 CLOSURE_BOUND = 10**5
-DENSITY_CROSS_CHECKS = 64
+# Results of each bulk fast path that the scalar path recomputes.
+CROSS_CHECKS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +177,17 @@ class ClosureReport:
 _closure_memo: dict[tuple, ClosureReport] = {}
 _closure_lock = threading.Lock()
 
-
-def _merged_factors(fa: dict[int, int], fb: dict[int, int]) -> dict[int, int]:
-    out = dict(fa)
-    for p, e in fb.items():
-        out[p] = out.get(p, 0) + e
-    return out
-
-
-def _lcm_factors(fa: dict[int, int], fb: dict[int, int]) -> dict[int, int]:
-    out = dict(fa)
-    for p, e in fb.items():
-        if out.get(p, 0) < e:
-            out[p] = e
-    return out
+# 2*3*5*7*11*13*17 > CLOSURE_BOUND: no n <= CLOSURE_BOUND has more primes.
+_ROW_WIDTH = 6
 
 
 def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     """Randomized closure testing of the claimed flags.
 
     A flag claimed True must survive CLOSURE_PAIRS random products/lcms of
-    members within [1, CLOSURE_BOUND]; a flag claimed False must come with a
-    concrete witness pair, found by a deterministic small search.
+    members within [1, CLOSURE_BOUND], tested in bulk by _check_pairs; a flag
+    claimed False must come with a concrete witness pair, found by a
+    deterministic small search.
     """
     # The claimed flags belong in the key: a set built in code can claim
     # other flags than the kind its JSON names.
@@ -205,48 +199,25 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
         return hit
 
     rng = random.Random(seed)
-    indicator = oset.indicator(CLOSURE_BOUND)
-    members = [m for m in np.flatnonzero(indicator).tolist() if m >= 1]
-    factor_memo: dict[int, dict[int, int]] = {}
-
-    def fac(n: int) -> dict[int, int]:
-        f = factor_memo.get(n)
-        if f is None:
-            f = factorize(n)
-            factor_memo[n] = f
-        return f
+    members = np.flatnonzero(oset.indicator(CLOSURE_BOUND)[1:]) + 1
 
     # Multiplicative sampling skips the unit: membership of 1 is bookkeeping
     # for dominant sums, while closure concerns the orders M \ {1, 6}.
-    nat_pool = [a for a in members if a >= 2]
-
-    nat_ok, nat_wit = True, None
-    lcm_ok, lcm_wit = True, None
-
     if oset.closed_under_nat_multiplication:
-        if nat_pool:
-            for _ in range(CLOSURE_PAIRS):
-                a = nat_pool[rng.randrange(len(nat_pool))]
-                b = rng.randint(1, CLOSURE_BOUND)
-                if not oset._member(a * b, _merged_factors(fac(a), fac(b))):
-                    nat_ok, nat_wit = False, (a, b)
-                    break
+        nat_wit = _check_pairs(oset, members[members >= 2], rng, mode="mul")
+        nat_ok = nat_wit is None
     else:
         nat_ok = False
-        nat_wit = _search_witness(oset, members, rng, CLOSURE_BOUND, mode="mul")
+        nat_wit = _search_witness(oset, members.tolist(), rng, CLOSURE_BOUND,
+                                  mode="mul")
 
     if oset.closed_under_lcm:
-        if members:
-            for _ in range(CLOSURE_PAIRS):
-                a = members[rng.randrange(len(members))]
-                b = members[rng.randrange(len(members))]
-                l = a * b // math.gcd(a, b)
-                if not oset._member(l, _lcm_factors(fac(a), fac(b))):
-                    lcm_ok, lcm_wit = False, (a, b)
-                    break
+        lcm_wit = _check_pairs(oset, members, rng, mode="lcm")
+        lcm_ok = lcm_wit is None
     else:
         lcm_ok = False
-        lcm_wit = _search_witness(oset, members, rng, CLOSURE_BOUND, mode="lcm")
+        lcm_wit = _search_witness(oset, members.tolist(), rng, CLOSURE_BOUND,
+                                  mode="lcm")
 
     report = ClosureReport(
         nat_multiplication_ok=nat_ok,
@@ -267,6 +238,86 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     with _closure_lock:
         _closure_memo[key] = report
     return report
+
+
+def _check_pairs(oset, pool, rng, mode) -> tuple[int, int] | None:
+    """The first of CLOSURE_PAIRS random pairs, in draw order, whose product
+    (mode "mul": a in pool, b in [1, CLOSURE_BOUND]) or lcm (mode "lcm": a
+    and b in pool) is not a member; None if every one is.
+
+    All pairs come from one draw of rng and are tested at once by
+    oset._members on exponent rows.  The first CROSS_CHECKS pairs also go
+    through the scalar _member, and the failing pair through contains; a
+    disagreement is an invariant violation.
+    """
+    if not pool.size:
+        return None
+    width = CLOSURE_BOUND if mode == "mul" else pool.size
+    # 53 random bits per pair pick its index among pool.size * width pairs,
+    # as random() does for a single choice.
+    bits = rng.getrandbits(64 * CLOSURE_PAIRS).to_bytes(8 * CLOSURE_PAIRS, "little")
+    unit = (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0**-53
+    i, j = np.divmod((unit * (pool.size * width)).astype(np.int64), width)
+    a, b = pool[i], (j + 1 if mode == "mul" else pool[j])
+    n = a * b if mode == "mul" else np.lcm(a, b)
+    ok = oset._members(n, *_merged_rows(*_factor_rows(a), *_factor_rows(b),
+                                        np.add if mode == "mul" else np.maximum))
+    for k in range(CROSS_CHECKS):
+        fa, fb = Counter(factorize(int(a[k]))), Counter(factorize(int(b[k])))
+        fac = fa + fb if mode == "mul" else fa | fb  # | takes the larger exponent
+        if oset._member(int(n[k]), fac) != ok[k]:
+            raise InvariantViolation(f"prime-sets: {oset.kind} bulk membership of "
+                                     f"{int(n[k])} disagrees with _member")
+    failing = np.flatnonzero(~ok)[:1].tolist()
+    if not failing:
+        return None
+    k = failing[0]
+    if oset.contains(int(n[k])):
+        raise InvariantViolation(f"prime-sets: {oset.kind} bulk membership of "
+                                 f"{int(n[k])} disagrees with contains")
+    return int(a[k]), int(b[k])
+
+
+def _factor_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each x in [1, CLOSURE_BOUND] as one row of primes (int32, ascending)
+    and one of their exponents (int8), 0-padded at the end."""
+    spf = small_prime_table().smallest_factor
+    primes = np.zeros((x.size, _ROW_WIDTH), dtype=np.int32)
+    exps = np.zeros((x.size, _ROW_WIDTH), dtype=np.int8)
+    # Peel one least factor per step off the rows not yet at 1; a row moves
+    # to its next column when its least factor changes.
+    rows = np.flatnonzero(x > 1)
+    rem = x[rows]
+    last = spf[rem]
+    col = np.zeros(rows.size, dtype=np.intp)
+    while rows.size:
+        p = spf[rem]
+        col += p != last
+        primes[rows, col] = p
+        exps[rows, col] += 1
+        rem //= p
+        keep = rem > 1
+        rows, rem, last, col = rows[keep], rem[keep], p[keep], col[keep]
+    return primes, exps
+
+
+def _merged_rows(pa, ea, pb, eb, combine):
+    """The rows of a*b (combine np.add) or lcm(a, b) (np.maximum) from the
+    rows of a and of b."""
+    # One int32 key per cell, prime << 8 | exponent, and padding last: sorting
+    # the keys sorts each row by prime and puts a prime of both a and b into
+    # two neighbouring cells, which combine into the left one.
+    pad = np.iinfo(np.int32).max
+    primes = np.hstack([pa, pb])
+    keys = np.where(primes > 0, primes << 8 | np.hstack([ea, eb]), pad)
+    keys.sort(axis=1)
+    left, right = keys[:, :-1], keys[:, 1:]
+    both = (left >> 8 == right >> 8) & (right != pad)
+    left[both] = left[both] & ~255 | combine(left[both] & 255, right[both] & 255)
+    right[both] = pad
+    keys.sort(axis=1)
+    keys[keys == pad] = 0
+    return (keys >> 8).astype(np.int32), (keys & 255).astype(np.int8)
 
 
 def _search_witness(oset, members, rng, bound, mode) -> tuple[int, int] | None:
@@ -304,6 +355,22 @@ def _search_witness(oset, members, rng, bound, mode) -> tuple[int, int] | None:
 # Order sets.
 
 
+def _multiple_of_any(n: np.ndarray, divisors) -> np.ndarray:
+    """Bulk any(n % d == 0 for d in divisors), for n >= 1; a divisor past
+    n.max() divides nothing, so one past int64 is never converted."""
+    out, top = np.zeros(n.shape, dtype=bool), int(n.max())
+    for d in divisors:
+        if d <= top:
+            out |= n % d == 0
+    return out
+
+
+def _in_source(source: PrimeSource, primes: np.ndarray) -> np.ndarray:
+    """Bulk source.contains_prime over an array of primes; 0, the padding of
+    exponent rows, is never contained."""
+    return np.isin(primes, source.primes_up_to(int(primes.max(initial=0))))
+
+
 class OrderSet:
     kind = "abstract"
     closed_under_nat_multiplication = False
@@ -316,6 +383,12 @@ class OrderSet:
         return self._member(n, factorize(n))
 
     def _member(self, n: int, fac: dict[int, int]) -> bool:
+        raise NotImplementedError
+
+    def _members(self, n: np.ndarray, primes: np.ndarray,
+                 exps: np.ndarray) -> np.ndarray:
+        """Bulk _member: n an int64 array, row i of primes/exps the
+        factorization of n[i] (0-padded); a boolean array like n."""
         raise NotImplementedError
 
     def indicator(self, limit: int) -> np.ndarray:
@@ -356,6 +429,10 @@ class ExplicitList(OrderSet):
 
     def _member(self, n, fac):
         return n in self.values
+
+    def _members(self, n, primes, exps):
+        top = int(n.max())
+        return np.isin(n, [v for v in self.values if v <= top])
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -405,6 +482,11 @@ class MultiplesOf(OrderSet):
             return any(n % l == 0 for l in self.ells)
         return any(self.ell_set.contains_prime(p) for p in fac)
 
+    def _members(self, n, primes, exps):
+        if self.ells is not None:
+            return _multiple_of_any(n, self.ells)
+        return _in_source(self.ell_set, primes).any(axis=1)
+
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
         divs = (self.ell_set.primes_up_to(limit) if self.ells is None
@@ -443,6 +525,9 @@ class ComplementMultiplesOf(OrderSet):
     def _member(self, n, fac):
         return n % self.ell != 0
 
+    def _members(self, n, primes, exps):
+        return ~_multiple_of_any(n, (self.ell,))
+
     def indicator(self, limit):
         out = np.ones(limit + 1, dtype=bool)
         out[0] = False
@@ -463,6 +548,9 @@ class CompositeNumbers(OrderSet):
     def _member(self, n, fac):
         return sum(fac.values()) != 1
 
+    def _members(self, n, primes, exps):
+        return exps.sum(axis=1) != 1
+
     def indicator(self, limit):
         out = ~prime_mask(limit)
         out[0] = False
@@ -479,6 +567,9 @@ class PrimeNumbers(OrderSet):
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1
+
+    def _members(self, n, primes, exps):
+        return exps.sum(axis=1) == 1
 
     def indicator(self, limit):
         return prime_mask(limit)
@@ -500,7 +591,15 @@ class EllPowers(OrderSet):
             raise ContractError("prime-sets: ell must be >= 2")
 
     def _member(self, n, fac):
-        return n == 1 or set(fac) == {self.ell}
+        while n % self.ell == 0:
+            n //= self.ell
+        return n == 1
+
+    def _members(self, n, primes, exps):
+        powers, top = [1], int(n.max())
+        while powers[-1] * self.ell <= top:
+            powers.append(powers[-1] * self.ell)
+        return np.isin(n, powers)
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -529,6 +628,9 @@ class SquarefreeAugmented(OrderSet):
             return True
         return self.base._member(n, fac)
 
+    def _members(self, n, primes, exps):
+        return (exps >= 2).any(axis=1) | self.base._members(n, primes, exps)
+
     def indicator(self, limit):
         out = self.base.indicator(limit) | ~squarefree_mask(limit)
         out[0] = False
@@ -550,6 +652,10 @@ class CongruencePrimes(OrderSet):
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1 and self.source.contains_prime(n)
+
+    def _members(self, n, primes, exps):
+        # A prime n is the first prime of its row.
+        return (exps.sum(axis=1) == 1) & _in_source(self.source, primes[:, 0])
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -622,6 +728,15 @@ class OmegaBounded(OrderSet):
                 omega_q += eq
         return omega_q > self.r
 
+    def _members(self, n, primes, exps):
+        in_m, top = np.zeros(exps.shape, dtype=np.int64), int(primes.max(initial=0))
+        for p, e in self._m_fac.items():
+            if p <= top:
+                in_m[primes == p] = e
+        q_exps = exps - np.minimum(exps, in_m)
+        outside = (q_exps > 0) & ~_in_source(self.ell_set, primes)
+        return (q_exps.sum(axis=1) > self.r) | outside.any(axis=1)
+
     def indicator(self, limit):
         # n is a member iff q = n/gcd(m, n) has more than r prime factors or
         # one outside L; q is formed a block at a time, so no full-length
@@ -687,9 +802,6 @@ class PrimeSet:
 
     kind = "abstract"
 
-    def contains(self, p: int, orders: OrderTable | None = None) -> bool:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -709,9 +821,6 @@ class ExplicitFinitePrimes(PrimeSet):
         # |2^n - 1|_2 = 1 makes it invisible to every sum.
         self.primes = tuple(p for p in ps if p != 2)
 
-    def contains(self, p: int, orders: OrderTable | None = None) -> bool:
-        return p in self.primes
-
     def to_json(self):
         return {"kind": "explicit_finite", "primes": list(self.primes)}
 
@@ -721,13 +830,6 @@ class InducedPrimes(PrimeSet):
 
     def __init__(self, order_set: OrderSet):
         self.order_set = order_set
-
-    def contains(self, p: int, orders: OrderTable | None = None) -> bool:
-        if p == 2:
-            return False
-        if orders is None:
-            orders = OrderTable()
-        return self.order_set.contains(orders.order(p))
 
     def to_json(self):
         return {"kind": "induced", "order_set": self.order_set.to_json()}
@@ -803,7 +905,7 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
     """Share of odd primes <= limit lying in the set.
 
     Induced sets take every m_p from one bulk pass, after a seeded sample of
-    DENSITY_CROSS_CHECKS of them agrees with scalar mult_order, and count
+    CROSS_CHECKS of them agrees with scalar mult_order, and count
     membership with one gather from the order set's indicator (m_p <= p-1).
     """
     if limit > SIEVE_CAPACITY:
@@ -816,7 +918,7 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
         return DensityEstimate(limit, int(members), odd_primes.size)
     orders = mult_orders(odd_primes, table)
     sample = random.Random(0).sample(range(odd_primes.size),
-                                     min(DENSITY_CROSS_CHECKS, odd_primes.size))
+                                     min(CROSS_CHECKS, odd_primes.size))
     for i in sample:
         p, bulk = int(odd_primes[i]), int(orders[i])
         expect = mult_order(p)

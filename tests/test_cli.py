@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import orbitgrowth
+from orbitgrowth.arith import mult_order, sieve_primes
 from orbitgrowth.cli import main
 
 SRC = str(Path(orbitgrowth.__file__).resolve().parent.parent)
@@ -143,6 +144,21 @@ class TestPipelines:
         assert payload["model"] == "k_log"
         assert abs(payload["k"] - 2 / 3) < 0.01
 
+    def test_closure_seed_any_integer(self, capsys, tmp_path):
+        # --seed reaches random.Random, which takes negative seeds and seeds
+        # past int64; the density does not depend on the seed.
+        for order_set in ('{"kind": "multiples_of", "ells": [3]}',
+                          '{"kind": "complement_multiples_of", "ell": 3}'):
+            spec = tmp_path / "set.json"
+            spec.write_text(f'{{"kind": "induced", "order_set": {order_set}}}\n')
+            outs = []
+            for seed in ("0", "-1", str(2**70)):
+                code, out, err = run(capsys, "--seed", seed, "set-density",
+                                     "--spec", str(spec), "--limit", "10000")
+                assert code == 0, err
+                outs.append(out)
+            assert outs[1:] == outs[:1] * 2, order_set
+
     def test_byte_identical_outputs(self, capsys):
         _, out1, _ = run(capsys, "k-exact", "--set", "3,7")
         _, out2, _ = run(capsys, "k-exact", "--set", "3,7")
@@ -238,6 +254,20 @@ class TestExitCodes:
                            "--limit", "1000")
         assert code == 2
         assert "list source element 4 not prime" in err
+
+    def test_composite_ell_powers_is_0(self, capsys, tmp_path):
+        # {4^e} is lcm-closed; a membership test that wanted 4 as the lone
+        # prime factor once made the spec fail its own closure check.
+        spec = tmp_path / "set.json"
+        spec.write_text('{"kind": "induced", "order_set": '
+                        '{"kind": "ell_powers", "ell": 4}}\n')
+        code, out, err = run(capsys, "set-density", "--spec", str(spec),
+                             "--limit", "10000")
+        assert code == 0, err
+        powers = {4**e for e in range(7)}  # m_p < 10^4 < 4^7
+        odd = sieve_primes(10**4).primes[1:].tolist()
+        assert json.loads(out)["member_count"] == sum(
+            mult_order(p) in powers for p in odd)
 
     def test_bulk_order_mismatch_is_5(self, capsys, tmp_path, monkeypatch):
         from orbitgrowth import sets

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import sets
-from orbitgrowth.arith import SIEVE_BLOCK, is_probable_prime, sieve_primes
+from orbitgrowth.arith import SIEVE_BLOCK, factorize, is_probable_prime, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
@@ -74,6 +75,33 @@ def omega_bounded_specs(draw):
     return OmegaBounded(draw(st.integers(1, 4)), source, draw(st.integers(1, 60)))
 
 
+BASE_KINDS = [
+    ExplicitList([1, 2, 6, 28, 500, 4096, 10**9]),
+    ExplicitList([2, 2**70]),
+    PrimeList([2, 3, 5, 7, 499]),
+    MultiplesOf(ells=[3, 5]),
+    MultiplesOf(ells=[7, 31, 2**70]),
+    MultiplesOf(ell_set=CongruenceSource(3, [1])),
+    MultiplesOf(ell_set=ListSource([5, 11, 499, 2**127 - 1])),
+    ComplementMultiplesOf(3),
+    ComplementMultiplesOf(2**70),
+    CompositeNumbers(),
+    PrimeNumbers(),
+    EllPowers(2),
+    EllPowers(6),
+    CongruencePrimes(4, [1]),
+    # m shares 2 and 3 with the source, and 5 is outside it.
+    OmegaBounded(2, ListSource([2, 3, 7]), 2**3 * 3 * 5),
+    OmegaBounded(1, CongruenceSource(4, [1, 3]), 12),
+]
+ALL_KINDS = BASE_KINDS + [SquarefreeAugmented(k) for k in BASE_KINDS]
+
+
+def row_dicts(primes, exps):
+    return [{int(p): int(e) for p, e in zip(ps, es) if e}
+            for ps, es in zip(primes, exps)]
+
+
 class TestSieveArrays:
     @pytest.mark.parametrize("build", [
         prime_mask,
@@ -109,19 +137,21 @@ class TestMembership:
     def test_composite_orders(self, orders):
         s = InducedPrimes(CompositeNumbers())
         # m_7 = 3 and m_23 = m_89 = 11 are prime; m_5 = 4 is composite.
-        assert not s.contains(7, orders)
-        assert not s.contains(23, orders)
-        assert not s.contains(89, orders)
-        assert s.contains(5, orders)
+        assert not s.order_set.contains(orders.order(7))
+        assert not s.order_set.contains(orders.order(23))
+        assert not s.order_set.contains(orders.order(89))
+        assert s.order_set.contains(orders.order(5))
 
     def test_ell_power_orders(self, orders):
         s = InducedPrimes(EllPowers(3))
-        assert s.contains(73, orders)  # m_73 = 9
-        assert not s.contains(5, orders)
+        assert s.order_set.contains(orders.order(73))  # m_73 = 9
+        assert not s.order_set.contains(orders.order(5))
 
-    def test_two_never_member(self, orders):
-        assert not ExplicitFinitePrimes([2, 3]).contains(2)
-        assert not InducedPrimes(MultiplesOf(ells=[2])).contains(2, orders)
+    def test_two_never_member(self):
+        assert 2 not in ExplicitFinitePrimes([2, 3]).primes
+        # Only the odd primes 3, 5, 7 are counted; m_3 = 2 and m_5 = 4 are even.
+        est = estimate_density(InducedPrimes(MultiplesOf(ells=[2])), 10)
+        assert (est.member_count, est.total_count) == (2, 3)
 
     def test_indicator_matches_scalar(self):
         specs = [
@@ -171,6 +201,71 @@ class TestMembership:
         ind = oset.indicator(limit)
         assert len(ind) == limit + 1 and not ind[0]
         assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 6, 9])
+    def test_ell_powers_indicator_matches_contains(self, ell):
+        # n = ell^e exactly, for a composite ell too.
+        oset = EllPowers(ell)
+        ind = oset.indicator(5000)
+        assert [n for n in range(1, 5001) if ind[n] != oset.contains(n)] == []
+        assert np.flatnonzero(ind).tolist() == [ell**e for e in range(13)
+                                                if ell**e <= 5000]
+
+
+class TestBulkMembership:
+    def test_factor_rows(self):
+        x = np.array([1, 2, 12, 30030, 65536, 99991, 10**5], dtype=np.int64)
+        primes, exps = sets._factor_rows(x)
+        assert primes.dtype == np.int32 and exps.dtype == np.int8
+        assert row_dicts(primes, exps) == [factorize(int(v)) for v in x]
+        assert primes[3].tolist() == [2, 3, 5, 7, 11, 13]
+
+    def test_merge_combines_shared_primes(self):
+        def merged(a, b, combine):
+            rows = [sets._factor_rows(np.array([v], dtype=np.int64)) for v in (a, b)]
+            primes, exps = sets._merged_rows(*rows[0], *rows[1], combine)
+            return primes[0].tolist(), exps[0].tolist()
+
+        assert merged(3, 3, np.add) == ([3] + [0] * 11, [2] + [0] * 11)
+        assert merged(4, 2, np.maximum) == ([2] + [0] * 11, [2] + [0] * 11)
+        assert merged(12, 90, np.add) == ([2, 3, 5] + [0] * 9,
+                                          [3, 3, 1] + [0] * 9)
+        assert merged(12, 90, np.maximum) == ([2, 3, 5] + [0] * 9,
+                                              [2, 2, 1] + [0] * 9)
+
+    def test_bulk_matches_scalar_on_small_pairs(self):
+        # Every pair in [1, 40]^2, where few prime factors and shared primes
+        # are common, for every kind in both modes.
+        a, b = (g.ravel() for g in np.meshgrid(np.arange(1, 41), np.arange(1, 41)))
+        fac = {v: Counter(factorize(v)) for v in range(1, 41)}
+        for lcm in (False, True):
+            n = np.lcm(a, b) if lcm else a * b
+            rows = sets._merged_rows(*sets._factor_rows(a), *sets._factor_rows(b),
+                                     np.maximum if lcm else np.add)
+            facs = [fac[x] | fac[y] if lcm else fac[x] + fac[y]
+                    for x, y in zip(a.tolist(), b.tolist())]
+            assert row_dicts(*rows) == facs
+            for oset in ALL_KINDS:
+                expect = [oset._member(v, f) for v, f in zip(n.tolist(), facs)]
+                assert oset._members(n, *rows).tolist() == expect, (oset, lcm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oset=st.sampled_from(ALL_KINDS), lcm=st.booleans(),
+           pairs=st.lists(st.tuples(st.integers(1, 10**5), st.integers(1, 10**5)),
+                          min_size=1, max_size=40))
+    def test_bulk_matches_scalar(self, oset, lcm, pairs):
+        a = np.array([p[0] for p in pairs], dtype=np.int64)
+        b = np.array([p[1] for p in pairs], dtype=np.int64)
+        n = np.lcm(a, b) if lcm else a * b
+        primes, exps = sets._merged_rows(*sets._factor_rows(a), *sets._factor_rows(b),
+                                         np.maximum if lcm else np.add)
+        fa = [Counter(factorize(int(x))) for x in a]
+        fb = [Counter(factorize(int(y))) for y in b]
+        facs = [x | y if lcm else x + y for x, y in zip(fa, fb)]
+        assert row_dicts(primes, exps) == [factorize(int(v)) for v in n] == facs
+        bulk = oset._members(n, primes, exps)
+        assert bulk.dtype == bool and bulk.shape == n.shape
+        assert bulk.tolist() == [oset._member(int(v), f) for v, f in zip(n, facs)]
 
 
 class TestClosureFlags:
@@ -274,6 +369,51 @@ class TestClosureFlags:
         assert oset.contains(a) and oset.contains(b)
         assert not oset.contains(a * b // math.gcd(a, b))
 
+    def test_bulk_and_scalar_checks_see_the_factorization_of_each_pair(self):
+        seen, scalar = [], []
+
+        class Recording(CompositeNumbers):
+            def _members(self, n, primes, exps):
+                seen.append((n, primes, exps))
+                return super()._members(n, primes, exps)
+
+            def _member(self, n, fac):
+                scalar.append((n, dict(fac)))
+                return super()._member(n, fac)
+
+        verify_closure_flags(Recording(), seed=3)
+        assert [n.size for n, _, _ in seen] == [sets.CLOSURE_PAIRS] * 2
+        for n, primes, exps in seen:
+            assert (row_dicts(primes[:300], exps[:300])
+                    == [factorize(v) for v in n[:300].tolist()])
+        # The cross-check recomputes the first pairs of each flag.
+        assert [n for n, _ in scalar] == [
+            v for n, _, _ in seen for v in n[:sets.CROSS_CHECKS].tolist()]
+        assert all(fac == factorize(n) for n, fac in scalar)
+
+    def test_scalar_cross_check_catches_a_member_override(self):
+        # A subclass that overrides only _member keeps the bulk _members of
+        # its kind; the scalar cross-check sees the two disagree.
+        class Skewed(MultiplesOf):
+            def _member(self, n, fac):
+                return n % 5 == 0
+
+        with pytest.raises(InvariantViolation, match="disagrees with _member"):
+            verify_closure_flags(Skewed(ells=[3]))
+
+    def test_failing_pair_is_confirmed_by_contains(self):
+        # Bulk membership wrong past the cross-checked pairs: the first
+        # failing pair is one contains accepts, so the check names the
+        # disagreement rather than a false closure failure.
+        class Skewed(MultiplesOf):
+            def _members(self, n, primes, exps):
+                out = super()._members(n, primes, exps)
+                out[sets.CROSS_CHECKS:] = False
+                return out
+
+        with pytest.raises(InvariantViolation, match="disagrees with contains"):
+            verify_closure_flags(Skewed(ells=[3]))
+
     def test_loader_verifies_base_then_outer_with_its_seed(self, monkeypatch):
         calls = []
         real = sets.verify_closure_flags
@@ -300,17 +440,18 @@ class TestCorrespondence:
             s = rng.sample(pool, rng.randint(1, 6))
             m_s = sorted({orders.order(p) for p in s})
             induced = InducedPrimes(ExplicitList(m_s))
-            assert all(induced.contains(p, orders) for p in s)
+            assert all(induced.order_set.contains(orders.order(p)) for p in s)
 
     def test_induced_idempotent(self, orders):
         # S_{M_{S_M}} = S_M: membership agrees on a prime sample.
         base = InducedPrimes(MultiplesOf(ells=[3]))
         sample = [3, 5, 7, 73, 233, 331, 4051]
-        m_realized = sorted({orders.order(p) for p in sample if base.contains(p, orders)})
+        m_realized = sorted({orders.order(p) for p in sample
+                             if base.order_set.contains(orders.order(p))})
         again = InducedPrimes(ExplicitList(m_realized))
         for p in sample:
-            if base.contains(p, orders):
-                assert again.contains(p, orders)
+            if base.order_set.contains(orders.order(p)):
+                assert again.order_set.contains(orders.order(p))
 
     def test_m_of_s_m_drops_1_and_6(self, cache):
         rng = random.Random(1)
@@ -372,7 +513,7 @@ class TestDensity:
         assert (est.member_count, est.total_count) == (members, 167)
 
     def test_counts_match_scalar_orders(self, table_1e6, orders):
-        # The bulk orders and the indicator gather against InducedPrimes.contains.
+        # The bulk orders and the indicator gather against scalar orders.
         limit = 20000
         for oset in (MultiplesOf(ells=[3]),
                      MultiplesOf(ell_set=CongruenceSource(3, [1])),
@@ -380,7 +521,7 @@ class TestDensity:
                      EllPowers(2)):
             pset = InducedPrimes(oset)
             odd = [p for p in table_1e6.primes[1:].tolist() if p <= limit]
-            members = sum(pset.contains(p, orders) for p in odd)
+            members = sum(oset.contains(orders.order(p)) for p in odd)
             est = estimate_density(pset, limit)
             assert (est.member_count, est.total_count) == (members, len(odd))
 
@@ -410,11 +551,11 @@ class TestJson:
 
     def test_prime_set_roundtrip(self, orders):
         ps = prime_set_from_json({"kind": "explicit_finite", "primes": [3, 7]})
-        assert ps.contains(3) and not ps.contains(5)
+        assert 3 in ps.primes and 5 not in ps.primes
         ind = prime_set_from_json(
             {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}}
         )
-        assert ind.contains(73, orders)
+        assert ind.order_set.contains(orders.order(73))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
