@@ -137,9 +137,12 @@ def sieve_primes(limit: int) -> PrimeTable:
                       smallest_factor=spf)
 
 
-# Shared small table for factoring moderate integers without re-sieving.
+# Shared small table for factoring moderate integers without re-sieving,
+# and its primes as a Python list for trial division, converted on the first
+# factorize call above the table (a race converts it twice, to equal lists).
 _small_table_lock = threading.Lock()
 _small_table: PrimeTable | None = None
+_small_primes: list[int] | None = None
 
 
 def small_prime_table() -> PrimeTable:
@@ -190,6 +193,33 @@ def _brent_rho(n: int, deadline: float) -> int:
     raise InvariantViolation(f"core-arith: rho failed to split {n}")  # pragma: no cover
 
 
+# Stage-1 bound of Pollard's p - 1 method.  The exponent E it gives (14447
+# bits) is built on the first call, never at import.
+PM1_BOUND = 10**4
+_pm1_exponent: int | None = None
+
+
+def _pollard_pm1(n: int, k: int, deadline: float) -> int | None:
+    """One stage-1 Pollard p - 1 split of composite n, or None.
+
+    g = gcd(3^(k E) - 1, n), with E the product of the largest powers of
+    the primes up to PM1_BOUND, takes every prime q of n whose q - 1
+    divides k E.  Returns g when it splits n and None when it is 1 or n.
+    """
+    global _pm1_exponent
+    if _pm1_exponent is None:  # a race builds it twice, to the same value
+        exponent = 1
+        for p in np.flatnonzero(prime_flags(PM1_BOUND)).tolist():
+            pk = p
+            while pk * p <= PM1_BOUND:
+                pk *= p
+            exponent *= pk
+        _pm1_exponent = exponent
+    _check_deadline(deadline, n)
+    g = math.gcd(pow(3, k * _pm1_exponent, n) - 1, n)
+    return g if 1 < g < n else None
+
+
 def _check_deadline(deadline: float, n: int) -> None:
     if time.monotonic() > deadline:
         raise BudgetError(f"core-arith: deadline passed while splitting {n}")
@@ -197,14 +227,18 @@ def _check_deadline(deadline: float, n: int) -> None:
 
 def factorize(n: int) -> dict[int, int]:
     """Full factorization of n >= 1 by trial division then rho splitting."""
+    global _small_primes
     if n < 1:
         raise ValueError(f"core-arith: cannot factor {n}")
     out: dict[int, int] = {}
     if n == 1:
         return out
-    if n <= small_prime_table().limit:
-        return small_prime_table().factorize(n)
-    for p in small_prime_table().primes.tolist():
+    table = small_prime_table()
+    if n <= table.limit:
+        return table.factorize(n)
+    if _small_primes is None:
+        _small_primes = table.primes.tolist()
+    for p in _small_primes:
         if p * p > n:
             break
         while n % p == 0:

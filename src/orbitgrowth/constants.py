@@ -48,10 +48,6 @@ class ExactConstant:
 # Exact leading coefficients for finite S.
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     """The exact rational coefficient of log N in the Mertens sum of finite S.
 
@@ -80,35 +76,40 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
         raise CapacityError("constants: more than 2^20 lcm strata")
     mbars = {1}
     for m in distinct_orders:
-        mbars |= {_lcm(m, c) for c in mbars}
+        mbars |= {math.lcm(m, c) for c in mbars}
 
-    total = Fraction(0)
+    # Integer numerators throughout: strata add up as num/den pairs over
+    # the lcm of their denominators, and one Fraction reduces the sum.
+    num, den = 0, 1
     for mbar in sorted(mbars):
         s_m = [p for p in primes if mbar % m_of[p] == 0]
-        denom = mbar
-        kprime = Fraction(1)
+        top, bottom = 1, mbar  # weight times kprime
         for p in s_m:
-            denom *= p ** (orders.exponent(p) + ord_p(mbar, p))
-            kprime *= Fraction(p, p + 1)
-        weight = Fraction(1, denom)
+            top *= p
+            bottom *= p ** (orders.exponent(p) + ord_p(mbar, p)) * (p + 1)
         dvals = sorted(
             {m_of[p] // math.gcd(m_of[p], mbar) for p in primes if p not in s_m}
         )
-        inner = Fraction(0)
-        for bits in range(1 << len(dvals)):
-            l = 1
-            sign = 1
-            for i, d in enumerate(dvals):
-                if bits >> i & 1:
-                    l = _lcm(l, d)
-                    sign = -sign
-            val = 1
-            for p in s_m:
-                val *= p ** ord_p(l, p)
-            inner += sign * Fraction(1, l * val)
-        total += weight * kprime * inner
+        # A subset with lcm l adds sign/w(l), w(l) = l * prod_{p in S_mbar}
+        # p^ord_p(l).  w takes lcms to lcms, so the depth-first walk carries
+        # w itself, and w over the whole set is a common denominator.
+        ws = [d * math.prod(p ** ord_p(d, p) for p in s_m if d % p == 0)
+              for d in dvals]
+        common = math.lcm(*ws)
+        inner = 0
+        stack = [(0, 1, 1)]
+        while stack:
+            i, w, sign = stack.pop()
+            inner += sign * (common // w)
+            for j in range(i, len(ws)):
+                stack.append((j + 1, math.lcm(w, ws[j]), -sign))
+        top *= inner
+        bottom *= common
+        joint = math.lcm(den, bottom)
+        num = num * (joint // den) + top * (joint // bottom)
+        den = joint
     return ExactConstant(
-        total, f"lcm-stratified inclusion-exclusion over S={primes}"
+        Fraction(num, den), f"lcm-stratified inclusion-exclusion over S={primes}"
     )
 
 

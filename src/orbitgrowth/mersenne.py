@@ -31,6 +31,7 @@ from .arith import (
     primality_certified,
     divisors,
     _brent_rho,
+    _pollard_pm1,
 )
 from .errors import BudgetError, CacheMissError, InvariantViolation
 
@@ -189,7 +190,9 @@ def factor_mersenne(
     Strategy: peel the algebraic part using cached/recursive factorizations
     of 2^d - 1 for proper divisors d | m, trial-divide the primitive part by
     candidates p = 1 (mod m) (any new prime must have order exactly m), then
-    split what remains with Brent rho under the time budget.  The budget
+    split each composite piece that remains with one stage-1 Pollard p - 1
+    step (bound arith.PM1_BOUND, exponent times 2m), and with Brent rho when
+    that does not split it, all under the time budget.  The budget
     covers the whole call: recursive calls get the time that is left.  When
     it runs out, the BudgetError carries a MersennePartial for this m whose
     factors and cofactors multiply to 2^m - 1.
@@ -257,7 +260,9 @@ def factor_mersenne(
             composites.extend((root, root))
             continue
         try:
-            d = _brent_rho(n, deadline)
+            # Every primitive q has m | q - 1 (2m | q - 1 for odd m), so
+            # the p - 1 exponent takes 2m on top of its smooth part.
+            d = _pollard_pm1(n, 2 * m, deadline) or _brent_rho(n, deadline)
         except BudgetError:
             raise out_of_time(composites + [n]) from None
         for piece in (d, n // d):

@@ -113,6 +113,10 @@ class CongruenceSource(PrimeSource):
 
     def primes_up_to(self, limit: int) -> np.ndarray:
         idx = np.flatnonzero(prime_mask(limit))
+        if self.modulus > limit:
+            # Every p <= limit is its own residue, and a modulus past int64
+            # never reaches numpy.
+            return idx[np.isin(idx, [r for r in self.residues if r <= limit])]
         return idx[np.isin(idx % self.modulus, self.residues)]
 
     def to_json(self) -> dict:

@@ -237,6 +237,30 @@ class TestExitCodes:
             prod *= c
         assert prod == (1 << 274) - 1
 
+    def test_modulus_past_int64_is_0(self, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"kind": "induced", "order_set": {
+            "kind": "congruence_primes", "modulus": 2**70, "residues": [1]}}))
+        proc = run_cold("set-density", "--spec", str(spec), "--limit", "1000")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["member_count"] == 0
+
+    def test_budget_lets_pm1_finish_139(self, capsys, tmp_path):
+        # p - 1 finds the factor 5625767248687 of 2^139 - 1 in milliseconds.
+        code, out, _ = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                           "factor", "--exponent", "139", "--budget", "1")
+        assert code == 0
+        assert "5625767248687" in out
+
+    def test_budget_still_stops_137(self, capsys, tmp_path):
+        # Neither prime of 2^137 - 1 has a 10^4-smooth p - 1, so rho runs
+        # and the budget still ends it.
+        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                           "factor", "--exponent", "137", "--budget", "1")
+        assert code == 4
+        assert any(ln.startswith("partial: ") for ln in err.splitlines())
+
     def test_wrongly_typed_spec_field_is_2(self, capsys, tmp_path):
         spec = tmp_path / "typed.json"
         spec.write_text('{"kind": "induced", "order_set": '

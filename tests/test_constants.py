@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orbitgrowth.arith import OrderTable, ord_p, sieve_primes
 from orbitgrowth.constants import (
     a_prime_window,
     greedy_L,
@@ -34,6 +37,45 @@ from orbitgrowth.sets import (
 )
 
 
+def k_exact_reference(primes: list[int], orders: OrderTable) -> Fraction:
+    """k_S as one Fraction per term, the reference for the integer walk."""
+    if not primes:
+        return Fraction(1)
+    m_of = {p: orders.order(p) for p in primes}
+    mbars = {1}
+    for m in sorted(set(m_of.values())):
+        mbars |= {math.lcm(m, c) for c in mbars}
+    total = Fraction(0)
+    for mbar in sorted(mbars):
+        s_m = [p for p in primes if mbar % m_of[p] == 0]
+        denom = mbar
+        kprime = Fraction(1)
+        for p in s_m:
+            denom *= p ** (orders.exponent(p) + ord_p(mbar, p))
+            kprime *= Fraction(p, p + 1)
+        weight = Fraction(1, denom)
+        dvals = sorted(
+            {m_of[p] // math.gcd(m_of[p], mbar) for p in primes if p not in s_m}
+        )
+        inner = Fraction(0)
+        for bits in range(1 << len(dvals)):
+            l = 1
+            sign = 1
+            for i, d in enumerate(dvals):
+                if bits >> i & 1:
+                    l = math.lcm(l, d)
+                    sign = -sign
+            val = 1
+            for p in s_m:
+                val *= p ** ord_p(l, p)
+            inner += sign * Fraction(1, l * val)
+        total += weight * kprime * inner
+    return total
+
+
+ODD_PRIMES_BELOW_2000 = sieve_primes(2000).primes[1:].tolist()
+
+
 class TestKExact:
     def test_flagship(self, orders):
         assert k_exact_finite_s([3, 7], orders).value == Fraction(269, 576)
@@ -52,6 +94,16 @@ class TestKExact:
         # e_1093 = 2, so the order stratum carries 1093^-2.
         expect = Fraction(363, 364) + Fraction(1, 364 * 1093 * 1094)
         assert k_exact_finite_s([1093], orders).value == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(ODD_PRIMES_BELOW_2000), max_size=6,
+                    unique=True), st.booleans())
+    @example([], False)
+    @example([3, 7], True)
+    def test_matches_fraction_reference(self, orders, primes, wieferich):
+        # 1093 is the Wieferich prime below 2000: e_1093 = 2.
+        s = sorted(set(primes) | ({1093} if wieferich else set()))
+        assert k_exact_finite_s(s, orders).value == k_exact_reference(s, orders)
 
     def test_in_unit_interval(self, orders):
         rng = random.Random(0)

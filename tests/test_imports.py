@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, every public
 definition has a caller outside the tests, and the CLI does not import
-mpmath before a command needs it.
+mpmath, or build the Pollard p - 1 exponent, before a command needs it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -116,7 +116,10 @@ def test_cli_import_leaves_mpmath_unloaded():
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, orbitgrowth.cli; print('mpmath' in sys.modules)"],
+         "import sys, orbitgrowth.cli; print('mpmath' in sys.modules, "
+         "orbitgrowth.arith._pm1_exponent)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # Nor does it build the Pollard p - 1 exponent, which factoring builds
+    # on first use.
+    assert proc.stdout.strip() == "False None"

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from orbitgrowth.arith import OrderTable, euler_phi
+from orbitgrowth import arith
+from orbitgrowth.arith import OrderTable, _pollard_pm1, euler_phi
 from orbitgrowth.errors import BudgetError, CacheMissError
 from orbitgrowth.mersenne import (
     FactorCache,
@@ -55,6 +56,26 @@ class TestFactorization:
         for c in partial.cofactors:
             prod *= c
         assert prod == (1 << 274) - 1
+
+    def test_pm1_splits_139_within_budget(self):
+        # 5625767248687 - 1 = 2 * 3^2 * 13 * 37 * 53 * 139 * 193 * 457 is
+        # 10^4-smooth, so p - 1 finds it where rho alone ran out of time.
+        fz = factor_mersenne(139, FactorCache(), budget=1.0)
+        assert fz.factors == ((5625767248687, 1),
+                              (123876132205208335762278423601, 1))
+
+    def test_pm1_no_split_on_137(self):
+        # Neither prime of 2^137 - 1 has a 10^4-smooth p - 1: g = 1.
+        assert _pollard_pm1((1 << 137) - 1, 274, math.inf) is None
+
+    def test_pm1_gcd_n_falls_back_to_rho(self):
+        # Both primes of 2^67 - 1 have a p - 1 that divides 134 E, so
+        # g = n, p - 1 gives no split and rho finds the factors.
+        n = (1 << 67) - 1
+        assert _pollard_pm1(n, 134, math.inf) is None
+        assert pow(3, 134 * arith._pm1_exponent, n) == 1
+        fz = factor_mersenne(67, FactorCache(load_seed=False))
+        assert fz.factors == ((193707721, 1), (761838257287, 1))
 
     def test_product_check_rejects_bad_entry(self):
         with pytest.raises(Exception):

@@ -119,7 +119,8 @@ class TestSieveArrays:
         ListSource([2, 3, 97, 101, 99991, 2**127 - 1]),
         CongruenceSource(4, [1, 3]),
         CongruenceSource(3, [1]),
-    ], ids=["list", "congruence_odd", "congruence_1mod3"])
+        CongruenceSource(2**70, [1, 3, 7919, 2**70 - 1]),
+    ], ids=["list", "congruence_odd", "congruence_1mod3", "congruence_past_int64"])
     def test_primes_up_to_is_sorted_int64(self, source):
         for limit in (1, 2, 3, 100, 10**5):
             got = source.primes_up_to(limit)
