@@ -3,13 +3,13 @@
 Primes and least-factor sieves, multiplicative orders of 2, Möbius and
 totient, p-adic valuations, and cyclotomic values Phi_n(2).  Everything
 here is exact integer arithmetic; numpy is used only inside the sieves.
-All tables are immutable once built and safe to share across threads.
+Tables are immutable once built.  The package runs in one thread per
+process, so the module-level tables and the OrderTable memo hold no locks.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 
@@ -59,6 +59,18 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_power(n: int) -> bool:
+    """n = p^k for a prime p and some k >= 1, decided without factoring n:
+    for each k up to log2(n), the integer k-th root of n by Newton's method."""
+    for k in range(1, n.bit_length() + 1):
+        r = 1 << -(-n.bit_length() // k)  # at least the root
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n and is_probable_prime(r):
+            return True
+    return False
 
 
 def primality_certified(n: int) -> bool:
@@ -139,17 +151,15 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 # Shared small table for factoring moderate integers without re-sieving,
 # and its primes as a Python list for trial division, converted on the first
-# factorize call above the table (a race converts it twice, to equal lists).
-_small_table_lock = threading.Lock()
+# factorize call above the table.
 _small_table: PrimeTable | None = None
 _small_primes: list[int] | None = None
 
 
 def small_prime_table() -> PrimeTable:
     global _small_table
-    with _small_table_lock:
-        if _small_table is None:
-            _small_table = sieve_primes(10**5)
+    if _small_table is None:
+        _small_table = sieve_primes(10**5)
     return _small_table
 
 
@@ -207,7 +217,7 @@ def _pollard_pm1(n: int, k: int, deadline: float) -> int | None:
     divides k E.  Returns g when it splits n and None when it is 1 or n.
     """
     global _pm1_exponent
-    if _pm1_exponent is None:  # a race builds it twice, to the same value
+    if _pm1_exponent is None:
         exponent = 1
         for p in np.flatnonzero(prime_flags(PM1_BOUND)).tolist():
             pk = p
@@ -394,14 +404,11 @@ class OrderTable:
     def __init__(self):
         self._orders: dict[int, int] = {}
         self._exponents: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     def order(self, p: int) -> int:
         m = self._orders.get(p)
         if m is None:
-            m = mult_order(p)
-            with self._lock:
-                self._orders[p] = m
+            m = self._orders[p] = mult_order(p)
         return m
 
     def exponent(self, p: int) -> int:
@@ -411,16 +418,14 @@ class OrderTable:
             e = 1
             while pow(2, m, p ** (e + 1)) == 1:
                 e += 1
-            with self._lock:
-                self._exponents[p] = e
+            self._exponents[p] = e
         return e
 
     def register_class(self, m: int, members: frozenset[tuple[int, int]]) -> None:
         """Record m_p = m and e_p for the primitive class of m (from a factor cache)."""
-        with self._lock:
-            for p, e in members:
-                self._orders[p] = m
-                self._exponents[p] = e
+        for p, e in members:
+            self._orders[p] = m
+            self._exponents[p] = e
 
 
 def ord_p_mersenne(p: int, n: int, orders: OrderTable | None = None) -> int:

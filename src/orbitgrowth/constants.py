@@ -693,14 +693,12 @@ class SubsequenceReport:
     start_x: int
     max_weight: float
     max_drift: float
-    selected: tuple[int, ...] | None
 
 
 def greedy_subsequence(
     weights: np.ndarray,
     theta,
     x_max: int,
-    keep_indices: bool = False,
 ) -> SubsequenceReport:
     """Select indices greedily so the running sum tracks theta from below.
 
@@ -718,7 +716,6 @@ def greedy_subsequence(
     max_drift = 0.0
     prev_theta = None
     count = 0
-    picked: list[int] = []
     for n in range(1, x_max + 1):
         th = theta(n)
         if start_x is None:
@@ -735,12 +732,9 @@ def greedy_subsequence(
             if s + w <= th:
                 s += w
                 count += 1
-                if keep_indices:
-                    picked.append(n)
         sup_err = max(sup_err, abs(s - th))
     if start_x is None:
-        return SubsequenceReport(0, 0.0, 0.0, 0.0, x_max + 1, 0.0, 0.0,
-                                 tuple(picked) if keep_indices else None)
+        return SubsequenceReport(0, 0.0, 0.0, 0.0, x_max + 1, 0.0, 0.0)
     final_err = abs(s - theta(x_max))
     allowance = max(max_w, max_drift) + 1e-12
     if sup_err > allowance:
@@ -755,7 +749,6 @@ def greedy_subsequence(
         start_x=start_x,
         max_weight=max_w,
         max_drift=max_drift,
-        selected=tuple(picked) if keep_indices else None,
     )
 
 

@@ -72,11 +72,10 @@ def _linear_fit(g: np.ndarray, vs: np.ndarray) -> tuple[float, float, np.ndarray
 def fit_model(
     samples,
     model: str,
-    delta: float | None = None,
     strict: bool = True,
 ) -> FitReport:
-    """Least-squares fit of one regime; free delta by golden section, r the
-    best of LOGLOG_POWERS.
+    """Least-squares fit of one regime; delta by golden section on
+    [0.05, 1], r the best of LOGLOG_POWERS.
 
     Strict mode enforces the growth-model grid contract (>= 8 samples over
     >= 3 decades); the classifier relaxes it since it only compares
@@ -124,10 +123,7 @@ def fit_model(
             _, _, pred = _linear_fit(logn**d, vs)
             return float(np.sum((pred - vs) ** 2))
 
-        if delta is None:
-            delta = _golden_section(l2_at, 0.05, 1.0)
-        if not (0 < delta <= 1):
-            raise ContractError("asymptotics-fit: delta must lie in (0, 1]")
+        delta = _golden_section(l2_at, 0.05, 1.0)
         k, c, pred = _linear_fit(logn**delta, vs)
         return FitReport(
             model="k_logdelta", k=k, delta=float(delta), r=None, constant=c,

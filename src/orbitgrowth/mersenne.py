@@ -20,7 +20,6 @@ import fcntl
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -103,15 +102,15 @@ class FactorCache:
 
     Entries from the packaged seed file are always available.  When `path`
     is given, entries from that file are loaded on top and new complete
-    factorizations are appended there on flush().  Insertions go through a
-    single lock, so readers only ever observe verified entries.
+    factorizations are appended there on flush().  Only verified entries
+    are ever inserted.  A cache belongs to one thread; writers in other
+    processes are serialized by the exclusive flock that flush() takes.
     """
 
     def __init__(self, path: str | None = None, load_seed: bool = True):
         self.path = path
         self._entries: dict[int, MersenneFactorization] = {}
         self._dirty: list[int] = []
-        self._lock = threading.Lock()
         self.torn_lines = 0  # unterminated final overlay lines skipped on load
         if load_seed:
             seed = resources.files("orbitgrowth.data").joinpath(SEED_RESOURCE)
@@ -146,35 +145,33 @@ class FactorCache:
             raise CacheMissError(m) from None
 
     def put(self, fz: MersenneFactorization) -> None:
-        with self._lock:
-            if fz.m not in self._entries:
-                self._entries[fz.m] = fz
-                self._dirty.append(fz.m)
+        if fz.m not in self._entries:
+            self._entries[fz.m] = fz
+            self._dirty.append(fz.m)
 
     def flush(self) -> int:
         """Append dirty entries to the backing file; returns count written."""
-        with self._lock:
-            if self.path is None or not self._dirty:
-                self._dirty.clear()
-                return 0
-            batch = "".join(self._entries[m].to_json() + "\n" for m in self._dirty)
-            with open(self.path, "a+b") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                end = fh.seek(0, os.SEEK_END)
-                if end:
-                    fh.seek(end - 1)
-                    if fh.read(1) != b"\n":
-                        # Every writer holds the lock, so an unterminated
-                        # tail seen here is a dead write: cut it off, or the
-                        # batch would be glued onto it.
-                        fh.seek(0)
-                        fh.truncate(fh.read().rfind(b"\n") + 1)
-                fh.write(batch.encode("utf-8"))
-                fh.flush()
-                os.fsync(fh.fileno())
-            n = len(self._dirty)
+        if self.path is None or not self._dirty:
             self._dirty.clear()
-            return n
+            return 0
+        batch = "".join(self._entries[m].to_json() + "\n" for m in self._dirty)
+        with open(self.path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    # Every writer holds the flock, so an unterminated
+                    # tail seen here is a dead write: cut it off, or the
+                    # batch would be glued onto it.
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(batch.encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        n = len(self._dirty)
+        self._dirty.clear()
+        return n
 
     def exponents(self) -> list[int]:
         return sorted(self._entries)

@@ -26,9 +26,10 @@ import numpy as np
 
 from .arith import OrderTable, divisors, moebius, ord_p
 from .errors import CapacityError, ContractError, InvariantViolation
-from .mersenne import FactorCache, primitive_primes
+from .mersenne import FactorCache
 from .sets import (
     ExplicitFinitePrimes,
+    ExplicitList,
     InducedPrimes,
     OrderSet,
     PrimeSet,
@@ -65,10 +66,6 @@ class MertensSeries:
             if last_v is not None and v < last_v:
                 raise InvariantViolation("mertens-engine: series values decreased")
             last_n, last_v = n, v
-
-    @property
-    def grid(self) -> list[int]:
-        return [n for n, _ in self.samples]
 
     @property
     def values(self) -> list[Fraction]:
@@ -113,13 +110,8 @@ def _removal_exponents(
     if isinstance(pset, InducedPrimes):
         if cache is None:
             raise ContractError("mertens-engine: induced sets need a factor cache")
-        oset = pset.order_set
-        for d in divisors(n):
-            if d in (1, 6) or not oset.contains(d):
-                continue
-            for p, e_p in primitive_primes(d, cache, orders):
-                out[p] = e_p + ord_p(n, p)
-        return out
+        return {p: e + ord_p(n, p)
+                for p, e in s_mbar(n, pset.order_set, cache, orders).items()}
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
@@ -299,7 +291,6 @@ def decompose_lcm_closed(
     oset: OrderSet,
     orders: OrderTable | None = None,
     cache: FactorCache | None = None,
-    grid: list[int] | None = None,
 ) -> tuple[MertensSeries, list[StratumContribution]]:
     """F_S(N) assembled stratum by stratum over the lcm-closure of the orders.
 
@@ -307,13 +298,12 @@ def decompose_lcm_closed(
     dividing n; writing n = mbar * j turns the term into
     (|2^mbar - 1|_{S_mbar} / mbar) * |j|_{S_mbar} / j.  The result must agree
     exactly with the direct summation f_series_direct — two independent
-    code paths over the same rationals.
+    code paths over the same rationals.  Both sample default_grid(n_max).
     """
     if cache is None:
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
-    grid = _sample_grid(n_max, grid)
-    from .sets import ExplicitList
+    grid = _sample_grid(n_max, None)
 
     if isinstance(oset, ExplicitList):
         # A finite explicit list is replaced by its lcm closure: the strata
@@ -379,25 +369,21 @@ def f_series_direct(
     s,
     orders: OrderTable | None = None,
     cache: FactorCache | None = None,
-    grid: list[int] | None = None,
 ) -> MertensSeries:
-    """F_S(N) = sum_{n <= N} |2^n - 1|_S / n summed term by term, exactly."""
-    grid = _sample_grid(n_max, grid)
+    """F_S(N) = sum_{n <= N} |2^n - 1|_S / n summed term by term, exactly,
+    sampled on default_grid(n_max)."""
+    grid = set(_sample_grid(n_max, None))
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
     acc = Fraction(0)
     samples = []
-    gi = 0
     for n in range(1, n_max + 1):
         denom = n
         for p, e in _removal_exponents(n, pset, orders, cache).items():
             denom *= p**e
         acc += Fraction(1, denom)
-        while gi < len(grid) and grid[gi] == n:
+        if n in grid:
             samples.append((n, acc))
-            gi += 1
-    for g in grid[gi:]:
-        samples.append((g, acc))
     return MertensSeries(label=pset.label(), mode="dominant", samples=samples)
 
 

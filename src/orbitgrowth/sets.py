@@ -4,9 +4,9 @@ An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
 membership over [1, limit] is served by numpy sieves so that dominant sums
 never need factorizations.  Closure flags (multiplication by naturals,
-least common multiples) are verified by seeded randomized testing when a
-spec is loaded (order_set_from_json, prime_set_from_json), with witnesses
-recorded when a closure genuinely fails; sets built in code are trusted.
+least common multiples) claimed True are verified by seeded randomized
+testing when a spec is loaded (order_set_from_json, prime_set_from_json);
+a flag claimed False is not tested, and sets built in code are trusted.
 A claimed flag's pairs are drawn in bulk and tested at once by each kind's
 _members on exponent rows; the first 64 pairs are cross-checked by the
 scalar _member.
@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, factorize,
-                    is_probable_prime, mult_order, mult_orders, prime_flags,
-                    sieve_primes, small_prime_table)
+from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, divisors,
+                    factorize, is_prime_power, is_probable_prime, mult_order,
+                    mult_orders, prime_flags, sieve_primes, small_prime_table)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .mersenne import FactorCache, primitive_primes
 
@@ -171,15 +170,10 @@ def prime_source_from_json(obj: dict) -> PrimeSource:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    nat_multiplication_ok: bool
-    nat_witness: tuple[int, int] | None
-    lcm_ok: bool
-    lcm_witness: tuple[int, int] | None
     pairs_tested: int
 
 
 _closure_memo: dict[tuple, ClosureReport] = {}
-_closure_lock = threading.Lock()
 
 # 2*3*5*7*11*13*17 > CLOSURE_BOUND: no n <= CLOSURE_BOUND has more primes.
 _ROW_WIDTH = 6
@@ -189,16 +183,16 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     """Randomized closure testing of the claimed flags.
 
     A flag claimed True must survive CLOSURE_PAIRS random products/lcms of
-    members within [1, CLOSURE_BOUND], tested in bulk by _check_pairs; a flag
-    claimed False must come with a concrete witness pair, found by a
-    deterministic small search.
+    members within [1, CLOSURE_BOUND], tested in bulk by _check_pairs, or
+    InvariantViolation names the first failing pair.  A flag claimed False
+    is not tested: it only narrows what dominant_sum and
+    decompose_lcm_closed accept.
     """
     # The claimed flags belong in the key: a set built in code can claim
     # other flags than the kind its JSON names.
     key = (type(oset), oset.closed_under_nat_multiplication,
            oset.closed_under_lcm, repr(sorted(oset.to_json().items())), seed)
-    with _closure_lock:
-        hit = _closure_memo.get(key)
+    hit = _closure_memo.get(key)
     if hit is not None:
         return hit
 
@@ -208,39 +202,19 @@ def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
     # Multiplicative sampling skips the unit: membership of 1 is bookkeeping
     # for dominant sums, while closure concerns the orders M \ {1, 6}.
     if oset.closed_under_nat_multiplication:
-        nat_wit = _check_pairs(oset, members[members >= 2], rng, mode="mul")
-        nat_ok = nat_wit is None
-    else:
-        nat_ok = False
-        nat_wit = _search_witness(oset, members.tolist(), rng, CLOSURE_BOUND,
-                                  mode="mul")
-
+        pair = _check_pairs(oset, members[members >= 2], rng, mode="mul")
+        if pair is not None:
+            raise InvariantViolation(
+                f"prime-sets: {oset.kind} claims multiplication closure but "
+                f"fails on pair {pair}"
+            )
     if oset.closed_under_lcm:
-        lcm_wit = _check_pairs(oset, members, rng, mode="lcm")
-        lcm_ok = lcm_wit is None
-    else:
-        lcm_ok = False
-        lcm_wit = _search_witness(oset, members.tolist(), rng, CLOSURE_BOUND,
-                                  mode="lcm")
-
-    report = ClosureReport(
-        nat_multiplication_ok=nat_ok,
-        nat_witness=nat_wit,
-        lcm_ok=lcm_ok,
-        lcm_witness=lcm_wit,
-        pairs_tested=CLOSURE_PAIRS,
-    )
-    if oset.closed_under_nat_multiplication and not nat_ok:
-        raise InvariantViolation(
-            f"prime-sets: {oset.kind} claims multiplication closure but "
-            f"fails on pair {nat_wit}"
-        )
-    if oset.closed_under_lcm and not lcm_ok:
-        raise InvariantViolation(
-            f"prime-sets: {oset.kind} claims lcm closure but fails on pair {lcm_wit}"
-        )
-    with _closure_lock:
-        _closure_memo[key] = report
+        pair = _check_pairs(oset, members, rng, mode="lcm")
+        if pair is not None:
+            raise InvariantViolation(
+                f"prime-sets: {oset.kind} claims lcm closure but fails on pair {pair}"
+            )
+    report = _closure_memo[key] = ClosureReport(pairs_tested=CLOSURE_PAIRS)
     return report
 
 
@@ -322,37 +296,6 @@ def _merged_rows(pa, ea, pb, eb, combine):
     keys.sort(axis=1)
     keys[keys == pad] = 0
     return (keys >> 8).astype(np.int32), (keys & 255).astype(np.int8)
-
-
-def _search_witness(oset, members, rng, bound, mode) -> tuple[int, int] | None:
-    """Small deterministic scan, then random probing, for a closure breaker.
-
-    A witness starts from a member, so a set with none up to the bound has
-    no witness.
-    """
-    if not members:
-        return None
-    head = [a for a in members if a <= 512][:64] or members[:64]
-    other = range(1, 65) if mode == "mul" else head
-    for a in head:
-        for b in other:
-            if mode == "mul":
-                n = a * b
-            else:
-                n = a * b // math.gcd(a, b)
-            if not oset.contains(n):
-                return (a, b)
-    for _ in range(2000):
-        a = members[rng.randrange(len(members))]
-        b = rng.randint(1, bound)
-        if mode == "lcm":
-            b = members[rng.randrange(len(members))]
-            n = a * b // math.gcd(a, b)
-        else:
-            n = a * b
-        if not oset.contains(n):
-            return (a, b)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +458,17 @@ class MultiplesOf(OrderSet):
 
 
 class ComplementMultiplesOf(OrderSet):
-    """n with ell not dividing n; lcm-closed but not multiplication-closed."""
+    """n with ell not dividing n; not multiplication-closed, and lcm-closed
+    exactly when ell is a prime power (lcm(2, 3) is a multiple of 6)."""
 
     kind = "complement_multiples_of"
     closed_under_nat_multiplication = False
-    closed_under_lcm = True
 
     def __init__(self, ell: int):
         self.ell = int(ell)
         if self.ell < 2:
             raise ContractError("prime-sets: complement divisor must be >= 2")
+        self.closed_under_lcm = is_prime_power(self.ell)
 
     def _member(self, n, fac):
         return n % self.ell != 0
@@ -743,13 +687,21 @@ class OmegaBounded(OrderSet):
 
     def indicator(self, limit):
         # n is a member iff q = n/gcd(m, n) has more than r prime factors or
-        # one outside L; q is formed a block at a time, so no full-length
-        # integer array is built.
+        # one outside L.  q is formed a block at a time, so no full-length
+        # integer array is built, by dividing out the prime powers of m up to
+        # the block's end; m itself, which may pass int64, never meets numpy.
         bad = _omega_or_outside(limit, self.r, self.ell_set)
         member = np.empty(limit + 1, dtype=bool)
         for lo in range(0, limit + 1, SIEVE_BLOCK):
-            n = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
-            member[lo : lo + n.size] = bad[n // np.gcd(n, self.m)]
+            q = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
+            for p, e in self._m_fac.items():
+                pk = p
+                for _ in range(e):
+                    if pk >= lo + q.size:
+                        break
+                    q[-lo % pk :: pk] //= p
+                    pk *= p
+            member[lo : lo + q.size] = bad[q]
         member[0] = False
         return member
 
@@ -854,8 +806,6 @@ def prime_set_from_json(obj: dict, seed: int = 0) -> PrimeSet:
 
 def mbar_of(n: int, oset: OrderSet) -> int:
     """lcm of the realized orders in M dividing n (empty lcm = 1)."""
-    from .arith import divisors
-
     out = 1
     for d in divisors(n):
         if d in (1, 6):
@@ -870,8 +820,6 @@ def s_mbar(
     orders: OrderTable | None = None,
 ) -> dict[int, int]:
     """The finite stratum set S_mbar as {p: e_p}, from primitive classes."""
-    from .arith import divisors
-
     out: dict[int, int] = {}
     for d in divisors(mbar):
         if d in (1, 6):

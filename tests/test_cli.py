@@ -246,6 +246,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["member_count"] == 0
 
+    def test_omega_bounded_m_past_int64_is_0(self, capsys, tmp_path):
+        # Below 2^40, m = 2^70 and m = 2^40 remove the same powers of 2.
+        outs = []
+        for m in (2**70, 2**40):
+            spec = tmp_path / f"omega{m}.json"
+            spec.write_text(json.dumps({"kind": "induced", "order_set": {
+                "kind": "omega_bounded", "r": 2, "m": m,
+                "ell_set": {"kind": "list", "primes": [3, 5]}}}))
+            code, out, err = run(capsys, "set-density", "--spec", str(spec),
+                                 "--limit", "1000")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_budget_lets_pm1_finish_139(self, capsys, tmp_path):
         # p - 1 finds the factor 5625767248687 of 2^139 - 1 in milliseconds.
         code, out, _ = run(capsys, "--cache", str(tmp_path / "c.jsonl"),

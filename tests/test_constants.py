@@ -410,9 +410,12 @@ class TestSubsequence:
         x_max = 10**4
         w = np.zeros(x_max + 1)
         w[1:] = 1.0 / np.arange(1, x_max + 1)
-        report = greedy_subsequence(w, math.log, x_max, keep_indices=True)
-        # everything except n = 1 fits under log n
-        assert report.selected == tuple(range(2, x_max + 1))
+        report = greedy_subsequence(w, math.log, x_max)
+        # everything except n = 1 fits under log n: tracking starts at 2
+        # and picks all x_max - 1 weights from there on
+        assert report.start_x == 2
+        assert report.selected_count == x_max - 1
+        assert report.selected_sum == pytest.approx(float(w[2:].sum()))
         assert report.final_error < 1.0
 
 

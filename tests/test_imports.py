@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, every public
-definition has a caller outside the tests, and the CLI does not import
-mpmath, or build the Pollard p - 1 exponent, before a command needs it.
+"""No module of the package imports a name it never uses or imports
+threading, every public definition, method and property has a caller
+outside the tests, and the CLI does not import mpmath, or build the
+Pollard p - 1 exponent, before a command needs it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -54,28 +55,48 @@ def test_no_unused_imports(path):
 
 
 def public_definitions(source: str) -> list[str]:
-    """Names of the top-level functions and classes not starting with _."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
-
-
-def names_read(source: str) -> set[str]:
-    """Every name the source reads, bare or as an attribute."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+    """Names of the top-level functions and classes not starting with _,
+    and `Class.name` for each method or property of such a class not
+    starting with _."""
+    out = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
     return out
 
 
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """The names the source reads bare, and those it reads as attributes."""
+    bare, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return bare, attrs
+
+
 def uncalled(definitions: dict[str, str], callers: list[str]) -> list[str]:
-    """`module.name` of every public definition no caller source reads."""
-    read = set().union(*map(names_read, callers))
-    return sorted(f"{module}.{name}" for module, source in definitions.items()
-                  for name in public_definitions(source) if name not in read)
+    """`module.name` of every public definition no caller source reads: a
+    module-level name read bare or as an attribute, a method or property
+    read as an attribute."""
+    bare, attrs = set(), set()
+    for source in callers:
+        b, a = names_read(source)
+        bare |= b
+        attrs |= a
+    out = []
+    for module, source in definitions.items():
+        for name in public_definitions(source):
+            _, dot, member = name.rpartition(".")
+            if member not in attrs and (dot or member not in bare):
+                out.append(f"{module}.{name}")
+    return sorted(out)
 
 
 # Independent oracles, called only by tests: `ord_p_mersenne` is checked
@@ -90,10 +111,19 @@ def test_caller_checker():
                   "def _private(): pass\n"
                   "class Unused: pass\n"
                   "def attr_only(): pass\n"
-                  "def written(): pass\n")}
+                  "def written(): pass\n"
+                  "class Used:\n"
+                  "    def called(self): pass\n"
+                  "    def _private(self): pass\n"
+                  "    @property\n"
+                  "    def prop(self): pass\n"
+                  "    def bare_only(self): pass\n"
+                  "    def unread(self): pass\n")}
     callers = ["used()\n", "import m\nm.attr_only\nm.written = 1\n"
-               "def Unused(): pass\n"]
-    assert uncalled(defs, callers) == ["m.Unused", "m.written"]
+               "def Unused(): pass\n",
+               "u = m.Used()\nu.called()\nu.prop\nbare_only\nu.unread = 1\n"]
+    assert uncalled(defs, callers) == ["m.Unused", "m.Used.bare_only",
+                                       "m.Used.unread", "m.written"]
 
 
 def test_every_public_definition_has_a_caller():
@@ -106,6 +136,24 @@ def test_every_public_definition_has_a_caller():
     callers = [p.read_text(encoding="utf-8") for p in modules + outside]
     assert [name for name in uncalled(definitions, callers)
             if name not in ORACLES] == []
+
+
+# The package is single-threaded by contract: each process runs one
+# thread, and processes share the factor cache through flock.  A lock
+# would guard against threads that nothing starts.
+def test_no_module_imports_threading():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "threading" for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_cli_import_leaves_mpmath_unloaded():

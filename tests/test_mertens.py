@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -264,16 +264,14 @@ class TestDecomposition:
     def test_ell_powers_matches_direct(self, orders, cache):
         oset = EllPowers(3)
         series, breakdown = decompose_lcm_closed(120, oset, orders, cache)
-        direct = f_series_direct(120, InducedPrimes(oset), orders, cache,
-                                 grid=series.grid)
+        direct = f_series_direct(120, InducedPrimes(oset), orders, cache)
         assert series.samples == direct.samples
         assert [b.mbar for b in breakdown] == [1, 3, 9, 27, 81]
 
     def test_complement_strata_are_ell_power_fibres(self, orders, cache):
         oset = ComplementMultiplesOf(3)
         series, breakdown = decompose_lcm_closed(100, oset, orders, cache)
-        direct = f_series_direct(100, InducedPrimes(oset), orders, cache,
-                                 grid=series.grid)
+        direct = f_series_direct(100, InducedPrimes(oset), orders, cache)
         assert series.samples == direct.samples
         # each stratum fibre {n : mbar_n = m} is {m * 3^e}
         for n in range(1, 101):
@@ -286,14 +284,11 @@ class TestDecomposition:
 
     def test_explicit_list_closure_and_slope(self, orders, cache):
         oset = ExplicitList([2, 3])
-        grid = default_grid(1000)
-        series, breakdown = decompose_lcm_closed(1000, oset, orders, cache,
-                                                 grid=grid)
+        series, breakdown = decompose_lcm_closed(1000, oset, orders, cache)
         assert [b.mbar for b in breakdown] == [1, 2, 3, 6]
-        direct = f_series_direct(
-            1000, ExplicitFinitePrimes([3, 7]), orders, cache, grid=grid
-        )
+        direct = f_series_direct(1000, ExplicitFinitePrimes([3, 7]), orders, cache)
         assert series.samples == direct.samples
+        assert [n for n, _ in series.samples] == default_grid(1000)
         import numpy as np
 
         pts = series.float_samples()[2:]
@@ -301,6 +296,20 @@ class TestDecomposition:
         b = np.array([v for _, v in pts])
         coef, *_ = np.linalg.lstsq(a, b, rcond=None)
         assert abs(coef[1] - float(Fraction(269, 576))) < 0.02
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(1, 30), max_size=4),
+           n_max=st.integers(1, 60))
+    def test_explicit_lists_match_direct(self, values, n_max, orders, cache):
+        # A list stands for its lcm closure, without 1 and 6, which no prime
+        # has as its order; the direct sum takes the closure's induced set.
+        gens = [v for v in values if v not in (1, 6)]
+        closure = {math.lcm(*c) for r in range(1, len(gens) + 1)
+                   for c in combinations(gens, r)}
+        series, _ = decompose_lcm_closed(n_max, ExplicitList(values), orders, cache)
+        direct = f_series_direct(n_max, InducedPrimes(ExplicitList(closure)),
+                                 orders, cache)
+        assert series.samples == direct.samples
 
     def test_non_lcm_closed_rejected(self, orders, cache):
         from orbitgrowth.sets import PrimeNumbers

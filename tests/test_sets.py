@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import sets
@@ -73,6 +73,70 @@ def omega_bounded_specs(draw):
         source = CongruenceSource(modulus, draw(st.lists(
             st.integers(0, modulus - 1), min_size=1, max_size=modulus)))
     return OmegaBounded(draw(st.integers(1, 4)), source, draw(st.integers(1, 60)))
+
+
+@st.composite
+def congruence_sources(draw):
+    modulus = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 12, 30, 2**70]))
+    return CongruenceSource(modulus, draw(st.lists(
+        st.integers(0, min(modulus, 3000) - 1), min_size=1, max_size=6)))
+
+
+prime_sources = st.one_of(
+    st.lists(st.sampled_from(SMALL_PRIMES + [2999, 2**127 - 1]),
+             max_size=6).map(ListSource),
+    congruence_sources())
+
+
+@st.composite
+def base_order_sets(draw):
+    """A valid order set of one of the nine kinds other than
+    squarefree_augmented, with values past int64 now and then."""
+    big = st.sampled_from([2**40, 2**70])
+    kind = draw(st.sampled_from(sorted(sets._ORDER_KINDS)))
+    if kind == "explicit_list":
+        return ExplicitList(draw(st.lists(st.integers(1, 3000) | big, max_size=6)))
+    if kind == "prime_list":
+        return PrimeList(draw(st.lists(st.sampled_from(SMALL_PRIMES + [2999]),
+                                       max_size=5)))
+    if kind == "multiples_of":
+        if draw(st.booleans()):
+            return MultiplesOf(ells=draw(st.lists(st.integers(2, 60) | big,
+                                                  min_size=1, max_size=4)))
+        return MultiplesOf(ell_set=draw(prime_sources))
+    if kind == "complement_multiples_of":
+        return ComplementMultiplesOf(draw(st.integers(2, 60) | big))
+    if kind == "composite_numbers":
+        return CompositeNumbers()
+    if kind == "prime_numbers":
+        return PrimeNumbers()
+    if kind == "ell_powers":
+        return EllPowers(draw(st.integers(2, 12)))
+    if kind == "congruence_primes":
+        source = draw(congruence_sources())
+        return CongruencePrimes(source.modulus, source.residues)
+    return OmegaBounded(draw(st.integers(1, 4)), draw(prime_sources),
+                        draw(st.integers(1, 60) | big))
+
+
+@st.composite
+def order_sets(draw):
+    """A valid order set of any of the ten kinds."""
+    base = draw(base_order_sets())
+    return SquarefreeAugmented(base) if draw(st.booleans()) else base
+
+
+def factor_rows_of(ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows as sets._factor_rows lays them out, from factorize,
+    for n past its table."""
+    facs = [sorted(factorize(n).items()) for n in ns]
+    width = max(6, max(map(len, facs)))
+    primes = np.zeros((len(ns), width), dtype=np.int32)
+    exps = np.zeros((len(ns), width), dtype=np.int8)
+    for i, fac in enumerate(facs):
+        for j, (p, e) in enumerate(fac):
+            primes[i, j], exps[i, j] = p, e
+    return primes, exps
 
 
 BASE_KINDS = [
@@ -203,6 +267,46 @@ class TestMembership:
         assert len(ind) == limit + 1 and not ind[0]
         assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(oset=order_sets(), limit=st.integers(1, 3000))
+    @example(oset=MultiplesOf(ells=[3]), limit=1)
+    @example(oset=SquarefreeAugmented(ComplementMultiplesOf(2)), limit=2)
+    @example(oset=OmegaBounded(1, ListSource([3]), 2**70), limit=3)
+    def test_three_membership_paths_agree(self, oset, limit):
+        # The sieve, the bulk rows and the scalar test give one answer for
+        # every kind, and the JSON form loads back to the same set.
+        ind = oset.indicator(limit)
+        assert len(ind) == limit + 1 and not ind[0]
+        assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
+        n = np.arange(1, limit + 1, dtype=np.int64)
+        assert np.array_equal(oset._members(n, *sets._factor_rows(n)), ind[1:])
+        spec = oset.to_json()
+        assert order_set_from_json(spec).to_json() == spec
+
+    @pytest.mark.parametrize("oset", [
+        MultiplesOf(ell_set=CongruenceSource(3, [1])),
+        MultiplesOf(ell_set=ListSource([3, 1048573, 1048583])),
+        CongruencePrimes(4, [1]),
+    ], ids=["multiples_of_congruence", "multiples_of_list", "congruence_primes"])
+    def test_membership_paths_at_the_block_edge(self, oset):
+        # 1048573 and 1048583 are the primes on either side of SIEVE_BLOCK.
+        limit = SIEVE_BLOCK + 1
+        ind = oset.indicator(limit)
+        ns = list(range(SIEVE_BLOCK - 200, limit + 1))
+        assert [n for n in ns if ind[n] != oset.contains(n)] == []
+        bulk = oset._members(np.array(ns, dtype=np.int64), *factor_rows_of(ns))
+        assert np.array_equal(bulk, ind[ns])
+
+    def test_omega_bounded_m_past_int64(self):
+        # Below 2^40, m = 2^70 and m = 2^40 divide out the same powers of 2.
+        source = ListSource([3, 5])
+        big, small = OmegaBounded(2, source, 2**70), OmegaBounded(2, source, 2**40)
+        for limit in (1, 1000, SIEVE_BLOCK + 5):
+            assert np.array_equal(big.indicator(limit), small.indicator(limit))
+        spec = {"kind": "omega_bounded", "r": 2, "m": 2**70,
+                "ell_set": source.to_json()}
+        assert order_set_from_json(spec).to_json() == spec
+
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 9])
     def test_ell_powers_indicator_matches_contains(self, ell):
         # n = ell^e exactly, for a composite ell too.
@@ -272,54 +376,43 @@ class TestBulkMembership:
 class TestClosureFlags:
     def test_multiples_closed(self):
         report = verify_closure_flags(MultiplesOf(ells=[3]))
-        assert report.nat_multiplication_ok
-        assert report.lcm_ok
+        assert report.pairs_tested == sets.CLOSURE_PAIRS
 
     def test_squarefree_augmented_closed(self):
         s = SquarefreeAugmented(MultiplesOf(ells=[3]))
         assert s.closed_under_nat_multiplication
-        assert verify_closure_flags(s).nat_multiplication_ok
+        assert verify_closure_flags(s).pairs_tested == sets.CLOSURE_PAIRS
 
-    def test_ell_powers_witness(self):
-        e = EllPowers(3)
-        report = verify_closure_flags(e)
-        assert report.lcm_ok
-        a, b = report.nat_witness
-        assert e.contains(a) and not e.contains(a * b)
+    def test_false_flags_are_not_tested(self):
+        # A flag claimed False only narrows what the series accept, so the
+        # check spends no membership test on it.
+        calls = []
 
-    def test_complement_witness(self):
-        c = ComplementMultiplesOf(3)
-        report = verify_closure_flags(c)
-        assert report.lcm_ok
-        a, b = report.nat_witness
-        assert c.contains(a) and not c.contains(a * b)
+        class Recording(PrimeNumbers):
+            def _member(self, n, fac):
+                calls.append(n)
+                return super()._member(n, fac)
 
-    def test_witnesses_pinned(self):
-        # The deterministic scan finds the first two; the scan finds nothing
-        # on the other two, so their witnesses pin the seeded random probe.
-        chain = ExplicitList([2**k for k in range(17)] + [3072, 5120])
-        for seed, expect in ((0, [(2, 2), (2, 3), (7, 2), (7, 13), (5141, 10519),
-                                  None, (1, 3), (3072, 4096)]),
-                             (7, [(2, 2), (2, 3), (7, 2), (7, 13), (545, 19095),
-                                  None, (1, 3), (4096, 5120)])):
-            got = []
-            for oset in (PrimeNumbers(), CongruencePrimes(3, [1]),
-                         ComplementMultiplesOf(67), chain):
-                report = verify_closure_flags(oset, seed)
-                got += [report.nat_witness, report.lcm_witness]
-            assert got == expect, seed
+            def _members(self, n, primes, exps):
+                calls.append(n)
+                return super()._members(n, primes, exps)
 
-    def test_no_member_no_witness(self):
-        # No member up to CLOSURE_BOUND, so no pair can start from one.
-        report = verify_closure_flags(ExplicitList([10**6]))
-        assert not report.nat_multiplication_ok
-        assert report.nat_witness is None
+        verify_closure_flags(Recording())
+        assert calls == []
+
+    def test_complement_is_lcm_closed_for_prime_powers_only(self):
+        # lcm(2, 9) is a multiple of 18: a spec on a composite ell that is
+        # no prime power loads, and claims no lcm closure.
+        for ell, closed in ((3, True), (9, True), (2**70, True),
+                            (6, False), (18, False)):
+            oset = order_set_from_json({"kind": "complement_multiples_of",
+                                        "ell": ell})
+            assert oset.closed_under_lcm is closed, ell
 
     def test_omega_bounded_closed(self):
         o = OmegaBounded(2, CongruenceSource(3, [1]), 6)
         report = verify_closure_flags(o)
-        assert report.nat_multiplication_ok
-        assert report.lcm_ok
+        assert report.pairs_tested == sets.CLOSURE_PAIRS
 
     def test_false_claim_sharing_honest_json_raises(self):
         # The memo is keyed on the claimed flags as well as the JSON, so a
@@ -328,7 +421,7 @@ class TestClosureFlags:
             closed_under_nat_multiplication = True
 
         honest = ComplementMultiplesOf(5)
-        assert not verify_closure_flags(honest).nat_multiplication_ok
+        verify_closure_flags(honest)
         oset = Lying(5)
         assert oset.to_json() == honest.to_json()
         with pytest.raises(InvariantViolation) as err:
