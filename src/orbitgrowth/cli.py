@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import OrderTable, mult_order, sieve_primes
+from .arith import mult_order, sieve_primes
 from .constants import (
     greedy_L,
     k_exact_finite_s,
@@ -28,18 +28,12 @@ from .constants import (
 from .errors import (
     BudgetError,
     CacheMissError,
-    CapacityError,
     ContractError,
     InvariantViolation,
 )
 from .fitting import classify_growth, fit_model
 from .mersenne import FactorCache, MersennePartial, factor_mersenne
-from .mertens import (
-    default_grid,
-    dominant_sum,
-    mertens_exact,
-    remainder_bounds,
-)
+from .mertens import dominant_sum, mertens_exact, remainder_bounds
 from .reproduce import THEOREMS, run_theorem
 from .sets import InducedPrimes, estimate_density, prime_set_from_json
 
@@ -120,16 +114,14 @@ def _cmd_set_density(args) -> int:
 def _cmd_series(args) -> int:
     pset = _load_prime_set(args.spec, args.seed)
     cache = _open_cache(args)
-    orders = OrderTable()
     if args.mode == "exact":
-        series = mertens_exact(args.n_max, pset, orders, cache)
+        series = mertens_exact(args.n_max, pset, cache=cache)
     else:
         if not isinstance(pset, InducedPrimes):
             raise ContractError(
                 "cli: dominant mode needs an induced prime set (an order set)"
             )
-        series = dominant_sum(args.n_max, pset.order_set,
-                              grid=default_grid(args.n_max))
+        series = dominant_sum(args.n_max, pset.order_set)
     rows = ["N,value,mode,bound_R,bound_Q"]
     for n, v in series.samples:
         if n >= 6:
@@ -302,9 +294,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    cache = _open_cache(args)
-    orders = OrderTable()
-    result = run_theorem(args.theorem, cache, orders)
+    result = run_theorem(args.theorem, _open_cache(args))
     for line in result.lines():
         print(line)
     return 0 if result.passed else 1
@@ -428,7 +418,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ContractError, CapacityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ContractError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

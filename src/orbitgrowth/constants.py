@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SIEVE_CAPACITY, OrderTable, is_probable_prime, ord_p
+from .arith import (SIEVE_CAPACITY, OrderTable, is_probable_prime, ord_p,
+                    ord_p_mersenne)
 from .errors import (
     BudgetError,
     CapacityError,
@@ -86,7 +87,7 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
         top, bottom = 1, mbar  # weight times kprime
         for p in s_m:
             top *= p
-            bottom *= p ** (orders.exponent(p) + ord_p(mbar, p)) * (p + 1)
+            bottom *= p ** ord_p_mersenne(p, mbar, orders) * (p + 1)
         dvals = sorted(
             {m_of[p] // math.gcd(m_of[p], mbar) for p in primes if p not in s_m}
         )
@@ -191,11 +192,8 @@ def greedy_L(
     orders = orders or OrderTable()
 
     ell0 = _next_prime(math.floor(1 + k / eps))
-    certifier = Fraction(1)
-    l = ell0
-    while l <= cap:
-        certifier *= 1 - Fraction(1, l) + Fraction(1, l * ((1 << l) - 1))
-        l = _next_prime(l)
+    certifier, _ = k_order_bounds(
+        l for l in range(ell0, cap + 1) if is_probable_prime(l))
     if certifier >= k:
         raise BudgetError(
             f"constants: candidate cap {cap} cannot certify (k, eps)="

@@ -180,8 +180,6 @@ def classify_growth(samples) -> FitReport:
         )
     best = None
     for model in MODELS:  # slow -> fast, so strict < keeps the slower on ties
-        if model == "k_loglogr" and ns[0] < 3:
-            continue
         try:
             rep = fit_model(samples, model, strict=False)
         except ContractError:

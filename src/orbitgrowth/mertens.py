@@ -24,17 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import OrderTable, divisors, moebius, ord_p
+from .arith import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
 from .errors import CapacityError, ContractError, InvariantViolation
-from .mersenne import FactorCache
+from .mersenne import FactorCache, primitive_primes
 from .sets import (
     ExplicitFinitePrimes,
     ExplicitList,
     InducedPrimes,
     OrderSet,
     PrimeSet,
-    mbar_of,
-    s_mbar,
 )
 
 FRAC_BITS = 96
@@ -96,22 +94,45 @@ def _normalize_prime_set(s) -> PrimeSet:
     return ExplicitFinitePrimes(sorted(s))
 
 
+# ---------------------------------------------------------------------------
+# The strata: n is charged to mbar_n, the lcm of the orders of M it realizes.
+
+
+def _realized_divisors(n: int, oset: OrderSet) -> list[int]:
+    """The divisors of n in M that are the order of some prime: all but 1
+    and 6, since 2^1 - 1 and 2^6 - 1 have no primitive prime."""
+    return [d for d in divisors(n) if d not in (1, 6) and oset.contains(d)]
+
+
+def mbar_of(n: int, oset: OrderSet) -> int:
+    """lcm of the realized orders in M dividing n (empty lcm = 1)."""
+    return math.lcm(*_realized_divisors(n, oset))
+
+
+def s_mbar(
+    mbar: int, oset: OrderSet, cache: FactorCache, orders: OrderTable
+) -> dict[int, int]:
+    """The finite stratum set S_mbar as {p: e_p}, the union of the primitive
+    classes of the realized divisors of mbar; each class is registered in
+    orders."""
+    out: dict[int, int] = {}
+    for d in _realized_divisors(mbar, oset):
+        out.update(primitive_primes(d, cache, orders))
+    return out
+
+
 def _removal_exponents(
     n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
 ) -> dict[int, int]:
-    """{p: ord_p(2^n - 1)} over the members of S that divide 2^n - 1."""
-    out: dict[int, int] = {}
+    """{p: ord_p(2^n - 1)} over the members p of S that may divide 2^n - 1:
+    all of a finite S, the stratum S_n of an induced one."""
     if isinstance(pset, ExplicitFinitePrimes):
-        for p in pset.primes:
-            m = orders.order(p)
-            if n % m == 0:
-                out[p] = orders.exponent(p) + ord_p(n, p)
-        return out
+        return {p: ord_p_mersenne(p, n, orders) for p in pset.primes}
     if isinstance(pset, InducedPrimes):
         if cache is None:
             raise ContractError("mertens-engine: induced sets need a factor cache")
-        return {p: e + ord_p(n, p)
-                for p, e in s_mbar(n, pset.order_set, cache, orders).items()}
+        return {p: ord_p_mersenne(p, n, orders)
+                for p in s_mbar(n, pset.order_set, cache, orders)}
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
@@ -224,8 +245,8 @@ def dominant_sum(
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")
     member = oset.indicator(n_max)
+    member[0] = True  # the indicator is ours, and 0 is no term
     keep = np.flatnonzero(~member)
-    keep = keep[keep >= 1]
     samples = [(g, Fraction(acc, _SCALE))
                for g, acc in zip(grid, _harmonic_fixed_point(keep, grid))]
     return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
@@ -265,15 +286,6 @@ def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class StratumContribution:
-    mbar: int
-    weight: Fraction  # |2^mbar - 1|_{S_mbar} / mbar
-    inner_sum: Fraction  # sum of |j|_{S_mbar} / j over the stratum
-    contribution: Fraction
-    terms: int
-
-
 def _lcm_closure(gens: list[int], limit: int) -> list[int]:
     closed = {1}
     frontier = [g for g in gens if g <= limit]
@@ -291,8 +303,9 @@ def decompose_lcm_closed(
     oset: OrderSet,
     orders: OrderTable | None = None,
     cache: FactorCache | None = None,
-) -> tuple[MertensSeries, list[StratumContribution]]:
-    """F_S(N) assembled stratum by stratum over the lcm-closure of the orders.
+) -> tuple[MertensSeries, list[int]]:
+    """F_S(N) assembled stratum by stratum over the lcm-closure of the orders,
+    and the sorted strata mbar.
 
     Each n is charged to the stratum of mbar_n = lcm of the realized orders
     dividing n; writing n = mbar * j turns the term into
@@ -303,7 +316,7 @@ def decompose_lcm_closed(
     if cache is None:
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
-    grid = _sample_grid(n_max, None)
+    grid = set(_sample_grid(n_max, None))
 
     if isinstance(oset, ExplicitList):
         # A finite explicit list is replaced by its lcm closure: the strata
@@ -313,24 +326,22 @@ def decompose_lcm_closed(
         mbars = _lcm_closure(gens, n_max)
         effective = ExplicitList(mbars)
     elif oset.closed_under_lcm:
-        gens = [m for m in oset.generating_orders(n_max) if m not in (1, 6)]
-        mbars = sorted(set(gens) | {1})
+        # Each member is its own stratum, and so is 6 = lcm(2, 3) when 2 and
+        # 3 are members, though no prime has order 6.
+        mbars = sorted({1} | {mbar_of(m, oset)
+                              for m in oset.generating_orders(n_max)})
         effective = oset
     else:
         raise ContractError(
             "mertens-engine: order set must be lcm-closed (or an explicit list)"
         )
 
-    events: list[tuple[int, Fraction]] = []
-    breakdown: list[StratumContribution] = []
+    terms: dict[int, Fraction] = {}
     for mbar in mbars:
         stratum = s_mbar(mbar, effective, cache, orders)
         denom = mbar
-        for p, e_p in stratum.items():
-            denom *= p ** (e_p + ord_p(mbar, p))
-        weight = Fraction(1, denom)
-        inner = Fraction(0)
-        terms = 0
+        for p in stratum:
+            denom *= p ** ord_p_mersenne(p, mbar, orders)
         for j in range(1, n_max // mbar + 1):
             n = mbar * j
             if mbar_of(n, effective) != mbar:
@@ -338,30 +349,16 @@ def decompose_lcm_closed(
             val = 1
             for p in stratum:
                 val *= p ** ord_p(j, p)
-            t = Fraction(1, j * val)
-            inner += t
-            events.append((n, weight * t))
-            terms += 1
-        breakdown.append(
-            StratumContribution(
-                mbar=mbar,
-                weight=weight,
-                inner_sum=inner,
-                contribution=weight * inner,
-                terms=terms,
-            )
-        )
-    events.sort(key=lambda e: e[0])
+            terms[n] = Fraction(1, denom * j * val)
     samples = []
     acc = Fraction(0)
-    pos = 0
-    for g in grid:
-        while pos < len(events) and events[pos][0] <= g:
-            acc += events[pos][1]
-            pos += 1
-        samples.append((g, acc))
+    for n in range(1, n_max + 1):
+        if n in terms:
+            acc += terms[n]
+        if n in grid:
+            samples.append((n, acc))
     series = MertensSeries(label=oset.label(), mode="dominant", samples=samples)
-    return series, breakdown
+    return series, mbars
 
 
 def f_series_direct(

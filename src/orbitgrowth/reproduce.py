@@ -1,7 +1,7 @@
 """Desk-scale reproduction recipes, one per headline result.
 
-Each recipe takes the same optional (cache, orders) pair (recipes that
-need no factorizations ignore it), runs a fixed, documented configuration
+Each recipe takes the same optional factor cache (recipes that need no
+factorizations ignore it), runs a fixed, documented configuration
 and returns a CriterionResult with pass/fail, elapsed time and detail
 lines.  The CLI `reproduce --theorem NAME` and the acceptance test suite
 both dispatch here, so there is a single source of truth for every
@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import OrderTable
 from .constants import (
     greedy_L,
     rn_recursion,
@@ -52,18 +51,16 @@ class CriterionResult:
         return out
 
 
-def check_dense(cache: FactorCache | None = None,
-                orders: OrderTable | None = None) -> CriterionResult:
+def check_dense(cache: FactorCache | None = None) -> CriterionResult:
     """Greedy order selection terminates inside [k, k+eps) for two targets,
     with the one-prime lower bound holding at every candidate."""
     t0 = time.monotonic()
     cache = cache or FactorCache()
-    orders = orders or OrderTable()
     details = []
     ok = True
     for k, eps in ((Fraction(9, 10), Fraction(1, 20)),
                    (Fraction(3, 4), Fraction(1, 10))):
-        trace = greedy_L(k, eps, cache, orders)
+        trace = greedy_L(k, eps, cache)
         window = k <= trace.k_final < k + eps
         steps_ok = True
         k_before = Fraction(1)
@@ -85,8 +82,7 @@ def check_dense(cache: FactorCache | None = None,
 ONTO_GRID = (10**4, 31623, 10**5, 316228, 10**6)
 
 
-def check_onto(cache: FactorCache | None = None,
-               orders: OrderTable | None = None) -> CriterionResult:
+def check_onto(cache: FactorCache | None = None) -> CriterionResult:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
     t0 = time.monotonic()
     series = dominant_sum(10**6, MultiplesOf(ells=[3]), grid=list(ONTO_GRID))
@@ -98,8 +94,7 @@ def check_onto(cache: FactorCache | None = None,
     )
 
 
-def check_loglog(cache: FactorCache | None = None,
-                 orders: OrderTable | None = None) -> CriterionResult:
+def check_loglog(cache: FactorCache | None = None) -> CriterionResult:
     """Prime-harmonic dominant sum minus loglog N settles at the oracle
     constant: tail oscillation < 1e-3 and limit within 1e-3 of 0.26149.
 
@@ -124,8 +119,7 @@ def check_loglog(cache: FactorCache | None = None,
     )
 
 
-def check_logdelta(cache: FactorCache | None = None,
-                   orders: OrderTable | None = None) -> CriterionResult:
+def check_logdelta(cache: FactorCache | None = None) -> CriterionResult:
     """Squarefree-augmented orders over primes = 1 mod 3: classified as
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
@@ -147,15 +141,13 @@ def check_logdelta(cache: FactorCache | None = None,
 ZERO_GRID = (10, 20, 40, 60, 80, 90, 95, 100, 105, 110, 115, 120)
 
 
-def check_zero(cache: FactorCache | None = None,
-               orders: OrderTable | None = None) -> CriterionResult:
+def check_zero(cache: FactorCache | None = None) -> CriterionResult:
     """Exact Mertens series for S = {p : 3 does not divide m_p} is bounded;
     tail Cauchy oscillation below 1e-2."""
     t0 = time.monotonic()
     cache = cache or FactorCache()
-    orders = orders or OrderTable()
     s = InducedPrimes(ComplementMultiplesOf(3))
-    series = mertens_exact(120, s, orders, cache)
+    series = mertens_exact(120, s, cache=cache)
     sub = [(n, float(v)) for n, v in series.samples if n in ZERO_GRID]
     rep = classify_growth(sub)
     ok = rep.model == "bounded" and rep.residual < 1e-2
@@ -166,8 +158,7 @@ def check_zero(cache: FactorCache | None = None,
     )
 
 
-def check_transcendental(cache: FactorCache | None = None,
-                         orders: OrderTable | None = None) -> CriterionResult:
+def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
     """The ell = 3 order-power series: exact convergents with a rigorous
     tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
     t0 = time.monotonic()
@@ -202,8 +193,7 @@ def check_transcendental(cache: FactorCache | None = None,
     )
 
 
-def check_section9(cache: FactorCache | None = None,
-                   orders: OrderTable | None = None) -> CriterionResult:
+def check_section9(cache: FactorCache | None = None) -> CriterionResult:
     """Interval recursion: idealized mode has the exact closed form; the
     perturbed mode passes all three invariants for every extremal sign
     pattern at delta = 1/2, Y = 50, n <= 40."""
@@ -244,10 +234,9 @@ THEOREMS = {
 }
 
 
-def run_theorem(name: str, cache: FactorCache | None = None,
-                orders: OrderTable | None = None) -> CriterionResult:
+def run_theorem(name: str, cache: FactorCache | None = None) -> CriterionResult:
     try:
         fn = THEOREMS[name]
     except KeyError:
         raise ContractError(f"cli: unknown theorem {name!r}") from None
-    return fn(cache, orders)
+    return fn(cache)

@@ -1,4 +1,4 @@
-"""Declarative order sets M and prime sets S, and the S <-> M correspondence.
+"""Declarative order sets M and prime sets S: membership and density.
 
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
@@ -9,7 +9,8 @@ testing when a spec is loaded (order_set_from_json, prime_set_from_json);
 a flag claimed False is not tested, and sets built in code are trusted.
 A claimed flag's pairs are drawn in bulk and tested at once by each kind's
 _members on exponent rows; the first 64 pairs are cross-checked by the
-scalar _member.
+scalar _member.  The lcm strata that exact sums build over an order set,
+and the factor cache they need, belong to mertens.
 
 JSON wire forms (the single schema used by the CLI):
 
@@ -29,14 +30,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, OrderTable, divisors,
-                    factorize, is_prime_power, is_probable_prime, mult_order,
-                    mult_orders, prime_flags, sieve_primes, small_prime_table)
+from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, factorize, is_prime_power,
+                    is_probable_prime, mult_order, mult_orders, ord_p,
+                    prime_flags, sieve_primes, small_prime_table)
 from .errors import CapacityError, ContractError, InvariantViolation
-from .mersenne import FactorCache, primitive_primes
 
 CLOSURE_PAIRS = 10**4
 CLOSURE_BOUND = 10**5
@@ -663,13 +664,14 @@ class OmegaBounded(OrderSet):
             raise ContractError("prime-sets: omega_bounded needs r >= 1, m >= 1")
         self.r = int(r)
         self.ell_set = ell_set
+        # m is never factored: it may be a product of large primes, and only
+        # its primes up to a limit, or those of a given n, matter.
         self.m = int(m)
-        self._m_fac = factorize(self.m)
 
     def _member(self, n, fac):
         omega_q = 0
         for p, e in fac.items():
-            eq = e - min(e, self._m_fac.get(p, 0))
+            eq = e - min(e, ord_p(self.m, p))
             if eq:
                 if not self.ell_set.contains_prime(p):
                     return True
@@ -677,13 +679,32 @@ class OmegaBounded(OrderSet):
         return omega_q > self.r
 
     def _members(self, n, primes, exps):
-        in_m, top = np.zeros(exps.shape, dtype=np.int64), int(primes.max(initial=0))
-        for p, e in self._m_fac.items():
-            if p <= top:
-                in_m[primes == p] = e
+        in_m = np.zeros(exps.shape, dtype=np.int64)
+        for p in np.unique(primes[primes > 0]).tolist():
+            if self.m % p == 0:
+                in_m[primes == p] = ord_p(self.m, p)
         q_exps = exps - np.minimum(exps, in_m)
         outside = (q_exps > 0) & ~_in_source(self.ell_set, primes)
         return (q_exps.sum(axis=1) > self.r) | outside.any(axis=1)
+
+    def _m_prime_powers(self, limit: int) -> dict[int, int]:
+        """{p: ord_p(m)} over the primes p <= limit of m, by trial division
+        that stops once what is left of m is 1.  The primes past the small
+        table are sieved only when m has a prime factor past it."""
+        small = small_prime_table()
+
+        def beyond():
+            lo = small.limit + 1
+            yield from (np.flatnonzero(prime_mask(limit)[lo:]) + lo).tolist()
+
+        out, rest = {}, self.m
+        for p in chain(small.primes.tolist(), beyond()):
+            if rest == 1 or p > limit:
+                break
+            if rest % p == 0:
+                out[p] = e = ord_p(rest, p)
+                rest //= p**e
+        return out
 
     def indicator(self, limit):
         # n is a member iff q = n/gcd(m, n) has more than r prime factors or
@@ -691,10 +712,11 @@ class OmegaBounded(OrderSet):
         # integer array is built, by dividing out the prime powers of m up to
         # the block's end; m itself, which may pass int64, never meets numpy.
         bad = _omega_or_outside(limit, self.r, self.ell_set)
+        m_fac = self._m_prime_powers(limit)
         member = np.empty(limit + 1, dtype=bool)
         for lo in range(0, limit + 1, SIEVE_BLOCK):
             q = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
-            for p, e in self._m_fac.items():
+            for p, e in m_fac.items():
                 pk = p
                 for _ in range(e):
                     if pk >= lo + q.size:
@@ -801,33 +823,7 @@ def prime_set_from_json(obj: dict, seed: int = 0) -> PrimeSet:
 
 
 # ---------------------------------------------------------------------------
-# m-bar machinery and density.
-
-
-def mbar_of(n: int, oset: OrderSet) -> int:
-    """lcm of the realized orders in M dividing n (empty lcm = 1)."""
-    out = 1
-    for d in divisors(n):
-        if d in (1, 6):
-            continue
-        if oset.contains(d):
-            out = out * d // math.gcd(out, d)
-    return out
-
-
-def s_mbar(
-    mbar: int, oset: OrderSet, cache: FactorCache,
-    orders: OrderTable | None = None,
-) -> dict[int, int]:
-    """The finite stratum set S_mbar as {p: e_p}, from primitive classes."""
-    out: dict[int, int] = {}
-    for d in divisors(mbar):
-        if d in (1, 6):
-            continue
-        if oset.contains(d):
-            for p, e in primitive_primes(d, cache, orders):
-                out[p] = e
-    return out
+# Density.
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,8 @@ def test_criterion_07_logdelta_classification():
             res.passed, res.elapsed, 300.0)
 
 
-def test_criterion_08_proposition_zero(cache, orders):
-    res = check_zero(cache, orders)
+def test_criterion_08_proposition_zero(cache):
+    res = check_zero(cache)
     _report(8, "exact series for 3-free orders is bounded, tail Cauchy < 1e-2",
             res.passed, res.elapsed, 300.0)
 
@@ -123,8 +123,8 @@ def test_criterion_09_transcendental_series(cache):
             ok, elapsed, 10.0)
 
 
-def test_criterion_10_dense_greedy(cache, orders):
-    res = check_dense(cache, orders)
+def test_criterion_10_dense_greedy(cache):
+    res = check_dense(cache)
     _report(10, "greedy terminates in [k, k+eps) with the per-step bound, "
                 "both targets", res.passed, res.elapsed, 300.0)
 

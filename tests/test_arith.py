@@ -13,6 +13,7 @@ from orbitgrowth.arith import (
     euler_phi,
     factorize,
     is_prime_power,
+    is_probable_prime,
     moebius,
     mult_order,
     mult_orders,
@@ -21,6 +22,21 @@ from orbitgrowth.arith import (
     sieve_primes,
 )
 from orbitgrowth.errors import CapacityError
+
+
+def mersenne_valuation(p: int, n: int) -> int:
+    """Independent oracle: ord_p(2^n - 1), dividing the big integer out."""
+    value, e = (1 << n) - 1, 0
+    while value % p == 0:
+        value //= p
+        e += 1
+    return e
+
+
+def next_prime_from(n: int) -> int:
+    while not is_probable_prime(n):
+        n += 1
+    return n
 
 
 def trial_division_prime_count(limit: int) -> int:
@@ -213,12 +229,16 @@ class TestValuations:
         primes = [int(p) for p in table_1e6.primes[1:100]]
         for p in primes:
             for n in range(1, 65):
-                value = (1 << n) - 1
-                expect = 0
-                while value % p == 0:
-                    value //= p
-                    expect += 1
-                assert ord_p_mersenne(p, n, orders) == expect
+                assert ord_p_mersenne(p, n, orders) == mersenne_valuation(p, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(3, 999983).map(next_prime_from), n=st.integers(1, 400))
+    @example(p=1093, n=364)  # the Wieferich primes, where e_p = 2
+    @example(p=1093, n=364 * 1093)
+    @example(p=3511, n=1755)
+    @example(p=3511, n=1755 * 3511)
+    def test_big_integer_oracle_on_draws(self, p, n):
+        assert ord_p_mersenne(p, n) == mersenne_valuation(p, n)
 
 
 class TestCyclotomic:

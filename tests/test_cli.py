@@ -20,12 +20,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_cold(*argv):
+def run_cold(*argv, timeout=60):
     """The CLI as a fresh process, as a user runs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "orbitgrowth.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestBasicCommands:
@@ -259,6 +259,25 @@ class TestExitCodes:
             assert code == 0, err
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_omega_bounded_semiprime_m_loads_without_factoring(self, capsys,
+                                                               tmp_path):
+        # Both primes of m exceed 10^10, so below 1000 it divides out nothing
+        # and the set equals the one with m = 1; m itself is never factored,
+        # so the load does not hang in rho (a cold process, with a timeout).
+        specs = []
+        for m in ((10**19 + 51) * (10**20 + 39), 1):
+            specs.append(tmp_path / f"omega{m}.json")
+            specs[-1].write_text(json.dumps({"kind": "induced", "order_set": {
+                "kind": "omega_bounded", "r": 2, "m": m,
+                "ell_set": {"kind": "list", "primes": [3, 5]}}}))
+        proc = run_cold("set-density", "--spec", str(specs[0]), "--limit", "1000",
+                        timeout=15)
+        assert proc.returncode == 0, proc.stderr
+        code, out, err = run(capsys, "set-density", "--spec", str(specs[1]),
+                             "--limit", "1000")
+        assert code == 0, err
+        assert proc.stdout == out
 
     def test_budget_lets_pm1_finish_139(self, capsys, tmp_path):
         # p - 1 finds the factor 5625767248687 of 2^139 - 1 in milliseconds.

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses or imports
-threading, every public definition, method and property has a caller
-outside the tests, and the CLI does not import mpmath, or build the
-Pollard p - 1 exponent, before a command needs it.
+threading, `sets` does not import `mersenne`, every public definition,
+method and property has a caller outside the tests, and the CLI does not
+import mpmath, or build the Pollard p - 1 exponent, before a command needs
+it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -99,11 +100,10 @@ def uncalled(definitions: dict[str, str], callers: list[str]) -> list[str]:
     return sorted(out)
 
 
-# Independent oracles, called only by tests: `ord_p_mersenne` is checked
-# against the big-integer valuation, `cyclotomic_eval2` bounds the
+# Independent oracles, called only by tests: `cyclotomic_eval2` bounds the
 # primitive parts of 2^n - 1, and `euler_phi` gives the exponent of the
 # paper's bound 2^(phi(n) - 2) on both.
-ORACLES = {"arith.ord_p_mersenne", "arith.cyclotomic_eval2", "arith.euler_phi"}
+ORACLES = {"arith.cyclotomic_eval2", "arith.euler_phi"}
 
 
 def test_caller_checker():
@@ -138,22 +138,34 @@ def test_every_public_definition_has_a_caller():
             if name not in ORACLES] == []
 
 
+def imported_modules(path: Path) -> list[tuple[str, int]]:
+    """(module, line) for every module an import statement of the file
+    names; a relative `from .x import y` gives `.x`."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(("." * node.level + (node.module or ""), node.lineno))
+    return out
+
+
 # The package is single-threaded by contract: each process runs one
 # thread, and processes share the factor cache through flock.  A lock
 # would guard against threads that nothing starts.
 def test_no_module_imports_threading():
-    importers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "threading" for m in modules):
-                importers.append(f"{path.name}:{node.lineno}")
-    assert importers == []
+    assert [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for module, line in imported_modules(path)
+            if module.split(".")[0] == "threading"] == []
+
+
+# Membership and density need no factor cache: the lcm strata, which read
+# the factorizations of 2^n - 1, live in `mertens`, so `sets` sits below
+# `mersenne` in the layering and never imports it.
+def test_sets_does_not_import_mersenne():
+    modules = [m for m, _ in imported_modules(PACKAGE / "sets.py")]
+    assert ".arith" in modules
+    assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
 
 
 def test_cli_import_leaves_mpmath_unloaded():

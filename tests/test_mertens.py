@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitgrowth.arith import SIEVE_CAPACITY, divisors
+from orbitgrowth.arith import SIEVE_CAPACITY, OrderTable, divisors, is_probable_prime
 from orbitgrowth.errors import CapacityError, ContractError
 from orbitgrowth.mertens import (
     _CHUNK,
@@ -17,10 +17,12 @@ from orbitgrowth.mertens import (
     default_grid,
     dominant_sum,
     f_series_direct,
+    mbar_of,
     mertens_exact,
     orbit_count,
     periodic_points,
     remainder_bounds,
+    s_mbar,
 )
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
@@ -30,8 +32,10 @@ from orbitgrowth.sets import (
     ExplicitList,
     InducedPrimes,
     MultiplesOf,
-    mbar_of,
 )
+
+
+ODD_PRIMES_BELOW_200 = [p for p in range(3, 200) if is_probable_prime(p)]
 
 
 def necklace_orbit_count(n: int) -> int:
@@ -112,6 +116,15 @@ class TestOrbitCounts:
                     d * orbit_count(d, s, orders, cache) for d in divisors(n)
                 )
                 assert total == periodic_points(n, s, orders, cache)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.lists(st.sampled_from(ODD_PRIMES_BELOW_200), max_size=6,
+                      unique=True),
+           n=st.integers(1, 120))
+    def test_moebius_round_trip_on_random_finite_sets(self, s, n):
+        orders = OrderTable()
+        total = sum(d * orbit_count(d, s, orders) for d in divisors(n))
+        assert total == periodic_points(n, s, orders)
 
 
 class TestMertensExact:
@@ -263,14 +276,14 @@ class TestSeriesDomain:
 class TestDecomposition:
     def test_ell_powers_matches_direct(self, orders, cache):
         oset = EllPowers(3)
-        series, breakdown = decompose_lcm_closed(120, oset, orders, cache)
+        series, strata = decompose_lcm_closed(120, oset, orders, cache)
         direct = f_series_direct(120, InducedPrimes(oset), orders, cache)
         assert series.samples == direct.samples
-        assert [b.mbar for b in breakdown] == [1, 3, 9, 27, 81]
+        assert strata == [1, 3, 9, 27, 81]
 
     def test_complement_strata_are_ell_power_fibres(self, orders, cache):
         oset = ComplementMultiplesOf(3)
-        series, breakdown = decompose_lcm_closed(100, oset, orders, cache)
+        series, _ = decompose_lcm_closed(100, oset, orders, cache)
         direct = f_series_direct(100, InducedPrimes(oset), orders, cache)
         assert series.samples == direct.samples
         # each stratum fibre {n : mbar_n = m} is {m * 3^e}
@@ -282,10 +295,21 @@ class TestDecomposition:
                 q //= 3
             assert q == 1
 
+    @pytest.mark.parametrize("oset", [MultiplesOf(ells=[2, 3]), MultiplesOf(ells=[6]),
+                                      CompositeNumbers()],
+                             ids=["2_and_3", "6_alone", "composite"])
+    def test_stratum_6_exactly_when_2_and_3_are_members(self, oset, orders, cache):
+        # n = 6 realizes the orders 2 and 3 but no prime has order 6, so 6
+        # is a stratum of its own only when 2 and 3 are both members.
+        series, strata = decompose_lcm_closed(60, oset, orders, cache)
+        direct = f_series_direct(60, InducedPrimes(oset), orders, cache)
+        assert series.samples == direct.samples
+        assert (6 in strata) == (oset.contains(2) and oset.contains(3))
+
     def test_explicit_list_closure_and_slope(self, orders, cache):
         oset = ExplicitList([2, 3])
-        series, breakdown = decompose_lcm_closed(1000, oset, orders, cache)
-        assert [b.mbar for b in breakdown] == [1, 2, 3, 6]
+        series, strata = decompose_lcm_closed(1000, oset, orders, cache)
+        assert strata == [1, 2, 3, 6]
         direct = f_series_direct(1000, ExplicitFinitePrimes([3, 7]), orders, cache)
         assert series.samples == direct.samples
         assert [n for n, _ in series.samples] == default_grid(1000)
@@ -316,6 +340,19 @@ class TestDecomposition:
 
         with pytest.raises(ContractError):
             decompose_lcm_closed(100, PrimeNumbers(), orders, cache)
+
+
+class TestMbar:
+    def test_explicit(self):
+        assert mbar_of(12, ExplicitList([2, 3])) == 6
+
+    def test_coprime_gives_unit(self):
+        assert mbar_of(35, ExplicitList([2, 3])) == 1
+
+    def test_ell_powers(self, orders, cache):
+        oset = EllPowers(3)
+        assert mbar_of(18, oset) == 9
+        assert s_mbar(9, oset, cache, orders) == {7: 1, 73: 1}
 
 
 class TestRemainderBounds:

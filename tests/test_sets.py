@@ -28,10 +28,8 @@ from orbitgrowth.sets import (
     PrimeNumbers,
     SquarefreeAugmented,
     estimate_density,
-    mbar_of,
     order_set_from_json,
     prime_set_from_json,
-    s_mbar,
     prime_mask,
     squarefree_mask,
     verify_closure_flags,
@@ -555,19 +553,6 @@ class TestCorrespondence:
                 m for m in values if primitive_primes(m, cache)
             ]
             assert realized == [m for m in values if m not in (1, 6)]
-
-
-class TestMbar:
-    def test_explicit(self):
-        assert mbar_of(12, ExplicitList([2, 3])) == 6
-
-    def test_coprime_gives_unit(self):
-        assert mbar_of(35, ExplicitList([2, 3])) == 1
-
-    def test_ell_powers(self, cache):
-        oset = EllPowers(3)
-        assert mbar_of(18, oset) == 9
-        assert set(s_mbar(9, oset, cache)) == {7, 73}
 
 
 class TestDensity:
