@@ -3,8 +3,11 @@
 Primes and least-factor sieves, multiplicative orders of 2, Möbius and
 totient, p-adic valuations, and cyclotomic values Phi_n(2).  Everything
 here is exact integer arithmetic; numpy is used only inside the sieves.
-Tables are immutable once built.  The package runs in one thread per
-process, so the module-level tables and the OrderTable memo hold no locks.
+The least-factor table covers odd n only, as uint16 with 0 at primes, and
+only PrimeTable reads it.  Tables are immutable once built.  The package
+runs in one thread per process, so the module-level tables and the
+OrderTable memo hold no locks.  Factoring past the small table runs under
+the FACTORIZE_BUDGET deadline.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from .errors import BudgetError, CapacityError, InvariantViolation
 SIEVE_CAPACITY = 10**8
 SIEVE_BLOCK = 2**20
 ORDER_CHUNK = 2**16
+
+# The least factor of a composite n <= SIEVE_CAPACITY is at most its square
+# root, which the uint16 least-factor table must hold.
+if math.isqrt(SIEVE_CAPACITY) >= 2**16:
+    raise InvariantViolation("core-arith: SIEVE_CAPACITY puts least factors past uint16")
 
 # Deterministic Miller-Rabin bases.  The first 13 prime bases are a proven
 # witness set below 3.3e24; the remaining bases (40 fixed odd-prime bases in
@@ -80,24 +88,43 @@ def primality_certified(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to `limit` plus a least-prime-factor array."""
+    """Primes up to `limit` plus a least-prime-factor table of the odd n.
+
+    Entry i of `smallest_factor` (uint16) is for n = 2i + 1, i in
+    [0, (limit - 1) // 2]: the least prime factor of an odd composite n,
+    and 0 at a prime and at n = 1.  Every even n has least factor 2.
+    """
 
     limit: int
-    primes: np.ndarray
-    smallest_factor: np.ndarray  # index n in [0, limit], 0 at 0 and 1
+    primes: np.ndarray  # int64, ascending from 2
+    smallest_factor: np.ndarray
 
     def least_factor(self, n: int) -> int:
         if n < 2 or n > self.limit:
             raise CapacityError(f"core-arith: {n} outside table range [2, {self.limit}]")
-        return int(self.smallest_factor[n])
+        if n % 2 == 0:
+            return 2
+        return int(self.smallest_factor[n >> 1]) or n
+
+    def least_factors(self, x: np.ndarray) -> np.ndarray:
+        """least_factor of every x in [2, limit], in x's integer dtype."""
+        f = self.smallest_factor[(x - 1) >> 1].astype(x.dtype)
+        prime = f == 0
+        f[prime] = x[prime]
+        f[x & 1 == 0] = 2
+        return f
 
     def factorize(self, n: int) -> dict[int, int]:
         """Factor n by repeated least-factor lookup. Requires 1 <= n <= limit."""
         if n < 1 or n > self.limit:
             raise CapacityError(f"core-arith: {n} outside table range [1, {self.limit}]")
         out: dict[int, int] = {}
+        e = (n & -n).bit_length() - 1
+        if e:
+            out[2] = e
+            n >>= e
         while n > 1:
-            p = int(self.smallest_factor[n])
+            p = int(self.smallest_factor[n >> 1]) or n
             e = 0
             while n % p == 0:
                 n //= p
@@ -117,11 +144,14 @@ def prime_flags(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Least-factor sieve of [2, limit], walked in blocks of SIEVE_BLOCK.
+    """Least-factor sieve of the odd n <= limit, walked in blocks of
+    SIEVE_BLOCK entries (2 * SIEVE_BLOCK integers).
 
-    In each block the primes up to sqrt(limit) write themselves over their
-    multiples in descending order, so the least factor is written last;
-    entries no prime reaches are primes and take their own value.
+    In each block the odd primes up to sqrt(limit) write themselves over
+    their odd multiples in descending order, so the least factor is written
+    last; entries no prime reaches stay 0 and are primes (or n = 1).  The
+    prime count is taken block by block, so `primes` is allocated once at
+    its final size and filled in a second walk.
     """
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
@@ -129,24 +159,31 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(
             f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
-    base = np.flatnonzero(prime_flags(math.isqrt(limit)))[::-1].tolist()
-    spf = np.empty(limit + 1, dtype=np.int32)
-    found = []
-    for lo in range(0, limit + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, limit + 1)
+    base = np.flatnonzero(prime_flags(math.isqrt(limit)))[:0:-1].tolist()  # odd, descending
+    size = (limit - 1) // 2 + 1
+    spf = np.empty(size, dtype=np.uint16)
+    count = 0  # entries left at 0: the odd primes and n = 1
+    for lo in range(0, size, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, size)
         block = spf[lo:hi]
         block[:] = 0
         for p in base:
-            start = max(p * p, -(-lo // p) * p)
+            start = (p * p) >> 1  # the index of p * p
+            if start < lo:
+                start = lo + (start - lo) % p
             if start < hi:
                 block[start - lo :: p] = p
-        primes = np.flatnonzero(block == 0) + lo
+        count += block.size - np.count_nonzero(block)
+    primes = np.empty(count, dtype=np.int64)  # 2, then the odd primes
+    primes[0] = 2
+    k = 1
+    for lo in range(0, size, SIEVE_BLOCK):
+        odd = np.flatnonzero(spf[lo : lo + SIEVE_BLOCK] == 0)
         if lo == 0:
-            primes = primes[2:]  # 0 and 1 keep the value 0
-        block[primes - lo] = primes
-        found.append(primes)
-    return PrimeTable(limit=limit, primes=np.concatenate(found),
-                      smallest_factor=spf)
+            odd = odd[1:]  # n = 1
+        primes[k : k + odd.size] = 2 * (odd + lo) + 1
+        k += odd.size
+    return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
 
 
 # Shared small table for factoring moderate integers without re-sieving,
@@ -203,6 +240,10 @@ def _brent_rho(n: int, deadline: float) -> int:
     raise InvariantViolation(f"core-arith: rho failed to split {n}")  # pragma: no cover
 
 
+# Seconds that factorize may spend splitting what trial division leaves;
+# past it, BudgetError.  The same 10 s as the `factor --budget` default.
+FACTORIZE_BUDGET = 10.0
+
 # Stage-1 bound of Pollard's p - 1 method.  The exponent E it gives (14447
 # bits) is built on the first call, never at import.
 PM1_BOUND = 10**4
@@ -236,7 +277,11 @@ def _check_deadline(deadline: float, n: int) -> None:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Full factorization of n >= 1 by trial division then rho splitting."""
+    """Full factorization of n >= 1 by trial division then rho splitting.
+
+    The splitting runs under a deadline FACTORIZE_BUDGET seconds away; past
+    it, BudgetError.
+    """
     global _small_primes
     if n < 1:
         raise ValueError(f"core-arith: cannot factor {n}")
@@ -256,6 +301,7 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
+    deadline = time.monotonic() + FACTORIZE_BUDGET
     stack = [n]
     while stack:
         m = stack.pop()
@@ -266,7 +312,7 @@ def factorize(n: int) -> dict[int, int]:
         if root * root == m:
             stack.extend((root, root))
             continue
-        d = _brent_rho(m, math.inf)
+        d = _brent_rho(m, deadline)
         stack.extend((d, m // d))
     return out
 
@@ -328,35 +374,38 @@ def mult_order(p: int) -> int:
 def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
     """m_p for every p of an array of odd primes <= table.limit, as int64.
 
-    p-1 is factored by gathering table.smallest_factor; for each prime q
-    with q^a || p-1 the exponent drops to m/q^a and climbs back by factors
-    of q while 2^m != 1 mod p.  Products of residues below p < 2^32 fit in
-    uint64, so the arithmetic is exact.  Works through ORDER_CHUNK primes at
-    a time to keep the temporaries small.
+    p-1 is factored by its lowest set bit, then by table.least_factors; for
+    each prime q with q^a || p-1 the exponent drops to m/q^a and climbs back
+    by factors of q while 2^m != 1 mod p.  Products of residues below
+    p < 2^32 fit in uint64, so the arithmetic is exact.  Works through
+    ORDER_CHUNK primes at a time to keep the temporaries small.
     """
     if table.limit >= 2**32:
         raise CapacityError(f"core-arith: bulk orders need a table below 2^32, "
                             f"got {table.limit}")
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size and (primes.min() < 3 or primes.max() > table.limit
-                        or np.any(table.smallest_factor[primes] != primes)):
+                        or np.any(table.least_factors(primes) != primes)):
         raise ValueError("core-arith: mult_orders needs odd primes within the table")
     out = np.empty(primes.size, dtype=np.int64)
     for lo in range(0, primes.size, ORDER_CHUNK):
         chunk = primes[lo : lo + ORDER_CHUNK].astype(np.uint64)
-        out[lo : lo + ORDER_CHUNK] = _orders_of_chunk(chunk, table.smallest_factor)
+        out[lo : lo + ORDER_CHUNK] = _orders_of_chunk(chunk, table)
     return out
 
 
-def _orders_of_chunk(p: np.ndarray, spf: np.ndarray) -> np.ndarray:
+def _orders_of_chunk(p: np.ndarray, table: PrimeTable) -> np.ndarray:
     """mult_orders of one chunk of primes, given as uint64."""
-    m = p - 1  # a multiple of m_p whose handled primes are exact
-    rest = m.copy()  # the part of p-1 whose primes are not yet handled
-    todo = np.arange(p.size)  # the positions where rest > 1
+    # 2^a || p-1 is the lowest set bit of p-1.
+    m = p - 1
+    two = m & (~m + 1)
+    m = _climb(m, p, np.full_like(p, 2), two, np.bitwise_count(two - 1))
+    rest = (p - 1) // two  # the part of p-1 whose primes are not yet handled
+    todo = np.flatnonzero(rest > 1)  # the positions where rest > 1
     while todo.size:
         # q is the least prime of rest; strip q^a || rest.
         r = rest[todo]
-        q = spf[r].astype(np.uint64)
+        q = table.least_factors(r)
         qa = np.ones_like(q)
         a = np.zeros(r.size, dtype=np.int64)
         div = np.arange(r.size)
@@ -366,16 +415,25 @@ def _orders_of_chunk(p: np.ndarray, spf: np.ndarray) -> np.ndarray:
             a[div] += 1
             div = div[r[div] % q[div] == 0]
         rest[todo] = r
-        # Drop q^a from m, then restore factors of q while 2^m != 1 mod p.
-        pt, mt = p[todo], m[todo] // qa
-        up = np.flatnonzero(_pow2_mod(mt, pt) != 1)
-        while up.size:
-            mt[up] *= q[up]
-            a[up] -= 1
-            up = up[a[up] > 0]
-            up = up[_pow2_mod(mt[up], pt[up]) != 1]
-        m[todo] = mt
+        m[todo] = _climb(m[todo], p[todo], q, qa, a)
         todo = todo[r > 1]
+    return m
+
+
+def _climb(m: np.ndarray, p: np.ndarray, q: np.ndarray, qa: np.ndarray,
+           a: np.ndarray) -> np.ndarray:
+    """m is a multiple of m_p with q^a || m.  Drops q^a from m, then restores
+    factors of q while 2^m != 1 mod p.  One ladder gives x = 2^(m/q^a) mod p,
+    and each restore steps x to x^q, a ladder over q alone."""
+    m = m // qa
+    x = _pow2_mod(m, p)
+    up = np.flatnonzero(x != 1)
+    while up.size:
+        m[up] *= q[up]
+        a[up] -= 1
+        up = up[a[up] > 0]  # with q^a back in m, 2^m = 1 mod p
+        x[up] = _pow_mod(x[up], q[up], p[up])
+        up = up[x[up] != 1]
     return m
 
 
@@ -390,6 +448,17 @@ def _pow2_mod(exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         out %= mod
         out <<= (exp >> np.uint64(k)) & np.uint64(1)
         out -= mod * (out >= mod)
+    return out
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp % mod elementwise in uint64, for base < mod < 2^32."""
+    out = np.ones_like(mod)
+    for k in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
+        out *= out
+        out %= mod
+        bit = (exp >> np.uint64(k)) & np.uint64(1) == 1
+        out[bit] = out[bit] * base[bit] % mod[bit]
     return out
 
 

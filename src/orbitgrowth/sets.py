@@ -260,17 +260,17 @@ def _check_pairs(oset, pool, rng, mode) -> tuple[int, int] | None:
 def _factor_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each x in [1, CLOSURE_BOUND] as one row of primes (int32, ascending)
     and one of their exponents (int8), 0-padded at the end."""
-    spf = small_prime_table().smallest_factor
+    table = small_prime_table()
     primes = np.zeros((x.size, _ROW_WIDTH), dtype=np.int32)
     exps = np.zeros((x.size, _ROW_WIDTH), dtype=np.int8)
     # Peel one least factor per step off the rows not yet at 1; a row moves
     # to its next column when its least factor changes.
     rows = np.flatnonzero(x > 1)
     rem = x[rows]
-    last = spf[rem]
+    last = table.least_factors(rem)
     col = np.zeros(rows.size, dtype=np.intp)
     while rows.size:
-        p = spf[rem]
+        p = table.least_factors(rem)
         col += p != last
         primes[rows, col] = p
         exps[rows, col] += 1

@@ -73,22 +73,29 @@ def least_factor_reference(limit: int) -> np.ndarray:
 
 
 class TestSieve:
-    @pytest.mark.parametrize("limit", [2, 3, 4, SIEVE_BLOCK - 1, SIEVE_BLOCK,
-                                       SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7])
+    # Blocks hold SIEVE_BLOCK odd n, so their edges sit at n = 2 k SIEVE_BLOCK;
+    # 4 SIEVE_BLOCK + 7 and + 8 end just past the second edge, odd and even.
+    # SIEVE_BLOCK - 1 to + 1 and 3 SIEVE_BLOCK + 7 end inside a block.
+    @pytest.mark.parametrize("limit", [2, 3, 4, 9, 10, 11, SIEVE_BLOCK - 1,
+                                       SIEVE_BLOCK, SIEVE_BLOCK + 1,
+                                       2 * SIEVE_BLOCK - 1, 2 * SIEVE_BLOCK,
+                                       2 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7,
+                                       4 * SIEVE_BLOCK + 7, 4 * SIEVE_BLOCK + 8])
     def test_least_factor_across_blocks(self, limit):
         table = sieve_primes(limit)
         spf = table.smallest_factor
-        assert spf.dtype == np.int32 and table.primes.dtype == np.int64
-        assert spf.shape == (limit + 1,)
-        assert spf[:2].tolist() == [0, 0]
-        # Scalar trial division on every n near a block edge and the top.
-        edges = list(range(0, limit + 1, SIEVE_BLOCK)) + [limit]
-        probe = {n for edge in edges for n in range(edge - 200, edge + 40)}
-        for n in sorted(n for n in probe if 2 <= n <= limit):
-            assert spf[n] == least_factor_by_trial_division(n), n
-        assert np.array_equal(spf, least_factor_reference(limit))
+        assert spf.dtype == np.uint16 and table.primes.dtype == np.int64
+        assert spf.shape == ((limit - 1) // 2 + 1,)
         n = np.arange(2, limit + 1)
-        assert np.array_equal(table.primes, n[spf[2:] == n])
+        least = table.least_factors(n)
+        # Scalar trial division on every n near a block edge and the top.
+        edges = list(range(0, limit + 1, 2 * SIEVE_BLOCK)) + [limit]
+        probe = {k for edge in edges for k in range(edge - 200, edge + 40)}
+        for k in sorted(k for k in probe if 2 <= k <= limit):
+            expect = least_factor_by_trial_division(k)
+            assert least[k - 2] == expect and table.least_factor(k) == expect, k
+        assert np.array_equal(least, least_factor_reference(limit)[2:])
+        assert np.array_equal(table.primes, n[least == n])
 
     def test_small(self):
         assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
@@ -176,6 +183,19 @@ class TestMultOrders:
 
     def test_empty(self, table_1e6):
         assert mult_orders(np.array([], dtype=np.int64), table_1e6).size == 0
+
+    def test_two_strip_and_climb(self, table_1e6):
+        # 65537 = 2^16 + 1 and 40961 = 5 * 2^13 + 1 take a long 2-strip;
+        # 163 = 2 * 3^4 + 1 and 1459 = 2 * 3^6 + 1 a long climb in q = 3.
+        # Then seeded primes p = 1 mod 8 and p = 1 mod 9 below 10^6.
+        odd = table_1e6.primes[1:]
+        rng = np.random.default_rng(13)
+        drawn = [65537, 40961, 163, 1459]
+        for mod in (8, 9):
+            pool = odd[odd % mod == 1]
+            drawn += rng.choice(pool, size=200, replace=False).tolist()
+        bulk = mult_orders(np.array(drawn, dtype=np.int64), table_1e6)
+        assert bulk.tolist() == [mult_order(p) for p in drawn]
 
     @pytest.mark.parametrize("bad", [[2], [9], [4], [1000003]])
     def test_domain(self, table_1e6, bad):

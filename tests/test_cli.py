@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import orbitgrowth
+from orbitgrowth import arith
 from orbitgrowth.arith import mult_order, sieve_primes
 from orbitgrowth.cli import main
 
@@ -293,6 +294,20 @@ class TestExitCodes:
                            "factor", "--exponent", "137", "--budget", "1")
         assert code == 4
         assert any(ln.startswith("partial: ") for ln in err.splitlines())
+
+    # P - 1 = 2 * 5 * 7 * (10^19 + 51) * (10^20 + 39): after trial division
+    # rho is left with two 64-bit primes, far past any deadline.
+    TWO_LARGE_FACTORS = "70000000000000000384300000000000000139231"
+
+    @pytest.mark.parametrize("argv", [["order", "--prime", TWO_LARGE_FACTORS],
+                                      ["k-exact", "--set", TWO_LARGE_FACTORS]])
+    def test_factorize_deadline_is_4(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(arith, "FACTORIZE_BUDGET", 0.2)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert "deadline passed" in err
+        assert time.monotonic() - t0 < 2.0
 
     def test_wrongly_typed_spec_field_is_2(self, capsys, tmp_path):
         spec = tmp_path / "typed.json"
