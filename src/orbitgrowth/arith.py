@@ -6,8 +6,10 @@ here is exact integer arithmetic; numpy is used only inside the sieves.
 The least-factor table covers odd n only, as uint16 with 0 at primes, and
 only PrimeTable reads it.  Tables are immutable once built.  The package
 runs in one thread per process, so the module-level tables and the
-OrderTable memo hold no locks.  Factoring past the small table runs under
-the FACTORIZE_BUDGET deadline.
+OrderTable memo hold no locks.  All factoring past the small table, of
+p - 1 here and of 2^m - 1 in `mersenne`, goes through factor_by_trial:
+trial division, then one Pollard p - 1 step and Brent rho per composite
+piece, under a deadline (FACTORIZE_BUDGET seconds by default).
 """
 
 from __future__ import annotations
@@ -207,8 +209,6 @@ def _brent_rho(n: int, deadline: float) -> int:
     are reproducible.  The monotonic clock is checked against `deadline`
     before every batch of at most 128 squarings; past it, BudgetError.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, r, q = 2, 1, 1
         g = 1
@@ -240,8 +240,8 @@ def _brent_rho(n: int, deadline: float) -> int:
     raise InvariantViolation(f"core-arith: rho failed to split {n}")  # pragma: no cover
 
 
-# Seconds that factorize may spend splitting what trial division leaves;
-# past it, BudgetError.  The same 10 s as the `factor --budget` default.
+# Seconds that factorize, and by default factor_mersenne, may spend
+# factoring; past it, BudgetError.
 FACTORIZE_BUDGET = 10.0
 
 # Stage-1 bound of Pollard's p - 1 method.  The exponent E it gives (14447
@@ -276,45 +276,64 @@ def _check_deadline(deadline: float, n: int) -> None:
         raise BudgetError(f"core-arith: deadline passed while splitting {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Full factorization of n >= 1 by trial division then rho splitting.
+def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, int]:
+    """Full factorization of n >= 1 whose prime factors past trial division
+    are odd.
 
-    The splitting runs under a deadline FACTORIZE_BUDGET seconds away; past
-    it, BudgetError.
+    Trial-divides n by the increasing `candidates` while p * p <= n.  Each
+    piece left is tested with is_probable_prime; a composite square becomes
+    its root twice, and any other composite gets one _pollard_pm1 step with
+    multiplier k, then _brent_rho when that does not split it.  Past
+    `deadline`, BudgetError whose `partial` is (factors found so far,
+    composite cofactors left), which multiply to n.
     """
-    global _small_primes
-    if n < 1:
-        raise ValueError(f"core-arith: cannot factor {n}")
     out: dict[int, int] = {}
-    if n == 1:
-        return out
-    table = small_prime_table()
-    if n <= table.limit:
-        return table.factorize(n)
-    if _small_primes is None:
-        _small_primes = table.primes.tolist()
-    for p in _small_primes:
+    for p in candidates:
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
-    deadline = time.monotonic() + FACTORIZE_BUDGET
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+    composites: list[int] = []
+
+    def record(piece: int) -> None:
+        if is_probable_prime(piece):
+            out[piece] = out.get(piece, 0) + 1
+        else:
+            composites.append(piece)
+
+    if n > 1:
+        record(n)
+    while composites:
+        c = composites.pop()
+        root = math.isqrt(c)
+        if root * root == c:
+            record(root)
+            record(root)
             continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend((root, root))
-            continue
-        d = _brent_rho(m, deadline)
-        stack.extend((d, m // d))
+        try:
+            d = _pollard_pm1(c, k, deadline) or _brent_rho(c, deadline)
+        except BudgetError as exc:
+            raise BudgetError(str(exc), partial=(out, composites + [c])) from None
+        record(d)
+        record(c // d)
     return out
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Full factorization of n >= 1: from the small table up to its limit,
+    and above it by factor_by_trial over the table's primes, under a
+    deadline FACTORIZE_BUDGET seconds away; past it, BudgetError.
+    """
+    global _small_primes
+    if n < 1:
+        raise ValueError(f"core-arith: cannot factor {n}")
+    table = small_prime_table()
+    if n <= table.limit:
+        return table.factorize(n)
+    if _small_primes is None:
+        _small_primes = table.primes.tolist()
+    return factor_by_trial(n, _small_primes, 1, time.monotonic() + FACTORIZE_BUDGET)
 
 
 def divisors(n: int) -> list[int]:

@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import mult_order, sieve_primes
+from .arith import FACTORIZE_BUDGET, mult_order, sieve_primes
 from .constants import (
     greedy_L,
     k_exact_finite_s,
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor 2^M - 1 (cache-backed)")
     p.add_argument("--exponent", type=int, required=True)
-    p.add_argument("--budget", type=float, default=10.0)
+    p.add_argument("--budget", type=float, default=FACTORIZE_BUDGET)
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("set-density", help="empirical density of a prime set")

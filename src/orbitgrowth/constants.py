@@ -350,6 +350,11 @@ def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
 # ---------------------------------------------------------------------------
 # The interval-length recursion, idealized and perturbed.
 
+# The largest n_max rn_recursion accepts.  The error bound 100^(-2^(n/4))
+# is carried as an exact Fraction whose size doubles every 4 steps: cold,
+# n = 40 takes 0.4 s, 56 takes 0.8 s and 64 takes 7-12 s.
+RN_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class RecursionStep:
@@ -434,7 +439,8 @@ def rn_recursion(
     seed: int = 0,
     sign_pattern: str = "plus",
 ) -> RecursionTrace:
-    """Run the interval-length recursion r_n and check its three invariants.
+    """Run the interval-length recursion r_n for n = 1..n_max, with
+    1 <= n_max <= RN_CAPACITY, and check its three invariants.
 
     R_n = floor(2^(n/2) Y) exactly (via isqrt of Y^2 2^n).  In idealized mode
     b_n is the exact recursion value (a' - sum_{j<n} b_j)/2, so the partial
@@ -454,6 +460,12 @@ def rn_recursion(
         raise ContractError("constants: Y must be >= 2")
     if mode not in ("idealized", "perturbed"):
         raise ContractError(f"constants: unknown recursion mode {mode!r}")
+    if n_max < 1:
+        raise ContractError(f"constants: n_max must be >= 1, got {n_max}")
+    if n_max > RN_CAPACITY:
+        raise CapacityError(
+            f"constants: n_max {n_max} exceeds capacity bound {RN_CAPACITY}"
+        )
     if a_prime is None and c is not None:
         # The c route derives its own cut Y; the y argument is ignored then.
         a_prime, y = _a_prime_from_c(Fraction(c), delta, x if x is not None else 3)

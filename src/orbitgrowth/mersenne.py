@@ -1,5 +1,9 @@
 """Factorizations of 2^m - 1 with a persistent, verified cache.
 
+factor_mersenne peels the factors of 2^d - 1 for the proper divisors d of
+m and hands the primitive part to arith.factor_by_trial, the package's one
+factoring routine; exponents run to MERSENNE_CAPACITY.
+
 The cache file is line-delimited JSON, one object per line:
 
     {"m": 29, "factors": [[233, 1], [1103, 1], [2089, 1]]}
@@ -18,24 +22,24 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
 from importlib import resources
 
 from .arith import (
+    FACTORIZE_BUDGET,
     OrderTable,
-    is_probable_prime,
-    primality_certified,
     divisors,
-    _brent_rho,
-    _pollard_pm1,
+    factor_by_trial,
+    primality_certified,
 )
-from .errors import BudgetError, CacheMissError, InvariantViolation
+from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
 
 SEED_RESOURCE = "mersenne_m128.jsonl"
-DEFAULT_BUDGET_SECONDS = 10.0
+# The largest exponent factor_mersenne accepts.  Primality tests run outside
+# the budget, and one on the Mersenne prime 2^2203 - 1 alone takes 1.6 s.
+MERSENNE_CAPACITY = 1000
 
 
 @dataclass(frozen=True)
@@ -180,37 +184,32 @@ class FactorCache:
 def factor_mersenne(
     m: int,
     cache: FactorCache | None = None,
-    budget: float = DEFAULT_BUDGET_SECONDS,
+    budget: float = FACTORIZE_BUDGET,
 ) -> MersenneFactorization:
-    """Complete verified factorization of 2^m - 1.
+    """Complete verified factorization of 2^m - 1, for 1 <= m <=
+    MERSENNE_CAPACITY and a budget of at least 0 seconds.
 
     Strategy: peel the algebraic part using cached/recursive factorizations
-    of 2^d - 1 for proper divisors d | m, trial-divide the primitive part by
-    candidates p = 1 (mod m) (any new prime must have order exactly m), then
-    split each composite piece that remains with one stage-1 Pollard p - 1
-    step (bound arith.PM1_BOUND, exponent times 2m), and with Brent rho when
-    that does not split it, all under the time budget.  The budget
+    of 2^d - 1 for proper divisors d | m, then factor the primitive part
+    with arith.factor_by_trial: trial division by the candidates
+    p = 1 (mod m) up to 10^7 (any new prime must have order exactly m), and
+    for each composite piece left one stage-1 Pollard p - 1 step with
+    multiplier 2m, then Brent rho, all under the time budget.  The budget
     covers the whole call: recursive calls get the time that is left.  When
     it runs out, the BudgetError carries a MersennePartial for this m whose
     factors and cofactors multiply to 2^m - 1.
     """
     if m < 1:
         raise ValueError(f"mersenne-factors: exponent must be >= 1, got {m}")
+    if m > MERSENNE_CAPACITY:
+        raise CapacityError(f"mersenne-factors: exponent {m} exceeds capacity "
+                            f"bound {MERSENNE_CAPACITY}")
+    if not budget >= 0:
+        raise ValueError(f"mersenne-factors: budget must be >= 0 seconds, got {budget}")
     if cache is not None and m in cache:
         return cache.get(m)
     deadline = time.monotonic() + budget
-
-    value = (1 << m) - 1
     found: dict[int, int] = {}
-
-    def record(p: int) -> None:
-        nonlocal remaining
-        e = 0
-        while remaining % p == 0:
-            remaining //= p
-            e += 1
-        if e:
-            found[p] = found.get(p, 0) + e
 
     def out_of_time(cofactors: list[int]) -> BudgetError:
         cofactors = sorted(cofactors)
@@ -220,53 +219,29 @@ def factor_mersenne(
             partial=MersennePartial(m, dict(found), tuple(cofactors)),
         )
 
-    remaining = value
+    remaining = (1 << m) - 1
     for d in divisors(m)[:-1]:
         if d == 1:
             continue
         try:
-            sub = factor_mersenne(d, cache, deadline - time.monotonic())
+            sub = factor_mersenne(d, cache, max(0.0, deadline - time.monotonic()))
         except BudgetError:
             raise out_of_time([remaining]) from None
         for p in sub.primes():
-            record(p)
+            while remaining % p == 0:
+                remaining //= p
+                found[p] = found.get(p, 0) + 1
 
     # Primitive primes are 1 mod m (and odd), so step the trial candidate
-    # by m or 2m accordingly.
+    # by m or 2m accordingly; p - 1 takes 2m on top of its smooth part.
     step = m if m % 2 == 0 else 2 * m
-    cand = 1 + step
-    trial_bound = min(10**7, math.isqrt(remaining) + 1)
-    while remaining > 1 and cand <= trial_bound:
-        if remaining % cand == 0:
-            record(cand)
-        cand += step
-
-    # From here on found times composites stays 2^m - 1, piece by piece.
-    composites: list[int] = []
-    if remaining > 1:
-        if is_probable_prime(remaining):
-            record(remaining)
-        else:
-            composites.append(remaining)
-    while composites:
-        if time.monotonic() > deadline:
-            raise out_of_time(composites)
-        n = composites.pop()
-        root = math.isqrt(n)
-        if root * root == n:
-            composites.extend((root, root))
-            continue
-        try:
-            # Every primitive q has m | q - 1 (2m | q - 1 for odd m), so
-            # the p - 1 exponent takes 2m on top of its smooth part.
-            d = _pollard_pm1(n, 2 * m, deadline) or _brent_rho(n, deadline)
-        except BudgetError:
-            raise out_of_time(composites + [n]) from None
-        for piece in (d, n // d):
-            if is_probable_prime(piece):
-                found[piece] = found.get(piece, 0) + 1
-            else:
-                composites.append(piece)
+    try:
+        found.update(factor_by_trial(remaining, range(1 + step, 10**7 + 1, step),
+                                     2 * m, deadline))
+    except BudgetError as exc:
+        primitive, cofactors = exc.partial
+        found.update(primitive)
+        raise out_of_time(cofactors) from None
 
     fz = MersenneFactorization(
         m=m,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitgrowth import arith
 from orbitgrowth.arith import (
     SIEVE_BLOCK,
     OrderTable,
@@ -21,7 +22,7 @@ from orbitgrowth.arith import (
     ord_p_mersenne,
     sieve_primes,
 )
-from orbitgrowth.errors import CapacityError
+from orbitgrowth.errors import BudgetError, CapacityError
 
 
 def mersenne_valuation(p: int, n: int) -> int:
@@ -300,12 +301,34 @@ class TestPrimePower:
 
 class TestFactorize:
     def test_matches_recomposition(self):
-        for n in (2**20 + 1, 10**12 + 39, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19):
+        # Past the 10^5 table and trial division: two products that p - 1
+        # takes whole (gcd n), so rho splits them, a composite square, a
+        # cube that p - 1 splits into p and a square, and a product that
+        # p - 1 splits.
+        for n in (2**20 + 1, 10**12 + 39, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19,
+                  100003 * 100019, (2**31 - 1) * (2**61 - 1), 100003**2,
+                  100003**3, 5625767248687 * 1000000007):
             fac = factorize(n)
             prod = 1
             for p, e in fac.items():
+                assert is_probable_prime(p)
                 prod *= p**e
             assert prod == n
+
+    def test_deadline_partial_multiplies_back(self, monkeypatch):
+        monkeypatch.setattr(arith, "FACTORIZE_BUDGET", 0)
+        n = 70 * (10**19 + 51) * (10**20 + 39)
+        with pytest.raises(BudgetError) as err:
+            factorize(n)
+        assert "deadline passed" in str(err.value)
+        factors, cofactors = err.value.partial
+        assert factors == {2: 1, 5: 1, 7: 1}
+        prod = 1
+        for p, e in factors.items():
+            prod *= p**e
+        for c in cofactors:
+            prod *= c
+        assert prod == n
 
     def test_order_table_exponent_lifting(self, orders):
         # e_p = ord_p(2^{m_p} - 1); spot-check by direct division.

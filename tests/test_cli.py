@@ -212,6 +212,35 @@ class TestExitCodes:
                            "factor", "--exponent", "149", "--budget", "0")
         assert code == 4
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_budget_below_0_or_nan_is_2(self, capsys, tmp_path, budget):
+        # NaN compares false with every deadline, so it would never stop.
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                             "factor", "--exponent", "137", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "budget must be >= 0" in err
+        assert time.monotonic() - t0 < 1.0
+
+    def test_factor_exponent_past_capacity_is_2(self, capsys, tmp_path):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
+                             "factor", "--exponent", "1001")
+        assert code == 2 and out == ""
+        assert "exceeds capacity bound 1000" in err
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("n_max, message", [("0", "n_max must be >= 1"),
+                                                ("-3", "n_max must be >= 1"),
+                                                ("65", "exceeds capacity bound 64")])
+    def test_construct_n_max_out_of_range_is_2(self, capsys, n_max, message):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "construct", "rn", "--delta", "1/2",
+                             "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert message in err
+        assert time.monotonic() - t0 < 1.0
+
     def test_budget_stops_rho(self, capsys, tmp_path):
         # A positive budget must also hold once Brent rho is running.
         t0 = time.monotonic()
