@@ -14,7 +14,7 @@ in the orbit growth.
 
 from fractions import Fraction
 
-from orbitgrowth.arith import OrderTable
+from orbitgrowth.integers import OrderTable
 from orbitgrowth.mersenne import FactorCache
 from orbitgrowth.mertens import mertens_exact, orbit_count, periodic_points
 from orbitgrowth.sets import InducedPrimes, MultiplesOf

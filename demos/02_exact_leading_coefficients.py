@@ -9,8 +9,8 @@ inclusion-exclusion, all in exact arithmetic.
 
 from fractions import Fraction
 
-from orbitgrowth.arith import OrderTable
 from orbitgrowth.constants import greedy_L, k_exact_finite_s, k_order_bounds
+from orbitgrowth.integers import OrderTable
 from orbitgrowth.mersenne import FactorCache, primitive_primes
 
 orders = OrderTable()

@@ -14,8 +14,9 @@ rigorous tail bound for each truncation.
 
 import math
 
-from orbitgrowth.constants import squarefree_slope, transcendental_series
+from orbitgrowth.constants import transcendental_series
 from orbitgrowth.mersenne import FactorCache
+from orbitgrowth.mertens import squarefree_slope
 
 cache = FactorCache()
 

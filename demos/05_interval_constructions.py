@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from orbitgrowth.arith import sieve_primes
 from orbitgrowth.constants import (
     greedy_product_subset,
     greedy_subsequence,
-    interval_L,
     rn_recursion,
 )
-from orbitgrowth.arith import sieve_primes
+from orbitgrowth.sets import interval_L
 
 print("Interval prime sets: each (2^m, 2^(m+1/2)] carries ~ (1/2) log 2")
 for rec in interval_L(0.5, 16, 22):

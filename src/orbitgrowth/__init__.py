@@ -2,16 +2,14 @@
 circle-doubling systems, exactly where possible and asymptotically otherwise.
 """
 
-from .arith import (
+from .integers import (
     OrderTable,
-    PrimeTable,
     cyclotomic_eval2,
     euler_phi,
     moebius,
     mult_order,
     ord_p,
     ord_p_mersenne,
-    sieve_primes,
 )
 from .mersenne import (
     FactorCache,
@@ -24,14 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OrderTable",
-    "PrimeTable",
     "cyclotomic_eval2",
     "euler_phi",
     "moebius",
     "mult_order",
     "ord_p",
     "ord_p_mersenne",
-    "sieve_primes",
     "FactorCache",
     "MersenneFactorization",
     "factor_mersenne",

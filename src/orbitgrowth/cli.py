@@ -7,7 +7,10 @@ internal invariant violations.  All randomness is seeded (--seed, default
 0) and outputs are byte-identical across identical invocations, except
 that reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
-path; the packaged seed cache is always loaded underneath it.
+path; the packaged seed cache is always loaded underneath it.  Beyond the
+integer core and the factor cache, each command imports the modules it
+runs, so the exact commands (order, factor, k-exact, greedy, construct,
+and reproduce for dense and section9) never load numpy.
 """
 
 from __future__ import annotations
@@ -18,24 +21,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import FACTORIZE_BUDGET, mult_order, sieve_primes
-from .constants import (
-    greedy_L,
-    k_exact_finite_s,
-    rn_recursion,
-    transcendental_series,
-)
 from .errors import (
     BudgetError,
     CacheMissError,
     ContractError,
     InvariantViolation,
 )
-from .fitting import classify_growth, fit_model
+from .integers import FACTORIZE_BUDGET, mult_order
 from .mersenne import FactorCache, MersennePartial, factor_mersenne
-from .mertens import dominant_sum, mertens_exact, remainder_bounds
 from .reproduce import THEOREMS, run_theorem
-from .sets import InducedPrimes, estimate_density, prime_set_from_json
 
 EXIT_USAGE = 2
 EXIT_CACHE_MISS = 3
@@ -48,6 +42,8 @@ def _fmt18(x: float) -> str:
 
 
 def _load_prime_set(path: str, seed: int):
+    from .sets import prime_set_from_json
+
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return prime_set_from_json(obj, seed=seed)
@@ -63,6 +59,8 @@ def _open_cache(args) -> FactorCache:
 
 
 def _cmd_sieve(args) -> int:
+    from .arith import sieve_primes
+
     table = sieve_primes(args.limit)
     print(f"primes <= {args.limit}: {len(table.primes)}")
     if args.out:
@@ -105,6 +103,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_set_density(args) -> int:
+    from .sets import estimate_density
+
     pset = _load_prime_set(args.spec, args.seed)
     est = estimate_density(pset, args.limit)
     print(json.dumps(est.to_json(), sort_keys=True))
@@ -112,6 +112,9 @@ def _cmd_set_density(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .mertens import dominant_sum, mertens_exact, remainder_bounds
+    from .sets import InducedPrimes
+
     pset = _load_prime_set(args.spec, args.seed)
     cache = _open_cache(args)
     if args.mode == "exact":
@@ -169,6 +172,8 @@ def _parse_series_csv(path: str) -> list[tuple[int, float]]:
 
 
 def _cmd_fit(args) -> int:
+    from .fitting import classify_growth, fit_model
+
     samples = _parse_series_csv(args.infile)
     if args.model == "auto":
         report = classify_growth(samples)
@@ -183,6 +188,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_k_exact(args) -> int:
+    from .constants import k_exact_finite_s
+
     primes = [int(tok) for tok in args.set.split(",") if tok]
     constant = k_exact_finite_s(primes)
     print(constant.value)
@@ -190,6 +197,8 @@ def _cmd_k_exact(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    from .constants import greedy_L
+
     cache = _open_cache(args)
     trace = greedy_L(
         Fraction(args.target), Fraction(args.eps), cache,
@@ -225,6 +234,8 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_series_transcendental(args) -> int:
+    from .constants import transcendental_series
+
     cache = _open_cache(args)
     ts = transcendental_series(args.ell, args.terms, cache)
     v = ts.constant.value
@@ -236,6 +247,8 @@ def _cmd_series_transcendental(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .constants import rn_recursion
+
     if args.construction != "rn":
         raise ContractError(f"cli: unknown construction {args.construction!r}")
     seed = args.construct_seed if args.construct_seed is not None else args.seed
@@ -408,12 +421,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         part = exc.partial
         if isinstance(part, MersennePartial):
-            payload = {
-                "m": part.m,
-                "factors": [list(pe) for pe in sorted(part.factors.items())],
-                "cofactors": list(part.cofactors),
-            }
-            print(f"partial: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
+            payload = {"m": part.m}
+            factors, cofactors = part.factors, part.cofactors
+        elif isinstance(part, tuple):  # factorize: (factors, composite cofactors)
+            payload = {}
+            factors, cofactors = part
+        else:
+            return EXIT_BUDGET
+        payload["factors"] = [list(pe) for pe in sorted(factors.items())]
+        payload["cofactors"] = list(cofactors)
+        print(f"partial: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Everything here produces either a number (exact rational where the theory
 gives one) or a certified trace of a construction run at desk scale.
 Giant prime intervals are never enumerated: the interval recursion is
 verified under an idealized/perturbed error model whose per-step error
-amplitude is the derived bound a' * 100^(-2^(n/4)).
+amplitude is the derived bound a' * 100^(-2^(n/4)).  The module builds on
+the integer core and the factor cache only, never on arrays; the interval
+prime sets are in `sets` and the squarefree slope in `mertens`.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import (SIEVE_CAPACITY, OrderTable, is_probable_prime, ord_p,
-                    ord_p_mersenne)
 from .errors import (
     BudgetError,
     CapacityError,
@@ -25,10 +23,8 @@ from .errors import (
     InfeasibleError,
     InvariantViolation,
 )
-from .fitting import _linear_fit
+from .integers import OrderTable, is_probable_prime, ord_p, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
-from .mertens import _SCALE, _harmonic_fixed_point
-from .sets import ExplicitFinitePrimes, prime_mask, squarefree_mask
 
 _LN2 = math.log(2.0)
 
@@ -50,7 +46,8 @@ class ExactConstant:
 
 
 def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
-    """The exact rational coefficient of log N in the Mertens sum of finite S.
+    """The exact rational coefficient of log N in the Mertens sum of finite S,
+    given as an iterable of odd primes.
 
     Stratified over the lcm-closure of the realized orders: the stratum of
     mbar carries weight |2^mbar - 1|_{S_mbar} / mbar, a harmonic slope
@@ -59,15 +56,12 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     Collisions among the d_p are merged before the subset walk, so the walk
     is over the lcm lattice the slope actually sees.
     """
-    if isinstance(s, ExplicitFinitePrimes):
-        primes = list(s.primes)
-    else:
-        primes = sorted(set(int(p) for p in s))
-        if any(p == 2 for p in primes):
-            raise ContractError("constants: 2 is never a member of S")
-        for p in primes:
-            if not is_probable_prime(p):
-                raise ContractError(f"constants: {p} is not prime")
+    primes = sorted(set(int(p) for p in s))
+    if any(p == 2 for p in primes):
+        raise ContractError("constants: 2 is never a member of S")
+    for p in primes:
+        if not is_probable_prime(p):
+            raise ContractError(f"constants: {p} is not prime")
     if not primes:
         return ExactConstant(Fraction(1), "empty S: full harmonic slope")
     orders = orders or OrderTable()
@@ -294,57 +288,6 @@ def transcendental_series(
         convergents=tuple(convergents),
         term_values=tuple(term_values),
     )
-
-
-# ---------------------------------------------------------------------------
-# Interval prime sets (the rational-free density construction).
-
-
-INTERVAL_CAPACITY = 3 * 10**7
-
-
-@dataclass(frozen=True)
-class IntervalRecord:
-    m: int
-    lo: int
-    hi: int
-    prime_count: int
-    sum_logp_over_p: float
-    target: float
-
-
-def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
-    """Primes in (2^m, 2^(m+delta)] for m in [m_lo, m_hi], with the per-
-    interval sums of log p / p (target delta * log 2 each)."""
-    if not 0 < delta <= 1:
-        raise ContractError("constants: delta must be in (0, 1]")
-    if m_lo < 1 or m_hi < m_lo:
-        raise ContractError("constants: bad interval exponent range")
-    top = math.floor(2.0 ** (m_hi + delta))
-    if top > INTERVAL_CAPACITY:
-        raise CapacityError(
-            f"constants: interval sieve to {top} exceeds capacity {INTERVAL_CAPACITY}"
-        )
-    mask = prime_mask(top)
-    out = []
-    target = delta * _LN2
-    for m in range(m_lo, m_hi + 1):
-        lo = 1 << m
-        hi = math.floor(2.0 ** (m + delta))
-        idx = np.flatnonzero(mask[lo + 1 : hi + 1]) + lo + 1
-        ps = idx.astype(np.float64)
-        val = float(np.sum(np.log(ps) / ps)) if len(ps) else 0.0
-        out.append(
-            IntervalRecord(
-                m=m,
-                lo=lo,
-                hi=hi,
-                prime_count=int(len(idx)),
-                sum_logp_over_p=val,
-                target=target,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +649,7 @@ class SubsequenceReport:
 
 
 def greedy_subsequence(
-    weights: np.ndarray,
+    weights,
     theta,
     x_max: int,
 ) -> SubsequenceReport:
@@ -759,52 +702,4 @@ def greedy_subsequence(
         start_x=start_x,
         max_weight=max_w,
         max_drift=max_drift,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The squarefree harmonic slope.
-
-
-@dataclass(frozen=True)
-class SquarefreeSlope:
-    n_max: int
-    total: Fraction
-    slope: float
-    samples: tuple[tuple[int, float], ...]
-
-
-def squarefree_slope(n_max: int) -> SquarefreeSlope:
-    """Sum of 1/n over squarefree n <= N and its slope against log N.
-
-    Sampled on the dyadic grid; the regression uses points >= 2^10 to skip
-    the early transient (below two grid points the slope is NaN).  Fixed
-    point accumulation (96 fractional bits).
-    """
-    if n_max < 1:
-        raise ContractError("constants: n_max must be >= 1")
-    if n_max > SIEVE_CAPACITY:
-        raise CapacityError(f"constants: {n_max} over capacity")
-    idx = np.flatnonzero(squarefree_mask(n_max))
-    grid = []
-    g = 64
-    while g < n_max:
-        grid.append(g)
-        g *= 2
-    grid.append(n_max)
-    accs = _harmonic_fixed_point(idx, grid)
-    samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
-    fit_pts = [(g, v) for g, v in samples if g >= 1024]
-    if len(fit_pts) < 2:
-        fit_pts = samples
-    if len(fit_pts) < 2:
-        slope = math.nan
-    else:
-        slope, _, _ = _linear_fit(np.array([math.log(g) for g, _ in fit_pts]),
-                                  np.array([v for _, v in fit_pts]))
-    return SquarefreeSlope(
-        n_max=n_max,
-        total=Fraction(accs[-1], _SCALE),
-        slope=slope,
-        samples=tuple(samples),
     )

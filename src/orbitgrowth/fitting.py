@@ -62,7 +62,7 @@ def _tail_sup(pred: np.ndarray, vs: np.ndarray) -> float:
 
 def _linear_fit(g: np.ndarray, vs: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(slope, intercept, prediction) of vs against {1, g}: the package's one
-    least-squares routine, also behind constants.squarefree_slope."""
+    least-squares routine, also behind mertens.squarefree_slope."""
     a = np.column_stack([np.ones_like(g), g])
     coef, *_ = np.linalg.lstsq(a, vs, rcond=None)
     pred = a @ coef

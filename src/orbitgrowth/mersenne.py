@@ -1,7 +1,7 @@
 """Factorizations of 2^m - 1 with a persistent, verified cache.
 
 factor_mersenne peels the factors of 2^d - 1 for the proper divisors d of
-m and hands the primitive part to arith.factor_by_trial, the package's one
+m and hands the primitive part to integers.factor_by_trial, the package's one
 factoring routine; exponents run to MERSENNE_CAPACITY.
 
 The cache file is line-delimited JSON, one object per line:
@@ -27,14 +27,14 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .arith import (
+from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
+from .integers import (
     FACTORIZE_BUDGET,
     OrderTable,
     divisors,
     factor_by_trial,
     primality_certified,
 )
-from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
 
 SEED_RESOURCE = "mersenne_m128.jsonl"
 # The largest exponent factor_mersenne accepts.  Primality tests run outside
@@ -191,7 +191,7 @@ def factor_mersenne(
 
     Strategy: peel the algebraic part using cached/recursive factorizations
     of 2^d - 1 for proper divisors d | m, then factor the primitive part
-    with arith.factor_by_trial: trial division by the candidates
+    with integers.factor_by_trial: trial division by the candidates
     p = 1 (mod m) up to 10^7 (any new prime must have order exactly m), and
     for each composite piece left one stage-1 Pollard p - 1 step with
     multiplier 2m, then Brent rho, all under the time budget.  The budget

@@ -12,8 +12,10 @@ Two evaluation regimes:
     floor(2^96 / n) as three base-2^32 digits by uint64 long division over
     whole chunks of n, and the digit sums are combined as exact Python ints.
 
-The lcm-stratified decomposition of F_S(N) is implemented independently of
-the direct sum so the two code paths can cross-validate each other.
+The same accumulator gives squarefree_slope, the harmonic sum over the
+squarefree n.  The lcm-stratified decomposition of F_S(N) is implemented
+independently of the direct sum so the two code paths can cross-validate
+each other.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
+from .arith import SIEVE_CAPACITY
 from .errors import CapacityError, ContractError, InvariantViolation
+from .fitting import _linear_fit
+from .integers import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 from .sets import (
     ExplicitFinitePrimes,
@@ -33,6 +37,7 @@ from .sets import (
     InducedPrimes,
     OrderSet,
     PrimeSet,
+    squarefree_mask,
 )
 
 FRAC_BITS = 96
@@ -284,6 +289,54 @@ def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
         pos = hi
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The squarefree harmonic slope.
+
+
+@dataclass(frozen=True)
+class SquarefreeSlope:
+    n_max: int
+    total: Fraction
+    slope: float
+    samples: tuple[tuple[int, float], ...]
+
+
+def squarefree_slope(n_max: int) -> SquarefreeSlope:
+    """Sum of 1/n over squarefree n <= N and its slope against log N.
+
+    Sampled on the dyadic grid; the regression uses points >= 2^10 to skip
+    the early transient (below two grid points the slope is NaN).  Fixed
+    point accumulation (96 fractional bits).
+    """
+    if n_max < 1:
+        raise ContractError("mertens-engine: n_max must be >= 1")
+    if n_max > SIEVE_CAPACITY:
+        raise CapacityError(f"mertens-engine: {n_max} over capacity")
+    idx = np.flatnonzero(squarefree_mask(n_max))
+    grid = []
+    g = 64
+    while g < n_max:
+        grid.append(g)
+        g *= 2
+    grid.append(n_max)
+    accs = _harmonic_fixed_point(idx, grid)
+    samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
+    fit_pts = [(g, v) for g, v in samples if g >= 1024]
+    if len(fit_pts) < 2:
+        fit_pts = samples
+    if len(fit_pts) < 2:
+        slope = math.nan
+    else:
+        slope, _, _ = _linear_fit(np.array([math.log(g) for g, _ in fit_pts]),
+                                  np.array([v for _, v in fit_pts]))
+    return SquarefreeSlope(
+        n_max=n_max,
+        total=Fraction(accs[-1], _SCALE),
+        slope=slope,
+        samples=tuple(samples),
+    )
 
 
 def _lcm_closure(gens: list[int], limit: int) -> list[int]:

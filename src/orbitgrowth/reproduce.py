@@ -5,7 +5,8 @@ factorizations ignore it), runs a fixed, documented configuration
 and returns a CriterionResult with pass/fail, elapsed time and detail
 lines.  The CLI `reproduce --theorem NAME` and the acceptance test suite
 both dispatch here, so there is a single source of truth for every
-tolerance.
+tolerance.  Each recipe imports the modules it runs, so `dense` and
+`section9`, which need no arrays, run without numpy.
 """
 
 from __future__ import annotations
@@ -15,24 +16,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constants import (
-    greedy_L,
-    rn_recursion,
-    squarefree_slope,
-    transcendental_series,
-)
 from .errors import ContractError
-from .fitting import classify_growth, fit_model
 from .mersenne import FactorCache
-from .mertens import default_grid, dominant_sum, mertens_exact
-from .sets import (
-    ComplementMultiplesOf,
-    CompositeNumbers,
-    CongruenceSource,
-    InducedPrimes,
-    MultiplesOf,
-    SquarefreeAugmented,
-)
 
 MERTENS_CONSTANT_ORACLE = 0.26149  # from the prime-harmonic oracle run
 
@@ -54,6 +39,8 @@ class CriterionResult:
 def check_dense(cache: FactorCache | None = None) -> CriterionResult:
     """Greedy order selection terminates inside [k, k+eps) for two targets,
     with the one-prime lower bound holding at every candidate."""
+    from .constants import greedy_L
+
     t0 = time.monotonic()
     cache = cache or FactorCache()
     details = []
@@ -84,6 +71,10 @@ ONTO_GRID = (10**4, 31623, 10**5, 316228, 10**6)
 
 def check_onto(cache: FactorCache | None = None) -> CriterionResult:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
+    from .fitting import fit_model
+    from .mertens import dominant_sum
+    from .sets import MultiplesOf
+
     t0 = time.monotonic()
     series = dominant_sum(10**6, MultiplesOf(ells=[3]), grid=list(ONTO_GRID))
     slope = fit_model(series.float_samples(), "k_log", strict=False).k
@@ -101,6 +92,9 @@ def check_loglog(cache: FactorCache | None = None) -> CriterionResult:
     Measured on the half-decade grid from 100 to 1e7; the tail half starts
     at 31623, past the early Mertens transient.
     """
+    from .mertens import default_grid, dominant_sum
+    from .sets import CompositeNumbers
+
     t0 = time.monotonic()
     series = dominant_sum(10**7, CompositeNumbers(),
                           grid=default_grid(10**7, start=100))
@@ -123,6 +117,10 @@ def check_logdelta(cache: FactorCache | None = None) -> CriterionResult:
     """Squarefree-augmented orders over primes = 1 mod 3: classified as
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
+    from .fitting import classify_growth
+    from .mertens import default_grid, dominant_sum
+    from .sets import CongruenceSource, MultiplesOf, SquarefreeAugmented
+
     t0 = time.monotonic()
     mprime = SquarefreeAugmented(MultiplesOf(ell_set=CongruenceSource(3, [1])))
     series = dominant_sum(10**7, mprime, grid=default_grid(10**7, start=100))
@@ -144,6 +142,10 @@ ZERO_GRID = (10, 20, 40, 60, 80, 90, 95, 100, 105, 110, 115, 120)
 def check_zero(cache: FactorCache | None = None) -> CriterionResult:
     """Exact Mertens series for S = {p : 3 does not divide m_p} is bounded;
     tail Cauchy oscillation below 1e-2."""
+    from .fitting import classify_growth
+    from .mertens import mertens_exact
+    from .sets import ComplementMultiplesOf, InducedPrimes
+
     t0 = time.monotonic()
     cache = cache or FactorCache()
     s = InducedPrimes(ComplementMultiplesOf(3))
@@ -161,6 +163,9 @@ def check_zero(cache: FactorCache | None = None) -> CriterionResult:
 def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
     """The ell = 3 order-power series: exact convergents with a rigorous
     tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
+    from .constants import transcendental_series
+    from .mertens import squarefree_slope
+
     t0 = time.monotonic()
     cache = cache or FactorCache()
     ts = transcendental_series(3, 4, cache)
@@ -197,6 +202,8 @@ def check_section9(cache: FactorCache | None = None) -> CriterionResult:
     """Interval recursion: idealized mode has the exact closed form; the
     perturbed mode passes all three invariants for every extremal sign
     pattern at delta = 1/2, Y = 50, n <= 40."""
+    from .constants import rn_recursion
+
     t0 = time.monotonic()
     details = []
     ideal = rn_recursion(Fraction(1, 2), 50, 40, mode="idealized")

@@ -1,4 +1,5 @@
-"""Declarative order sets M and prime sets S: membership and density.
+"""Declarative order sets M and prime sets S: membership and density, and
+the interval prime sets built from a prime mask.
 
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
@@ -34,10 +35,11 @@ from itertools import chain
 
 import numpy as np
 
-from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, factorize, is_prime_power,
-                    is_probable_prime, mult_order, mult_orders, ord_p,
-                    prime_flags, sieve_primes, small_prime_table)
+from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, prime_flags,
+                    sieve_primes, small_prime_table)
 from .errors import CapacityError, ContractError, InvariantViolation
+from .integers import (factorize, is_prime_power, is_probable_prime, mult_order,
+                       ord_p)
 
 CLOSURE_PAIRS = 10**4
 CLOSURE_BOUND = 10**5
@@ -61,6 +63,60 @@ def squarefree_mask(limit: int) -> np.ndarray:
     for p in np.flatnonzero(prime_flags(math.isqrt(limit))).tolist():
         mask[p * p :: p * p] = False
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Interval prime sets (the rational-free density construction).
+
+
+_LN2 = math.log(2.0)
+INTERVAL_CAPACITY = 3 * 10**7
+
+
+@dataclass(frozen=True)
+class IntervalRecord:
+    m: int
+    lo: int
+    hi: int
+    prime_count: int
+    sum_logp_over_p: float
+    target: float
+
+
+def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
+    """Primes in (2^m, 2^(m+delta)] for m in [m_lo, m_hi], with the per-
+    interval sums of log p / p (target delta * log 2 each)."""
+    if not 0 < delta <= 1:
+        raise ContractError("prime-sets: delta must be in (0, 1]")
+    if m_lo < 1 or m_hi < m_lo:
+        raise ContractError("prime-sets: bad interval exponent range")
+    top = math.floor(2.0 ** (m_hi + delta))
+    if top > INTERVAL_CAPACITY:
+        raise CapacityError(
+            f"prime-sets: interval sieve to {top} exceeds capacity {INTERVAL_CAPACITY}"
+        )
+    mask = prime_mask(top)
+    out = []
+    target = delta * _LN2
+    for m in range(m_lo, m_hi + 1):
+        lo = 1 << m
+        hi = math.floor(2.0 ** (m + delta))
+        idx = np.flatnonzero(mask[lo + 1 : hi + 1]) + lo + 1
+        ps = idx.astype(np.float64)
+        val = float(np.sum(np.log(ps) / ps)) if len(ps) else 0.0
+        out.append(
+            IntervalRecord(
+                m=m,
+                lo=lo,
+                hi=hi,
+                prime_count=int(len(idx)),
+                sum_logp_over_p=val,
+                target=target,
+            )
+        )
+    return out
+
+
 
 
 # ---------------------------------------------------------------------------

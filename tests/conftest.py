@@ -1,6 +1,7 @@
 import pytest
 
-from orbitgrowth.arith import OrderTable, sieve_primes
+from orbitgrowth.arith import sieve_primes
+from orbitgrowth.integers import OrderTable
 from orbitgrowth.mersenne import FactorCache
 
 

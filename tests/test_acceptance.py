@@ -8,11 +8,12 @@ import math
 import time
 from fractions import Fraction
 
-from orbitgrowth.arith import OrderTable, divisors, ord_p_mersenne, sieve_primes
+from orbitgrowth.arith import sieve_primes
 from orbitgrowth.cli import main as cli_main
-from orbitgrowth.constants import squarefree_slope, transcendental_series
+from orbitgrowth.constants import transcendental_series
+from orbitgrowth.integers import OrderTable, divisors, ord_p_mersenne
 from orbitgrowth.mersenne import FactorCache, primitive_primes
-from orbitgrowth.mertens import orbit_count, periodic_points
+from orbitgrowth.mertens import orbit_count, periodic_points, squarefree_slope
 from orbitgrowth.reproduce import (
     check_dense,
     check_logdelta,

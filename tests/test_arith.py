@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitgrowth import arith
-from orbitgrowth.arith import (
-    SIEVE_BLOCK,
+from orbitgrowth import integers
+from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, sieve_primes
+from orbitgrowth.errors import BudgetError, CapacityError
+from orbitgrowth.integers import (
+    TRIAL_LIMIT,
     OrderTable,
     cyclotomic_eval2,
     divisors,
@@ -17,12 +19,9 @@ from orbitgrowth.arith import (
     is_probable_prime,
     moebius,
     mult_order,
-    mult_orders,
     ord_p,
     ord_p_mersenne,
-    sieve_primes,
 )
-from orbitgrowth.errors import BudgetError, CapacityError
 
 
 def mersenne_valuation(p: int, n: int) -> int:
@@ -121,7 +120,7 @@ class TestSieve:
     def test_least_factor(self, table_1e6):
         assert table_1e6.least_factor(91) == 7
         assert table_1e6.least_factor(97) == 97
-        assert table_1e6.factorize(360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(360) == {2: 3, 3: 2, 5: 1}
 
 
 class TestMultOrder:
@@ -316,7 +315,7 @@ class TestFactorize:
             assert prod == n
 
     def test_deadline_partial_multiplies_back(self, monkeypatch):
-        monkeypatch.setattr(arith, "FACTORIZE_BUDGET", 0)
+        monkeypatch.setattr(integers, "FACTORIZE_BUDGET", 0)
         n = 70 * (10**19 + 51) * (10**20 + 39)
         with pytest.raises(BudgetError) as err:
             factorize(n)
@@ -329,6 +328,22 @@ class TestFactorize:
         for c in cofactors:
             prod *= c
         assert prod == n
+
+    def test_matches_least_factor_table(self):
+        # The core's trial division against the array sieve's least-factor
+        # table, key order included, on every n just past TRIAL_LIMIT.
+        limit = TRIAL_LIMIT + 50
+        table = sieve_primes(limit)
+        for n in range(1, limit + 1):
+            expect, rest = [], n
+            while rest > 1:
+                p = table.least_factor(rest)
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                expect.append((p, e))
+            assert list(factorize(n).items()) == expect, n
 
     def test_order_table_exponent_lifting(self, orders):
         # e_p = ord_p(2^{m_p} - 1); spot-check by direct division.

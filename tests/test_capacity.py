@@ -11,14 +11,15 @@ import pytest
 
 import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
-from orbitgrowth.constants import (
-    INTERVAL_CAPACITY,
-    interval_L,
-    squarefree_slope,
-)
 from orbitgrowth.errors import CapacityError
-from orbitgrowth.mertens import DOMINANT_CAPACITY, dominant_sum
-from orbitgrowth.sets import ExplicitFinitePrimes, MultiplesOf, estimate_density
+from orbitgrowth.mertens import DOMINANT_CAPACITY, dominant_sum, squarefree_slope
+from orbitgrowth.sets import (
+    INTERVAL_CAPACITY,
+    ExplicitFinitePrimes,
+    MultiplesOf,
+    estimate_density,
+    interval_L,
+)
 
 OVER_CAPACITY = {
     "sieve_primes": lambda: sieve_primes(SIEVE_CAPACITY + 1),

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import orbitgrowth
-from orbitgrowth import arith
-from orbitgrowth.arith import mult_order, sieve_primes
+from orbitgrowth import integers
+from orbitgrowth.arith import sieve_primes
 from orbitgrowth.cli import main
+from orbitgrowth.integers import mult_order
 
 SRC = str(Path(orbitgrowth.__file__).resolve().parent.parent)
 
@@ -331,12 +332,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["order", "--prime", TWO_LARGE_FACTORS],
                                       ["k-exact", "--set", TWO_LARGE_FACTORS]])
     def test_factorize_deadline_is_4(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(arith, "FACTORIZE_BUDGET", 0.2)
+        # factorize reads the budget from the integer core, where it is defined.
+        monkeypatch.setattr(integers, "FACTORIZE_BUDGET", 0.2)
         t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == ""
         assert "deadline passed" in err
         assert time.monotonic() - t0 < 2.0
+        # The partial factors of p - 1 follow on stderr and multiply back.
+        partial = [ln for ln in err.splitlines() if ln.startswith("partial: ")]
+        assert len(partial) == 1
+        payload = json.loads(partial[0].removeprefix("partial: "))
+        assert sorted(payload) == ["cofactors", "factors"]
+        assert payload["factors"] == [[2, 1], [5, 1], [7, 1]]
+        prod = 1
+        for p, e in payload["factors"]:
+            prod *= p**e
+        for c in payload["cofactors"]:
+            prod *= c
+        assert prod == int(self.TWO_LARGE_FACTORS) - 1
 
     def test_wrongly_typed_spec_field_is_2(self, capsys, tmp_path):
         spec = tmp_path / "typed.json"

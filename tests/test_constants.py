@@ -7,17 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitgrowth.arith import OrderTable, ord_p, sieve_primes
+from orbitgrowth.arith import sieve_primes
 from orbitgrowth.constants import (
     a_prime_window,
     greedy_L,
     greedy_product_subset,
     greedy_subsequence,
-    interval_L,
     k_exact_finite_s,
     k_order_bounds,
     rn_recursion,
-    squarefree_slope,
     transcendental_series,
 )
 from orbitgrowth.errors import (
@@ -26,13 +24,15 @@ from orbitgrowth.errors import (
     InfeasibleError,
     InvariantViolation,
 )
+from orbitgrowth.integers import OrderTable, ord_p
 from orbitgrowth.mersenne import primitive_primes
-from orbitgrowth.mertens import dominant_sum
+from orbitgrowth.mertens import dominant_sum, squarefree_slope
 from orbitgrowth.sets import (
     CongruenceSource,
     ExplicitList,
     OmegaBounded,
     SquarefreeAugmented,
+    interval_L,
     squarefree_mask,
 )
 

@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses or imports
 threading, `sets` does not import `mersenne`, every public definition,
-method and property has a caller outside the tests, and the CLI does not
-import mpmath, or build the Pollard p - 1 exponent, before a command needs
-it.
+method and property has a caller outside the tests, the integer core and
+the modules above it import no array code when they load, and the CLI does
+not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
+command needs it.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -103,7 +104,7 @@ def uncalled(definitions: dict[str, str], callers: list[str]) -> list[str]:
 # Independent oracles, called only by tests: `cyclotomic_eval2` bounds the
 # primitive parts of 2^n - 1, and `euler_phi` gives the exponent of the
 # paper's bound 2^(phi(n) - 2) on both.
-ORACLES = {"arith.cyclotomic_eval2", "arith.euler_phi"}
+ORACLES = {"integers.cyclotomic_eval2", "integers.euler_phi"}
 
 
 def test_caller_checker():
@@ -168,18 +169,83 @@ def test_sets_does_not_import_mersenne():
     assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # Every cold CLI process pays for what `orbitgrowth.cli` imports; only
-    # the section 9 bounds use mpmath, so they import it themselves.
+def import_time_modules(path: Path) -> list[tuple[str, int]]:
+    """(module, line) for every import the file runs when it is loaded: all
+    but those inside function bodies.  `orbitgrowth.x` is given as `.x`."""
+    out = []
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(("." * node.level + (node.module or ""), node.lineno))
+        stack.extend(ast.iter_child_nodes(node))
+    return [("." + m.removeprefix("orbitgrowth.") if m.startswith("orbitgrowth.")
+             else m, line) for m, line in out]
+
+
+# The exact commands run on the integer core: these modules load no array
+# code, and the CLI handlers and reproduce recipes import the array layer
+# only when they run a command that needs it.
+NUMPY_FREE = ("integers", "errors", "mersenne", "constants", "reproduce", "cli")
+ARRAY_LAYER = {".arith", ".sets", ".mertens", ".fitting"}
+
+
+def test_import_time_checker(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\n"
+                    "from . import errors\n"
+                    "from orbitgrowth.sets import x\n"
+                    "try:\n    import json\nexcept ImportError:\n    pass\n"
+                    "def f():\n    from .arith import y\n"
+                    "class C:\n    from .mertens import z\n"
+                    "    def g(self):\n        import mpmath\n")
+    assert sorted(import_time_modules(path)) == [
+        (".", 2), (".mertens", 11), (".sets", 3), ("json", 5), ("numpy", 1)]
+
+
+def test_integer_core_loads_no_array_code():
+    assert [f"{name}.py:{line} {module}" for name in NUMPY_FREE
+            for module, line in import_time_modules(PACKAGE / f"{name}.py")
+            if module.split(".")[0] == "numpy" or module in ARRAY_LAYER] == []
+
+
+def run_child(code: str, *argv: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, orbitgrowth.cli; print('mpmath' in sys.modules, "
-         "orbitgrowth.arith._pm1_exponent)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # Nor does it build the Pollard p - 1 exponent, which factoring builds
-    # on first use.
-    assert proc.stdout.strip() == "False None"
+    return proc.stdout.splitlines()[-1]
+
+
+# Runs the CLI on its arguments, then prints whether numpy was loaded.
+AFTER_COMMAND = ("import sys\n"
+                 "from orbitgrowth.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(code, 'numpy' in sys.modules)\n")
+
+
+def test_cli_import_leaves_mpmath_unloaded(tmp_path):
+    # Every cold CLI process pays for what `orbitgrowth.cli` imports; only
+    # the section 9 bounds use mpmath, so they import it themselves.  Nor
+    # does it build the Pollard p - 1 exponent, which factoring builds on
+    # first use, or load numpy.
+    assert run_child("import sys, orbitgrowth.cli; print('mpmath' in sys.modules, "
+                     "'numpy' in sys.modules, orbitgrowth.integers._pm1_exponent)"
+                     ) == "False False None"
+    # Each exact command runs without numpy ...
+    cache = str(tmp_path / "cache.jsonl")
+    for argv in (["k-exact", "--set", "3,7"], ["order", "--prime", "233"],
+                 ["--cache", cache, "factor", "--exponent", "29"],
+                 ["greedy", "--target", "3/4", "--eps", "1/10"],
+                 ["construct", "rn", "--delta", "1/2"],
+                 ["reproduce", "--theorem", "dense"],
+                 ["reproduce", "--theorem", "section9"]):
+        assert run_child(AFTER_COMMAND, *argv) == "0 False", argv
+    # ... while one that builds an array loads it, so the probe can see it.
+    assert run_child(AFTER_COMMAND, "sieve", "--limit", "100") == "0 True"

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from orbitgrowth import arith
-from orbitgrowth.arith import OrderTable, _pollard_pm1, euler_phi
+from orbitgrowth import integers
 from orbitgrowth.errors import BudgetError, CacheMissError
+from orbitgrowth.integers import OrderTable, _pollard_pm1, euler_phi
 from orbitgrowth.mersenne import (
     FactorCache,
     MersenneFactorization,
@@ -73,7 +73,7 @@ class TestFactorization:
         # g = n, p - 1 gives no split and rho finds the factors.
         n = (1 << 67) - 1
         assert _pollard_pm1(n, 134, math.inf) is None
-        assert pow(3, 134 * arith._pm1_exponent, n) == 1
+        assert pow(3, 134 * integers._pm1_exponent, n) == 1
         fz = factor_mersenne(67, FactorCache(load_seed=False))
         assert fz.factors == ((193707721, 1), (761838257287, 1))
 
@@ -213,7 +213,7 @@ class TestPrimitive:
         assert primitive_product(4, cache) == 5
 
     def test_primitive_part_vs_cyclotomic(self, cache):
-        from orbitgrowth.arith import cyclotomic_eval2
+        from orbitgrowth.integers import cyclotomic_eval2
 
         for n in range(2, 65):
             # (2^n - 1)^* >= Phi_n(2) / n
@@ -231,7 +231,7 @@ class TestPrimitive:
 
     def test_exponent_consistency_with_lifting(self, cache):
         # cached exponent of p in 2^m - 1 equals e_p + ord_p(m)
-        from orbitgrowth.arith import ord_p
+        from orbitgrowth.integers import ord_p
 
         orders = OrderTable()
         for m in range(2, 129):

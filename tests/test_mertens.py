@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitgrowth.arith import SIEVE_CAPACITY, OrderTable, divisors, is_probable_prime
+from orbitgrowth.arith import SIEVE_CAPACITY
 from orbitgrowth.errors import CapacityError, ContractError
+from orbitgrowth.integers import OrderTable, divisors, is_probable_prime
 from orbitgrowth.mertens import (
     _CHUNK,
     _SCALE,

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import sets
-from orbitgrowth.arith import SIEVE_BLOCK, factorize, is_probable_prime, sieve_primes
+from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
+from orbitgrowth.integers import factorize, is_probable_prime
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
