@@ -3,9 +3,11 @@
 Subcommands: sieve, order, factor, set-density, series, fit, k-exact,
 greedy, series-transcendental, construct, reproduce.  Exit codes: 2 on
 usage or contract errors, 3 on cache misses, 4 on exhausted budgets, 5 on
-internal invariant violations.  All randomness is seeded (--seed, default
-0) and outputs are byte-identical across identical invocations, except
-that reproduce prints its elapsed seconds on its first line.  The
+internal invariant violations.  All randomness is seeded: construct rn
+--sign random by its --seed (default 0), the cross-checked sample of
+set-density by a fixed seed; loading a --spec draws no random numbers.
+Outputs are byte-identical across identical invocations, except that
+reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
 path; the packaged seed cache is always loaded underneath it.  Beyond the
 integer core and the factor cache, each command imports the modules it
@@ -41,12 +43,12 @@ def _fmt18(x: float) -> str:
     return f"{x:.18g}"
 
 
-def _load_prime_set(path: str, seed: int):
+def _load_prime_set(path: str):
     from .sets import prime_set_from_json
 
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return prime_set_from_json(obj, seed=seed)
+    return prime_set_from_json(obj)
 
 
 def _open_cache(args) -> FactorCache:
@@ -105,7 +107,7 @@ def _cmd_factor(args) -> int:
 def _cmd_set_density(args) -> int:
     from .sets import estimate_density
 
-    pset = _load_prime_set(args.spec, args.seed)
+    pset = _load_prime_set(args.spec)
     est = estimate_density(pset, args.limit)
     print(json.dumps(est.to_json(), sort_keys=True))
     return 0
@@ -115,7 +117,7 @@ def _cmd_series(args) -> int:
     from .mertens import dominant_sum, mertens_exact, remainder_bounds
     from .sets import InducedPrimes
 
-    pset = _load_prime_set(args.spec, args.seed)
+    pset = _load_prime_set(args.spec)
     cache = _open_cache(args)
     if args.mode == "exact":
         series = mertens_exact(args.n_max, pset, cache=cache)
@@ -251,7 +253,6 @@ def _cmd_construct(args) -> int:
 
     if args.construction != "rn":
         raise ContractError(f"cli: unknown construction {args.construction!r}")
-    seed = args.construct_seed if args.construct_seed is not None else args.seed
     trace = rn_recursion(
         Fraction(args.delta),
         args.y,
@@ -260,7 +261,7 @@ def _cmd_construct(args) -> int:
         a_prime=Fraction(args.a_prime) if args.a_prime else None,
         c=Fraction(args.c) if args.c else None,
         x=args.x,
-        seed=seed,
+        seed=args.seed,
         sign_pattern=args.sign,
     )
     print(
@@ -325,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
             "S-integer circle-doubling systems."
         ),
     )
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for all randomized components (default 0)")
     ap.add_argument("--cache", default=None,
                     help="writable factor-cache path (default "
                          "$ORBITGROWTH_CACHE; the packaged seed cache is "
@@ -397,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--sign", default="plus",
                    choices=("plus", "minus", "alternating", "random"))
-    p.add_argument("--seed", dest="construct_seed", type=int, default=None,
-                   help="seed for this construction (overrides the global)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --sign random (default 0)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_construct)
 

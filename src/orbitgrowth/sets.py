@@ -5,13 +5,12 @@ An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
 membership over [1, limit] is served by numpy sieves so that dominant sums
 never need factorizations.  Closure flags (multiplication by naturals,
-least common multiples) claimed True are verified by seeded randomized
-testing when a spec is loaded (order_set_from_json, prime_set_from_json);
-a flag claimed False is not tested, and sets built in code are trusted.
-A claimed flag's pairs are drawn in bulk and tested at once by each kind's
-_members on exponent rows; the first 64 pairs are cross-checked by the
-scalar _member.  The lcm strata that exact sums build over an order set,
-and the factor cache they need, belong to mertens.
+least common multiples) are facts of the code: class attributes, the exact
+ExplicitList._lcm_closed, complement_multiples_of's prime-power rule and a
+squarefree_augmented base's flags.  A JSON spec cannot claim one, so
+loading a spec tests none and draws no random numbers; a property test
+checks every kind's claimed flags.  The lcm strata that exact sums build
+over an order set, and the factor cache they need, belong to mertens.
 
 JSON wire forms (the single schema used by the CLI):
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -41,9 +39,7 @@ from .errors import CapacityError, ContractError, InvariantViolation
 from .integers import (factorize, is_prime_power, is_probable_prime, mult_order,
                        ord_p)
 
-CLOSURE_PAIRS = 10**4
-CLOSURE_BOUND = 10**5
-# Results of each bulk fast path that the scalar path recomputes.
+# Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
 
 
@@ -222,161 +218,14 @@ def prime_source_from_json(obj: dict) -> PrimeSource:
 
 
 # ---------------------------------------------------------------------------
-# Closure verification.
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    pairs_tested: int
-
-
-_closure_memo: dict[tuple, ClosureReport] = {}
-
-# 2*3*5*7*11*13*17 > CLOSURE_BOUND: no n <= CLOSURE_BOUND has more primes.
-_ROW_WIDTH = 6
-
-
-def verify_closure_flags(oset: "OrderSet", seed: int = 0) -> ClosureReport:
-    """Randomized closure testing of the claimed flags.
-
-    A flag claimed True must survive CLOSURE_PAIRS random products/lcms of
-    members within [1, CLOSURE_BOUND], tested in bulk by _check_pairs, or
-    InvariantViolation names the first failing pair.  A flag claimed False
-    is not tested: it only narrows what dominant_sum and
-    decompose_lcm_closed accept.
-    """
-    # The claimed flags belong in the key: a set built in code can claim
-    # other flags than the kind its JSON names.
-    key = (type(oset), oset.closed_under_nat_multiplication,
-           oset.closed_under_lcm, repr(sorted(oset.to_json().items())), seed)
-    hit = _closure_memo.get(key)
-    if hit is not None:
-        return hit
-
-    rng = random.Random(seed)
-    members = np.flatnonzero(oset.indicator(CLOSURE_BOUND)[1:]) + 1
-
-    # Multiplicative sampling skips the unit: membership of 1 is bookkeeping
-    # for dominant sums, while closure concerns the orders M \ {1, 6}.
-    if oset.closed_under_nat_multiplication:
-        pair = _check_pairs(oset, members[members >= 2], rng, mode="mul")
-        if pair is not None:
-            raise InvariantViolation(
-                f"prime-sets: {oset.kind} claims multiplication closure but "
-                f"fails on pair {pair}"
-            )
-    if oset.closed_under_lcm:
-        pair = _check_pairs(oset, members, rng, mode="lcm")
-        if pair is not None:
-            raise InvariantViolation(
-                f"prime-sets: {oset.kind} claims lcm closure but fails on pair {pair}"
-            )
-    report = _closure_memo[key] = ClosureReport(pairs_tested=CLOSURE_PAIRS)
-    return report
-
-
-def _check_pairs(oset, pool, rng, mode) -> tuple[int, int] | None:
-    """The first of CLOSURE_PAIRS random pairs, in draw order, whose product
-    (mode "mul": a in pool, b in [1, CLOSURE_BOUND]) or lcm (mode "lcm": a
-    and b in pool) is not a member; None if every one is.
-
-    All pairs come from one draw of rng and are tested at once by
-    oset._members on exponent rows.  The first CROSS_CHECKS pairs also go
-    through the scalar _member, and the failing pair through contains; a
-    disagreement is an invariant violation.
-    """
-    if not pool.size:
-        return None
-    width = CLOSURE_BOUND if mode == "mul" else pool.size
-    # 53 random bits per pair pick its index among pool.size * width pairs,
-    # as random() does for a single choice.
-    bits = rng.getrandbits(64 * CLOSURE_PAIRS).to_bytes(8 * CLOSURE_PAIRS, "little")
-    unit = (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0**-53
-    i, j = np.divmod((unit * (pool.size * width)).astype(np.int64), width)
-    a, b = pool[i], (j + 1 if mode == "mul" else pool[j])
-    n = a * b if mode == "mul" else np.lcm(a, b)
-    ok = oset._members(n, *_merged_rows(*_factor_rows(a), *_factor_rows(b),
-                                        np.add if mode == "mul" else np.maximum))
-    for k in range(CROSS_CHECKS):
-        fa, fb = Counter(factorize(int(a[k]))), Counter(factorize(int(b[k])))
-        fac = fa + fb if mode == "mul" else fa | fb  # | takes the larger exponent
-        if oset._member(int(n[k]), fac) != ok[k]:
-            raise InvariantViolation(f"prime-sets: {oset.kind} bulk membership of "
-                                     f"{int(n[k])} disagrees with _member")
-    failing = np.flatnonzero(~ok)[:1].tolist()
-    if not failing:
-        return None
-    k = failing[0]
-    if oset.contains(int(n[k])):
-        raise InvariantViolation(f"prime-sets: {oset.kind} bulk membership of "
-                                 f"{int(n[k])} disagrees with contains")
-    return int(a[k]), int(b[k])
-
-
-def _factor_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each x in [1, CLOSURE_BOUND] as one row of primes (int32, ascending)
-    and one of their exponents (int8), 0-padded at the end."""
-    table = small_prime_table()
-    primes = np.zeros((x.size, _ROW_WIDTH), dtype=np.int32)
-    exps = np.zeros((x.size, _ROW_WIDTH), dtype=np.int8)
-    # Peel one least factor per step off the rows not yet at 1; a row moves
-    # to its next column when its least factor changes.
-    rows = np.flatnonzero(x > 1)
-    rem = x[rows]
-    last = table.least_factors(rem)
-    col = np.zeros(rows.size, dtype=np.intp)
-    while rows.size:
-        p = table.least_factors(rem)
-        col += p != last
-        primes[rows, col] = p
-        exps[rows, col] += 1
-        rem //= p
-        keep = rem > 1
-        rows, rem, last, col = rows[keep], rem[keep], p[keep], col[keep]
-    return primes, exps
-
-
-def _merged_rows(pa, ea, pb, eb, combine):
-    """The rows of a*b (combine np.add) or lcm(a, b) (np.maximum) from the
-    rows of a and of b."""
-    # One int32 key per cell, prime << 8 | exponent, and padding last: sorting
-    # the keys sorts each row by prime and puts a prime of both a and b into
-    # two neighbouring cells, which combine into the left one.
-    pad = np.iinfo(np.int32).max
-    primes = np.hstack([pa, pb])
-    keys = np.where(primes > 0, primes << 8 | np.hstack([ea, eb]), pad)
-    keys.sort(axis=1)
-    left, right = keys[:, :-1], keys[:, 1:]
-    both = (left >> 8 == right >> 8) & (right != pad)
-    left[both] = left[both] & ~255 | combine(left[both] & 255, right[both] & 255)
-    right[both] = pad
-    keys.sort(axis=1)
-    keys[keys == pad] = 0
-    return (keys >> 8).astype(np.int32), (keys & 255).astype(np.int8)
-
-
-# ---------------------------------------------------------------------------
 # Order sets.
-
-
-def _multiple_of_any(n: np.ndarray, divisors) -> np.ndarray:
-    """Bulk any(n % d == 0 for d in divisors), for n >= 1; a divisor past
-    n.max() divides nothing, so one past int64 is never converted."""
-    out, top = np.zeros(n.shape, dtype=bool), int(n.max())
-    for d in divisors:
-        if d <= top:
-            out |= n % d == 0
-    return out
-
-
-def _in_source(source: PrimeSource, primes: np.ndarray) -> np.ndarray:
-    """Bulk source.contains_prime over an array of primes; 0, the padding of
-    exponent rows, is never contained."""
-    return np.isin(primes, source.primes_up_to(int(primes.max(initial=0))))
 
 
 class OrderSet:
     kind = "abstract"
+    # dominant_sum needs closure under multiplication by the naturals, and
+    # decompose_lcm_closed closure under lcm; a flag claimed False only
+    # narrows what they accept.
     closed_under_nat_multiplication = False
     closed_under_lcm = False
 
@@ -387,12 +236,6 @@ class OrderSet:
         return self._member(n, factorize(n))
 
     def _member(self, n: int, fac: dict[int, int]) -> bool:
-        raise NotImplementedError
-
-    def _members(self, n: np.ndarray, primes: np.ndarray,
-                 exps: np.ndarray) -> np.ndarray:
-        """Bulk _member: n an int64 array, row i of primes/exps the
-        factorization of n[i] (0-padded); a boolean array like n."""
         raise NotImplementedError
 
     def indicator(self, limit: int) -> np.ndarray:
@@ -433,10 +276,6 @@ class ExplicitList(OrderSet):
 
     def _member(self, n, fac):
         return n in self.values
-
-    def _members(self, n, primes, exps):
-        top = int(n.max())
-        return np.isin(n, [v for v in self.values if v <= top])
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -486,11 +325,6 @@ class MultiplesOf(OrderSet):
             return any(n % l == 0 for l in self.ells)
         return any(self.ell_set.contains_prime(p) for p in fac)
 
-    def _members(self, n, primes, exps):
-        if self.ells is not None:
-            return _multiple_of_any(n, self.ells)
-        return _in_source(self.ell_set, primes).any(axis=1)
-
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
         divs = (self.ell_set.primes_up_to(limit) if self.ells is None
@@ -530,9 +364,6 @@ class ComplementMultiplesOf(OrderSet):
     def _member(self, n, fac):
         return n % self.ell != 0
 
-    def _members(self, n, primes, exps):
-        return ~_multiple_of_any(n, (self.ell,))
-
     def indicator(self, limit):
         out = np.ones(limit + 1, dtype=bool)
         out[0] = False
@@ -553,9 +384,6 @@ class CompositeNumbers(OrderSet):
     def _member(self, n, fac):
         return sum(fac.values()) != 1
 
-    def _members(self, n, primes, exps):
-        return exps.sum(axis=1) != 1
-
     def indicator(self, limit):
         out = ~prime_mask(limit)
         out[0] = False
@@ -572,9 +400,6 @@ class PrimeNumbers(OrderSet):
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1
-
-    def _members(self, n, primes, exps):
-        return exps.sum(axis=1) == 1
 
     def indicator(self, limit):
         return prime_mask(limit)
@@ -599,12 +424,6 @@ class EllPowers(OrderSet):
         while n % self.ell == 0:
             n //= self.ell
         return n == 1
-
-    def _members(self, n, primes, exps):
-        powers, top = [1], int(n.max())
-        while powers[-1] * self.ell <= top:
-            powers.append(powers[-1] * self.ell)
-        return np.isin(n, powers)
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -633,9 +452,6 @@ class SquarefreeAugmented(OrderSet):
             return True
         return self.base._member(n, fac)
 
-    def _members(self, n, primes, exps):
-        return (exps >= 2).any(axis=1) | self.base._members(n, primes, exps)
-
     def indicator(self, limit):
         out = self.base.indicator(limit) | ~squarefree_mask(limit)
         out[0] = False
@@ -657,10 +473,6 @@ class CongruencePrimes(OrderSet):
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1 and self.source.contains_prime(n)
-
-    def _members(self, n, primes, exps):
-        # A prime n is the first prime of its row.
-        return (exps.sum(axis=1) == 1) & _in_source(self.source, primes[:, 0])
 
     def indicator(self, limit):
         out = np.zeros(limit + 1, dtype=bool)
@@ -734,15 +546,6 @@ class OmegaBounded(OrderSet):
                 omega_q += eq
         return omega_q > self.r
 
-    def _members(self, n, primes, exps):
-        in_m = np.zeros(exps.shape, dtype=np.int64)
-        for p in np.unique(primes[primes > 0]).tolist():
-            if self.m % p == 0:
-                in_m[primes == p] = ord_p(self.m, p)
-        q_exps = exps - np.minimum(exps, in_m)
-        outside = (q_exps > 0) & ~_in_source(self.ell_set, primes)
-        return (q_exps.sum(axis=1) > self.r) | outside.any(axis=1)
-
     def _m_prime_powers(self, limit: int) -> dict[int, int]:
         """{p: ord_p(m)} over the primes p <= limit of m, by trial division
         that stops once what is left of m is 1.  The primes past the small
@@ -812,19 +615,15 @@ _ORDER_KINDS = {
 }
 
 
-def order_set_from_json(obj: dict, seed: int = 0) -> OrderSet:
-    """The order set a JSON spec describes, its closure flags verified with
-    seed; a squarefree_augmented base is verified before the set around it."""
+def order_set_from_json(obj: dict) -> OrderSet:
+    """The order set a JSON spec describes."""
     kind = _field(obj, "kind")
     if kind == "squarefree_augmented":
-        oset = SquarefreeAugmented(order_set_from_json(_field(obj, "base"), seed))
-    else:
-        builder = _ORDER_KINDS.get(kind)
-        if builder is None:
-            raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
-        oset = builder(obj)
-    verify_closure_flags(oset, seed)
-    return oset
+        return SquarefreeAugmented(order_set_from_json(_field(obj, "base")))
+    builder = _ORDER_KINDS.get(kind)
+    if builder is None:
+        raise ContractError(f"prime-sets: unknown order-set kind {kind!r}")
+    return builder(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +668,12 @@ class InducedPrimes(PrimeSet):
         return {"kind": "induced", "order_set": self.order_set.to_json()}
 
 
-def prime_set_from_json(obj: dict, seed: int = 0) -> PrimeSet:
+def prime_set_from_json(obj: dict) -> PrimeSet:
     kind = _field(obj, "kind")
     if kind == "explicit_finite":
         return ExplicitFinitePrimes(_ints(obj, "primes"))
     if kind == "induced":
-        return InducedPrimes(order_set_from_json(_field(obj, "order_set"), seed))
+        return InducedPrimes(order_set_from_json(_field(obj, "order_set")))
     raise ContractError(f"prime-sets: unknown prime-set kind {kind!r}")
 
 

@@ -146,20 +146,18 @@ class TestPipelines:
         assert payload["model"] == "k_log"
         assert abs(payload["k"] - 2 / 3) < 0.01
 
-    def test_closure_seed_any_integer(self, capsys, tmp_path):
+    def test_construct_seed_any_integer(self, capsys):
         # --seed reaches random.Random, which takes negative seeds and seeds
-        # past int64; the density does not depend on the seed.
-        for order_set in ('{"kind": "multiples_of", "ells": [3]}',
-                          '{"kind": "complement_multiples_of", "ell": 3}'):
-            spec = tmp_path / "set.json"
-            spec.write_text(f'{{"kind": "induced", "order_set": {order_set}}}\n')
+        # past int64, and the same seed gives the same bytes.
+        for seed in ("-1", "0", str(2**70)):
             outs = []
-            for seed in ("0", "-1", str(2**70)):
-                code, out, err = run(capsys, "--seed", seed, "set-density",
-                                     "--spec", str(spec), "--limit", "10000")
+            for _ in range(2):
+                code, out, err = run(capsys, "construct", "rn", "--delta", "1/2",
+                                     "--n-max", "10", "--mode", "perturbed",
+                                     "--sign", "random", "--seed", seed)
                 assert code == 0, err
                 outs.append(out)
-            assert outs[1:] == outs[:1] * 2, order_set
+            assert outs[0] == outs[1], seed
 
     def test_byte_identical_outputs(self, capsys):
         _, out1, _ = run(capsys, "k-exact", "--set", "3,7")

@@ -1,7 +1,5 @@
 import math
 import random
-import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 from orbitgrowth import sets
 from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
-from orbitgrowth.integers import factorize, is_probable_prime
+from orbitgrowth.integers import is_probable_prime
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
@@ -33,7 +31,6 @@ from orbitgrowth.sets import (
     prime_set_from_json,
     prime_mask,
     squarefree_mask,
-    verify_closure_flags,
 )
 
 
@@ -125,19 +122,6 @@ def order_sets(draw):
     return SquarefreeAugmented(base) if draw(st.booleans()) else base
 
 
-def factor_rows_of(ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent rows as sets._factor_rows lays them out, from factorize,
-    for n past its table."""
-    facs = [sorted(factorize(n).items()) for n in ns]
-    width = max(6, max(map(len, facs)))
-    primes = np.zeros((len(ns), width), dtype=np.int32)
-    exps = np.zeros((len(ns), width), dtype=np.int8)
-    for i, fac in enumerate(facs):
-        for j, (p, e) in enumerate(fac):
-            primes[i, j], exps[i, j] = p, e
-    return primes, exps
-
-
 BASE_KINDS = [
     ExplicitList([1, 2, 6, 28, 500, 4096, 10**9]),
     ExplicitList([2, 2**70]),
@@ -160,9 +144,26 @@ BASE_KINDS = [
 ALL_KINDS = BASE_KINDS + [SquarefreeAugmented(k) for k in BASE_KINDS]
 
 
-def row_dicts(primes, exps):
-    return [{int(p): int(e) for p, e in zip(ps, es) if e}
-            for ps, es in zip(primes, exps)]
+# Every pair of naturals up to 60.
+SMALL_PAIRS = [(a, b) for a in range(1, 61) for b in range(1, 61)]
+
+
+def closure_break(oset, pairs):
+    """The first (a, b) of pairs that breaks a flag oset claims, or None.
+
+    Multiplication closure breaks at a member a >= 2 with a*b not a member
+    (b any natural; membership of 1 is bookkeeping for dominant sums, while
+    closure concerns the orders M without 1 and 6).  Lcm closure breaks at
+    members a and b whose lcm is not one.  A flag claimed False is not
+    tested."""
+    for a, b in pairs:
+        if (oset.closed_under_nat_multiplication and a >= 2
+                and oset.contains(a) and not oset.contains(a * b)):
+            return a, b
+        if (oset.closed_under_lcm and oset.contains(a) and oset.contains(b)
+                and not oset.contains(math.lcm(a, b))):
+            return a, b
+    return None
 
 
 class TestSieveArrays:
@@ -272,13 +273,11 @@ class TestMembership:
     @example(oset=SquarefreeAugmented(ComplementMultiplesOf(2)), limit=2)
     @example(oset=OmegaBounded(1, ListSource([3]), 2**70), limit=3)
     def test_three_membership_paths_agree(self, oset, limit):
-        # The sieve, the bulk rows and the scalar test give one answer for
-        # every kind, and the JSON form loads back to the same set.
+        # The sieve and the scalar test give one answer for every kind, and
+        # the JSON form loads back to the same set.
         ind = oset.indicator(limit)
         assert len(ind) == limit + 1 and not ind[0]
         assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
-        n = np.arange(1, limit + 1, dtype=np.int64)
-        assert np.array_equal(oset._members(n, *sets._factor_rows(n)), ind[1:])
         spec = oset.to_json()
         assert order_set_from_json(spec).to_json() == spec
 
@@ -293,8 +292,6 @@ class TestMembership:
         ind = oset.indicator(limit)
         ns = list(range(SIEVE_BLOCK - 200, limit + 1))
         assert [n for n in ns if ind[n] != oset.contains(n)] == []
-        bulk = oset._members(np.array(ns, dtype=np.int64), *factor_rows_of(ns))
-        assert np.array_equal(bulk, ind[ns])
 
     def test_omega_bounded_m_past_int64(self):
         # Below 2^40, m = 2^70 and m = 2^40 divide out the same powers of 2.
@@ -316,71 +313,36 @@ class TestMembership:
                                                 if ell**e <= 5000]
 
 
-class TestBulkMembership:
-    def test_factor_rows(self):
-        x = np.array([1, 2, 12, 30030, 65536, 99991, 10**5], dtype=np.int64)
-        primes, exps = sets._factor_rows(x)
-        assert primes.dtype == np.int32 and exps.dtype == np.int8
-        assert row_dicts(primes, exps) == [factorize(int(v)) for v in x]
-        assert primes[3].tolist() == [2, 3, 5, 7, 11, 13]
-
-    def test_merge_combines_shared_primes(self):
-        def merged(a, b, combine):
-            rows = [sets._factor_rows(np.array([v], dtype=np.int64)) for v in (a, b)]
-            primes, exps = sets._merged_rows(*rows[0], *rows[1], combine)
-            return primes[0].tolist(), exps[0].tolist()
-
-        assert merged(3, 3, np.add) == ([3] + [0] * 11, [2] + [0] * 11)
-        assert merged(4, 2, np.maximum) == ([2] + [0] * 11, [2] + [0] * 11)
-        assert merged(12, 90, np.add) == ([2, 3, 5] + [0] * 9,
-                                          [3, 3, 1] + [0] * 9)
-        assert merged(12, 90, np.maximum) == ([2, 3, 5] + [0] * 9,
-                                              [2, 2, 1] + [0] * 9)
-
-    def test_bulk_matches_scalar_on_small_pairs(self):
-        # Every pair in [1, 40]^2, where few prime factors and shared primes
-        # are common, for every kind in both modes.
-        a, b = (g.ravel() for g in np.meshgrid(np.arange(1, 41), np.arange(1, 41)))
-        fac = {v: Counter(factorize(v)) for v in range(1, 41)}
-        for lcm in (False, True):
-            n = np.lcm(a, b) if lcm else a * b
-            rows = sets._merged_rows(*sets._factor_rows(a), *sets._factor_rows(b),
-                                     np.maximum if lcm else np.add)
-            facs = [fac[x] | fac[y] if lcm else fac[x] + fac[y]
-                    for x, y in zip(a.tolist(), b.tolist())]
-            assert row_dicts(*rows) == facs
-            for oset in ALL_KINDS:
-                expect = [oset._member(v, f) for v, f in zip(n.tolist(), facs)]
-                assert oset._members(n, *rows).tolist() == expect, (oset, lcm)
-
-    @settings(max_examples=200, deadline=None)
-    @given(oset=st.sampled_from(ALL_KINDS), lcm=st.booleans(),
-           pairs=st.lists(st.tuples(st.integers(1, 10**5), st.integers(1, 10**5)),
-                          min_size=1, max_size=40))
-    def test_bulk_matches_scalar(self, oset, lcm, pairs):
-        a = np.array([p[0] for p in pairs], dtype=np.int64)
-        b = np.array([p[1] for p in pairs], dtype=np.int64)
-        n = np.lcm(a, b) if lcm else a * b
-        primes, exps = sets._merged_rows(*sets._factor_rows(a), *sets._factor_rows(b),
-                                         np.maximum if lcm else np.add)
-        fa = [Counter(factorize(int(x))) for x in a]
-        fb = [Counter(factorize(int(y))) for y in b]
-        facs = [x | y if lcm else x + y for x, y in zip(fa, fb)]
-        assert row_dicts(primes, exps) == [factorize(int(v)) for v in n] == facs
-        bulk = oset._members(n, primes, exps)
-        assert bulk.dtype == bool and bulk.shape == n.shape
-        assert bulk.tolist() == [oset._member(int(v), f) for v, f in zip(n, facs)]
-
-
 class TestClosureFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(oset=order_sets(), limit=st.integers(2, 3000),
+           picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16),
+                                    st.integers(1, 10**4)),
+                          min_size=1, max_size=30))
+    # The order sets drawn rarely hold a complement on a composite ell that
+    # is no prime power, the one false claim ever seen.
+    @example(oset=ComplementMultiplesOf(6), limit=3, picks=[(1, 2, 1)])
+    def test_claimed_flags_hold(self, oset, limit, picks):
+        # Members a and b from the sieve, and any natural k: a*k for a
+        # multiplication claim, lcm(a, b) for an lcm claim, is a member.
+        # Every pair of the ten least members comes first, then the picks.
+        members = np.flatnonzero(oset.indicator(limit)).tolist()
+        if not members:
+            return
+        least = members[:10]
+        pairs = [(a, b) for a in least for b in least + list(range(1, 11))]
+        for i, j, k in picks:
+            a = members[i % len(members)]
+            pairs += [(a, members[j % len(members)]), (a, k)]
+        assert closure_break(oset, pairs) is None, oset
+
     def test_multiples_closed(self):
-        report = verify_closure_flags(MultiplesOf(ells=[3]))
-        assert report.pairs_tested == sets.CLOSURE_PAIRS
+        assert closure_break(MultiplesOf(ells=[3]), SMALL_PAIRS) is None
 
     def test_squarefree_augmented_closed(self):
         s = SquarefreeAugmented(MultiplesOf(ells=[3]))
         assert s.closed_under_nat_multiplication
-        assert verify_closure_flags(s).pairs_tested == sets.CLOSURE_PAIRS
+        assert closure_break(s, SMALL_PAIRS) is None
 
     def test_false_flags_are_not_tested(self):
         # A flag claimed False only narrows what the series accept, so the
@@ -392,11 +354,7 @@ class TestClosureFlags:
                 calls.append(n)
                 return super()._member(n, fac)
 
-            def _members(self, n, primes, exps):
-                calls.append(n)
-                return super()._members(n, primes, exps)
-
-        verify_closure_flags(Recording())
+        assert closure_break(Recording(), SMALL_PAIRS) is None
         assert calls == []
 
     def test_complement_is_lcm_closed_for_prime_powers_only(self):
@@ -410,119 +368,40 @@ class TestClosureFlags:
 
     def test_omega_bounded_closed(self):
         o = OmegaBounded(2, CongruenceSource(3, [1]), 6)
-        report = verify_closure_flags(o)
-        assert report.pairs_tested == sets.CLOSURE_PAIRS
+        assert closure_break(o, SMALL_PAIRS) is None
 
-    def test_false_claim_sharing_honest_json_raises(self):
-        # The memo is keyed on the claimed flags as well as the JSON, so a
-        # set that claims a closure it lacks gets no honest cached report.
+    def test_false_lcm_claim_on_composite_ell_found(self):
+        # A complement that claims lcm closure for every ell, not only for
+        # the prime powers, breaks at 2 and 3 for ell 6.
         class Lying(ComplementMultiplesOf):
-            closed_under_nat_multiplication = True
+            def __init__(self, ell):
+                super().__init__(ell)
+                self.closed_under_lcm = True
 
-        honest = ComplementMultiplesOf(5)
-        verify_closure_flags(honest)
-        oset = Lying(5)
-        assert oset.to_json() == honest.to_json()
-        with pytest.raises(InvariantViolation) as err:
-            verify_closure_flags(oset)
-        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)",
-                                  str(err.value)).groups())
-        assert oset.contains(a) and not oset.contains(a * b)
+        assert closure_break(Lying(6), SMALL_PAIRS) == (2, 3)
+        assert closure_break(ComplementMultiplesOf(6), SMALL_PAIRS) is None
 
-    def test_false_nat_claim_raises_with_pair(self):
-        class Lying(ComplementMultiplesOf):
-            kind = "lying_complement_multiples_of"
-            closed_under_nat_multiplication = True
-
-            def to_json(self):
-                return {"kind": self.kind, "ell": self.ell}
-
-        oset = Lying(3)
-        with pytest.raises(InvariantViolation) as err:
-            verify_closure_flags(oset)
-        msg = str(err.value)
-        assert "lying_complement_multiples_of claims multiplication closure" in msg
-        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)", msg).groups())
-        assert oset.contains(a) and not oset.contains(a * b)
-
-    def test_false_lcm_claim_raises_with_pair(self):
+    def test_false_lcm_claim_found_with_pair(self):
         class Lying(PrimeNumbers):
-            kind = "lying_prime_numbers"
             closed_under_lcm = True
 
-            def to_json(self):
-                return {"kind": self.kind}
+        assert closure_break(Lying(), SMALL_PAIRS) == (2, 3)
 
-        oset = Lying()
-        with pytest.raises(InvariantViolation) as err:
-            verify_closure_flags(oset)
-        msg = str(err.value)
-        assert "lying_prime_numbers claims lcm closure" in msg
-        a, b = map(int, re.search(r"pair \((\d+), (\d+)\)", msg).groups())
-        assert oset.contains(a) and oset.contains(b)
-        assert not oset.contains(a * b // math.gcd(a, b))
+    def test_false_nat_claim_found_with_pair(self):
+        # 1 * 3 is no member either, but the unit is not a closure witness.
+        class Lying(ComplementMultiplesOf):
+            closed_under_nat_multiplication = True
 
-    def test_bulk_and_scalar_checks_see_the_factorization_of_each_pair(self):
-        seen, scalar = [], []
+        assert closure_break(Lying(3), SMALL_PAIRS) == (2, 3)
 
-        class Recording(CompositeNumbers):
-            def _members(self, n, primes, exps):
-                seen.append((n, primes, exps))
-                return super()._members(n, primes, exps)
+    def test_loader_draws_no_random_numbers(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a spec load drew random numbers")
 
-            def _member(self, n, fac):
-                scalar.append((n, dict(fac)))
-                return super()._member(n, fac)
-
-        verify_closure_flags(Recording(), seed=3)
-        assert [n.size for n, _, _ in seen] == [sets.CLOSURE_PAIRS] * 2
-        for n, primes, exps in seen:
-            assert (row_dicts(primes[:300], exps[:300])
-                    == [factorize(v) for v in n[:300].tolist()])
-        # The cross-check recomputes the first pairs of each flag.
-        assert [n for n, _ in scalar] == [
-            v for n, _, _ in seen for v in n[:sets.CROSS_CHECKS].tolist()]
-        assert all(fac == factorize(n) for n, fac in scalar)
-
-    def test_scalar_cross_check_catches_a_member_override(self):
-        # A subclass that overrides only _member keeps the bulk _members of
-        # its kind; the scalar cross-check sees the two disagree.
-        class Skewed(MultiplesOf):
-            def _member(self, n, fac):
-                return n % 5 == 0
-
-        with pytest.raises(InvariantViolation, match="disagrees with _member"):
-            verify_closure_flags(Skewed(ells=[3]))
-
-    def test_failing_pair_is_confirmed_by_contains(self):
-        # Bulk membership wrong past the cross-checked pairs: the first
-        # failing pair is one contains accepts, so the check names the
-        # disagreement rather than a false closure failure.
-        class Skewed(MultiplesOf):
-            def _members(self, n, primes, exps):
-                out = super()._members(n, primes, exps)
-                out[sets.CROSS_CHECKS:] = False
-                return out
-
-        with pytest.raises(InvariantViolation, match="disagrees with contains"):
-            verify_closure_flags(Skewed(ells=[3]))
-
-    def test_loader_verifies_base_then_outer_with_its_seed(self, monkeypatch):
-        calls = []
-        real = sets.verify_closure_flags
-
-        def recording(oset, seed=0):
-            calls.append((oset.to_json(), seed))
-            return real(oset, seed)
-
-        monkeypatch.setattr(sets, "verify_closure_flags", recording)
-        base = {"kind": "multiples_of", "ells": [3]}
-        spec = {"kind": "squarefree_augmented", "base": base}
-        order_set_from_json(spec, seed=7)
-        assert calls == [(base, 7), (spec, 7)]
-        calls.clear()
-        prime_set_from_json({"kind": "induced", "order_set": spec}, seed=7)
-        assert calls == [(base, 7), (spec, 7)]
+        monkeypatch.setattr(random, "Random", no_draws)
+        for oset in ALL_KINDS:
+            spec = {"kind": "induced", "order_set": oset.to_json()}
+            assert prime_set_from_json(spec).to_json() == spec
 
 
 class TestCorrespondence:
