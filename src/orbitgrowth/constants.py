@@ -66,6 +66,9 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
         return ExactConstant(Fraction(1), "empty S: full harmonic slope")
     orders = orders or OrderTable()
     m_of = {p: orders.order(p) for p in primes}
+    # p^(e_p) (p + 1): a stratum mbar that m_p divides has
+    # ord_p(2^mbar - 1) = e_p + ord_p(mbar, p).
+    lifted = {p: p ** ord_p_mersenne(p, m_of[p], orders) * (p + 1) for p in primes}
     distinct_orders = sorted(set(m_of.values()))
     if len(distinct_orders) > 20:
         raise CapacityError("constants: more than 2^20 lcm strata")
@@ -81,24 +84,22 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
         top, bottom = 1, mbar  # weight times kprime
         for p in s_m:
             top *= p
-            bottom *= p ** ord_p_mersenne(p, mbar, orders) * (p + 1)
-        dvals = sorted(
-            {m_of[p] // math.gcd(m_of[p], mbar) for p in primes if p not in s_m}
-        )
+            bottom *= lifted[p] * p ** ord_p(mbar, p)
+        dvals = {m_of[p] // math.gcd(m_of[p], mbar) for p in primes
+                 if mbar % m_of[p]}
         # A subset with lcm l adds sign/w(l), w(l) = l * prod_{p in S_mbar}
-        # p^ord_p(l).  w takes lcms to lcms, so the depth-first walk carries
-        # w itself, and w over the whole set is a common denominator.
-        ws = [d * math.prod(p ** ord_p(d, p) for p in s_m if d % p == 0)
-              for d in dvals]
-        common = math.lcm(*ws)
-        inner = 0
-        stack = [(0, 1, 1)]
-        while stack:
-            i, w, sign = stack.pop()
-            inner += sign * (common // w)
-            for j in range(i, len(ws)):
-                stack.append((j + 1, math.lcm(w, ws[j]), -sign))
-        top *= inner
+        # p^ord_p(l).  w takes lcms to lcms, so the walk keeps the subsets
+        # seen so far as a map from their w to the sum of their signs, in
+        # which equal values merge, and the lcm of all is a common
+        # denominator.
+        counts = {1: 1}
+        for d in dvals:
+            w = d * math.prod(p ** ord_p(d, p) for p in s_m if d % p == 0)
+            for l, c in list(counts.items()):
+                lw = math.lcm(l, w)
+                counts[lw] = counts.get(lw, 0) - c
+        common = math.lcm(*counts)
+        top *= sum(c * (common // l) for l, c in counts.items())
         bottom *= common
         joint = math.lcm(den, bottom)
         num = num * (joint // den) + top * (joint // bottom)

@@ -7,10 +7,12 @@ only the standard library, so the commands built on it (k-exact, order,
 factor, greedy, construct) start without numpy; the sieves and bulk orders
 that need arrays are in `arith`.  All factoring, of p - 1 here and of
 2^m - 1 in `mersenne`, goes through factor_by_trial: trial division, then
-one Pollard p - 1 step and Brent rho per composite piece, under a deadline
-(FACTORIZE_BUDGET seconds by default).  Its small primes come from a
-bytearray sieve to TRIAL_LIMIT, built on first use and never at import.
-The package runs in one thread per process, so that list and the
+per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to
+PM1_BOUND2) and Brent rho, under a deadline (FACTORIZE_BUDGET seconds by
+default).  One odd-only bytearray sieve serves both: it lists the small
+primes on demand, only as far as a caller needs, and sieves the stage-2
+range segment by segment without listing it.  Nothing is sieved at import.
+The package runs in one thread per process, so the prime list and the
 OrderTable memo hold no locks.
 """
 
@@ -32,21 +34,38 @@ _MR_BASES = (
     139, 149, 151, 157, 163, 167, 173,
 )
 MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi, k): below psi the first k prime bases decide primality, psi being
+# the least strong pseudoprime to them (Jaeschke 1993; Sorenson and Webster
+# 2017).  psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so 8, 10 and 11 bases
+# never help; the last psi is MR_PROVEN_BOUND.
+_MR_PSI = (
+    (2047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+    (MR_PROVEN_BOUND, 13),
+)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin over the fixed base set; deterministic below 3.3e24."""
+    """Miller-Rabin, deterministic below MR_PROVEN_BOUND: there it tries the
+    first k prime bases that _MR_PSI gives for n, and all 40 at or above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    k = next((k for psi, k in _MR_PSI if n < psi), len(_MR_BASES))
+    return _strong_probable_prime(n, _MR_BASES[:k])
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """The strong probable-prime test of odd n > 2 to each of the bases."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         a %= n
         if a == 0:
             continue
@@ -79,22 +98,41 @@ def primality_certified(n: int) -> bool:
     return n < MR_PROVEN_BOUND
 
 
-# factorize trial-divides by the primes up to TRIAL_LIMIT, listed on first use.
+# factorize trial-divides by the primes up to TRIAL_LIMIT.  _primes holds
+# the primes up to _sieved_to and grows on demand.
 TRIAL_LIMIT = 10**5
-_trial_primes: list[int] | None = None
+_primes = [2, 3, 5, 7]
+_sieved_to = 10
 
 
-def _small_primes() -> list[int]:
-    """The primes <= TRIAL_LIMIT, ascending, from a bytearray sieve."""
-    global _trial_primes
-    if _trial_primes is None:
-        flags = bytearray([1]) * (TRIAL_LIMIT + 1)
-        flags[:2] = b"\0\0"
-        for p in range(2, math.isqrt(TRIAL_LIMIT) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytes(len(range(p * p, TRIAL_LIMIT + 1, p)))
-        _trial_primes = list(compress(range(TRIAL_LIMIT + 1), flags))
-    return _trial_primes
+def _small_primes(limit: int) -> list[int]:
+    """The primes up to at least `limit`, ascending.  The list grows, at
+    least doubling while below TRIAL_LIMIT, by a new list rather than in
+    place, so a caller may keep iterating the one it was given."""
+    global _primes, _sieved_to
+    if limit > _sieved_to:
+        new = max(limit, min(2 * _sieved_to, TRIAL_LIMIT))
+        _small_primes(math.isqrt(new))  # the sieving primes, first
+        lo = _sieved_to + 1 | 1
+        flags = _odd_prime_flags(lo, new + 1)
+        _primes = _primes + list(compress(range(lo, new + 1, 2), flags))
+        _sieved_to = new
+    return _primes
+
+
+def _odd_prime_flags(lo: int, hi: int) -> bytearray:
+    """One bytearray over the odd numbers of [lo, hi), odd lo >= 3: entry i
+    is 1 exactly when lo + 2i is prime."""
+    flags = bytearray([1]) * ((hi - lo + 1) // 2)
+    for p in _small_primes(math.isqrt(hi - 1))[1:]:
+        if p * p >= hi:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - lo) // 2  # odd multiples of p are p apart in entries
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    return flags
 
 
 def _brent_rho(n: int, deadline: float) -> int:
@@ -139,30 +177,52 @@ def _brent_rho(n: int, deadline: float) -> int:
 # factoring; past it, BudgetError.
 FACTORIZE_BUDGET = 10.0
 
-# Stage-1 bound of Pollard's p - 1 method.  The exponent E it gives (14447
-# bits) is built on the first call, never at import.
+# Stage-1 and stage-2 bounds of Pollard's p - 1 method.  The stage-1
+# exponent E (14447 bits) is built on the first call, never at import.
 PM1_BOUND = 10**4
+PM1_BOUND2 = 10**6
+_PM1_SEGMENT = 1 << 15  # odd numbers per stage-2 sieve segment
 _pm1_exponent: int | None = None
 
 
 def _pollard_pm1(n: int, k: int, deadline: float) -> int | None:
-    """One stage-1 Pollard p - 1 split of composite n, or None.
+    """One Pollard p - 1 split of composite n, or None.
 
-    g = gcd(3^(k E) - 1, n), with E the product of the largest powers of
-    the primes up to PM1_BOUND, takes every prime q of n whose q - 1
-    divides k E.  Returns g when it splits n and None when it is 1 or n.
+    Stage 1: g = gcd(x - 1, n) for x = 3^(k E), E the product of the largest
+    powers of the primes up to PM1_BOUND, takes every prime r of n whose
+    r - 1 divides k E.  When g = 1, stage 2 (Montgomery 1987) takes every r
+    whose r - 1 divides k E q for one prime q in (PM1_BOUND, PM1_BOUND2]:
+    it steps x^q from prime to prime by cached powers x^gap, multiplies the
+    x^q - 1 together mod n and takes one gcd at the end.  Returns g when it
+    splits n and None when it is 1 or n.  The deadline is checked before
+    stage 1 and before each stage-2 segment.
     """
     global _pm1_exponent
     if _pm1_exponent is None:
         exponent = 1
-        for p in takewhile(lambda p: p <= PM1_BOUND, _small_primes()):
+        for p in takewhile(lambda p: p <= PM1_BOUND, _small_primes(PM1_BOUND)):
             pk = p
             while pk * p <= PM1_BOUND:
                 pk *= p
             exponent *= pk
         _pm1_exponent = exponent
     _check_deadline(deadline, n)
-    g = math.gcd(pow(3, k * _pm1_exponent, n) - 1, n)
+    x = pow(3, k * _pm1_exponent, n)
+    g = math.gcd(x - 1, n)
+    if g == 1:
+        steps: dict[int, int] = {}  # gap -> x^gap
+        q, y = PM1_BOUND, pow(x, PM1_BOUND, n)  # y = x^q
+        product = 1
+        for lo in range(PM1_BOUND + 1 | 1, PM1_BOUND2 + 1, 2 * _PM1_SEGMENT):
+            _check_deadline(deadline, n)
+            hi = min(lo + 2 * _PM1_SEGMENT, PM1_BOUND2 + 1)
+            for r in compress(range(lo, hi, 2), _odd_prime_flags(lo, hi)):
+                step = steps.get(r - q)
+                if step is None:
+                    step = steps[r - q] = pow(x, r - q, n)
+                q, y = r, y * step % n
+                product = product * (y - 1) % n
+        g = math.gcd(product, n)
     return g if 1 < g < n else None
 
 
@@ -181,9 +241,10 @@ def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, in
     so a part left when p * p > n is prime.  A part left when they run out
     is tested with is_probable_prime, as is every piece split from it; a
     composite square becomes its root twice, and any other composite gets
-    one _pollard_pm1 step with multiplier k, then _brent_rho when that does
-    not split it.  Past `deadline`, BudgetError whose `partial` is (factors
-    found so far, composite cofactors left), which multiply to n.
+    one _pollard_pm1 step with multiplier k (stage 1, then stage 2 when
+    stage 1 finds nothing), then _brent_rho when that does not split it.
+    Past `deadline`, BudgetError whose `partial` is (factors found so far,
+    composite cofactors left), which multiply to n.
     """
     out: dict[int, int] = {}
     for p in candidates:
@@ -222,12 +283,14 @@ def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, in
 
 def factorize(n: int) -> dict[int, int]:
     """Full factorization of n >= 1 by factor_by_trial over the primes up to
-    TRIAL_LIMIT, under a deadline FACTORIZE_BUDGET seconds away; past it,
-    BudgetError.  Up to TRIAL_LIMIT^2 the primes come out in ascending order.
+    isqrt(n), or TRIAL_LIMIT when that is smaller, under a deadline
+    FACTORIZE_BUDGET seconds away; past it, BudgetError.  Up to
+    TRIAL_LIMIT^2 the primes come out in ascending order.
     """
     if n < 1:
         raise ValueError(f"core-arith: cannot factor {n}")
-    return factor_by_trial(n, _small_primes(), 1, time.monotonic() + FACTORIZE_BUDGET)
+    return factor_by_trial(n, _small_primes(min(math.isqrt(n), TRIAL_LIMIT)), 1,
+                           time.monotonic() + FACTORIZE_BUDGET)
 
 
 def divisors(n: int) -> list[int]:

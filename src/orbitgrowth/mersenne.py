@@ -24,7 +24,6 @@ import fcntl
 import json
 import os
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
@@ -42,28 +41,61 @@ SEED_RESOURCE = "mersenne_m128.jsonl"
 MERSENNE_CAPACITY = 1000
 
 
-@dataclass(frozen=True)
-class MersenneFactorization:
-    """Complete factorization of 2^m - 1, product-checked at construction."""
+class _Frozen:
+    """Immutable fields, named by __slots__, with the equality, hash and repr
+    of a frozen dataclass."""
 
-    m: int
-    factors: tuple[tuple[int, int], ...]  # ascending (prime, exponent)
-    certified: bool  # all prime factors below the proven Miller-Rabin bound
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MersenneFactorization(_Frozen):
+    """Complete factorization of 2^m - 1, product-checked at construction.
+
+    `factors` lists ascending (prime, exponent) pairs; `certified` says all
+    prime factors are below the proven Miller-Rabin bound.
+    """
+
+    __slots__ = ("m", "factors", "certified")
+
+    def __init__(self, m: int, factors: tuple[tuple[int, int], ...], certified: bool):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
                 raise InvariantViolation(
-                    f"mersenne-factors: factors of m={self.m} not ascending/positive"
+                    f"mersenne-factors: factors of m={m} not ascending/positive"
                 )
             last = p
             prod *= p**e
-        if prod != (1 << self.m) - 1:
+        if prod != (1 << m) - 1:
             raise InvariantViolation(
-                f"mersenne-factors: product check failed for m={self.m}"
+                f"mersenne-factors: product check failed for m={m}"
             )
+        super().__init__(m, factors, certified)
 
     @property
     def value(self) -> int:
@@ -193,8 +225,8 @@ def factor_mersenne(
     of 2^d - 1 for proper divisors d | m, then factor the primitive part
     with integers.factor_by_trial: trial division by the candidates
     p = 1 (mod m) up to 10^7 (any new prime must have order exactly m), and
-    for each composite piece left one stage-1 Pollard p - 1 step with
-    multiplier 2m, then Brent rho, all under the time budget.  The budget
+    for each composite piece left one Pollard p - 1 step (stages 1 and 2)
+    with multiplier 2m, then Brent rho, all under the time budget.  The budget
     covers the whole call: recursive calls get the time that is left.  When
     it runs out, the BudgetError carries a MersennePartial for this m whose
     factors and cofactors multiply to 2^m - 1.
@@ -253,13 +285,14 @@ def factor_mersenne(
     return fz
 
 
-@dataclass(frozen=True)
-class MersennePartial:
-    """Carried by BudgetError: what was split before the deadline."""
+class MersennePartial(_Frozen):
+    """Carried by BudgetError: what was split before the deadline, as the
+    prime `factors` {p: e} and the composite `cofactors` left."""
 
-    m: int
-    factors: dict[int, int]
-    cofactors: tuple[int, ...]
+    __slots__ = ("m", "factors", "cofactors")
+
+    def __init__(self, m: int, factors: dict[int, int], cofactors: tuple[int, ...]):
+        super().__init__(m, factors, cofactors)
 
 
 def primitive_primes(

@@ -168,6 +168,12 @@ def orbit_count(
     total = 0
     for d in divisors(n):
         total += moebius(n // d) * periodic_points(d, s, orders, cache)
+    return _orbits(n, total)
+
+
+def _orbits(n: int, total: int) -> int:
+    """O(n) = total / n for total = sum_{d|n} mu(n/d) F(d), checked to be a
+    non-negative integer."""
     q, r = divmod(total, n)
     if r or q < 0:
         raise InvariantViolation(
@@ -184,7 +190,10 @@ def mertens_exact(
 ) -> MertensSeries:
     """M_S(N) = sum_{n <= N} O(n) 2^-n for every N <= n_max, exactly.
 
-    The entropy log 2 is hardwired through e^{-hn} = 2^{-n}.
+    F(1..n_max) are computed once each, and Möbius inversion over that list
+    gives every O(n), as orbit_count does for one n.  The sum is kept as one
+    integer numerator over 2^N, num_N = 2 num_{N-1} + O(N).  The entropy
+    log 2 is hardwired through e^{-hn} = 2^{-n}.
     """
     if n_max < 1:
         raise ContractError("mertens-engine: n_max must be >= 1")
@@ -194,11 +203,17 @@ def mertens_exact(
         )
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
-    acc = Fraction(0)
+    mu = [0] + [moebius(j) for j in range(1, n_max + 1)]
+    totals = [0] * (n_max + 1)  # totals[n] = sum_{d|n} mu(n/d) F(d)
+    for d in range(1, n_max + 1):
+        f = periodic_points(d, pset, orders, cache)
+        for j in range(1, n_max // d + 1):
+            totals[d * j] += mu[j] * f
+    num = 0
     samples = []
     for n in range(1, n_max + 1):
-        acc += Fraction(orbit_count(n, pset, orders, cache), 1 << n)
-        samples.append((n, acc))
+        num = 2 * num + _orbits(n, totals[n])
+        samples.append((n, Fraction(num, 1 << n)))
     return MertensSeries(label=pset.label(), mode="exact", samples=samples)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError
@@ -22,12 +21,17 @@ from .mersenne import FactorCache
 MERTENS_CONSTANT_ORACLE = 0.26149  # from the prime-harmonic oracle run
 
 
-@dataclass
 class CriterionResult:
-    theorem: str
-    passed: bool
-    elapsed: float
-    details: list[str] = field(default_factory=list)
+    def __init__(self, theorem: str, passed: bool, elapsed: float,
+                 details: list[str]):
+        self.theorem = theorem
+        self.passed = passed
+        self.elapsed = elapsed
+        self.details = details
+
+    def __repr__(self):
+        return (f"CriterionResult(theorem={self.theorem!r}, passed={self.passed!r}, "
+                f"elapsed={self.elapsed!r}, details={self.details!r})")
 
     def lines(self) -> list[str]:
         tag = "PASS" if self.passed else "FAIL"

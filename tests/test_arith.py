@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from orbitgrowth import integers
 from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, sieve_primes
 from orbitgrowth.errors import BudgetError, CapacityError
 from orbitgrowth.integers import (
+    MR_PROVEN_BOUND,
     TRIAL_LIMIT,
     OrderTable,
     cyclotomic_eval2,
@@ -296,6 +298,50 @@ class TestPrimePower:
         for n, expect in ((2**70, True), (m127, True), (m61**3, True),
                           (m61 * m89, False), (m89**2 * m127, False)):
             assert is_prime_power(n) is expect, n
+
+
+def forty_base_test(n: int) -> bool:
+    """The test is_probable_prime replaces below MR_PROVEN_BOUND: trial
+    division by the primes to 37, then all 40 bases."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    return integers._strong_probable_prime(n, integers._MR_BASES)
+
+
+class TestPrimality:
+    def test_matches_sieve_to_1e6(self):
+        primes = set(sieve_primes(10**6).primes.tolist())
+        assert [n for n in range(10**6 + 1)
+                if is_probable_prime(n) != (n in primes)] == []
+
+    def test_false_on_every_psi(self):
+        # Each psi is a strong pseudoprime to the first k bases, which is
+        # why n = psi takes more of them.
+        for psi, k in integers._MR_PSI:
+            assert integers._strong_probable_prime(psi, integers._MR_BASES[:k])
+            assert not is_probable_prime(psi), psi
+
+    def test_matches_forty_bases_on_seeded_draws(self):
+        rng = random.Random(20261019)
+
+        def prime_below(bound: int) -> int:
+            n = rng.randrange(2, bound)
+            while not forty_base_test(n):
+                n = rng.randrange(2, bound)
+            return n
+
+        draws = []
+        for bits in range(2, MR_PROVEN_BOUND.bit_length() + 1):
+            bound = min(1 << bits, MR_PROVEN_BOUND)
+            draws += [rng.randrange(bound // 2, bound) for _ in range(20)]
+            draws += [prime_below(bound) for _ in range(5)]
+            half = max(3, math.isqrt(bound))
+            draws += [prime_below(half) * prime_below(half) for _ in range(5)]
+        assert all(n < MR_PROVEN_BOUND for n in draws)
+        assert [n for n in draws if is_probable_prime(n) != forty_base_test(n)] == []
 
 
 class TestFactorize:

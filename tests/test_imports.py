@@ -1,9 +1,9 @@
 """No module of the package imports a name it never uses or imports
 threading, `sets` does not import `mersenne`, every public definition,
 method and property has a caller outside the tests, the integer core and
-the modules above it import no array code when they load, and the CLI does
+the modules above it import no array code when they load, the CLI does
 not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
-command needs it.
+command needs it, and neither it nor the factor cache loads dataclasses.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
@@ -221,6 +221,15 @@ def run_child(code: str, *argv: str) -> str:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def test_cli_and_factor_cache_leave_dataclasses_unloaded():
+    # dataclasses, with the inspect it imports, was the largest part of
+    # `import orbitgrowth.cli`; the classes on that path are plain ones.
+    assert run_child("import sys, orbitgrowth.cli\n"
+                     "from orbitgrowth.mersenne import FactorCache\n"
+                     "FactorCache()\n"
+                     "print('dataclasses' in sys.modules)") == "False"
 
 
 # Runs the CLI on its arguments, then prints whether numpy was loaded.

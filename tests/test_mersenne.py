@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,6 +68,32 @@ class TestFactorization:
     def test_pm1_no_split_on_137(self):
         # Neither prime of 2^137 - 1 has a 10^4-smooth p - 1: g = 1.
         assert _pollard_pm1((1 << 137) - 1, 274, math.inf) is None
+
+    def test_pm1_stage2_splits_143(self):
+        # The primitive part of 2^143 - 1 past trial division is
+        # 158822951431 * 5782172113400990737, and 158822951431 - 1 =
+        # 2 * 3 * 5 * 11 * 13 * 43 * 860969: stage 1 misses 860969, a prime
+        # in (PM1_BOUND, PM1_BOUND2], and stage 2 finds it.
+        n = 158822951431 * 5782172113400990737
+        assert _pollard_pm1(n, 286, math.inf) == 158822951431
+        assert math.gcd(pow(3, 286 * integers._pm1_exponent, n) - 1, n) == 1
+
+    def test_pm1_deadline_inside_stage2(self, monkeypatch):
+        # The clock reads 0 at the stage-1 check and 10 at the first
+        # stage-2 check, past the deadline 1.
+        n = 158822951431 * 5782172113400990737
+        readings = []
+
+        def monotonic():
+            readings.append(0.0 if not readings else 10.0)
+            return readings[-1]
+
+        monkeypatch.setattr(integers, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetError) as err:
+            integers.factor_by_trial(3 * n, [3], 286, 1.0)
+        assert "deadline passed" in str(err.value)
+        assert readings == [0.0, 10.0]
+        assert err.value.partial == ({3: 1}, [n])
 
     def test_pm1_gcd_n_falls_back_to_rho(self):
         # Both primes of 2^67 - 1 have a p - 1 that divides 134 E, so

@@ -129,6 +129,24 @@ class TestOrbitCounts:
 
 
 class TestMertensExact:
+    # mertens_exact computes each F(n) once and inverts over that list;
+    # orbit_count is the scalar path, one F(d) per divisor d of each n.
+    @pytest.mark.parametrize("s", [
+        [],
+        [3, 7],
+        [3, 5, 7, 11, 13, 17, 31, 127],
+        InducedPrimes(MultiplesOf(ells=[3])),
+        InducedPrimes(ComplementMultiplesOf(3)),
+    ], ids=["empty", "3,7", "eight_primes", "multiples_of_3",
+            "complement_multiples_of_3"])
+    def test_matches_scalar_orbit_counts(self, s, cache):
+        orders = OrderTable()
+        series = mertens_exact(120, s, orders, cache)
+        acc = Fraction(0)
+        for n in range(1, 121):
+            acc += Fraction(orbit_count(n, s, orders, cache), 1 << n)
+            assert series.value_at(n) == acc, n
+
     def test_empty_system_small(self, orders, cache):
         series = mertens_exact(4, [], orders, cache)
         assert series.value_at(4) == Fraction(19, 16)
