@@ -9,9 +9,12 @@ that need arrays are in `arith`.  All factoring, of p - 1 here and of
 2^m - 1 in `mersenne`, goes through factor_by_trial: trial division, then
 per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to
 PM1_BOUND2) and Brent rho, under a deadline (FACTORIZE_BUDGET seconds by
-default).  One odd-only bytearray sieve serves both: it lists the small
-primes on demand, only as far as a caller needs, and sieves the stage-2
-range segment by segment without listing it.  Nothing is sieved at import.
+default).  One bytearray sieve of an arithmetic progression serves all
+of it: over the odd numbers it lists the small primes on demand, only as
+far as a caller needs, and the stage-2 primes segment by segment; over
+1 + step, 1 + 2 step, ... it gives factor_mersenne its trial divisors,
+the only primes that can divide a primitive part.  Nothing is sieved at
+import.
 The package runs in one thread per process, so the prime list and the
 OrderTable memo hold no locks.
 """
@@ -103,6 +106,7 @@ def primality_certified(n: int) -> bool:
 TRIAL_LIMIT = 10**5
 _primes = [2, 3, 5, 7]
 _sieved_to = 10
+_PM1_SEGMENT = 1 << 15  # terms per sieve segment of a progression
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -114,25 +118,39 @@ def _small_primes(limit: int) -> list[int]:
         new = max(limit, min(2 * _sieved_to, TRIAL_LIMIT))
         _small_primes(math.isqrt(new))  # the sieving primes, first
         lo = _sieved_to + 1 | 1
-        flags = _odd_prime_flags(lo, new + 1)
+        flags = _prime_flags(lo, new + 1, 2)
         _primes = _primes + list(compress(range(lo, new + 1, 2), flags))
         _sieved_to = new
     return _primes
 
 
-def _odd_prime_flags(lo: int, hi: int) -> bytearray:
-    """One bytearray over the odd numbers of [lo, hi), odd lo >= 3: entry i
-    is 1 exactly when lo + 2i is prime."""
-    flags = bytearray([1]) * ((hi - lo + 1) // 2)
+def _prime_flags(lo: int, hi: int, step: int) -> bytearray:
+    """One bytearray over the terms lo, lo + step, ... below hi of a
+    progression with even step and lo >= 3 prime to step: entry i is 1
+    exactly when lo + i * step is prime.  The odd numbers are step 2.
+
+    Each prime p up to isqrt(hi - 1) that does not divide step clears the
+    terms divisible by p, which are p entries apart, except p itself."""
+    flags = bytearray([1]) * len(range(lo, hi, step))
     for p in _small_primes(math.isqrt(hi - 1))[1:]:
         if p * p >= hi:
             break
-        start = max(p * p, -(-lo // p) * p)
-        if start % 2 == 0:
-            start += p
-        i = (start - lo) // 2  # odd multiples of p are p apart in entries
+        if step % p == 0:
+            continue
+        i = -lo * pow(step, -1, p) % p  # the first term divisible by p
+        if lo + i * step == p:
+            i += p
         flags[i::p] = bytes(len(range(i, len(flags), p)))
     return flags
+
+
+def progression_segments(lo: int, hi: int, step: int):
+    """The primes among lo, lo + step, ... below hi (even step, lo >= 3
+    prime to step), ascending: one iterator per sieve segment of
+    _PM1_SEGMENT terms, each segment sieved when it is reached."""
+    for a in range(lo, hi, step * _PM1_SEGMENT):
+        b = min(a + step * _PM1_SEGMENT, hi)
+        yield compress(range(a, b, step), _prime_flags(a, b, step))
 
 
 def _brent_rho(n: int, deadline: float) -> int:
@@ -181,7 +199,6 @@ FACTORIZE_BUDGET = 10.0
 # exponent E (14447 bits) is built on the first call, never at import.
 PM1_BOUND = 10**4
 PM1_BOUND2 = 10**6
-_PM1_SEGMENT = 1 << 15  # odd numbers per stage-2 sieve segment
 _pm1_exponent: int | None = None
 
 
@@ -193,7 +210,8 @@ def _pollard_pm1(n: int, k: int, deadline: float) -> int | None:
     r - 1 divides k E.  When g = 1, stage 2 (Montgomery 1987) takes every r
     whose r - 1 divides k E q for one prime q in (PM1_BOUND, PM1_BOUND2]:
     it steps x^q from prime to prime by cached powers x^gap, multiplies the
-    x^q - 1 together mod n and takes one gcd at the end.  Returns g when it
+    x^q - 1 together mod n, and takes the gcd with n at the end of each
+    sieve segment, stopping at the first that exceeds 1.  Returns g when it
     splits n and None when it is 1 or n.  The deadline is checked before
     stage 1 and before each stage-2 segment.
     """
@@ -213,16 +231,17 @@ def _pollard_pm1(n: int, k: int, deadline: float) -> int | None:
         steps: dict[int, int] = {}  # gap -> x^gap
         q, y = PM1_BOUND, pow(x, PM1_BOUND, n)  # y = x^q
         product = 1
-        for lo in range(PM1_BOUND + 1 | 1, PM1_BOUND2 + 1, 2 * _PM1_SEGMENT):
+        for segment in progression_segments(PM1_BOUND + 1 | 1, PM1_BOUND2 + 1, 2):
             _check_deadline(deadline, n)
-            hi = min(lo + 2 * _PM1_SEGMENT, PM1_BOUND2 + 1)
-            for r in compress(range(lo, hi, 2), _odd_prime_flags(lo, hi)):
+            for r in segment:
                 step = steps.get(r - q)
                 if step is None:
                     step = steps[r - q] = pow(x, r - q, n)
                 q, y = r, y * step % n
                 product = product * (y - 1) % n
-        g = math.gcd(product, n)
+            g = math.gcd(product, n)
+            if g > 1:
+                break
     return g if 1 < g < n else None
 
 
@@ -238,13 +257,14 @@ def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, in
 
     Trial-divides n by the increasing `candidates` while p * p <= n.  The
     candidates must include every prime factor of n below the last of them,
-    so a part left when p * p > n is prime.  A part left when they run out
-    is tested with is_probable_prime, as is every piece split from it; a
-    composite square becomes its root twice, and any other composite gets
-    one _pollard_pm1 step with multiplier k (stage 1, then stage 2 when
-    stage 1 finds nothing), then _brent_rho when that does not split it.
-    Past `deadline`, BudgetError whose `partial` is (factors found so far,
-    composite cofactors left), which multiply to n.
+    so a part left when p * p > n is prime; that part is not tested, so a
+    prime missing from the candidates would go unseen.  A part left when
+    they run out is tested with is_probable_prime, as is every piece split
+    from it; a composite square becomes its root twice, and any other
+    composite gets one _pollard_pm1 step with multiplier k (stage 1, then
+    stage 2 when stage 1 finds nothing), then _brent_rho when that does not
+    split it.  Past `deadline`, BudgetError whose `partial` is (factors
+    found so far, composite cofactors left), which multiply to n.
     """
     out: dict[int, int] = {}
     for p in candidates:

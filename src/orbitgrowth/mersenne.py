@@ -25,6 +25,7 @@ import json
 import os
 import time
 from importlib import resources
+from itertools import chain
 
 from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
 from .integers import (
@@ -33,6 +34,7 @@ from .integers import (
     divisors,
     factor_by_trial,
     primality_certified,
+    progression_segments,
 )
 
 SEED_RESOURCE = "mersenne_m128.jsonl"
@@ -223,13 +225,15 @@ def factor_mersenne(
 
     Strategy: peel the algebraic part using cached/recursive factorizations
     of 2^d - 1 for proper divisors d | m, then factor the primitive part
-    with integers.factor_by_trial: trial division by the candidates
-    p = 1 (mod m) up to 10^7 (any new prime must have order exactly m), and
-    for each composite piece left one Pollard p - 1 step (stages 1 and 2)
-    with multiplier 2m, then Brent rho, all under the time budget.  The budget
-    covers the whole call: recursive calls get the time that is left.  When
-    it runs out, the BudgetError carries a MersennePartial for this m whose
-    factors and cofactors multiply to 2^m - 1.
+    with integers.factor_by_trial: trial division by the primes
+    p = 1 (mod m) up to 10^7, sieved from that progression (any new prime
+    must have order exactly m), and for each composite piece left one
+    Pollard p - 1 step (stages 1 and 2, stage 2 stopping at the first
+    segment that splits) with multiplier 2m, then Brent rho, all under the
+    time budget.  The budget covers the whole call: recursive calls get the
+    time that is left.  When it runs out, the BudgetError carries a
+    MersennePartial for this m whose factors and cofactors multiply to
+    2^m - 1.
     """
     if m < 1:
         raise ValueError(f"mersenne-factors: exponent must be >= 1, got {m}")
@@ -264,12 +268,13 @@ def factor_mersenne(
                 remaining //= p
                 found[p] = found.get(p, 0) + 1
 
-    # Primitive primes are 1 mod m (and odd), so step the trial candidate
-    # by m or 2m accordingly; p - 1 takes 2m on top of its smooth part.
+    # Primitive primes are 1 mod m (and odd), so the trial divisors are the
+    # primes of 1 + step, 1 + 2 step, ... with step m or 2m accordingly;
+    # p - 1 takes 2m on top of its smooth part.
     step = m if m % 2 == 0 else 2 * m
+    candidates = chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step))
     try:
-        found.update(factor_by_trial(remaining, range(1 + step, 10**7 + 1, step),
-                                     2 * m, deadline))
+        found.update(factor_by_trial(remaining, candidates, 2 * m, deadline))
     except BudgetError as exc:
         primitive, cofactors = exc.partial
         found.update(primitive)

@@ -103,41 +103,62 @@ def _normalize_prime_set(s) -> PrimeSet:
 # The strata: n is charged to mbar_n, the lcm of the orders of M it realizes.
 
 
-def _realized_divisors(n: int, oset: OrderSet) -> list[int]:
+def _realized_divisors(
+    n: int, oset: OrderSet, member: dict[int, bool] | None
+) -> list[int]:
     """The divisors of n in M that are the order of some prime: all but 1
-    and 6, since 2^1 - 1 and 2^6 - 1 have no primitive prime."""
-    return [d for d in divisors(n) if d not in (1, 6) and oset.contains(d)]
+    and 6, since 2^1 - 1 and 2^6 - 1 have no primitive prime.  `member`,
+    when given, memoizes d -> oset.contains(d), which factors d, across the
+    calls of one series."""
+    member = {} if member is None else member
+    out = []
+    for d in divisors(n):
+        if d not in member:
+            member[d] = d not in (1, 6) and oset.contains(d)
+        if member[d]:
+            out.append(d)
+    return out
 
 
-def mbar_of(n: int, oset: OrderSet) -> int:
-    """lcm of the realized orders in M dividing n (empty lcm = 1)."""
-    return math.lcm(*_realized_divisors(n, oset))
+def mbar_of(n: int, oset: OrderSet, member: dict[int, bool] | None = None) -> int:
+    """lcm of the realized orders in M dividing n (empty lcm = 1); `member`
+    as in _realized_divisors."""
+    return math.lcm(*_realized_divisors(n, oset, member))
 
 
 def s_mbar(
-    mbar: int, oset: OrderSet, cache: FactorCache, orders: OrderTable
+    mbar: int,
+    oset: OrderSet,
+    cache: FactorCache,
+    orders: OrderTable,
+    member: dict[int, bool] | None = None,
 ) -> dict[int, int]:
     """The finite stratum set S_mbar as {p: e_p}, the union of the primitive
     classes of the realized divisors of mbar; each class is registered in
-    orders."""
+    orders, and `member` is as in _realized_divisors."""
     out: dict[int, int] = {}
-    for d in _realized_divisors(mbar, oset):
+    for d in _realized_divisors(mbar, oset, member):
         out.update(primitive_primes(d, cache, orders))
     return out
 
 
 def _removal_exponents(
-    n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
+    n: int,
+    pset: PrimeSet,
+    orders: OrderTable,
+    cache: FactorCache | None,
+    member: dict[int, bool],
 ) -> dict[int, int]:
     """{p: ord_p(2^n - 1)} over the members p of S that may divide 2^n - 1:
-    all of a finite S, the stratum S_n of an induced one."""
+    all of a finite S, the stratum S_n of an induced one, whose order-set
+    membership `member` memoizes."""
     if isinstance(pset, ExplicitFinitePrimes):
         return {p: ord_p_mersenne(p, n, orders) for p in pset.primes}
     if isinstance(pset, InducedPrimes):
         if cache is None:
             raise ContractError("mertens-engine: induced sets need a factor cache")
         return {p: ord_p_mersenne(p, n, orders)
-                for p in s_mbar(n, pset.order_set, cache, orders)}
+                for p in s_mbar(n, pset.order_set, cache, orders, member)}
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
@@ -147,10 +168,18 @@ def periodic_points(
     """F(n) = (2^n - 1) prod_{p in S} |2^n - 1|_p, as an exact integer."""
     if n < 1:
         raise ContractError(f"mertens-engine: period must be >= 1, got {n}")
-    orders = orders or OrderTable()
-    pset = _normalize_prime_set(s)
+    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable(), cache, {})
+
+
+def _periodic_points(
+    n: int,
+    pset: PrimeSet,
+    orders: OrderTable,
+    cache: FactorCache | None,
+    member: dict[int, bool],
+) -> int:
     removal = 1
-    for p, e in _removal_exponents(n, pset, orders, cache).items():
+    for p, e in _removal_exponents(n, pset, orders, cache, member).items():
         removal *= p**e
     q, r = divmod((1 << n) - 1, removal)
     if r:
@@ -205,8 +234,9 @@ def mertens_exact(
     pset = _normalize_prime_set(s)
     mu = [0] + [moebius(j) for j in range(1, n_max + 1)]
     totals = [0] * (n_max + 1)  # totals[n] = sum_{d|n} mu(n/d) F(d)
+    member: dict[int, bool] = {}
     for d in range(1, n_max + 1):
-        f = periodic_points(d, pset, orders, cache)
+        f = _periodic_points(d, pset, orders, cache, member)
         for j in range(1, n_max // d + 1):
             totals[d * j] += mu[j] * f
     num = 0
@@ -385,6 +415,7 @@ def decompose_lcm_closed(
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
     grid = set(_sample_grid(n_max, None))
+    member: dict[int, bool] = {}  # membership in the effective order set
 
     if isinstance(oset, ExplicitList):
         # A finite explicit list is replaced by its lcm closure: the strata
@@ -396,7 +427,7 @@ def decompose_lcm_closed(
     elif oset.closed_under_lcm:
         # Each member is its own stratum, and so is 6 = lcm(2, 3) when 2 and
         # 3 are members, though no prime has order 6.
-        mbars = sorted({1} | {mbar_of(m, oset)
+        mbars = sorted({1} | {mbar_of(m, oset, member)
                               for m in oset.generating_orders(n_max)})
         effective = oset
     else:
@@ -406,13 +437,13 @@ def decompose_lcm_closed(
 
     terms: dict[int, Fraction] = {}
     for mbar in mbars:
-        stratum = s_mbar(mbar, effective, cache, orders)
+        stratum = s_mbar(mbar, effective, cache, orders, member)
         denom = mbar
         for p in stratum:
             denom *= p ** ord_p_mersenne(p, mbar, orders)
         for j in range(1, n_max // mbar + 1):
             n = mbar * j
-            if mbar_of(n, effective) != mbar:
+            if mbar_of(n, effective, member) != mbar:
                 continue
             val = 1
             for p in stratum:
@@ -440,11 +471,12 @@ def f_series_direct(
     grid = set(_sample_grid(n_max, None))
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
+    member: dict[int, bool] = {}
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
         denom = n
-        for p, e in _removal_exponents(n, pset, orders, cache).items():
+        for p, e in _removal_exponents(n, pset, orders, cache, member).items():
             denom *= p**e
         acc += Fraction(1, denom)
         if n in grid:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from orbitgrowth.integers import (
     mult_order,
     ord_p,
     ord_p_mersenne,
+    progression_segments,
 )
 
 
@@ -390,6 +392,21 @@ class TestFactorize:
                     e += 1
                 expect.append((p, e))
             assert list(factorize(n).items()) == expect, n
+
+    def test_progression_sieve_matches_primality(self):
+        # factor_by_trial takes what is left at p * p > n as prime untested,
+        # so a prime the sieve drops would go unseen.  Steps 2, 4 and 6 have
+        # the sieving primes 3, 5 and 7 as terms; most steps share a prime
+        # with the sieving primes.
+        for step in range(2, 401, 2):
+            got = list(chain.from_iterable(progression_segments(1 + step, 20001, step)))
+            assert got == [c for c in range(1 + step, 20001, step)
+                           if is_probable_prime(c)], step
+
+    def test_progression_sieve_across_segments(self):
+        # Step 2 from 3 to 2 * 10^5 spans four sieve segments.
+        got = list(chain.from_iterable(progression_segments(3, 200_001, 2)))
+        assert got == [c for c in range(3, 200_001, 2) if is_probable_prime(c)]
 
     def test_order_table_exponent_lifting(self, orders):
         # e_p = ord_p(2^{m_p} - 1); spot-check by direct division.

@@ -95,6 +95,20 @@ class TestFactorization:
         assert readings == [0.0, 10.0]
         assert err.value.partial == ({3: 1}, [n])
 
+    def test_pm1_stage2_stops_at_first_split(self, monkeypatch):
+        # The primitive piece of 2^142 - 1 past trial division: 56409643 - 1
+        # = 2 * 3^3 * 71 * 14713, and 14713 is in the first stage-2 segment,
+        # so p - 1 returns after the stage-1 check and one segment's check.
+        checks = []
+
+        def monotonic():
+            checks.append(0.0)
+            return 0.0
+
+        monkeypatch.setattr(integers, "time", SimpleNamespace(monotonic=monotonic))
+        assert _pollard_pm1(56409643 * 13952598148481, 284, math.inf) == 56409643
+        assert len(checks) == 2
+
     def test_pm1_gcd_n_falls_back_to_rho(self):
         # Both primes of 2^67 - 1 have a p - 1 that divides 134 E, so
         # g = n, p - 1 gives no split and rho finds the factors.
@@ -118,6 +132,16 @@ class TestCache:
             for p, e in fz.factors:
                 prod *= p**e
             assert prod == (1 << m) - 1
+
+    def test_seed_from_scratch(self, cache):
+        # The packaged entries for 65..128 as this engine factors them with
+        # no seed; m <= 64 is test_tools' regeneration check, and 2^101 - 1
+        # (two primes of 43 and 59 bits, no trial divisor) is rho-bound at
+        # about 4 s.
+        fresh = FactorCache(load_seed=False)
+        for m in range(65, 129):
+            if m != 101:
+                assert factor_mersenne(m, fresh) == cache.get(m), m
 
     def test_miss(self, cache):
         with pytest.raises(CacheMissError):

@@ -373,6 +373,21 @@ class TestMbar:
         assert mbar_of(18, oset) == 9
         assert s_mbar(9, oset, cache, orders) == {7: 1, 73: 1}
 
+    def test_membership_decided_once_per_series(self, orders, cache, monkeypatch):
+        # contains factors d; each series call decides it once per d, not
+        # once per divisor d of every n.
+        oset = ComplementMultiplesOf(3)
+        asked = []
+        contains = ComplementMultiplesOf.contains
+        monkeypatch.setattr(ComplementMultiplesOf, "contains",
+                            lambda self, d: asked.append(d) or contains(self, d))
+        for run in (lambda: mertens_exact(120, InducedPrimes(oset), orders, cache),
+                    lambda: decompose_lcm_closed(120, oset, orders, cache),
+                    lambda: f_series_direct(120, InducedPrimes(oset), orders, cache)):
+            asked.clear()
+            run()
+            assert asked and len(asked) == len(set(asked))
+
 
 class TestRemainderBounds:
     def test_pinned_formula_at_40(self):
