@@ -2,9 +2,9 @@
 """Exact leading coefficients k_S and the greedy density construction.
 
 For finite S the orbit sum grows like k_S log N with k_S an exact
-rational.  The engine stratifies the sum over lcms of the multiplicative
-orders of the members and cleans up the cross-conditions by
-inclusion-exclusion, all in exact arithmetic.
+rational: the mean value of prod_{p in S} |2^n - 1|_p.  The engine expands
+that product over the subsets T of S; each T contributes through the lcm of
+the multiplicative orders of its members, all in exact arithmetic.
 """
 
 from fractions import Fraction

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvariantViolation
-from .integers import OrderTable
+from .integers import OrderTable, _prime_flags
 
 # OrderTable is re-exported for the benchmark's operations, which import it
 # from here.
@@ -65,12 +65,15 @@ class PrimeTable:
 
 
 def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array over [0, limit]; True exactly at primes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
+    """Boolean array over [0, limit]; True exactly at primes.
+
+    The odd entries come from the integer core's odd-number sieve, one span
+    of 2 * SIEVE_BLOCK integers at a time; 2 is set by hand."""
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[2:3] = True
+    for a in range(3, limit + 1, 2 * SIEVE_BLOCK):
+        b = min(a + 2 * SIEVE_BLOCK, limit + 1)
+        flags[a:b:2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
     return flags
 
 

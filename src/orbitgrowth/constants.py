@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleError,
     InvariantViolation,
 )
-from .integers import OrderTable, is_probable_prime, ord_p, ord_p_mersenne
+from .integers import OrderTable, is_probable_prime, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 
 _LN2 = math.log(2.0)
@@ -49,12 +49,19 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     """The exact rational coefficient of log N in the Mertens sum of finite S,
     given as an iterable of odd primes.
 
-    Stratified over the lcm-closure of the realized orders: the stratum of
-    mbar carries weight |2^mbar - 1|_{S_mbar} / mbar, a harmonic slope
-    k'_{S_mbar} = prod p/(p+1), and an inclusion-exclusion correction over
-    the distinct values d_p = m_p / gcd(m_p, mbar) of the excluded primes.
-    Collisions among the d_p are merged before the subset walk, so the walk
-    is over the lcm lattice the slope actually sees.
+    k_S is the mean value of f(n) = prod_{p in S} |2^n - 1|_p, and
+    |2^n - 1|_p = p^-(e_p + ord_p(n)) when m_p | n and 1 otherwise.  Writing
+    f(n) = prod_p (1 + [m_p | n](|2^n - 1|_p - 1)) and expanding over the
+    subsets T of S, with L_T = lcm{m_p : p in T}, the n = L_T j carry density
+    1 / L_T, and the mean of p^-ord_p(j) is p / (p + 1), so
+
+        k_S = sum_T (1 / L_T) prod_{p in T} (1 / d_p - 1),
+        d_p = p^(ord_p(2^L_T - 1) - 1) (p + 1).
+
+    The primes are added in descending order: every later m_q divides
+    q - 1 < p, so ord_p(L_T) is final when p joins T.  The walk keeps one
+    num/den per lcm, in which subsets of equal lcm merge over the lcm of
+    their denominators, and one Fraction reduces the sum.
     """
     primes = sorted(set(int(p) for p in s))
     if any(p == 2 for p in primes):
@@ -62,51 +69,27 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     for p in primes:
         if not is_probable_prime(p):
             raise ContractError(f"constants: {p} is not prime")
-    if not primes:
-        return ExactConstant(Fraction(1), "empty S: full harmonic slope")
     orders = orders or OrderTable()
-    m_of = {p: orders.order(p) for p in primes}
-    # p^(e_p) (p + 1): a stratum mbar that m_p divides has
-    # ord_p(2^mbar - 1) = e_p + ord_p(mbar, p).
-    lifted = {p: p ** ord_p_mersenne(p, m_of[p], orders) * (p + 1) for p in primes}
-    distinct_orders = sorted(set(m_of.values()))
-    if len(distinct_orders) > 20:
+    if len({orders.order(p) for p in primes}) > 20:
         raise CapacityError("constants: more than 2^20 lcm strata")
-    mbars = {1}
-    for m in distinct_orders:
-        mbars |= {math.lcm(m, c) for c in mbars}
+    terms = {1: (1, 1)}  # L_T -> the sum over the T seen so far, as num/den
+    for p in reversed(primes):
+        m = orders.order(p)
+        for lcm, (num, den) in list(terms.items()):
+            key = math.lcm(lcm, m)
+            d = p ** (ord_p_mersenne(p, key, orders) - 1) * (p + 1)
+            term = (num * (1 - d), den * d)
+            terms[key] = _add_over_lcm(terms[key], term) if key in terms else term
+    total = (0, 1)
+    for lcm, (num, den) in terms.items():
+        total = _add_over_lcm(total, (num, den * lcm))
+    return ExactConstant(Fraction(*total), f"subset expansion over S={primes}")
 
-    # Integer numerators throughout: strata add up as num/den pairs over
-    # the lcm of their denominators, and one Fraction reduces the sum.
-    num, den = 0, 1
-    for mbar in sorted(mbars):
-        s_m = [p for p in primes if mbar % m_of[p] == 0]
-        top, bottom = 1, mbar  # weight times kprime
-        for p in s_m:
-            top *= p
-            bottom *= lifted[p] * p ** ord_p(mbar, p)
-        dvals = {m_of[p] // math.gcd(m_of[p], mbar) for p in primes
-                 if mbar % m_of[p]}
-        # A subset with lcm l adds sign/w(l), w(l) = l * prod_{p in S_mbar}
-        # p^ord_p(l).  w takes lcms to lcms, so the walk keeps the subsets
-        # seen so far as a map from their w to the sum of their signs, in
-        # which equal values merge, and the lcm of all is a common
-        # denominator.
-        counts = {1: 1}
-        for d in dvals:
-            w = d * math.prod(p ** ord_p(d, p) for p in s_m if d % p == 0)
-            for l, c in list(counts.items()):
-                lw = math.lcm(l, w)
-                counts[lw] = counts.get(lw, 0) - c
-        common = math.lcm(*counts)
-        top *= sum(c * (common // l) for l, c in counts.items())
-        bottom *= common
-        joint = math.lcm(den, bottom)
-        num = num * (joint // den) + top * (joint // bottom)
-        den = joint
-    return ExactConstant(
-        Fraction(num, den), f"lcm-stratified inclusion-exclusion over S={primes}"
-    )
+
+def _add_over_lcm(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The sum of two num/den pairs, over the lcm of their denominators."""
+    joint = math.lcm(a[1], b[1])
+    return a[0] * (joint // a[1]) + b[0] * (joint // b[1]), joint
 
 
 def k_order_bounds(ells) -> tuple[Fraction, dict[int, Fraction]]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,15 +21,18 @@ from orbitgrowth.constants import (
 )
 from orbitgrowth.errors import (
     BudgetError,
+    CapacityError,
     ContractError,
     InfeasibleError,
     InvariantViolation,
 )
+from orbitgrowth.fitting import _linear_fit
 from orbitgrowth.integers import OrderTable, ord_p
 from orbitgrowth.mersenne import primitive_primes
-from orbitgrowth.mertens import dominant_sum, squarefree_slope
+from orbitgrowth.mertens import dominant_sum, mertens_exact, squarefree_slope
 from orbitgrowth.sets import (
     CongruenceSource,
+    ExplicitFinitePrimes,
     ExplicitList,
     OmegaBounded,
     SquarefreeAugmented,
@@ -84,7 +88,7 @@ class TestKExact:
         assert k_exact_finite_s([], orders).value == 1
 
     def test_single_3(self, orders):
-        # two strata {1, 2}: 1/2 + (1/3)(1/2)(3/4)
+        # T = {} and T = {3}, L = 2, d_3 = 4: 1 + (1/2)(1/4 - 1)
         assert k_exact_finite_s([3], orders).value == Fraction(5, 8)
 
     def test_single_7(self, orders):
@@ -100,6 +104,11 @@ class TestKExact:
                     unique=True), st.booleans())
     @example([], False)
     @example([3, 7], True)
+    @example([3, 5, 17, 257], False)  # orders 2, 4, 8, 16: equal lcms merge
+    @example([3, 73], False)  # m_73 = 9: ord_3(L) = 2 when 3 joins
+    @example([3, 19], False)  # m_19 = 18, likewise
+    @example([1093, 3511], False)  # both Wieferich primes: e_p = 2
+    @example([3, 5, 7, 11, 13, 17, 31, 127], False)  # the exact_cache primes
     def test_matches_fraction_reference(self, orders, primes, wieferich):
         # 1093 is the Wieferich prime below 2000: e_1093 = 2.
         s = sorted(set(primes) | ({1093} if wieferich else set()))
@@ -116,6 +125,36 @@ class TestKExact:
     def test_rejects_2(self, orders):
         with pytest.raises(ContractError):
             k_exact_finite_s([2, 3], orders)
+
+    def test_twenty_orders(self, orders):
+        # The odd primes to 73 have 20 distinct orders, the most allowed.
+        # Subsets of equal lcm merge over the lcm of their denominators; a
+        # walk merging by product spends over 4 s here.
+        primes = ODD_PRIMES_BELOW_2000[:20]
+        assert primes[-1] == 73
+        start = time.perf_counter()
+        k = k_exact_finite_s(primes, orders).value
+        assert time.perf_counter() - start < 1.0
+        assert k == Fraction(
+            199930154550532743807504998858174294308219,
+            712763263132544902563532033769361899520000)
+        with pytest.raises(CapacityError, match="more than 2"):
+            k_exact_finite_s(primes + [79], orders)
+
+    @pytest.mark.parametrize("s", [
+        [3], [5], [7], [3, 5], [3, 7], [1093], [31, 127], [3, 73],
+        [5, 17, 257], [7, 73, 127], [3, 5, 7, 11, 13, 17, 31, 127],
+    ], ids=str)
+    def test_matches_series_slope(self, orders, cache, s):
+        # k_S is the slope of M_S(N) against log N, which the exact series
+        # reaches through F(n) and Moebius inversion, not through the
+        # subset expansion.  Fitted over N in [40, 120], it lands within
+        # 0.01 of k_S; the offsets seen are -0.0035 to -0.0062.
+        series = mertens_exact(120, ExplicitFinitePrimes(s), orders, cache)
+        ns = np.arange(40, 121)
+        vs = np.array([float(series.value_at(int(n))) for n in ns])
+        slope, _, _ = _linear_fit(np.log(ns.astype(float)), vs)
+        assert abs(slope - float(k_exact_finite_s(s, orders).value)) < 0.01
 
     def test_slope_confirmation_single_3(self, orders):
         # |2^n - 1|_{3} = 3^-(1 + v3(n)) for even n; slope fit to 1e5.
