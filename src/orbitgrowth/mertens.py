@@ -8,9 +8,10 @@ Two evaluation regimes:
     divisor).
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
-    order set, never a factorization.  The accumulator finds each term
-    floor(2^96 / n) as three base-2^32 digits by uint64 long division over
-    whole chunks of n, and the digit sums are combined as exact Python ints.
+    order set, never a factorization.  The accumulator reads the mask of
+    surviving n one window of _WINDOW integers at a time, finds each term
+    floor(2^96 / n) as three base-2^32 digits by uint64 long division, and
+    combines the digit sums as exact Python ints.
 
 The same accumulator gives squarefree_slope, the harmonic sum over the
 squarefree n.  The lcm-stratified decomposition of F_S(N) is implemented
@@ -42,7 +43,7 @@ from .sets import (
 
 FRAC_BITS = 96
 _SCALE = 1 << FRAC_BITS
-_CHUNK = 1 << 16
+_WINDOW = 1 << 16
 _DIGIT = 1 << 32
 
 EXACT_CEILING = 120
@@ -265,10 +266,14 @@ def default_grid(n_max: int, start: int = 10) -> list[int]:
 
 def _sample_grid(n_max: int, grid: list[int] | None) -> list[int]:
     """The sorted grid of a dominant-mode series, default_grid(n_max) if
-    none is given."""
+    none is given; a grid point below 1 is a usage error."""
     if n_max < 1:
         raise ContractError("mertens-engine: n_max must be >= 1")
-    return sorted(set(grid)) if grid else default_grid(n_max)
+    if not grid:
+        return default_grid(n_max)
+    if min(grid) < 1:
+        raise ContractError(f"mertens-engine: grid points must be >= 1, got {min(grid)}")
+    return sorted(set(grid))
 
 
 def dominant_sum(
@@ -280,8 +285,11 @@ def dominant_sum(
 
     Requires M closed under multiplication by the naturals; that closure is
     exactly what reduces every |2^n - 1|_S factor on the surviving n to 1.
-    Accumulation is fixed point with 96 fractional bits (term error is one
-    ulp, so the total error is below N * 2^-96).
+    Each indicator call returns a new array, so it is inverted in place into
+    the mask of surviving n, which _harmonic_fixed_point reads a window at a
+    time: no array of the surviving n is built.  Accumulation is fixed point
+    with 96 fractional bits (term error is one ulp, so the total error is
+    below N * 2^-96).
     """
     if not oset.closed_under_nat_multiplication:
         raise ContractError(
@@ -294,46 +302,61 @@ def dominant_sum(
     grid = _sample_grid(n_max, grid)
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")
-    member = oset.indicator(n_max)
-    member[0] = True  # the indicator is ours, and 0 is no term
-    keep = np.flatnonzero(~member)
+    keep = oset.indicator(n_max)
+    np.logical_not(keep, out=keep)
+    keep[0] = False  # 0 is no term
     samples = [(g, Fraction(acc, _SCALE))
                for g, acc in zip(grid, _harmonic_fixed_point(keep, grid))]
     return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
 
 
 def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
-    """sum_{n in keep, n <= g} floor(2^96 / n) for each g of the increasing
-    grid; keep is sorted and positive.  The sums are exact integers, so
-    callers divide by 2^96 exactly (as Fraction or correctly rounded float).
+    """sum_{1 <= n <= g, keep[n]} floor(2^96 / n) for each g of the
+    increasing grid, whose last point is below len(keep).  The sums are
+    exact integers, so callers divide by 2^96 exactly (as Fraction or
+    correctly rounded float).
 
-    Each term floor(2^96 / n) is found as three base-2^32 digits by uint64
-    long division: cur = 2^32, then three times q = cur // n, r = cur % n,
-    cur = r << 32.  Every digit is floor-exact because n < 2^32 keeps
-    r << 32 below 2^64, and n = 1 needs no special case.  The digits are
-    summed per chunk of at most _CHUNK terms, far below 2^64, and combined
-    as Python ints; the chunks bound the memory a long grid segment needs.
+    The boolean mask is walked over [1, grid[-1]] in windows of at most
+    _WINDOW integers, each ending at the next grid point if that comes
+    first, so every grid point closes at a window edge.  A window's terms
+    are its nonzero offsets plus its start, in uint64; only window-sized
+    temporaries are made, whatever the length of the mask.
     """
-    if len(keep) and int(keep[-1]) >= _DIGIT:
-        raise CapacityError(
-            f"mertens-engine: fixed-point terms need n < 2^32, got {int(keep[-1])}")
     acc = 0
-    pos = 0
+    lo = 1
     out = []
     for g in grid:
-        hi = int(np.searchsorted(keep, g, side="right"))
-        for lo in range(pos, hi, _CHUNK):
-            n = keep[lo : min(lo + _CHUNK, hi)].astype(np.uint64)
-            cur = np.full(n.shape, _DIGIT, dtype=np.uint64)
-            digits = []
-            for _ in range(3):
-                q, r = np.divmod(cur, n)
-                digits.append(int(q.sum()))
-                cur = r << np.uint64(32)
-            acc += (digits[0] << 64) + (digits[1] << 32) + digits[2]
-        pos = hi
+        while lo <= g:
+            hi = min(lo + _WINDOW, g + 1)
+            n = keep[lo:hi].nonzero()[0].astype(np.uint64)
+            n += np.uint64(lo)
+            acc += _fixed_point_terms(n)
+            lo = hi
         out.append(acc)
     return out
+
+
+def _fixed_point_terms(n: np.ndarray) -> int:
+    """sum floor(2^96 / n) over a uint64 array of terms 1 <= n < 2^32, as
+    an exact int.
+
+    Each term is found as three base-2^32 digits by uint64 long division:
+    cur = 2^32, then three times q = cur // n, r = cur % n, cur = r << 32.
+    Every digit is floor-exact because n < 2^32 keeps r << 32 below 2^64,
+    and n = 1 needs no special case.  A digit is at most 2^32, so the digit
+    sums stay exact in uint64 for fewer than 2^31 terms; they are combined
+    as Python ints.
+    """
+    top = int(n.max(initial=0))
+    if top >= _DIGIT:
+        raise CapacityError(f"mertens-engine: fixed-point terms need n < 2^32, got {top}")
+    cur = np.uint64(_DIGIT)
+    digits = []
+    for _ in range(3):
+        q, cur = np.divmod(cur, n)
+        digits.append(int(q.sum()))
+        cur <<= np.uint64(32)
+    return (digits[0] << 64) + (digits[1] << 32) + digits[2]
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +382,13 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
         raise ContractError("mertens-engine: n_max must be >= 1")
     if n_max > SIEVE_CAPACITY:
         raise CapacityError(f"mertens-engine: {n_max} over capacity")
-    idx = np.flatnonzero(squarefree_mask(n_max))
     grid = []
     g = 64
     while g < n_max:
         grid.append(g)
         g *= 2
     grid.append(n_max)
-    accs = _harmonic_fixed_point(idx, grid)
+    accs = _harmonic_fixed_point(squarefree_mask(n_max), grid)
     samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
     fit_pts = [(g, v) for g, v in samples if g >= 1024]
     if len(fit_pts) < 2:

@@ -36,15 +36,16 @@ import numpy as np
 from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, prime_flags,
                     sieve_primes, small_prime_table)
 from .errors import CapacityError, ContractError, InvariantViolation
-from .integers import (factorize, is_prime_power, is_probable_prime, mult_order,
-                       ord_p)
+from .integers import (_prime_flags, factorize, is_prime_power, is_probable_prime,
+                       mult_order, ord_p)
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
 
 
 # ---------------------------------------------------------------------------
-# Sieve masks.  Each call builds a new array, which the caller owns.
+# Sieve masks.  Each call builds a new array, which the caller owns and may
+# write into; so does every order set's indicator.
 
 
 def prime_mask(limit: int) -> np.ndarray:
@@ -52,12 +53,17 @@ def prime_mask(limit: int) -> np.ndarray:
     return prime_flags(limit)
 
 
+def _prime_squares(limit: int) -> list[int]:
+    """p^2 for the primes p with p^2 <= limit."""
+    return [p * p for p in np.flatnonzero(prime_flags(math.isqrt(limit))).tolist()]
+
+
 def squarefree_mask(limit: int) -> np.ndarray:
     """Boolean array; True at squarefree n (True at 1)."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for p in np.flatnonzero(prime_flags(math.isqrt(limit))).tolist():
-        mask[p * p :: p * p] = False
+    for q in _prime_squares(limit):
+        mask[q::q] = False
     return mask
 
 
@@ -164,12 +170,32 @@ class CongruenceSource(PrimeSource):
         return p % self.modulus in self.residues
 
     def primes_up_to(self, limit: int) -> np.ndarray:
-        idx = np.flatnonzero(prime_mask(limit))
-        if self.modulus > limit:
+        """One progression sieve per listed class prime to the modulus,
+        over its odd lift mod lcm(2, modulus).  A class sharing a factor
+        with the modulus holds one prime at most: r itself, or the modulus
+        when r = 0.  2 is added by hand."""
+        m = self.modulus
+        if m > limit:
             # Every p <= limit is its own residue, and a modulus past int64
             # never reaches numpy.
-            return idx[np.isin(idx, [r for r in self.residues if r <= limit])]
-        return idx[np.isin(idx % self.modulus, self.residues)]
+            return np.array([r for r in self.residues
+                             if r <= limit and is_probable_prime(r)], dtype=np.int64)
+        step = math.lcm(2, m)
+        lone = {2} if 2 % m in self.residues else set()
+        parts = []
+        for r in self.residues:
+            if math.gcd(r, m) > 1:
+                lone.add(r or m)
+                continue
+            lo = r if r % 2 else r + m
+            if lo == 1:
+                lo += step
+            if lo <= limit:
+                flags = np.frombuffer(_prime_flags(lo, limit + 1, step), dtype=bool)
+                parts.append(np.flatnonzero(flags) * step + lo)
+        parts.append(np.array([p for p in lone if p <= limit and is_probable_prime(p)],
+                              dtype=np.int64))
+        return np.sort(np.concatenate(parts))
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +265,8 @@ class OrderSet:
         raise NotImplementedError
 
     def indicator(self, limit: int) -> np.ndarray:
-        """Boolean membership array over [0, limit] (index 0 is False)."""
+        """Boolean membership array over [0, limit] (index 0 is False), new
+        on each call, so the caller may write into it."""
         raise NotImplementedError
 
     def generating_orders(self, limit: int) -> list[int]:
@@ -385,7 +412,8 @@ class CompositeNumbers(OrderSet):
         return sum(fac.values()) != 1
 
     def indicator(self, limit):
-        out = ~prime_mask(limit)
+        out = prime_mask(limit)
+        np.logical_not(out, out=out)
         out[0] = False
         return out
 
@@ -453,7 +481,9 @@ class SquarefreeAugmented(OrderSet):
         return self.base._member(n, fac)
 
     def indicator(self, limit):
-        out = self.base.indicator(limit) | ~squarefree_mask(limit)
+        out = self.base.indicator(limit)
+        for q in _prime_squares(limit):
+            out[q::q] = True
         out[0] = False
         return out
 

@@ -1,5 +1,6 @@
 """Every documented capacity is enforced before any array is allocated, and
-the largest sieve fits its memory bound."""
+the largest sieve and squarefree sum, and the largest recipe, fit their
+memory bounds."""
 
 import os
 import subprocess
@@ -45,22 +46,65 @@ def test_over_capacity_raises_before_allocating(name, monkeypatch):
 
 
 SIEVE_PEAK_MB = 300
+# The dominant-mode accumulator reads its mask a window at a time; an index
+# array of the surviving n would cost 8 bytes per term on top of the mask.
+SQUAREFREE_PEAK_MB = 200
+TRANSCENDENTAL_PEAK_MB = 60
+
+
+# A child's ru_maxrss starts at the peak RSS of the process it was forked
+# from, which for the test process can pass every bound below.  So a small
+# launcher starts the child and reaps it by wait4, and writes the exit code
+# and ru_maxrss (KB) to the file named by its first argument.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as f:
+    f.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
+def run_child(args, tmp_path):
+    """`python args` in a grandchild of a small launcher: its exit code,
+    its output and its own peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitgrowth.__file__).parents[1]))
+    usage = tmp_path / "usage"
+    with open(tmp_path / "out", "w+b") as out:
+        subprocess.run([sys.executable, "-c", LAUNCHER, str(usage), sys.executable, *args],
+                       stdout=out, stderr=subprocess.STDOUT, env=env, check=True)
+        out.seek(0)
+        text = out.read().decode()
+    code, maxrss_kb = map(int, usage.read_text().split())
+    return code, text, maxrss_kb / 1024
 
 
 def test_sieve_at_capacity_fits_memory_bound(tmp_path):
-    """`sieve --limit 10^8` in a child reaped by wait4, whose ru_maxrss is
-    the child's own peak RSS."""
-    env = dict(os.environ, PYTHONPATH=str(Path(orbitgrowth.__file__).parents[1]))
-    with open(tmp_path / "out", "w+b") as out:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "orbitgrowth.cli", "sieve",
-             "--limit", str(SIEVE_CAPACITY)],
-            stdout=out, stderr=subprocess.STDOUT, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        text = out.read().decode()
-    assert proc.returncode == 0, text
+    """`sieve --limit 10^8` within SIEVE_PEAK_MB."""
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "sieve", "--limit", str(SIEVE_CAPACITY)], tmp_path)
+    assert code == 0, text
     assert text == f"primes <= {SIEVE_CAPACITY}: 5761455\n"
-    peak_mb = usage.ru_maxrss / 1024
     assert peak_mb < SIEVE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
+    """squarefree_slope(10^8) within SQUAREFREE_PEAK_MB: the 100 MB mask and
+    no array of the 61 million squarefree n."""
+    code, text, peak_mb = run_child(
+        ["-c", "from orbitgrowth.mertens import squarefree_slope; "
+               f"print(squarefree_slope({SIEVE_CAPACITY}).samples[-1][0])"], tmp_path)
+    assert code == 0, text
+    assert text == f"{SIEVE_CAPACITY}\n"
+    assert peak_mb < SQUAREFREE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_reproduce_transcendental_fits_memory_bound(tmp_path):
+    """`reproduce --theorem transcendental`, whose squarefree sum at 10^7 is
+    the largest dominant-mode array of the recipes, within
+    TRANSCENDENTAL_PEAK_MB."""
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "reproduce", "--theorem", "transcendental"], tmp_path)
+    assert code == 0, text
+    assert text.startswith("PASS  transcendental"), text
+    assert peak_mb < TRANSCENDENTAL_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"

@@ -11,8 +11,9 @@ from orbitgrowth.arith import SIEVE_CAPACITY
 from orbitgrowth.errors import CapacityError, ContractError
 from orbitgrowth.integers import OrderTable, divisors, is_probable_prime
 from orbitgrowth.mertens import (
-    _CHUNK,
     _SCALE,
+    _WINDOW,
+    _fixed_point_terms,
     _harmonic_fixed_point,
     decompose_lcm_closed,
     default_grid,
@@ -221,46 +222,76 @@ def scalar_fixed_point(keep, grid):
     return out
 
 
+def assert_terms_match_scalar(terms):
+    """The digit kernel against the scalar reference, on explicit terms."""
+    terms = np.asarray(terms, dtype=np.uint64)
+    assert _fixed_point_terms(terms) == sum(_SCALE // n for n in terms.tolist())
+
+
 def assert_matches_scalar(keep, grid):
+    """The window walker on the mask of keep against the scalar reference
+    on keep itself; the mask runs to the last grid point or term."""
     keep = np.asarray(keep, dtype=np.int64)
-    assert _harmonic_fixed_point(keep, grid) == scalar_fixed_point(keep, grid)
+    mask = np.zeros(max(grid[-1], keep.max(initial=0)) + 1, dtype=bool)
+    mask[keep] = True
+    assert _harmonic_fixed_point(mask, grid) == scalar_fixed_point(keep, grid)
 
 
 class TestFixedPointAccumulator:
     def test_empty(self):
+        assert _fixed_point_terms(np.array([], dtype=np.uint64)) == 0
         assert_matches_scalar([], [1, 10])
-        assert _harmonic_fixed_point(np.array([], dtype=np.int64), [5]) == [0]
+        assert _harmonic_fixed_point(np.zeros(6, dtype=bool), [5]) == [0]
 
     def test_unit_term(self):
-        assert _harmonic_fixed_point(np.array([1]), [1]) == [_SCALE]
+        assert _fixed_point_terms(np.array([1], dtype=np.uint64)) == _SCALE
+        assert _harmonic_fixed_point(np.array([False, True]), [1]) == [_SCALE]
         assert_matches_scalar([1, 2, 3, 7], [1, 2, 7])
 
-    @pytest.mark.parametrize("length", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("length", [_WINDOW - 1, _WINDOW, _WINDOW + 1])
     def test_chunk_edges(self, length):
+        # A mask of length + 1 entries is a walk of length integers, the
+        # first window full and the second, if any, of one integer.
         keep = np.arange(1, length + 1)
         assert_matches_scalar(keep, [length])
-        assert_matches_scalar(keep, sorted({1, _CHUNK - 1, _CHUNK, length}))
+        assert_matches_scalar(keep, sorted({1, _WINDOW - 1, _WINDOW, length}))
         assert_matches_scalar(3 * keep, [3 * length])
+
+    @pytest.mark.parametrize("edge", [_WINDOW, _WINDOW + 1, 2 * _WINDOW, 2 * _WINDOW + 1])
+    def test_grid_points_on_window_edges(self, edge):
+        keep = np.arange(1, 3 * _WINDOW, 5)
+        grid = [edge - 1, edge, edge + 1, 3 * _WINDOW]
+        assert_matches_scalar(keep, grid)
+
+    def test_empty_windows(self):
+        # Whole windows with no term between terms, and after the last.
+        keep = [1, 3, _WINDOW + 2, 4 * _WINDOW + 7]
+        assert_matches_scalar(keep, [2 * _WINDOW, 4 * _WINDOW + 7, 6 * _WINDOW])
 
     def test_grid_before_between_and_after_terms(self):
         keep = [5, 9, 10, 400, 401]
         assert_matches_scalar(keep, [1, 4, 5, 7, 9, 10, 100, 401, 10**6])
 
     def test_terms_near_sieve_capacity(self):
-        keep = np.arange(SIEVE_CAPACITY - 3000, SIEVE_CAPACITY + 1, 7)
-        assert_matches_scalar(keep, [SIEVE_CAPACITY - 1500, SIEVE_CAPACITY])
+        assert_terms_match_scalar(np.arange(SIEVE_CAPACITY - 3000, SIEVE_CAPACITY + 1, 7))
 
     def test_largest_term(self):
-        assert_matches_scalar([2, 2**32 - 5, 2**32 - 1], [2, 2**32 - 1])
+        assert_terms_match_scalar([2, 2**32 - 5, 2**32 - 1])
+        assert_terms_match_scalar([1] + [2**32 - 1] * 1000)
 
     def test_term_past_2_pow_32_is_capacity_error(self):
         with pytest.raises(CapacityError):
-            _harmonic_fixed_point(np.array([3, 2**32]), [2**32])
+            _fixed_point_terms(np.array([3, 2**32], dtype=np.uint64))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.sets(st.integers(1, 2**32 - 1), max_size=300),
-           st.sets(st.integers(1, 2**32), min_size=1, max_size=8))
-    def test_matches_scalar_on_draws(self, terms, grid):
+    @given(st.lists(st.integers(1, 2**32 - 1), max_size=300))
+    def test_matches_scalar_on_draws(self, terms):
+        assert_terms_match_scalar(terms)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.integers(1, 3 * _WINDOW), max_size=300),
+           st.sets(st.integers(1, 3 * _WINDOW), min_size=1, max_size=8))
+    def test_walker_matches_scalar_on_draws(self, terms, grid):
         assert_matches_scalar(sorted(terms), sorted(grid))
 
 
@@ -284,6 +315,17 @@ class TestSeriesDomain:
         for s in ([3, 7], InducedPrimes(EllPowers(3))):
             with pytest.raises(ContractError, match="n_max must be >= 1"):
                 f_series_direct(n_max, s, orders, cache)
+
+    @pytest.mark.parametrize("low", [0, -5])
+    def test_grid_point_below_1(self, low, monkeypatch):
+        oset = MultiplesOf(ells=[3])
+
+        def no_sieve(limit):
+            raise AssertionError("indicator built before the grid was checked")
+
+        monkeypatch.setattr(oset, "indicator", no_sieve)
+        with pytest.raises(ContractError, match="grid points must be >= 1"):
+            dominant_sum(100, oset, grid=[low, 50])
 
     def test_smallest_n_max(self, orders, cache):
         assert dominant_sum(1, MultiplesOf(ells=[3])).samples == [(1, Fraction(1))]

@@ -190,6 +190,16 @@ class TestSieveArrays:
         first[:] = ~first
         assert np.array_equal(build(1000), expect)
 
+    @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
+    def test_indicator_returns_a_fresh_array(self, oset):
+        # dominant_sum inverts the indicator it is given in place.
+        first = oset.indicator(1000)
+        expect = first.copy()
+        np.logical_not(first, out=first)
+        second = oset.indicator(1000)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, expect)
+
     @pytest.mark.parametrize("source", [
         ListSource([2, 3, 97, 101, 99991, 2**127 - 1]),
         CongruenceSource(4, [1, 3]),
@@ -202,6 +212,33 @@ class TestSieveArrays:
             expect = [p for p in range(2, limit + 1)
                       if is_probable_prime(p) and source.contains_prime(p)]
             assert got.dtype == np.int64 and got.tolist() == expect, limit
+
+
+def congruence_reference(source, limit):
+    """primes_up_to as a filter of every prime <= limit by its residue."""
+    idx = np.flatnonzero(prime_mask(limit))
+    if source.modulus > limit:
+        return idx[np.isin(idx, [r for r in source.residues if r <= limit])]
+    return idx[np.isin(idx % source.modulus, source.residues)]
+
+
+class TestCongruenceSource:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64).flatmap(lambda m: st.tuples(
+               st.just(m), st.sets(st.integers(0, m - 1), min_size=1))),
+           st.integers(0, 2 * 10**5) | st.integers(0, 130))
+    @example((2, {0}), 2)
+    @example((3, {0, 2}), 3)
+    @example((64, {2, 32}), 10**5)
+    @example((61, {0, 1, 60}), 60)
+    def test_matches_residue_filter(self, source, limit):
+        # Each class prime to the modulus is sieved on its own progression;
+        # 2 and the classes that share a factor with the modulus are not.
+        modulus, residues = source
+        source = CongruenceSource(modulus, residues)
+        got = source.primes_up_to(limit)
+        expect = congruence_reference(source, limit)
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
 
 
 class TestMembership:
