@@ -1,12 +1,12 @@
-"""The array layer of the number theory: sieves and bulk orders.
+"""The array layer of the number theory: the sieve and bulk orders.
 
-The segmented least-factor sieve, its PrimeTable, boolean prime flags, the
-shared small table and bulk multiplicative orders of 2.  These need numpy;
-the exact integer core they build on (primality, factoring, scalar orders,
-valuations) is `integers`, which needs none.  The least-factor table covers
-odd n only, as uint16 with 0 at primes, and only PrimeTable reads it.
-Tables are immutable once built.  The package runs in one thread per
-process, so the shared small table holds no lock.
+The segmented least-factor sieve, its PrimeTable, and bulk multiplicative
+orders of 2.  SIEVE_CAPACITY is the one capacity that every sieve and
+mask over [0, N] is checked against.  These need numpy; the exact integer
+core they build on (primality, small primes, factoring, scalar orders,
+valuations) is `integers`, which needs none.  The least-factor table
+covers odd n only, as uint16 with 0 at primes, and only PrimeTable reads
+it.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvariantViolation
-from .integers import OrderTable, _prime_flags
+from .integers import OrderTable, _primes_to
 
 # OrderTable is re-exported for the benchmark's operations, which import it
 # from here.
 __all__ = ["ORDER_CHUNK", "SIEVE_BLOCK", "SIEVE_CAPACITY", "OrderTable",
-           "PrimeTable", "mult_orders", "prime_flags", "sieve_primes",
-           "small_prime_table"]
+           "PrimeTable", "mult_orders", "sieve_primes"]
 
 SIEVE_CAPACITY = 10**8
 SIEVE_BLOCK = 2**20
@@ -64,19 +63,6 @@ class PrimeTable:
         return f
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array over [0, limit]; True exactly at primes.
-
-    The odd entries come from the integer core's odd-number sieve, one span
-    of 2 * SIEVE_BLOCK integers at a time; 2 is set by hand."""
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[2:3] = True
-    for a in range(3, limit + 1, 2 * SIEVE_BLOCK):
-        b = min(a + 2 * SIEVE_BLOCK, limit + 1)
-        flags[a:b:2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
-    return flags
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """Least-factor sieve of the odd n <= limit, walked in blocks of
     SIEVE_BLOCK entries (2 * SIEVE_BLOCK integers).
@@ -93,7 +79,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(
             f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
-    base = np.flatnonzero(prime_flags(math.isqrt(limit)))[:0:-1].tolist()  # odd, descending
+    base = _primes_to(math.isqrt(limit))[:0:-1]  # odd, descending
     size = (limit - 1) // 2 + 1
     spf = np.empty(size, dtype=np.uint16)
     count = 0  # entries left at 0: the odd primes and n = 1
@@ -118,17 +104,6 @@ def sieve_primes(limit: int) -> PrimeTable:
         primes[k : k + odd.size] = 2 * (odd + lo) + 1
         k += odd.size
     return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
-
-
-# Shared small table, built on first use.
-_small_table: PrimeTable | None = None
-
-
-def small_prime_table() -> PrimeTable:
-    global _small_table
-    if _small_table is None:
-        _small_table = sieve_primes(10**5)
-    return _small_table
 
 
 def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:

@@ -251,8 +251,6 @@ def _cmd_series_transcendental(args) -> int:
 def _cmd_construct(args) -> int:
     from .constants import rn_recursion
 
-    if args.construction != "rn":
-        raise ContractError(f"cli: unknown construction {args.construction!r}")
     trace = rn_recursion(
         Fraction(args.delta),
         args.y,

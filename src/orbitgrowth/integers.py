@@ -11,10 +11,10 @@ per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to
 PM1_BOUND2) and Brent rho, under a deadline (FACTORIZE_BUDGET seconds by
 default).  One bytearray sieve of an arithmetic progression serves all
 of it: over the odd numbers it lists the small primes on demand, only as
-far as a caller needs, and the stage-2 primes segment by segment; over
-1 + step, 1 + 2 step, ... it gives factor_mersenne its trial divisors,
-the only primes that can divide a primitive part.  Nothing is sieved at
-import.
+far as a caller needs (the array layer's primes up to sqrt(N) too), and
+the stage-2 primes segment by segment; over 1 + step, 1 + 2 step, ... it
+gives factor_mersenne its trial divisors, the only primes that can divide
+a primitive part.  Nothing is sieved at import.
 The package runs in one thread per process, so the prime list and the
 OrderTable memo hold no locks.
 """
@@ -122,6 +122,11 @@ def _small_primes(limit: int) -> list[int]:
         _primes = _primes + list(compress(range(lo, new + 1, 2), flags))
         _sieved_to = new
     return _primes
+
+
+def _primes_to(limit: int) -> list[int]:
+    """The primes up to `limit`, ascending, as a new list."""
+    return list(takewhile(lambda p: p <= limit, _small_primes(limit)))
 
 
 def _prime_flags(lo: int, hi: int, step: int) -> bytearray:

@@ -47,7 +47,6 @@ _WINDOW = 1 << 16
 _DIGIT = 1 << 32
 
 EXACT_CEILING = 120
-DOMINANT_CAPACITY = 10**7
 LCM_STRATA_CAP = 4096
 
 
@@ -70,10 +69,6 @@ class MertensSeries:
             if last_v is not None and v < last_v:
                 raise InvariantViolation("mertens-engine: series values decreased")
             last_n, last_v = n, v
-
-    @property
-    def values(self) -> list[Fraction]:
-        return [v for _, v in self.samples]
 
     def value_at(self, n: int) -> Fraction:
         for g, v in self.samples:
@@ -296,9 +291,9 @@ def dominant_sum(
             "mertens-engine: order set is not closed under multiplication by N; "
             "use decompose_lcm_closed instead"
         )
-    if n_max > DOMINANT_CAPACITY:
+    if n_max > SIEVE_CAPACITY:
         raise CapacityError(
-            f"mertens-engine: n_max {n_max} over capacity {DOMINANT_CAPACITY}")
+            f"mertens-engine: n_max {n_max} over capacity {SIEVE_CAPACITY}")
     grid = _sample_grid(n_max, grid)
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")

@@ -1,6 +1,11 @@
 """Declarative order sets M and prime sets S: membership and density, and
 the interval prime sets built from a prime mask.
 
+prime_mask is the package's one boolean prime mask.  The primes up to
+sqrt(N) that the masks over [0, N] sieve by come from the integer core's
+list, and interval_L and estimate_density check N against
+arith.SIEVE_CAPACITY, as dominant_sum does for the indicators.
+
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
 membership over [1, limit] is served by numpy sieves so that dominant sums
@@ -33,11 +38,10 @@ from itertools import chain
 
 import numpy as np
 
-from .arith import (SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, prime_flags,
-                    sieve_primes, small_prime_table)
+from .arith import SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, sieve_primes
 from .errors import CapacityError, ContractError, InvariantViolation
-from .integers import (_prime_flags, factorize, is_prime_power, is_probable_prime,
-                       mult_order, ord_p)
+from .integers import (_prime_flags, _primes_to, factorize, is_prime_power,
+                       is_probable_prime, mult_order, ord_p, progression_segments)
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
@@ -49,13 +53,21 @@ CROSS_CHECKS = 64
 
 
 def prime_mask(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1; True exactly at primes."""
-    return prime_flags(limit)
+    """Boolean array of length limit+1; True exactly at primes.
+
+    The odd entries come from the integer core's odd-number sieve, one span
+    of 2 * SIEVE_BLOCK integers at a time; 2 is set by hand."""
+    mask = np.zeros(limit + 1, dtype=bool)
+    mask[2:3] = True
+    for a in range(3, limit + 1, 2 * SIEVE_BLOCK):
+        b = min(a + 2 * SIEVE_BLOCK, limit + 1)
+        mask[a:b:2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
+    return mask
 
 
 def _prime_squares(limit: int) -> list[int]:
     """p^2 for the primes p with p^2 <= limit."""
-    return [p * p for p in np.flatnonzero(prime_flags(math.isqrt(limit))).tolist()]
+    return [p * p for p in _primes_to(math.isqrt(limit))]
 
 
 def squarefree_mask(limit: int) -> np.ndarray:
@@ -72,7 +84,6 @@ def squarefree_mask(limit: int) -> np.ndarray:
 
 
 _LN2 = math.log(2.0)
-INTERVAL_CAPACITY = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -93,9 +104,9 @@ def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
     if m_lo < 1 or m_hi < m_lo:
         raise ContractError("prime-sets: bad interval exponent range")
     top = math.floor(2.0 ** (m_hi + delta))
-    if top > INTERVAL_CAPACITY:
+    if top > SIEVE_CAPACITY:
         raise CapacityError(
-            f"prime-sets: interval sieve to {top} exceeds capacity {INTERVAL_CAPACITY}"
+            f"prime-sets: interval sieve to {top} exceeds capacity {SIEVE_CAPACITY}"
         )
     mask = prime_mask(top)
     out = []
@@ -525,7 +536,7 @@ def _omega_or_outside(limit: int, r: int, source: PrimeSource) -> np.ndarray:
     """
     allowed = np.zeros(limit + 1, dtype=bool)
     allowed[source.primes_up_to(limit)] = True
-    small = np.flatnonzero(prime_mask(math.isqrt(limit))).tolist()
+    small = _primes_to(math.isqrt(limit))
     out = np.zeros(limit + 1, dtype=bool)
     for lo in range(0, limit + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, limit + 1)
@@ -578,16 +589,11 @@ class OmegaBounded(OrderSet):
 
     def _m_prime_powers(self, limit: int) -> dict[int, int]:
         """{p: ord_p(m)} over the primes p <= limit of m, by trial division
-        that stops once what is left of m is 1.  The primes past the small
-        table are sieved only when m has a prime factor past it."""
-        small = small_prime_table()
-
-        def beyond():
-            lo = small.limit + 1
-            yield from (np.flatnonzero(prime_mask(limit)[lo:]) + lo).tolist()
-
+        that stops once what is left of m is 1.  The odd primes are sieved
+        one segment at a time, only as far as the division goes."""
+        odd = chain.from_iterable(progression_segments(3, limit + 1, 2))
         out, rest = {}, self.m
-        for p in chain(small.primes.tolist(), beyond()):
+        for p in chain([2], odd):
             if rest == 1 or p > limit:
                 break
             if rest % p == 0:

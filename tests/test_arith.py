@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import integers
-from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, prime_flags, sieve_primes
+from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, sieve_primes
 from orbitgrowth.errors import BudgetError, CapacityError
 from orbitgrowth.integers import (
     MR_PROVEN_BOUND,
@@ -26,6 +26,7 @@ from orbitgrowth.integers import (
     ord_p_mersenne,
     progression_segments,
 )
+from orbitgrowth.sets import prime_mask
 
 
 def mersenne_valuation(p: int, n: int) -> int:
@@ -100,7 +101,7 @@ class TestSieve:
             assert least[k - 2] == expect and table.least_factor(k) == expect, k
         assert np.array_equal(least, least_factor_reference(limit)[2:])
         assert np.array_equal(table.primes, n[least == n])
-        assert np.array_equal(np.flatnonzero(prime_flags(limit)), table.primes)
+        assert np.array_equal(np.flatnonzero(prime_mask(limit)), table.primes)
 
     def test_small(self):
         assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]

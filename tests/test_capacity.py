@@ -1,6 +1,6 @@
 """Every documented capacity is enforced before any array is allocated, and
-the largest sieve and squarefree sum, and the largest recipe, fit their
-memory bounds."""
+the largest sieve, squarefree sum and dominant sum, and the largest recipe,
+fit their memory bounds."""
 
 import os
 import subprocess
@@ -13,24 +13,18 @@ import pytest
 import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
-from orbitgrowth.mertens import DOMINANT_CAPACITY, dominant_sum, squarefree_slope
-from orbitgrowth.sets import (
-    INTERVAL_CAPACITY,
-    ExplicitFinitePrimes,
-    MultiplesOf,
-    estimate_density,
-    interval_L,
-)
+from orbitgrowth.mertens import dominant_sum, squarefree_slope
+from orbitgrowth.sets import ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L
 
 OVER_CAPACITY = {
     "sieve_primes": lambda: sieve_primes(SIEVE_CAPACITY + 1),
     "dominant_sum": lambda: dominant_sum(
-        DOMINANT_CAPACITY + 1, MultiplesOf(ells=[3])),
+        SIEVE_CAPACITY + 1, MultiplesOf(ells=[3])),
     "squarefree_slope": lambda: squarefree_slope(SIEVE_CAPACITY + 1),
     "estimate_density": lambda: estimate_density(
         ExplicitFinitePrimes([3]), SIEVE_CAPACITY + 1),
-    # The sieve would reach 2^(m_hi + 1) > INTERVAL_CAPACITY.
-    "interval_L": lambda: interval_L(1.0, 1, INTERVAL_CAPACITY.bit_length()),
+    # The sieve would reach 2^(m_hi + 1) > SIEVE_CAPACITY.
+    "interval_L": lambda: interval_L(1.0, 1, SIEVE_CAPACITY.bit_length()),
 }
 
 
@@ -49,6 +43,7 @@ SIEVE_PEAK_MB = 300
 # The dominant-mode accumulator reads its mask a window at a time; an index
 # array of the surviving n would cost 8 bytes per term on top of the mask.
 SQUAREFREE_PEAK_MB = 200
+DOMINANT_PEAK_MB = 250
 TRANSCENDENTAL_PEAK_MB = 60
 
 
@@ -97,6 +92,21 @@ def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert text == f"{SIEVE_CAPACITY}\n"
     assert peak_mb < SQUAREFREE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_dominant_sum_at_capacity_fits_memory_bound(tmp_path):
+    """dominant_sum(10^8) on the `logdelta` recipe's set within
+    DOMINANT_PEAK_MB: its indicator, inverted in place, and window-sized
+    temporaries."""
+    code, text, peak_mb = run_child(
+        ["-c", "from orbitgrowth.mertens import dominant_sum; "
+               "from orbitgrowth.sets import CongruenceSource, MultiplesOf, "
+               "SquarefreeAugmented; "
+               "oset = SquarefreeAugmented(MultiplesOf(ell_set=CongruenceSource(3, [1]))); "
+               f"print(dominant_sum({SIEVE_CAPACITY}, oset).samples[-1][0])"], tmp_path)
+    assert code == 0, text
+    assert text == f"{SIEVE_CAPACITY}\n"
+    assert peak_mb < DOMINANT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_reproduce_transcendental_fits_memory_bound(tmp_path):

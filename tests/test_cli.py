@@ -200,6 +200,15 @@ class TestExitCodes:
         assert code == 2
         assert "n_max must be >= 1" in err
 
+    def test_dominant_n_max_past_capacity_is_2(self, capsys, tmp_path):
+        spec = tmp_path / "m3.json"
+        spec.write_text('{"kind": "induced", "order_set": '
+                        '{"kind": "multiples_of", "ells": [3]}}\n')
+        code, out, err = run(capsys, "series", "--spec", str(spec),
+                             "--n-max", "100000001", "--mode", "dominant")
+        assert code == 2 and out == ""
+        assert "100000000" in err
+
     def test_cache_miss_is_3(self, capsys):
         code, _, err = run(capsys, "series-transcendental",
                            "--ell", "3", "--terms", "6")

@@ -351,6 +351,18 @@ class TestMembership:
                 "ell_set": source.to_json()}
         assert order_set_from_json(spec).to_json() == spec
 
+    def test_omega_bounded_m_prime_past_1e5(self):
+        # 100003, the least prime past 10^5, lies in the second segment of
+        # m's trial division; 10^19 + 51 is a prime past the limit.
+        limit, source = 300011, ListSource([3, 5])
+        oset = OmegaBounded(1, source, 3 * 100003)
+        ind = oset.indicator(limit)
+        diff = np.flatnonzero(ind != OmegaBounded(1, source, 3).indicator(limit))
+        assert diff.tolist() == [100003, 300009]
+        far = OmegaBounded(1, source, 3 * 100003 * (10**19 + 51))
+        assert np.array_equal(ind, far.indicator(limit))
+        assert [bool(ind[n]) for n in diff] == [oset.contains(int(n)) for n in diff]
+
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 9])
     def test_ell_powers_indicator_matches_contains(self, ell):
         # n = ell^e exactly, for a composite ell too.
