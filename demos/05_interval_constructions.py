@@ -47,7 +47,7 @@ print(f"  a' = {float(trace.a_prime):.6f} "
       f"{(4/3)*math.log1p(float(trace.delta)/trace.y):.6f}))")
 print("   n         R_n        r_n - 1      cap delta/R_n")
 for step in trace.steps[:8]:
-    print(f"  {step.n:>2}  {step.big_r:>10}  {step.r_n - 1:.3e}      "
+    print(f"  {step.n:>2}  {step.big_r:>10}  {math.expm1(step.log_r_n):.3e}      "
           f"{step.r_cap:.3e}")
 print(f"  invariants hold at every step: {trace.all_ok}")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -270,34 +271,43 @@ def _cmd_construct(args) -> int:
     for step in trace.steps:
         if step.n <= 8 or step.n == len(trace.steps):
             print(
-                f"  {step.n:2d}  {step.big_r:12d}  {_fmt18(step.r_n - 1):>22s}"
-                f"  {_fmt18(step.r_cap):>20s}"
+                f"  {step.n:2d}  {step.big_r:12d}  "
+                f"{_fmt18(math.expm1(step.log_r_n)):>22s}  {_fmt18(step.r_cap):>20s}"
             )
     print(
         f"invariants: ratio={trace.ratio_ok} sandwich={trace.sandwich_ok} "
         f"intervals={trace.interval_ok} f-bound={trace.f_bound_ok}"
     )
     if args.out:
-        payload = {
-            "mode": trace.mode,
-            "delta": str(trace.delta),
-            "y": trace.y,
-            "a_prime": str(trace.a_prime),
-            "ratio_ok": trace.ratio_ok,
-            "sandwich_ok": trace.sandwich_ok,
-            "interval_ok": trace.interval_ok,
-            "f_bound_ok": trace.f_bound_ok,
-            "steps": [
-                {
-                    "n": s.n,
-                    "R_n": s.big_r,
-                    "b_n": str(s.b_n),
-                    "eta": str(s.eta),
-                    "partial_sum": str(s.partial_sum),
-                }
-                for s in trace.steps
-            ],
-        }
+        # The exact values outgrow the interpreter's int-to-str digit limit
+        # (perturbed, from n_max 42 on), so the dump lifts it and restores it.
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = {
+                "mode": trace.mode,
+                "delta": str(trace.delta),
+                "y": trace.y,
+                "a_prime": str(trace.a_prime),
+                "ratio_ok": trace.ratio_ok,
+                "sandwich_ok": trace.sandwich_ok,
+                "interval_ok": trace.interval_ok,
+                "f_bound_ok": trace.f_bound_ok,
+                "steps": [
+                    {
+                        "n": s.n,
+                        "R_n": s.big_r,
+                        "b_n": str(s.b_n),
+                        "eta": str(s.eta),
+                        "partial_sum": str(s.partial_sum),
+                    }
+                    for s in trace.steps
+                ],
+            }
+        finally:
+            if digit_limit is not None:
+                sys.set_int_max_str_digits(digit_limit)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -26,9 +26,6 @@ from .errors import (
 from .integers import OrderTable, is_probable_prime, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 
-_LN2 = math.log(2.0)
-
-
 @dataclass(frozen=True)
 class ExactConstant:
     """An exact rational value; error_bound present iff it truncates a series."""
@@ -278,8 +275,9 @@ def transcendental_series(
 # The interval-length recursion, idealized and perturbed.
 
 # The largest n_max rn_recursion accepts.  The error bound 100^(-2^(n/4))
-# is carried as an exact Fraction whose size doubles every 4 steps: cold,
-# n = 40 takes 0.4 s, 56 takes 0.8 s and 64 takes 7-12 s.
+# is carried as an exact Fraction whose size doubles every 4 steps: a cold
+# perturbed `construct rn` takes 0.2 s at n = 40, 1.0 s at 56 and about
+# 12 s at 64 (idealized 6 s; 2-vCPU shared Xeon).
 RN_CAPACITY = 64
 
 
@@ -355,6 +353,18 @@ def a_prime_window(delta: Fraction, y: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+# The sign of eta_n under each sign pattern, from n and the seeded rng.
+_SIGNS = {
+    "plus": lambda n, rng: 1,
+    "minus": lambda n, rng: -1,
+    "alternating": lambda n, rng: 1 if n % 2 else -1,
+    "random": lambda n, rng: rng.choice((-1, 1)),
+}
+# |eta_n| as a share of its bound a' g(n): none in idealized mode, and
+# strictly inside the bound in perturbed mode.
+_ETA_SCALE = {"idealized": Fraction(0), "perturbed": 1 - Fraction(1, 1 << 20)}
+
+
 def rn_recursion(
     delta,
     y: int,
@@ -369,24 +379,26 @@ def rn_recursion(
     """Run the interval-length recursion r_n for n = 1..n_max, with
     1 <= n_max <= RN_CAPACITY, and check its three invariants.
 
-    R_n = floor(2^(n/2) Y) exactly (via isqrt of Y^2 2^n).  In idealized mode
-    b_n is the exact recursion value (a' - sum_{j<n} b_j)/2, so the partial
-    sums equal a'(1 - 2^-n) with zero error; any failure is a bug.  In
-    perturbed mode b_n picks up a measurement error eta_n with
-    |eta_n| < a' * 100^(-2^(n/4)), signed by `sign_pattern` ("plus", "minus",
-    "alternating", "random") at just-inside-extremal magnitude.
+    R_n = floor(2^(n/2) Y) exactly (via isqrt of Y^2 2^n), and b_n is the
+    recursion value (a' - sum_{j<n} b_j)/2 plus a measurement error eta_n.
+    In perturbed mode |eta_n| sits just inside a' * 100^(-2^(n/4)), signed
+    by `sign_pattern` ("plus", "minus", "alternating", "random").  Idealized
+    mode is the zero error under any pattern: the partial sums equal
+    a'(1 - 2^-n) exactly, and any failure is a bug.
 
     The giant intervals (2^(R_n), 2^(R_n r_n)] are never enumerated; the
-    third invariant is checked against the modeled interval sum
-    R_n r_n ln2 b_n <= 4 a' Y ln2 2^(-n/2).
+    third invariant is checked against the modeled interval sum, with the
+    ln 2 of both sides cancelled: R_n r_n |b_n| <= 4 a' Y 2^(-floor(n/2)).
     """
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ContractError("constants: delta must be in (0, 1]")
     if y < 2:
         raise ContractError("constants: Y must be >= 2")
-    if mode not in ("idealized", "perturbed"):
+    if mode not in _ETA_SCALE:
         raise ContractError(f"constants: unknown recursion mode {mode!r}")
+    if sign_pattern not in _SIGNS:
+        raise ContractError(f"constants: unknown sign pattern {sign_pattern!r}")
     if n_max < 1:
         raise ContractError(f"constants: n_max must be >= 1, got {n_max}")
     if n_max > RN_CAPACITY:
@@ -407,61 +419,39 @@ def rn_recursion(
         )
 
     rng = random.Random(seed)
-    eta_scale = 1 - Fraction(1, 1 << 20)  # strictly inside the error bound
+    sign_of = _SIGNS[sign_pattern]
+    eta_scale = _ETA_SCALE[mode]
 
     steps: list[RecursionStep] = []
     partial = Fraction(0)
     ratio_ok = sandwich_ok = interval_ok = f_bound_ok = True
     f_hat_lo = Fraction(0)  # sum of lower g_j 2^j, scaled by 2^-n on use
     f_hat_hi = Fraction(0)
-    interval_cap = 4 * a_prime * y * Fraction(Fraction(_LN2))
 
     for n in range(1, n_max + 1):
         big_r = math.isqrt(y * y << n)
         log_r = (a_prime - partial) / 2
         g_lo, g_hi = _g_bounds(n)
-        if mode == "idealized":
-            eta = Fraction(0)
-        else:
-            if sign_pattern == "plus":
-                sign = 1
-            elif sign_pattern == "minus":
-                sign = -1
-            elif sign_pattern == "alternating":
-                sign = 1 if n % 2 else -1
-            elif sign_pattern == "random":
-                sign = rng.choice((-1, 1))
-            else:
-                raise ContractError(
-                    f"constants: unknown sign pattern {sign_pattern!r}"
-                )
-            eta = sign * eta_scale * a_prime * g_lo
+        eta = sign_of(n, rng) * eta_scale * a_prime * g_lo
         b_n = log_r + eta
         partial += b_n
         f_hat_lo = f_hat_lo / 2 + g_lo
         f_hat_hi = f_hat_hi / 2 + g_hi
 
         # (1) 1 < r_n < 1 + delta/R_n, compared on exponents.
-        cap = _log1p_fraction_lower(Fraction(delta, big_r))
-        step_ratio_ok = 0 < log_r < cap
-        ratio_ok &= step_ratio_ok
+        ratio_ok &= 0 < log_r < _log1p_fraction_lower(Fraction(delta, big_r))
         # (2) the sandwich around a'(1 - 2^-n).
         center = a_prime * (1 - Fraction(1, 1 << n))
-        halfwidth = a_prime * f_hat_lo
-        if mode == "idealized":
-            if partial != center:
-                raise InvariantViolation(
-                    f"constants: idealized recursion drifted at n={n}"
-                )
-        else:
-            step_sandwich_ok = abs(partial - center) < halfwidth
-            sandwich_ok &= step_sandwich_ok
+        if mode == "idealized" and partial != center:
+            raise InvariantViolation(
+                f"constants: idealized recursion drifted at n={n}"
+            )
+        sandwich_ok &= abs(partial - center) < a_prime * f_hat_lo
         # (3) modeled interval log-weight sum.
         r_n = math.exp(log_r)
-        lhs = Fraction(big_r) * Fraction(r_n) * Fraction(_LN2) * abs(b_n)
-        step_interval_ok = lhs <= interval_cap * Fraction(1, 1 << n) * (1 << (n - n // 2))
-        # 2^(-n/2) as 2^(-n) * 2^(ceil(n/2)) keeps the comparison rational.
-        interval_ok &= bool(step_interval_ok)
+        interval_ok &= big_r * Fraction(r_n) * abs(b_n) <= Fraction(
+            4 * a_prime * y, 1 << n // 2
+        )
         # f(n) < 2^-(n+2), via the upper enclosure of f.
         f_bound_ok &= f_hat_hi < Fraction(1, 4)
 
@@ -486,10 +476,10 @@ def rn_recursion(
         a_prime=a_prime,
         mode=mode,
         steps=steps,
-        ratio_ok=bool(ratio_ok),
-        sandwich_ok=bool(sandwich_ok),
-        interval_ok=bool(interval_ok),
-        f_bound_ok=bool(f_bound_ok),
+        ratio_ok=ratio_ok,
+        sandwich_ok=sandwich_ok,
+        interval_ok=interval_ok,
+        f_bound_ok=f_bound_ok,
         x=x,
     )
 

@@ -24,6 +24,7 @@ import fcntl
 import json
 import os
 import time
+from collections import namedtuple
 from importlib import resources
 from itertools import chain
 
@@ -43,47 +44,16 @@ SEED_RESOURCE = "mersenne_m128.jsonl"
 MERSENNE_CAPACITY = 1000
 
 
-class _Frozen:
-    """Immutable fields, named by __slots__, with the equality, hash and repr
-    of a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class MersenneFactorization(_Frozen):
+class MersenneFactorization(namedtuple("MersenneFactorization", "m factors certified")):
     """Complete factorization of 2^m - 1, product-checked at construction.
 
     `factors` lists ascending (prime, exponent) pairs; `certified` says all
     prime factors are below the proven Miller-Rabin bound.
     """
 
-    __slots__ = ("m", "factors", "certified")
+    __slots__ = ()
 
-    def __init__(self, m: int, factors: tuple[tuple[int, int], ...], certified: bool):
+    def __new__(cls, m: int, factors: tuple[tuple[int, int], ...], certified: bool):
         prod = 1
         last = 1
         for p, e in factors:
@@ -97,7 +67,7 @@ class MersenneFactorization(_Frozen):
             raise InvariantViolation(
                 f"mersenne-factors: product check failed for m={m}"
             )
-        super().__init__(m, factors, certified)
+        return super().__new__(cls, m, factors, certified)
 
     @property
     def value(self) -> int:
@@ -290,14 +260,9 @@ def factor_mersenne(
     return fz
 
 
-class MersennePartial(_Frozen):
-    """Carried by BudgetError: what was split before the deadline, as the
-    prime `factors` {p: e} and the composite `cofactors` left."""
-
-    __slots__ = ("m", "factors", "cofactors")
-
-    def __init__(self, m: int, factors: dict[int, int], cofactors: tuple[int, ...]):
-        super().__init__(m, factors, cofactors)
+# Carried by BudgetError: what was split before the deadline, as the prime
+# `factors` {p: e} and the composite `cofactors` left.
+MersennePartial = namedtuple("MersennePartial", "m factors cofactors")
 
 
 def primitive_primes(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ContractError
@@ -21,17 +22,8 @@ from .mersenne import FactorCache
 MERTENS_CONSTANT_ORACLE = 0.26149  # from the prime-harmonic oracle run
 
 
-class CriterionResult:
-    def __init__(self, theorem: str, passed: bool, elapsed: float,
-                 details: list[str]):
-        self.theorem = theorem
-        self.passed = passed
-        self.elapsed = elapsed
-        self.details = details
-
-    def __repr__(self):
-        return (f"CriterionResult(theorem={self.theorem!r}, passed={self.passed!r}, "
-                f"elapsed={self.elapsed!r}, details={self.details!r})")
+class CriterionResult(namedtuple("CriterionResult", "theorem passed elapsed details")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         tag = "PASS" if self.passed else "FAIL"

@@ -1,10 +1,12 @@
 """Declarative order sets M and prime sets S: membership and density, and
-the interval prime sets built from a prime mask.
+the interval prime sets.
 
 prime_mask is the package's one boolean prime mask.  The primes up to
 sqrt(N) that the masks over [0, N] sieve by come from the integer core's
-list, and interval_L and estimate_density check N against
-arith.SIEVE_CAPACITY, as dominant_sum does for the indicators.
+list.  interval_L sieves each interval's odd numbers on their own with
+the integer core's progression sieve.  interval_L and estimate_density
+check N against arith.SIEVE_CAPACITY, as dominant_sum does for the
+indicators.
 
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
@@ -108,13 +110,14 @@ def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
         raise CapacityError(
             f"prime-sets: interval sieve to {top} exceeds capacity {SIEVE_CAPACITY}"
         )
-    mask = prime_mask(top)
     out = []
     target = delta * _LN2
     for m in range(m_lo, m_hi + 1):
         lo = 1 << m
         hi = math.floor(2.0 ** (m + delta))
-        idx = np.flatnonzero(mask[lo + 1 : hi + 1]) + lo + 1
+        # No even n in (lo, hi] is prime, as lo >= 2; one interval at a time.
+        flags = np.frombuffer(_prime_flags(lo + 1, hi + 1, 2), dtype=bool)
+        idx = 2 * np.flatnonzero(flags) + lo + 1
         ps = idx.astype(np.float64)
         val = float(np.sum(np.log(ps) / ps)) if len(ps) else 0.0
         out.append(

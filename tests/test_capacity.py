@@ -1,6 +1,6 @@
 """Every documented capacity is enforced before any array is allocated, and
-the largest sieve, squarefree sum and dominant sum, and the largest recipe,
-fit their memory bounds."""
+the largest sieve, squarefree sum, dominant sum and interval sets, and the
+largest recipe, fit their memory bounds."""
 
 import os
 import subprocess
@@ -45,6 +45,8 @@ SIEVE_PEAK_MB = 300
 SQUAREFREE_PEAK_MB = 200
 DOMINANT_PEAK_MB = 250
 TRANSCENDENTAL_PEAK_MB = 60
+# One interval's odd-number flags at a time, not a mask over [0, 2^(m_hi + delta)].
+INTERVAL_PEAK_MB = 120
 
 
 # A child's ru_maxrss starts at the peak RSS of the process it was forked
@@ -118,3 +120,14 @@ def test_reproduce_transcendental_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert text.startswith("PASS  transcendental"), text
     assert peak_mb < TRANSCENDENTAL_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_interval_L_fits_memory_bound(tmp_path):
+    """interval_L(0.5, 1, 26), which reaches 2^26.5 (about 9.5e7), within
+    INTERVAL_PEAK_MB."""
+    code, text, peak_mb = run_child(
+        ["-c", "from orbitgrowth.sets import interval_L; "
+               "print(interval_L(0.5, 1, 26)[-1].hi)"], tmp_path)
+    assert code == 0, text
+    assert text == "94906265\n"
+    assert peak_mb < INTERVAL_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"

@@ -1,16 +1,19 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import orbitgrowth
-from orbitgrowth import integers
+from orbitgrowth import constants, integers
 from orbitgrowth.arith import sieve_primes
 from orbitgrowth.cli import main
+from orbitgrowth.constants import rn_recursion
 from orbitgrowth.integers import mult_order
 
 SRC = str(Path(orbitgrowth.__file__).resolve().parent.parent)
@@ -170,6 +173,64 @@ class TestPipelines:
                        "--n-max", "10", "--mode", "perturbed",
                        "--sign", "random", "--seed", "5")
         assert r1 == r2
+
+
+class TestConstructOut:
+    # sha256 of `construct rn --delta 1/2 --out F` files: the exact values
+    # and the file format are a contract.
+    DIGESTS = {
+        ("perturbed", "41", "plus"):
+            "0ec49d72598750a9089e7bf929659306b5dcbb15d366ea1cf8a8dca7129c2f0c",
+        ("perturbed", "41", "minus"):
+            "226111d65fa168144350a4ac39485a457f4cb71c28fbe28bc286aa025191879e",
+        ("perturbed", "41", "alternating"):
+            "8ee378e93cdd6d69853ba8e0ee7f03532582129f44840b44644c37459ed3bbe6",
+        ("perturbed", "41", "random"):
+            "e903945bfda8e5f6e8a8611ef0d3618ea840287fff2ddbc1bdb6f907e0b277c5",
+        ("idealized", "56", "plus"):
+            "f9d77d23c7c3768170d2b3512e5f166a239e2b104290a5ff0ef56866f2c60b2b",
+    }
+
+    @pytest.mark.parametrize("mode, n_max, sign", sorted(DIGESTS))
+    def test_out_file_is_pinned(self, capsys, tmp_path, mode, n_max, sign):
+        out = tmp_path / "rn.json"
+        code, _, err = run(capsys, "construct", "rn", "--delta", "1/2", "--mode", mode,
+                           "--n-max", n_max, "--sign", sign, "--out", str(out))
+        assert code == 0, err
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[mode, n_max, sign]
+
+    @pytest.mark.parametrize("n_max", [42, 48])
+    def test_out_past_the_digit_limit(self, capsys, tmp_path, n_max):
+        # From n_max 42 on the exact values have more than 4300 digits, the
+        # interpreter's default int-to-str limit; the dump lifts it and puts
+        # it back.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        out = tmp_path / "rn.json"
+        code, stdout, err = run(capsys, "construct", "rn", "--delta", "1/2",
+                                "--mode", "perturbed", "--n-max", str(n_max),
+                                "--out", str(out))
+        assert code == 0, err
+        assert stdout.endswith(f"wrote {out}\n")
+        assert get_limit() == limit
+        trace = rn_recursion(Fraction(1, 2), 50, n_max, mode="perturbed")
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            steps = json.loads(out.read_text())["steps"]
+            assert [(Fraction(s["b_n"]), Fraction(s["eta"]), Fraction(s["partial_sum"]))
+                    for s in steps] == [(s.b_n, s.eta, s.partial_sum) for s in trace.steps]
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_widened_error_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(constants, "_g_bounds", lambda n: (Fraction(8), Fraction(8)))
+        code, out, _ = run(capsys, "construct", "rn", "--delta", "1/2",
+                           "--mode", "perturbed", "--n-max", "8")
+        assert code == 5
+        assert "ratio=False sandwich=True intervals=False f-bound=False" in out
 
 
 class TestExitCodes:

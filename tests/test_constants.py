@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitgrowth import constants
 from orbitgrowth.arith import sieve_primes
 from orbitgrowth.constants import (
     a_prime_window,
@@ -405,6 +406,30 @@ class TestRecursion:
                              c=Fraction(4, 3), x=3)
         assert trace.all_ok
         assert trace.y != 50  # Y is derived from c, not taken from the argument
+
+    @pytest.mark.parametrize("mode", ["idealized", "perturbed"])
+    def test_unknown_sign_pattern_raises(self, mode):
+        with pytest.raises(ContractError, match="unknown sign pattern"):
+            rn_recursion(Fraction(1, 2), 50, 4, mode=mode, sign_pattern="bogus")
+
+    @pytest.mark.parametrize("pattern", ["plus", "minus", "alternating", "random"])
+    def test_widened_error_breaks_all_but_the_sandwich(self, pattern, monkeypatch):
+        # An error amplitude of 8 a' (g = 8) drives b_1 far from a'/2: the
+        # interval sum overshoots at n = 1, r_2 leaves (1, 1 + delta/R_2) and
+        # f(1) = 8 passes 1/4.  The sandwich still holds: D_n = partial_n -
+        # a'(1 - 2^-n) obeys D_n = D_(n-1)/2 + eta_n with |eta_n| < a' g_lo(n),
+        # so |D_n| < a' f_lo(n) whatever g is; only an eta past its own bound
+        # could break it.
+        monkeypatch.setattr(constants, "_g_bounds", lambda n: (Fraction(8), Fraction(8)))
+        trace = rn_recursion(Fraction(1, 2), 50, 8, mode="perturbed",
+                             sign_pattern=pattern, seed=3)
+        assert (trace.ratio_ok, trace.interval_ok, trace.f_bound_ok) == (False,) * 3
+        assert trace.sandwich_ok and not trace.all_ok
+
+    def test_idealized_broken_invariant_raises(self, monkeypatch):
+        monkeypatch.setattr(constants, "_g_bounds", lambda n: (Fraction(8), Fraction(8)))
+        with pytest.raises(InvariantViolation, match="broke an invariant"):
+            rn_recursion(Fraction(1, 2), 50, 8, mode="idealized")
 
     def test_big_r_is_floor_of_sqrt(self):
         trace = rn_recursion(Fraction(1, 2), 50, 12, mode="idealized")
