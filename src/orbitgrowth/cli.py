@@ -267,13 +267,13 @@ def _cmd_construct(args) -> int:
         f"mode {trace.mode}  delta {trace.delta}  Y {trace.y}  "
         f"a' {_fmt18(float(trace.a_prime))}"
     )
-    print("   n          R_n              r_n - 1        cap delta/R_n")
+    # _fmt18 is at most 23 characters wide (0.000940986202162837028).
+    row = "  {:>2}  {:>12}  {:>23}  {:>23}"
+    print(row.format("n", "R_n", "r_n - 1", "cap delta/R_n"))
     for step in trace.steps:
         if step.n <= 8 or step.n == len(trace.steps):
-            print(
-                f"  {step.n:2d}  {step.big_r:12d}  "
-                f"{_fmt18(math.expm1(step.log_r_n)):>22s}  {_fmt18(step.r_cap):>20s}"
-            )
+            print(row.format(step.n, step.big_r, _fmt18(math.expm1(step.log_r_n)),
+                             _fmt18(step.r_cap)))
     print(
         f"invariants: ratio={trace.ratio_ok} sandwich={trace.sandwich_ok} "
         f"intervals={trace.interval_ok} f-bound={trace.f_bound_ok}"

@@ -31,7 +31,6 @@ class ExactConstant:
     """An exact rational value; error_bound present iff it truncates a series."""
 
     value: Fraction
-    provenance: str
     error_bound: Fraction | None = None
 
     def __float__(self) -> float:
@@ -80,7 +79,7 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     total = (0, 1)
     for lcm, (num, den) in terms.items():
         total = _add_over_lcm(total, (num, den * lcm))
-    return ExactConstant(Fraction(*total), f"subset expansion over S={primes}")
+    return ExactConstant(Fraction(*total))
 
 
 def _add_over_lcm(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -257,11 +256,7 @@ def transcendental_series(
         acc += term
         convergents.append(acc)
     tail = Fraction(1, 1 << (ell**terms - 1))
-    constant = ExactConstant(
-        acc,
-        provenance=f"ell-power order series, ell={ell}, {terms} terms",
-        error_bound=tail,
-    )
+    constant = ExactConstant(acc, error_bound=tail)
     return TranscendentalSeries(
         ell=ell,
         terms=terms,

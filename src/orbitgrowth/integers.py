@@ -84,18 +84,6 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
-def is_prime_power(n: int) -> bool:
-    """n = p^k for a prime p and some k >= 1, decided without factoring n:
-    for each k up to log2(n), the integer k-th root of n by Newton's method."""
-    for k in range(1, n.bit_length() + 1):
-        r = 1 << -(-n.bit_length() // k)  # at least the root
-        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-            r = s
-        if r**k == n and is_probable_prime(r):
-            return True
-    return False
-
-
 def primality_certified(n: int) -> bool:
     """True when is_probable_prime is a proof rather than 40-round evidence."""
     return n < MR_PROVEN_BOUND

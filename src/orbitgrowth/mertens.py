@@ -14,9 +14,9 @@ Two evaluation regimes:
     combines the digit sums as exact Python ints.
 
 The same accumulator gives squarefree_slope, the harmonic sum over the
-squarefree n.  The lcm-stratified decomposition of F_S(N) is implemented
-independently of the direct sum so the two code paths can cross-validate
-each other.
+squarefree n.  The decomposition of F_S(N) into strata, one for each
+mbar_n that occurs, takes any order set and is implemented independently
+of the direct sum so the two code paths can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .integers import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 from .sets import (
     ExplicitFinitePrimes,
-    ExplicitList,
     InducedPrimes,
     OrderSet,
     PrimeSet,
@@ -47,7 +46,6 @@ _WINDOW = 1 << 16
 _DIGIT = 1 << 32
 
 EXACT_CEILING = 120
-LCM_STRATA_CAP = 4096
 
 
 @dataclass
@@ -401,80 +399,51 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
     )
 
 
-def _lcm_closure(gens: list[int], limit: int) -> list[int]:
-    closed = {1}
-    frontier = [g for g in gens if g <= limit]
-    for g in frontier:
-        new = {g * c // math.gcd(g, c) for c in closed}
-        closed.update(v for v in new if v <= limit)
-        if len(closed) > LCM_STRATA_CAP:
-            raise CapacityError(f"mertens-engine: lcm closure exceeds "
-                                f"{LCM_STRATA_CAP} strata below {limit}")
-    return sorted(closed)
-
-
 def decompose_lcm_closed(
     n_max: int,
     oset: OrderSet,
     orders: OrderTable | None = None,
     cache: FactorCache | None = None,
 ) -> tuple[MertensSeries, list[int]]:
-    """F_S(N) assembled stratum by stratum over the lcm-closure of the orders,
-    and the sorted strata mbar.
+    """F_S(N) assembled stratum by stratum, and the sorted strata: the
+    mbar_n that occur for n <= N.  Any order set is taken; the name is
+    historical, from when only lcm-closed sets were.
 
     Each n is charged to the stratum of mbar_n = lcm of the realized orders
-    dividing n; writing n = mbar * j turns the term into
-    (|2^mbar - 1|_{S_mbar} / mbar) * |j|_{S_mbar} / j.  The result must agree
-    exactly with the direct summation f_series_direct — two independent
-    code paths over the same rationals.  Both sample default_grid(n_max).
+    in M dividing n.  A prime p of S divides 2^n - 1 exactly when m_p is
+    one of those orders, that is when p lies in S_mbar; so writing
+    n = mbar * j turns the term into (|2^mbar - 1|_{S_mbar} / mbar) *
+    |j|_{S_mbar} / j.  A stratum's set and denominator are built the first
+    time its mbar turns up.  The result must agree exactly with the direct
+    summation f_series_direct — two independent code paths over the same
+    rationals.  Both sample default_grid(n_max).
     """
     if cache is None:
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
     grid = set(_sample_grid(n_max, None))
-    member: dict[int, bool] = {}  # membership in the effective order set
-
-    if isinstance(oset, ExplicitList):
-        # A finite explicit list is replaced by its lcm closure: the strata
-        # are indexed by lcms of realized orders whether or not the list
-        # contained them.
-        gens = [m for m in oset.values if m not in (1, 6) and m <= n_max]
-        mbars = _lcm_closure(gens, n_max)
-        effective = ExplicitList(mbars)
-    elif oset.closed_under_lcm:
-        # Each member is its own stratum, and so is 6 = lcm(2, 3) when 2 and
-        # 3 are members, though no prime has order 6.
-        mbars = sorted({1} | {mbar_of(m, oset, member)
-                              for m in oset.generating_orders(n_max)})
-        effective = oset
-    else:
-        raise ContractError(
-            "mertens-engine: order set must be lcm-closed (or an explicit list)"
-        )
-
-    terms: dict[int, Fraction] = {}
-    for mbar in mbars:
-        stratum = s_mbar(mbar, effective, cache, orders, member)
-        denom = mbar
-        for p in stratum:
-            denom *= p ** ord_p_mersenne(p, mbar, orders)
-        for j in range(1, n_max // mbar + 1):
-            n = mbar * j
-            if mbar_of(n, effective, member) != mbar:
-                continue
-            val = 1
-            for p in stratum:
-                val *= p ** ord_p(j, p)
-            terms[n] = Fraction(1, denom * j * val)
-    samples = []
+    member: dict[int, bool] = {}
+    strata: dict[int, tuple[dict[int, int], int]] = {}  # mbar -> (S_mbar, denom)
     acc = Fraction(0)
+    samples = []
     for n in range(1, n_max + 1):
-        if n in terms:
-            acc += terms[n]
+        mbar = mbar_of(n, oset, member)
+        if mbar not in strata:
+            stratum = s_mbar(mbar, oset, cache, orders, member)
+            denom = mbar
+            for p in stratum:
+                denom *= p ** ord_p_mersenne(p, mbar, orders)
+            strata[mbar] = stratum, denom
+        stratum, denom = strata[mbar]
+        j = n // mbar
+        denom *= j
+        for p in stratum:
+            denom *= p ** ord_p(j, p)
+        acc += Fraction(1, denom)
         if n in grid:
             samples.append((n, acc))
     series = MertensSeries(label=oset.label(), mode="dominant", samples=samples)
-    return series, mbars
+    return series, sorted(strata)
 
 
 def f_series_direct(

@@ -1,10 +1,11 @@
 """Desk-scale reproduction recipes, one per headline result.
 
 Each recipe takes the same optional factor cache (recipes that need no
-factorizations ignore it), runs a fixed, documented configuration
-and returns a CriterionResult with pass/fail, elapsed time and detail
-lines.  The CLI `reproduce --theorem NAME` and the acceptance test suite
-both dispatch here, so there is a single source of truth for every
+factorizations ignore it), runs a fixed, documented configuration and
+returns (passed, detail lines); run_theorem times the call, the recipe's
+own imports included, and names the CriterionResult.  The CLI
+`reproduce --theorem NAME` and the acceptance test suite both dispatch
+through run_theorem, so there is a single source of truth for every
 tolerance.  Each recipe imports the modules it runs, so `dense` and
 `section9`, which need no arrays, run without numpy.
 """
@@ -32,12 +33,11 @@ class CriterionResult(namedtuple("CriterionResult", "theorem passed elapsed deta
         return out
 
 
-def check_dense(cache: FactorCache | None = None) -> CriterionResult:
+def check_dense(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Greedy order selection terminates inside [k, k+eps) for two targets,
     with the one-prime lower bound holding at every candidate."""
     from .constants import greedy_L
 
-    t0 = time.monotonic()
     cache = cache or FactorCache()
     details = []
     ok = True
@@ -59,29 +59,25 @@ def check_dense(cache: FactorCache | None = None) -> CriterionResult:
             f"window={'yes' if window else 'NO'}, "
             f"per-step bound={'yes' if steps_ok else 'NO'}"
         )
-    return CriterionResult("dense", ok, time.monotonic() - t0, details)
+    return ok, details
 
 
 ONTO_GRID = (10**4, 31623, 10**5, 316228, 10**6)
 
 
-def check_onto(cache: FactorCache | None = None) -> CriterionResult:
+def check_onto(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
     from .fitting import fit_model
     from .mertens import dominant_sum
     from .sets import MultiplesOf
 
-    t0 = time.monotonic()
     series = dominant_sum(10**6, MultiplesOf(ells=[3]), grid=list(ONTO_GRID))
     slope = fit_model(series.float_samples(), "k_log", strict=False).k
     ok = abs(slope - 2.0 / 3.0) <= 0.01
-    return CriterionResult(
-        "onto", ok, time.monotonic() - t0,
-        [f"slope {slope:.6f} vs 2/3, |dev| = {abs(slope - 2/3):.2e} (tol 0.01)"],
-    )
+    return ok, [f"slope {slope:.6f} vs 2/3, |dev| = {abs(slope - 2/3):.2e} (tol 0.01)"]
 
 
-def check_loglog(cache: FactorCache | None = None) -> CriterionResult:
+def check_loglog(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Prime-harmonic dominant sum minus loglog N settles at the oracle
     constant: tail oscillation < 1e-3 and limit within 1e-3 of 0.26149.
 
@@ -91,7 +87,6 @@ def check_loglog(cache: FactorCache | None = None) -> CriterionResult:
     from .mertens import default_grid, dominant_sum
     from .sets import CompositeNumbers
 
-    t0 = time.monotonic()
     series = dominant_sum(10**7, CompositeNumbers(),
                           grid=default_grid(10**7, start=100))
     devs = [(n, float(v) - math.log(math.log(n))) for n, v in series.samples]
@@ -99,17 +94,14 @@ def check_loglog(cache: FactorCache | None = None) -> CriterionResult:
     osc = max(tail) - min(tail)
     limit_dev = abs(tail[-1] - MERTENS_CONSTANT_ORACLE)
     ok = osc < 1e-3 and limit_dev < 1e-3
-    return CriterionResult(
-        "loglog", ok, time.monotonic() - t0,
-        [
-            f"tail oscillation {osc:.2e} (tol 1e-3) on N >= {devs[len(devs)//2][0]}",
-            f"limit {tail[-1]:.6f} vs {MERTENS_CONSTANT_ORACLE} "
-            f"(|dev| = {limit_dev:.2e}, tol 1e-3)",
-        ],
-    )
+    return ok, [
+        f"tail oscillation {osc:.2e} (tol 1e-3) on N >= {devs[len(devs)//2][0]}",
+        f"limit {tail[-1]:.6f} vs {MERTENS_CONSTANT_ORACLE} "
+        f"(|dev| = {limit_dev:.2e}, tol 1e-3)",
+    ]
 
 
-def check_logdelta(cache: FactorCache | None = None) -> CriterionResult:
+def check_logdelta(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Squarefree-augmented orders over primes = 1 mod 3: classified as
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
@@ -117,16 +109,12 @@ def check_logdelta(cache: FactorCache | None = None) -> CriterionResult:
     from .mertens import default_grid, dominant_sum
     from .sets import CongruenceSource, MultiplesOf, SquarefreeAugmented
 
-    t0 = time.monotonic()
     mprime = SquarefreeAugmented(MultiplesOf(ell_set=CongruenceSource(3, [1])))
     series = dominant_sum(10**7, mprime, grid=default_grid(10**7, start=100))
     rep = classify_growth(series.float_samples())
     ok = rep.model == "k_logdelta" and 0.4 <= (rep.delta or 0.0) <= 0.6
-    return CriterionResult(
-        "logdelta", ok, time.monotonic() - t0,
-        [f"model {rep.model}, delta = {rep.delta:.4f} (band [0.4, 0.6]), "
-         f"k = {rep.k:.4f}, tail residual {rep.residual:.2e}"],
-    )
+    return ok, [f"model {rep.model}, delta = {rep.delta:.4f} (band [0.4, 0.6]), "
+                f"k = {rep.k:.4f}, tail residual {rep.residual:.2e}"]
 
 
 # Exact-series classification grid: a context head plus samples
@@ -135,34 +123,29 @@ def check_logdelta(cache: FactorCache | None = None) -> CriterionResult:
 ZERO_GRID = (10, 20, 40, 60, 80, 90, 95, 100, 105, 110, 115, 120)
 
 
-def check_zero(cache: FactorCache | None = None) -> CriterionResult:
+def check_zero(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Exact Mertens series for S = {p : 3 does not divide m_p} is bounded;
     tail Cauchy oscillation below 1e-2."""
     from .fitting import classify_growth
     from .mertens import mertens_exact
     from .sets import ComplementMultiplesOf, InducedPrimes
 
-    t0 = time.monotonic()
     cache = cache or FactorCache()
     s = InducedPrimes(ComplementMultiplesOf(3))
     series = mertens_exact(120, s, cache=cache)
     sub = [(n, float(v)) for n, v in series.samples if n in ZERO_GRID]
     rep = classify_growth(sub)
     ok = rep.model == "bounded" and rep.residual < 1e-2
-    return CriterionResult(
-        "zero", ok, time.monotonic() - t0,
-        [f"model {rep.model}, tail Cauchy oscillation {rep.residual:.2e} "
-         f"(tol 1e-2), limit ~ {rep.constant:.6f}"],
-    )
+    return ok, [f"model {rep.model}, tail Cauchy oscillation {rep.residual:.2e} "
+                f"(tol 1e-2), limit ~ {rep.constant:.6f}"]
 
 
-def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
+def check_transcendental(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """The ell = 3 order-power series: exact convergents with a rigorous
     tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
     from .constants import transcendental_series
     from .mertens import squarefree_slope
 
-    t0 = time.monotonic()
     cache = cache or FactorCache()
     ts = transcendental_series(3, 4, cache)
     expected = (
@@ -180,27 +163,23 @@ def check_transcendental(cache: FactorCache | None = None) -> CriterionResult:
     slope_dev = abs(sf.slope - 6.0 / math.pi**2)
     slope_ok = slope_dev <= 0.01
     ok = conv_ok and increasing and tail_ok and slope_ok
-    return CriterionResult(
-        "transcendental", ok, time.monotonic() - t0,
-        [
-            f"convergents {[str(c) for c in ts.convergents[:3]]} "
-            f"exact match: {'yes' if conv_ok else 'NO'}; "
-            f"strictly increasing: {'yes' if increasing else 'NO'}",
-            f"tail bound {float(ts.tail_bound):.3e} < 2^-79: "
-            f"{'yes' if tail_ok else 'NO'}",
-            f"squarefree slope {sf.slope:.6f} vs 6/pi^2, |dev| = "
-            f"{slope_dev:.2e} (tol 0.01)",
-        ],
-    )
+    return ok, [
+        f"convergents {[str(c) for c in ts.convergents[:3]]} "
+        f"exact match: {'yes' if conv_ok else 'NO'}; "
+        f"strictly increasing: {'yes' if increasing else 'NO'}",
+        f"tail bound {float(ts.tail_bound):.3e} < 2^-79: "
+        f"{'yes' if tail_ok else 'NO'}",
+        f"squarefree slope {sf.slope:.6f} vs 6/pi^2, |dev| = "
+        f"{slope_dev:.2e} (tol 0.01)",
+    ]
 
 
-def check_section9(cache: FactorCache | None = None) -> CriterionResult:
+def check_section9(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     """Interval recursion: idealized mode has the exact closed form; the
     perturbed mode passes all three invariants for every extremal sign
     pattern at delta = 1/2, Y = 50, n <= 40."""
     from .constants import rn_recursion
 
-    t0 = time.monotonic()
     details = []
     ideal = rn_recursion(Fraction(1, 2), 50, 40, mode="idealized")
     closed_ok = all(
@@ -223,7 +202,7 @@ def check_section9(cache: FactorCache | None = None) -> CriterionResult:
     f1_ok = float(100 ** (-(2 ** 0.25))) < 2**-3
     ok &= f1_ok
     details.append(f"f(1) = 100^(-2^(1/4)) < 2^-3: {'yes' if f1_ok else 'NO'}")
-    return CriterionResult("section9", ok, time.monotonic() - t0, details)
+    return ok, details
 
 
 THEOREMS = {
@@ -242,4 +221,6 @@ def run_theorem(name: str, cache: FactorCache | None = None) -> CriterionResult:
         fn = THEOREMS[name]
     except KeyError:
         raise ContractError(f"cli: unknown theorem {name!r}") from None
-    return fn(cache)
+    t0 = time.monotonic()
+    passed, details = fn(cache)
+    return CriterionResult(name, passed, time.monotonic() - t0, details)

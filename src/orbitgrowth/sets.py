@@ -11,13 +11,13 @@ indicators.
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
 membership over [1, limit] is served by numpy sieves so that dominant sums
-never need factorizations.  Closure flags (multiplication by naturals,
-least common multiples) are facts of the code: class attributes, the exact
-ExplicitList._lcm_closed, complement_multiples_of's prime-power rule and a
-squarefree_augmented base's flags.  A JSON spec cannot claim one, so
-loading a spec tests none and draws no random numbers; a property test
-checks every kind's claimed flags.  The lcm strata that exact sums build
-over an order set, and the factor cache they need, belong to mertens.
+never need factorizations.  The one closure flag, closure under
+multiplication by the naturals, is a fact of the code: a class attribute,
+False for a nonempty explicit list, and a squarefree_augmented base's flag.
+A JSON spec cannot claim it, so loading a spec tests nothing and draws no
+random numbers; a property test checks every kind's claim.  The strata
+mbar_n that exact sums build over any order set, and the factor cache they
+need, belong to mertens.
 
 JSON wire forms (the single schema used by the CLI):
 
@@ -42,8 +42,8 @@ import numpy as np
 
 from .arith import SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, sieve_primes
 from .errors import CapacityError, ContractError, InvariantViolation
-from .integers import (_prime_flags, _primes_to, factorize, is_prime_power,
-                       is_probable_prime, mult_order, ord_p, progression_segments)
+from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
+                       mult_order, ord_p, progression_segments)
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
@@ -263,11 +263,10 @@ def prime_source_from_json(obj: dict) -> PrimeSource:
 
 class OrderSet:
     kind = "abstract"
-    # dominant_sum needs closure under multiplication by the naturals, and
-    # decompose_lcm_closed closure under lcm; a flag claimed False only
-    # narrows what they accept.
+    # dominant_sum needs closure under multiplication by the naturals; a
+    # flag claimed False only narrows what it accepts.  The stratified
+    # decomposition takes every order set and needs no flag.
     closed_under_nat_multiplication = False
-    closed_under_lcm = False
 
     # Membership --------------------------------------------------------
     def contains(self, n: int) -> bool:
@@ -282,10 +281,6 @@ class OrderSet:
         """Boolean membership array over [0, limit] (index 0 is False), new
         on each call, so the caller may write into it."""
         raise NotImplementedError
-
-    def generating_orders(self, limit: int) -> list[int]:
-        """Members <= limit; the decomposition strips 1 and 6 itself."""
-        return np.flatnonzero(self.indicator(limit)).tolist()
 
     # Serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -307,13 +302,6 @@ class ExplicitList(OrderSet):
             raise ContractError("prime-sets: explicit order values must be >= 1")
         # A nonempty finite set cannot absorb multiplication by N.
         self.closed_under_nat_multiplication = not self.values
-        self.closed_under_lcm = self._lcm_closed()
-
-    def _lcm_closed(self) -> bool:
-        vals = set(self.values)
-        return all(
-            a * b // math.gcd(a, b) in vals for a in vals for b in vals
-        )
 
     def _member(self, n, fac):
         return n in self.values
@@ -349,7 +337,6 @@ class MultiplesOf(OrderSet):
 
     kind = "multiples_of"
     closed_under_nat_multiplication = True
-    closed_under_lcm = True
 
     def __init__(self, ells=None, ell_set: PrimeSource | None = None):
         if (ells is None) == (ell_set is None):
@@ -390,8 +377,7 @@ class MultiplesOf(OrderSet):
 
 
 class ComplementMultiplesOf(OrderSet):
-    """n with ell not dividing n; not multiplication-closed, and lcm-closed
-    exactly when ell is a prime power (lcm(2, 3) is a multiple of 6)."""
+    """n with ell not dividing n; not multiplication-closed."""
 
     kind = "complement_multiples_of"
     closed_under_nat_multiplication = False
@@ -400,7 +386,6 @@ class ComplementMultiplesOf(OrderSet):
         self.ell = int(ell)
         if self.ell < 2:
             raise ContractError("prime-sets: complement divisor must be >= 2")
-        self.closed_under_lcm = is_prime_power(self.ell)
 
     def _member(self, n, fac):
         return n % self.ell != 0
@@ -420,7 +405,6 @@ class CompositeNumbers(OrderSet):
 
     kind = "composite_numbers"
     closed_under_nat_multiplication = True
-    closed_under_lcm = True
 
     def _member(self, n, fac):
         return sum(fac.values()) != 1
@@ -438,7 +422,6 @@ class CompositeNumbers(OrderSet):
 class PrimeNumbers(OrderSet):
     kind = "prime_numbers"
     closed_under_nat_multiplication = False
-    closed_under_lcm = False
 
     def _member(self, n, fac):
         return sum(fac.values()) == 1
@@ -451,11 +434,10 @@ class PrimeNumbers(OrderSet):
 
 
 class EllPowers(OrderSet):
-    """{ell^e : e >= 0}; a thin, lcm-closed set containing 1."""
+    """{ell^e : e >= 0}; a thin set containing 1."""
 
     kind = "ell_powers"
     closed_under_nat_multiplication = False
-    closed_under_lcm = True
 
     def __init__(self, ell: int):
         self.ell = int(ell)
@@ -487,7 +469,6 @@ class SquarefreeAugmented(OrderSet):
     def __init__(self, base: OrderSet):
         self.base = base
         self.closed_under_nat_multiplication = base.closed_under_nat_multiplication
-        self.closed_under_lcm = base.closed_under_lcm
 
     def _member(self, n, fac):
         if any(e >= 2 for e in fac.values()):
@@ -510,7 +491,6 @@ class CongruencePrimes(OrderSet):
 
     kind = "congruence_primes"
     closed_under_nat_multiplication = False
-    closed_under_lcm = False
 
     def __init__(self, modulus: int, residues):
         self.source = CongruenceSource(modulus, residues)
@@ -569,7 +549,6 @@ class OmegaBounded(OrderSet):
 
     kind = "omega_bounded"
     closed_under_nat_multiplication = True
-    closed_under_lcm = True
 
     def __init__(self, r: int, ell_set: PrimeSource, m: int):
         if r < 1 or m < 1:

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 (run with -s to see them live) and enforcing the stated tolerance and time
-budget.  Criteria 5-8 and 10-11 dispatch through the reproduction recipes in
+budget.  Criteria 5-8 and 10-11 dispatch through run_theorem in
 orbitgrowth.reproduce, the same code the `reproduce` CLI subcommand runs.
 """
 
@@ -14,14 +14,7 @@ from orbitgrowth.constants import transcendental_series
 from orbitgrowth.integers import OrderTable, divisors, ord_p_mersenne
 from orbitgrowth.mersenne import FactorCache, primitive_primes
 from orbitgrowth.mertens import orbit_count, periodic_points, squarefree_slope
-from orbitgrowth.reproduce import (
-    check_dense,
-    check_logdelta,
-    check_loglog,
-    check_onto,
-    check_section9,
-    check_zero,
-)
+from orbitgrowth.reproduce import run_theorem
 from orbitgrowth.sets import InducedPrimes, MultiplesOf
 
 
@@ -84,26 +77,26 @@ def test_criterion_04_zsigmondy(cache):
 
 
 def test_criterion_05_onto_slope():
-    res = check_onto()
+    res = run_theorem("onto")
     _report(5, "dominant slope for 3 | m_p orders = 2/3 +- 0.01",
             res.passed, res.elapsed, 60.0)
 
 
 def test_criterion_06_loglog_constant():
-    res = check_loglog()
+    res = run_theorem("loglog")
     _report(6, "prime-harmonic sum minus loglog settles at 0.26149 +- 1e-3",
             res.passed, res.elapsed, 120.0)
 
 
 def test_criterion_07_logdelta_classification():
-    res = check_logdelta()
+    res = run_theorem("logdelta")
     _report(7, "squarefree-augmented congruence orders classify as "
                "k (log N)^delta, delta in [0.4, 0.6]",
             res.passed, res.elapsed, 300.0)
 
 
 def test_criterion_08_proposition_zero(cache):
-    res = check_zero(cache)
+    res = run_theorem("zero", cache)
     _report(8, "exact series for 3-free orders is bounded, tail Cauchy < 1e-2",
             res.passed, res.elapsed, 300.0)
 
@@ -125,13 +118,13 @@ def test_criterion_09_transcendental_series(cache):
 
 
 def test_criterion_10_dense_greedy(cache):
-    res = check_dense(cache)
+    res = run_theorem("dense", cache)
     _report(10, "greedy terminates in [k, k+eps) with the per-step bound, "
                 "both targets", res.passed, res.elapsed, 300.0)
 
 
 def test_criterion_11_interval_recursion():
-    res = check_section9()
+    res = run_theorem("section9")
     _report(11, "recursion: idealized exact closed form; perturbed extremal "
                 "passes all invariants; f(n) < 2^-(n+2)",
             res.passed, res.elapsed, 5.0)

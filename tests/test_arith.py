@@ -18,7 +18,6 @@ from orbitgrowth.integers import (
     divisors,
     euler_phi,
     factorize,
-    is_prime_power,
     is_probable_prime,
     moebius,
     mult_order,
@@ -289,19 +288,6 @@ class TestCyclotomic:
             phi_n = cyclotomic_eval2(n)
             earlier = ((1 << n) - 1) // phi_n
             assert n % math.gcd(phi_n, earlier) == 0
-
-
-class TestPrimePower:
-    def test_matches_factorize(self):
-        assert [n for n in range(1, 5001)
-                if is_prime_power(n) != (len(factorize(n)) == 1)] == []
-
-    def test_large_without_factoring(self):
-        # Products of large primes that factorize could not split quickly.
-        m61, m89, m127 = 2**61 - 1, 2**89 - 1, 2**127 - 1
-        for n, expect in ((2**70, True), (m127, True), (m61**3, True),
-                          (m61 * m89, False), (m89**2 * m127, False)):
-            assert is_prime_power(n) is expect, n
 
 
 def forty_base_test(n: int) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -122,6 +123,18 @@ class TestBasicCommands:
                            "--mode", "perturbed", "--sign", "alternating")
         assert code == 0
         assert "ratio=True sandwich=True intervals=True f-bound=True" in out
+
+    def test_construct_rn_columns_aligned(self, capsys):
+        # Header and rows end each column at the same offset, also where a
+        # value takes all 23 characters of 18 significant digits.
+        code, out, _ = run(capsys, "construct", "rn", "--delta", "1/2",
+                           "--n-max", "12", "--mode", "perturbed")
+        assert code == 0
+        table = out.splitlines()[1:-1]
+        ends = [[m.end() for m in re.finditer(r"\S+(?: \S+)*", line)]
+                for line in table]
+        assert len(table) == 10 and "0.000940986202162837028" in out
+        assert all(e == ends[0] for e in ends), ends
 
     def test_reproduce_section9(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--theorem", "section9")

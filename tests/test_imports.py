@@ -4,13 +4,17 @@ method and property has a caller outside the tests, the integer core and
 the modules above it import no array code when they load, the CLI does
 not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
 command needs it, and neither it nor the factor cache loads dataclasses.
+Every name the benchmark imports from the package exists, and so does every
+attribute it reads off such a function's result.
 
 A name bound by an import counts as used when the module reads it anywhere
 or lists it in `__all__`; `from __future__` imports bind nothing.
 """
 
 import ast
+import importlib
 import os
+import typing
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +141,49 @@ def test_every_public_definition_has_a_caller():
     callers = [p.read_text(encoding="utf-8") for p in modules + outside]
     assert [name for name in uncalled(definitions, callers)
             if name not in ORACLES] == []
+
+
+def benchmark_surface_breaks(source: str) -> list[str]:
+    """What the source uses of the package that the package lacks: a name
+    imported `from orbitgrowth.x`, or an attribute read off the call of such
+    a function that its return annotation does not have."""
+    tree = ast.parse(source)
+    out, imported = [], {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("orbitgrowth.")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    imported[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    out.append(f"{node.module}.{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) in imported):
+            name = node.value.func.id
+            ret = typing.get_type_hints(imported[name])["return"]
+            if not (hasattr(ret, node.attr)
+                    or node.attr in getattr(ret, "__annotations__", {})):
+                out.append(f"{name}(...).{node.attr} (line {node.lineno})")
+    return out
+
+
+def test_benchmark_surface_checker():
+    source = ("from orbitgrowth.arith import OrderTable, no_such_name\n"
+              "from orbitgrowth.constants import k_exact_finite_s as k\n"
+              "k([3, 7]).value\n"
+              "k([3, 7]).provenance\n")
+    assert benchmark_surface_breaks(source) == [
+        "orbitgrowth.arith.no_such_name (line 1)", "k(...).provenance (line 4)"]
+
+
+# The benchmark imports the package's functions by name, so a rename or a
+# deleted field fails here rather than in a benchmark run.
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_benchmark_import_surface(path):
+    assert benchmark_surface_breaks(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(path: Path) -> list[tuple[str, int]]:

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -34,7 +33,9 @@ from orbitgrowth.sets import (
     ExplicitList,
     InducedPrimes,
     MultiplesOf,
+    PrimeNumbers,
 )
+from test_sets import ALL_KINDS
 
 
 ODD_PRIMES_BELOW_200 = [p for p in range(3, 200) if is_probable_prime(p)]
@@ -386,21 +387,36 @@ class TestDecomposition:
     @given(values=st.lists(st.integers(1, 30), max_size=4),
            n_max=st.integers(1, 60))
     def test_explicit_lists_match_direct(self, values, n_max, orders, cache):
-        # A list stands for its lcm closure, without 1 and 6, which no prime
-        # has as its order; the direct sum takes the closure's induced set.
-        gens = [v for v in values if v not in (1, 6)]
-        closure = {math.lcm(*c) for r in range(1, len(gens) + 1)
-                   for c in combinations(gens, r)}
-        series, _ = decompose_lcm_closed(n_max, ExplicitList(values), orders, cache)
-        direct = f_series_direct(n_max, InducedPrimes(ExplicitList(closure)),
-                                 orders, cache)
+        oset = ExplicitList(values)
+        series, _ = decompose_lcm_closed(n_max, oset, orders, cache)
+        direct = f_series_direct(n_max, InducedPrimes(oset), orders, cache)
         assert series.samples == direct.samples
 
-    def test_non_lcm_closed_rejected(self, orders, cache):
-        from orbitgrowth.sets import PrimeNumbers
+    def test_list_of_3_and_4_matches_direct(self, orders, cache):
+        # 12 = lcm(3, 4) is a stratum, but 13, whose order is 12, is not in
+        # S_12 = {5, 7}: the strata are not the list's lcm closure.
+        oset = ExplicitList([3, 4])
+        series, strata = decompose_lcm_closed(120, oset, orders, cache)
+        assert strata == [1, 3, 4, 12]
+        assert s_mbar(12, oset, cache, orders) == {5: 1, 7: 1}
+        direct = f_series_direct(120, InducedPrimes(oset), orders, cache)
+        assert series.samples == direct.samples
 
-        with pytest.raises(ContractError):
-            decompose_lcm_closed(100, PrimeNumbers(), orders, cache)
+    def test_prime_numbers_matches_direct(self, orders, cache):
+        oset = PrimeNumbers()
+        series, strata = decompose_lcm_closed(100, oset, orders, cache)
+        direct = f_series_direct(100, InducedPrimes(oset), orders, cache)
+        assert series.samples == direct.samples
+        assert strata[:8] == [1, 2, 3, 5, 6, 7, 10, 11]
+
+    @pytest.mark.parametrize("n_max", [1, 60, 120])
+    @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
+    def test_every_kind_matches_direct(self, oset, n_max, orders, cache):
+        # The strata are the mbar_n that occur, whatever closure M has.
+        series, strata = decompose_lcm_closed(n_max, oset, orders, cache)
+        direct = f_series_direct(n_max, InducedPrimes(oset), orders, cache)
+        assert series.samples == direct.samples
+        assert strata == sorted({mbar_of(n, oset) for n in range(1, n_max + 1)})
 
 
 class TestMbar:

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -84,21 +83,12 @@ prime_sources = st.one_of(
     congruence_sources())
 
 
-# Squarefree ell that are not primes, each with two prime factors below 10,
-# so the least members of the complement, with or without the squarefree
-# augmentation, break a false lcm claim.
-MIXED_ELLS = [6, 10, 14, 15, 21, 30, 42, 70]
-
-
 @st.composite
 def base_order_sets(draw):
     """A valid order set of one of the nine kinds other than
-    squarefree_augmented, with values past int64 now and then.  A
-    complement on an ell that is no prime power, whose lcm flag is the one
-    false claim ever seen, is drawn as one more kind of its own."""
+    squarefree_augmented, with values past int64 now and then."""
     big = st.sampled_from([2**40, 2**70])
-    kind = draw(st.sampled_from(sorted(sets._ORDER_KINDS)
-                                + ["complement_on_mixed_ell"]))
+    kind = draw(st.sampled_from(sorted(sets._ORDER_KINDS)))
     if kind == "explicit_list":
         return ExplicitList(draw(st.lists(st.integers(1, 3000) | big, max_size=6)))
     if kind == "prime_list":
@@ -111,8 +101,6 @@ def base_order_sets(draw):
         return MultiplesOf(ell_set=draw(prime_sources))
     if kind == "complement_multiples_of":
         return ComplementMultiplesOf(draw(st.integers(2, 60) | big))
-    if kind == "complement_on_mixed_ell":
-        return ComplementMultiplesOf(draw(st.sampled_from(MIXED_ELLS)))
     if kind == "composite_numbers":
         return CompositeNumbers()
     if kind == "prime_numbers":
@@ -160,19 +148,14 @@ SMALL_PAIRS = [(a, b) for a in range(1, 61) for b in range(1, 61)]
 
 
 def closure_break(oset, pairs):
-    """The first (a, b) of pairs that breaks a flag oset claims, or None.
-
-    Multiplication closure breaks at a member a >= 2 with a*b not a member
-    (b any natural; membership of 1 is bookkeeping for dominant sums, while
-    closure concerns the orders M without 1 and 6).  Lcm closure breaks at
-    members a and b whose lcm is not one.  A flag claimed False is not
-    tested."""
+    """The first (a, b) of pairs that breaks the multiplication closure oset
+    claims, or None: a member a >= 2 with a*b not a member (b any natural;
+    membership of 1 is bookkeeping for dominant sums, while closure concerns
+    the orders M without 1 and 6).  A flag claimed False is not tested."""
+    if not oset.closed_under_nat_multiplication:
+        return None
     for a, b in pairs:
-        if (oset.closed_under_nat_multiplication and a >= 2
-                and oset.contains(a) and not oset.contains(a * b)):
-            return a, b
-        if (oset.closed_under_lcm and oset.contains(a) and oset.contains(b)
-                and not oset.contains(math.lcm(a, b))):
+        if a >= 2 and oset.contains(a) and not oset.contains(a * b):
             return a, b
     return None
 
@@ -376,24 +359,18 @@ class TestMembership:
 class TestClosureFlags:
     @settings(max_examples=200, deadline=None)
     @given(oset=order_sets(), limit=st.integers(2, 3000),
-           picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16),
-                                    st.integers(1, 10**4)),
+           picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 10**4)),
                           min_size=1, max_size=30))
-    # A complement on a composite ell that is no prime power is the one
-    # false claim ever seen; the example pins the least such ell.
-    @example(oset=ComplementMultiplesOf(6), limit=3, picks=[(1, 2, 1)])
     def test_claimed_flags_hold(self, oset, limit, picks):
-        # Members a and b from the sieve, and any natural k: a*k for a
-        # multiplication claim, lcm(a, b) for an lcm claim, is a member.
-        # Every pair of the ten least members comes first, then the picks.
+        # A member a from the sieve and any natural k: a*k is a member when
+        # multiplication closure is claimed.  Each of the ten least members
+        # times the ten least members and 1..10 comes first, then the picks.
         members = np.flatnonzero(oset.indicator(limit)).tolist()
         if not members:
             return
         least = members[:10]
         pairs = [(a, b) for a in least for b in least + list(range(1, 11))]
-        for i, j, k in picks:
-            a = members[i % len(members)]
-            pairs += [(a, members[j % len(members)]), (a, k)]
+        pairs += [(members[i % len(members)], k) for i, k in picks]
         assert closure_break(oset, pairs) is None, oset
 
     def test_multiples_closed(self):
@@ -405,8 +382,8 @@ class TestClosureFlags:
         assert closure_break(s, SMALL_PAIRS) is None
 
     def test_false_flags_are_not_tested(self):
-        # A flag claimed False only narrows what the series accept, so the
-        # check spends no membership test on it.
+        # A flag claimed False only narrows what dominant_sum accepts, so
+        # the check spends no membership test on it.
         calls = []
 
         class Recording(PrimeNumbers):
@@ -417,35 +394,9 @@ class TestClosureFlags:
         assert closure_break(Recording(), SMALL_PAIRS) is None
         assert calls == []
 
-    def test_complement_is_lcm_closed_for_prime_powers_only(self):
-        # lcm(2, 9) is a multiple of 18: a spec on a composite ell that is
-        # no prime power loads, and claims no lcm closure.
-        for ell, closed in ((3, True), (9, True), (2**70, True),
-                            (6, False), (18, False)):
-            oset = order_set_from_json({"kind": "complement_multiples_of",
-                                        "ell": ell})
-            assert oset.closed_under_lcm is closed, ell
-
     def test_omega_bounded_closed(self):
         o = OmegaBounded(2, CongruenceSource(3, [1]), 6)
         assert closure_break(o, SMALL_PAIRS) is None
-
-    def test_false_lcm_claim_on_composite_ell_found(self):
-        # A complement that claims lcm closure for every ell, not only for
-        # the prime powers, breaks at 2 and 3 for ell 6.
-        class Lying(ComplementMultiplesOf):
-            def __init__(self, ell):
-                super().__init__(ell)
-                self.closed_under_lcm = True
-
-        assert closure_break(Lying(6), SMALL_PAIRS) == (2, 3)
-        assert closure_break(ComplementMultiplesOf(6), SMALL_PAIRS) is None
-
-    def test_false_lcm_claim_found_with_pair(self):
-        class Lying(PrimeNumbers):
-            closed_under_lcm = True
-
-        assert closure_break(Lying(), SMALL_PAIRS) == (2, 3)
 
     def test_false_nat_claim_found_with_pair(self):
         # 1 * 3 is no member either, but the unit is not a closure witness.
