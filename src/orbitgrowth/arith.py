@@ -5,8 +5,9 @@ orders of 2.  SIEVE_CAPACITY is the one capacity that every sieve and
 mask over [0, N] is checked against.  These need numpy; the exact integer
 core they build on (primality, small primes, factoring, scalar orders,
 valuations) is `integers`, which needs none.  The least-factor table
-covers odd n only, as uint16 with 0 at primes, and only PrimeTable reads
-it.  Tables are immutable once built.
+covers only the n prime to 6, as uint16 with 0 at primes, and only
+PrimeTable reads it; the primes are int32.  Tables are immutable once
+built.
 """
 
 from __future__ import annotations
@@ -29,22 +30,28 @@ SIEVE_BLOCK = 2**20
 ORDER_CHUNK = 2**16
 
 # The least factor of a composite n <= SIEVE_CAPACITY is at most its square
-# root, which the uint16 least-factor table must hold.
+# root, which the uint16 least-factor table must hold; every prime must fit
+# the int32 `primes`.
 if math.isqrt(SIEVE_CAPACITY) >= 2**16:
     raise InvariantViolation("core-arith: SIEVE_CAPACITY puts least factors past uint16")
+if SIEVE_CAPACITY >= 2**31:
+    raise InvariantViolation("core-arith: SIEVE_CAPACITY puts primes past int32")
 
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to `limit` plus a least-prime-factor table of the odd n.
+    """Primes up to `limit` plus a least-prime-factor table of the n prime
+    to 6.
 
-    Entry i of `smallest_factor` (uint16) is for n = 2i + 1, i in
-    [0, (limit - 1) // 2]: the least prime factor of an odd composite n,
-    and 0 at a prime and at n = 1.  Every even n has least factor 2.
+    Entry i of `smallest_factor` (uint16) is for n = 3i + 1 + (i & 1), that
+    is n = 1, 5, 7, 11, 13, ..., so i = n // 3; there are
+    (limit + 5)//6 + (limit + 1)//6 entries.  It holds the least prime
+    factor of a composite n, and 0 at a prime and at n = 1.  Every even n
+    has least factor 2 and every other multiple of 3 has 3, by arithmetic.
     """
 
     limit: int
-    primes: np.ndarray  # int64, ascending from 2
+    primes: np.ndarray  # int32, ascending from 2
     smallest_factor: np.ndarray
 
     def least_factor(self, n: int) -> int:
@@ -52,26 +59,35 @@ class PrimeTable:
             raise CapacityError(f"core-arith: {n} outside table range [2, {self.limit}]")
         if n % 2 == 0:
             return 2
-        return int(self.smallest_factor[n >> 1]) or n
+        if n % 3 == 0:
+            return 3
+        return int(self.smallest_factor[n // 3]) or n
 
     def least_factors(self, x: np.ndarray) -> np.ndarray:
         """least_factor of every x in [2, limit], in x's integer dtype."""
-        f = self.smallest_factor[(x - 1) >> 1].astype(x.dtype)
+        # An even or 3-divisible x at the top can index one past the table;
+        # clipping reads some entry, and the answer is overwritten below.
+        i = x // 3
+        f = self.smallest_factor.take(i, mode="clip").astype(x.dtype)
         prime = f == 0
         f[prime] = x[prime]
+        f[x == 3 * i] = 3
         f[x & 1 == 0] = 2
         return f
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Least-factor sieve of the odd n <= limit, walked in blocks of
-    SIEVE_BLOCK entries (2 * SIEVE_BLOCK integers).
+    """Least-factor sieve of the n <= limit prime to 6, walked in blocks of
+    SIEVE_BLOCK entries (3 * SIEVE_BLOCK integers).
 
-    In each block the odd primes up to sqrt(limit) write themselves over
-    their odd multiples in descending order, so the least factor is written
-    last; entries no prime reaches stay 0 and are primes (or n = 1).  The
-    prime count is taken block by block, so `primes` is allocated once at
-    its final size and filled in a second walk.
+    In index space each prime p >= 5 up to sqrt(limit) strikes two
+    progressions of stride 2p: its multiples p * m with m prime to 6 and
+    m >= p, from p * p // 3 and from p * m2 // 3, m2 the next such m after
+    p.  The primes write in descending order, so the least factor is
+    written last; entries no prime reaches stay 0 and are primes (or
+    n = 1).  The prime count is taken block by block, so `primes` is
+    allocated once at its final size and filled in a second walk: 2 and 3,
+    then n = 3i + 1 + (i & 1) of every zero entry i.
     """
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
@@ -79,30 +95,34 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(
             f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
-    base = _primes_to(math.isqrt(limit))[:0:-1]  # odd, descending
-    size = (limit - 1) // 2 + 1
+    # Each prime from 5 up, descending, with the index of p * p and of p * m2.
+    strikes = [(p, p * m // 3)
+               for p in _primes_to(math.isqrt(limit))[:1:-1]
+               for m in (p, p + (4 if p % 6 == 1 else 2))]
+    size = (limit + 5) // 6 + (limit + 1) // 6
     spf = np.empty(size, dtype=np.uint16)
-    count = 0  # entries left at 0: the odd primes and n = 1
+    count = 0  # entries left at 0: the primes from 5 up and n = 1
     for lo in range(0, size, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, size)
         block = spf[lo:hi]
         block[:] = 0
-        for p in base:
-            start = (p * p) >> 1  # the index of p * p
+        for p, start in strikes:
             if start < lo:
-                start = lo + (start - lo) % p
+                start = lo + (start - lo) % (2 * p)
             if start < hi:
-                block[start - lo :: p] = p
+                block[start - lo :: 2 * p] = p
         count += block.size - np.count_nonzero(block)
-    primes = np.empty(count, dtype=np.int64)  # 2, then the odd primes
-    primes[0] = 2
-    k = 1
+    head = [2, 3][: limit - 1]
+    primes = np.empty(len(head) + count - 1, dtype=np.int32)
+    primes[: len(head)] = head
+    k = len(head)
     for lo in range(0, size, SIEVE_BLOCK):
-        odd = np.flatnonzero(spf[lo : lo + SIEVE_BLOCK] == 0)
+        i = np.flatnonzero(spf[lo : lo + SIEVE_BLOCK] == 0)
         if lo == 0:
-            odd = odd[1:]  # n = 1
-        primes[k : k + odd.size] = 2 * (odd + lo) + 1
-        k += odd.size
+            i = i[1:]  # n = 1
+        i += lo
+        primes[k : k + i.size] = 3 * i + 1 + (i & 1)
+        k += i.size
     return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
 
 
@@ -113,18 +133,21 @@ def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
     each prime q with q^a || p-1 the exponent drops to m/q^a and climbs back
     by factors of q while 2^m != 1 mod p.  Products of residues below
     p < 2^32 fit in uint64, so the arithmetic is exact.  Works through
-    ORDER_CHUNK primes at a time to keep the temporaries small.
+    ORDER_CHUNK primes at a time, checking each chunk's primality there, to
+    keep the temporaries small.
     """
     if table.limit >= 2**32:
         raise CapacityError(f"core-arith: bulk orders need a table below 2^32, "
                             f"got {table.limit}")
-    primes = np.asarray(primes, dtype=np.int64)
-    if primes.size and (primes.min() < 3 or primes.max() > table.limit
-                        or np.any(table.least_factors(primes) != primes)):
-        raise ValueError("core-arith: mult_orders needs odd primes within the table")
+    msg = "core-arith: mult_orders needs odd primes within the table"
+    primes = np.asarray(primes)
+    if primes.size and (primes.min() < 3 or primes.max() > table.limit):
+        raise ValueError(msg)
     out = np.empty(primes.size, dtype=np.int64)
     for lo in range(0, primes.size, ORDER_CHUNK):
         chunk = primes[lo : lo + ORDER_CHUNK].astype(np.uint64)
+        if np.any(table.least_factors(chunk) != chunk):
+            raise ValueError(msg)
         out[lo : lo + ORDER_CHUNK] = _orders_of_chunk(chunk, table)
     return out
 

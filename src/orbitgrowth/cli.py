@@ -64,15 +64,19 @@ def _open_cache(args) -> FactorCache:
 def _cmd_sieve(args) -> int:
     from .arith import sieve_primes
 
-    table = sieve_primes(args.limit)
-    print(f"primes <= {args.limit}: {len(table.primes)}")
+    primes = sieve_primes(args.limit).primes
+    print(f"primes <= {args.limit}: {len(primes)}")
     if args.out:
+        step = 2**16  # primes per write: no list or uint64 copy of them all
+        chunks = (primes[lo : lo + step] for lo in range(0, primes.size, step))
         if args.format == "csv":
             with open(args.out, "w", encoding="utf-8") as fh:
-                for p in table.primes.tolist():
-                    fh.write(f"{p}\n")
+                for chunk in chunks:
+                    fh.write("".join(f"{p}\n" for p in chunk.tolist()))
         else:
-            table.primes.astype("<u8").tofile(args.out)
+            with open(args.out, "wb") as fh:
+                for chunk in chunks:
+                    chunk.astype("<u8").tofile(fh)
         print(f"wrote {args.out} ({args.format})")
     return 0
 

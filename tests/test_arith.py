@@ -77,23 +77,28 @@ def least_factor_reference(limit: int) -> np.ndarray:
 
 
 class TestSieve:
-    # Blocks hold SIEVE_BLOCK odd n, so their edges sit at n = 2 k SIEVE_BLOCK;
-    # 4 SIEVE_BLOCK + 7 and + 8 end just past the second edge, odd and even.
-    # SIEVE_BLOCK - 1 to + 1 and 3 SIEVE_BLOCK + 7 end inside a block.
+    # Blocks hold SIEVE_BLOCK entries for the n prime to 6, so their edges
+    # sit at n = 3 k SIEVE_BLOCK: 3 SIEVE_BLOCK - 1 fills one block exactly,
+    # 3 SIEVE_BLOCK + 1 and + 7 end just past the first edge.  prime_mask,
+    # compared below, sieves spans of 2 SIEVE_BLOCK integers, so n =
+    # 2 k SIEVE_BLOCK are probed too; 4 SIEVE_BLOCK + 7 and + 8 end just
+    # past the second of those, odd and even.
     @pytest.mark.parametrize("limit", [2, 3, 4, 9, 10, 11, SIEVE_BLOCK - 1,
                                        SIEVE_BLOCK, SIEVE_BLOCK + 1,
                                        2 * SIEVE_BLOCK - 1, 2 * SIEVE_BLOCK,
-                                       2 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7,
+                                       2 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK - 1,
+                                       3 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7,
                                        4 * SIEVE_BLOCK + 7, 4 * SIEVE_BLOCK + 8])
     def test_least_factor_across_blocks(self, limit):
         table = sieve_primes(limit)
         spf = table.smallest_factor
-        assert spf.dtype == np.uint16 and table.primes.dtype == np.int64
-        assert spf.shape == ((limit - 1) // 2 + 1,)
+        assert spf.dtype == np.uint16 and table.primes.dtype == np.int32
+        assert spf.shape == ((limit + 5) // 6 + (limit + 1) // 6,)
         n = np.arange(2, limit + 1)
         least = table.least_factors(n)
         # Scalar trial division on every n near a block edge and the top.
-        edges = list(range(0, limit + 1, 2 * SIEVE_BLOCK)) + [limit]
+        edges = sorted(set(range(0, limit + 1, 2 * SIEVE_BLOCK))
+                       | set(range(0, limit + 1, 3 * SIEVE_BLOCK)) | {limit})
         probe = {k for edge in edges for k in range(edge - 200, edge + 40)}
         for k in sorted(k for k in probe if 2 <= k <= limit):
             expect = least_factor_by_trial_division(k)
@@ -101,6 +106,26 @@ class TestSieve:
         assert np.array_equal(least, least_factor_reference(limit)[2:])
         assert np.array_equal(table.primes, n[least == n])
         assert np.array_equal(np.flatnonzero(prime_mask(limit)), table.primes)
+
+    def test_every_small_limit(self):
+        # least_factors at x = limit reads past the table's last entry when
+        # limit is even or a multiple of 3; the answer must still be right.
+        for limit in range(2, 101):
+            table = sieve_primes(limit)
+            expect = [least_factor_by_trial_division(k) for k in range(2, limit + 1)]
+            assert table.least_factors(np.arange(2, limit + 1)).tolist() == expect
+            assert [table.least_factor(k) for k in range(2, limit + 1)] == expect
+            assert table.primes.tolist() == [k for k in range(2, limit + 1)
+                                             if least_factor_by_trial_division(k) == k]
+
+    def test_least_factors_on_uint64(self, table_1e6):
+        # mult_orders passes uint64 chunks, and the odd parts of p - 1 it
+        # factors include multiples of 3 and 9.
+        x = np.array([3, 9, 15, 21, 45, 81, 999999, 999997, 5, 7, 49, 961],
+                     dtype=np.uint64)
+        least = table_1e6.least_factors(x)
+        assert least.dtype == np.uint64
+        assert least.tolist() == [least_factor_by_trial_division(int(k)) for k in x]
 
     def test_small(self):
         assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]

@@ -39,7 +39,9 @@ def test_over_capacity_raises_before_allocating(name, monkeypatch):
         OVER_CAPACITY[name]()
 
 
-SIEVE_PEAK_MB = 300
+# The 10^8 table holds about 90 MB: uint16 least factors of the n prime to 6
+# and int32 primes.  `sieve --out` streams its file a chunk at a time.
+SIEVE_PEAK_MB = 150
 # The dominant-mode accumulator reads its mask a window at a time; an index
 # array of the surviving n would cost 8 bytes per term on top of the mask.
 SQUAREFREE_PEAK_MB = 200
@@ -83,6 +85,21 @@ def test_sieve_at_capacity_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert text == f"primes <= {SIEVE_CAPACITY}: 5761455\n"
     assert peak_mb < SIEVE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_sieve_out_at_capacity_fits_memory_bound(tmp_path):
+    """`sieve --limit 10^8 --out F` (csv) within SIEVE_PEAK_MB: no list of
+    the primes."""
+    out = tmp_path / "primes.csv"
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "sieve", "--limit", str(SIEVE_CAPACITY),
+         "--out", str(out)], tmp_path)
+    assert code == 0, text
+    assert text == f"primes <= {SIEVE_CAPACITY}: 5761455\nwrote {out} (csv)\n"
+    assert peak_mb < SIEVE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+    with open(out, "rb") as fh:
+        fh.seek(-9, os.SEEK_END)
+        assert fh.read() == b"99999989\n"
 
 
 def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):

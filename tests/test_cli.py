@@ -88,6 +88,22 @@ class TestBasicCommands:
         assert code == 0
         assert np.fromfile(out_path, dtype="<u8").tolist() == [2, 3, 5, 7]
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_sieve_out_past_one_chunk(self, capsys, tmp_path, fmt):
+        # 78499 primes, more than one 2^16 chunk of the streamed writer; the
+        # file is the one the whole array would give.
+        out_path = tmp_path / "primes"
+        code, out, _ = run(capsys, "sieve", "--limit", "1000003",
+                           "--out", str(out_path), "--format", fmt)
+        assert code == 0
+        assert out == f"primes <= 1000003: 78499\nwrote {out_path} ({fmt})\n"
+        primes = sieve_primes(1000003).primes
+        if fmt == "csv":
+            expect = "".join(f"{p}\n" for p in primes.tolist()).encode()
+        else:
+            expect = primes.astype("<u8").tobytes()
+        assert out_path.read_bytes() == expect
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         cache_path = tmp_path / "cache.jsonl"
         monkeypatch.setenv("ORBITGROWTH_CACHE", str(cache_path))
