@@ -67,12 +67,15 @@ class PrimeTable:
         """least_factor of every x in [2, limit], in x's integer dtype."""
         # An even or 3-divisible x at the top can index one past the table;
         # clipping reads some entry, and the answer is overwritten below.
+        # Each overwrite is a blend, f += (new - f) * mask: a masked write
+        # whose mask is true at random costs a mispredicted branch per
+        # element, several times a pass.  In an unsigned dtype f - 3 may
+        # wrap, and the wrap cancels.
         i = x // 3
         f = self.smallest_factor.take(i, mode="clip").astype(x.dtype)
-        prime = f == 0
-        f[prime] = x[prime]
-        f[x == 3 * i] = 3
-        f[x & 1 == 0] = 2
+        f += x * (f == 0)  # primes
+        f -= (f - 3) * (x == 3 * i)
+        f -= (f - 2) * (x & 1 == 0)
         return f
 
 
@@ -129,15 +132,20 @@ def sieve_primes(limit: int) -> PrimeTable:
 def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
     """m_p for every p of an array of odd primes <= table.limit, as int64.
 
-    p-1 is factored by its lowest set bit, then by table.least_factors; for
-    each prime q with q^a || p-1 the exponent drops to m/q^a and climbs back
-    by factors of q while 2^m != 1 mod p.  Products of residues below
-    p < 2^32 fit in uint64, so the arithmetic is exact.  Works through
-    ORDER_CHUNK primes at a time, checking each chunk's primality there, to
-    keep the temporaries small.
+    The 2-part of m_p comes from p mod 8 and, at p = 1 mod 8, from a climb
+    on q = 2; the odd part of p-1 is factored by table.least_factors, and
+    for each prime q with q^a || p-1 the exponent drops to m/q^a and climbs
+    back by factors of q while 2^m != 1 mod p.  Residues stay below the
+    table's limit < 2^31, so a square doubled stays below 2^63 and the
+    uint64 arithmetic is exact.  Works through ORDER_CHUNK primes at a
+    time, checking each chunk's primality there, to keep the temporaries
+    small.
     """
-    if table.limit >= 2**32:
-        raise CapacityError(f"core-arith: bulk orders need a table below 2^32, "
+    # _pow2_mod doubles a square before reducing it.  The guard on
+    # SIEVE_CAPACITY keeps every sieve_primes table below 2^31; a table
+    # built by hand may not be.
+    if table.limit >= 2**31:
+        raise CapacityError(f"core-arith: bulk orders need a table below 2^31, "
                             f"got {table.limit}")
     msg = "core-arith: mult_orders needs odd primes within the table"
     primes = np.asarray(primes)
@@ -153,25 +161,37 @@ def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
 
 
 def _orders_of_chunk(p: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """mult_orders of one chunk of primes, given as uint64."""
-    # 2^a || p-1 is the lowest set bit of p-1.
+    """mult_orders of one chunk of primes, given as uint64.
+
+    2 is a square mod p exactly when p = +-1 mod 8 (the second supplement
+    of quadratic reciprocity).  With 2^a || p-1: at p = 3, 5 mod 8,
+    2^((p-1)/2) = -1, so 2^a || m_p; at p = 7 mod 8, a = 1 and m_p divides
+    the odd (p-1)/2.  Only at p = 1 mod 8 does the 2-part need a climb on
+    q = 2.
+    """
     m = p - 1
-    two = m & (~m + 1)
-    m = _climb(m, p, np.full_like(p, 2), two, np.bitwise_count(two - 1))
-    rest = (p - 1) // two  # the part of p-1 whose primes are not yet handled
+    two = m & (~m + 1)  # 2^a || p-1, the lowest set bit of p-1
+    a = np.bitwise_count(two - 1)
+    rest = m >> a  # the part of p-1 whose primes are not yet handled
+    mod8 = p & np.uint64(7)
+    m >>= (mod8 == 7).astype(np.uint64)
+    one = np.flatnonzero(mod8 == 1)
+    m[one] = _climb(m[one], p[one], np.full(one.size, 2, dtype=np.uint64),
+                    two[one], a[one])
     todo = np.flatnonzero(rest > 1)  # the positions where rest > 1
     while todo.size:
-        # q is the least prime of rest; strip q^a || rest.
+        # q is the least prime of rest; strip q^a || rest.  Only where q^2
+        # divides r does a go past 1; qa * q < 2^62 since q <= r < 2^31.
         r = rest[todo]
         q = table.least_factors(r)
-        qa = np.ones_like(q)
-        a = np.zeros(r.size, dtype=np.int64)
-        div = np.arange(r.size)
+        qa = q.copy()
+        a = np.ones(r.size, dtype=np.int64)
+        div = np.flatnonzero(r % (q * q) == 0)
         while div.size:
-            r[div] //= q[div]
             qa[div] *= q[div]
             a[div] += 1
-            div = div[r[div] % q[div] == 0]
+            div = div[r[div] % (qa[div] * q[div]) == 0]
+        r //= qa
         rest[todo] = r
         m[todo] = _climb(m[todo], p[todo], q, qa, a)
         todo = todo[r > 1]
@@ -196,16 +216,16 @@ def _climb(m: np.ndarray, p: np.ndarray, q: np.ndarray, qa: np.ndarray,
 
 
 def _pow2_mod(exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """2^exp % mod elementwise in uint64, for odd mod < 2^32.
+    """2^exp % mod elementwise in uint64, for odd mod < 2^31.
 
-    Left to right: square, then double where the exponent bit is set.
+    Left to right: square, double where the exponent bit is set, then
+    reduce once; the doubled square of a residue below 2^31 is below 2^63.
     """
     out = np.ones_like(mod)
     for k in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
         out *= out
-        out %= mod
         out <<= (exp >> np.uint64(k)) & np.uint64(1)
-        out -= mod * (out >= mod)
+        out %= mod
     return out
 
 

@@ -738,6 +738,7 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
         members = np.count_nonzero(np.isin(odd_primes, listed))
         return DensityEstimate(limit, int(members), odd_primes.size)
     orders = mult_orders(odd_primes, table)
+    del table  # only the primes are read from here on, not the least factors
     sample = random.Random(0).sample(range(odd_primes.size),
                                      min(CROSS_CHECKS, odd_primes.size))
     for i in sample:

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import integers
-from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, sieve_primes
+from orbitgrowth.arith import (
+    SIEVE_BLOCK,
+    SIEVE_CAPACITY,
+    PrimeTable,
+    mult_orders,
+    sieve_primes,
+)
 from orbitgrowth.errors import BudgetError, CapacityError
 from orbitgrowth.integers import (
     MR_PROVEN_BOUND,
@@ -232,6 +238,39 @@ class TestMultOrders:
         # 2 and composites are refused, as is a prime past the table.
         with pytest.raises(ValueError):
             mult_orders(np.array(bad, dtype=np.int64), table_1e6)
+
+    @pytest.mark.parametrize("residue", [3, 5, 7])
+    def test_two_part_from_p_mod_8(self, table_1e6, residue):
+        # No climb on q = 2 here: 2^a || m_p at p = 3, 5 mod 8, and m_p is
+        # odd at p = 7 mod 8.
+        odd = table_1e6.primes[1:]
+        pool = odd[odd % 8 == residue]
+        drawn = np.random.default_rng(residue).choice(pool, size=200, replace=False)
+        bulk = mult_orders(drawn, table_1e6)
+        assert bulk.tolist() == [mult_order(p) for p in drawn.tolist()]
+
+    def test_anchors(self, table_1e6):
+        # Each class mod 8; 73 = 1 mod 8 has an odd order; and at the Fermat
+        # primes 17, 257 and 65537 the climb on q = 2 ends far below p - 1.
+        anchors = {3: 2, 5: 4, 7: 3, 17: 8, 73: 9, 257: 16, 65537: 32}
+        bulk = mult_orders(np.array(list(anchors), dtype=np.int64), table_1e6)
+        assert bulk.tolist() == list(anchors.values())
+        assert bulk.tolist() == [mult_order(p) for p in anchors]
+
+    def test_top_of_capacity(self):
+        # The largest residues, whose doubled squares come closest to 2^63.
+        table = sieve_primes(SIEVE_CAPACITY)
+        top = table.primes[-64:]
+        bulk = mult_orders(top, table)
+        assert bulk.tolist() == [mult_order(p) for p in top.tolist()]
+
+    def test_table_past_headroom(self):
+        # Checked before any work: a table with no least factors cannot be
+        # read, so any other failure would show as an IndexError.
+        table = PrimeTable(limit=2**31, primes=np.array([2, 3], dtype=np.int32),
+                           smallest_factor=np.zeros(0, dtype=np.uint16))
+        with pytest.raises(CapacityError):
+            mult_orders(np.array([3], dtype=np.int64), table)
 
 
 class TestMoebiusPhi:

@@ -1,7 +1,8 @@
 """Every documented capacity is enforced before any array is allocated, and
-the largest sieve, squarefree sum, dominant sum and interval sets, and the
-largest recipe, fit their memory bounds."""
+the largest sieve, density, squarefree sum, dominant sum and interval sets,
+and the largest recipe, fit their memory bounds."""
 
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +50,9 @@ DOMINANT_PEAK_MB = 250
 TRANSCENDENTAL_PEAK_MB = 60
 # One interval's odd-number flags at a time, not a mask over [0, 2^(m_hi + delta)].
 INTERVAL_PEAK_MB = 120
+# The int32 primes and their int64 orders, then the order set's indicator:
+# the least-factor table is dropped once the orders are known.
+DENSITY_PEAK_MB = 240
 
 
 # A child's ru_maxrss starts at the peak RSS of the process it was forked
@@ -100,6 +104,21 @@ def test_sieve_out_at_capacity_fits_memory_bound(tmp_path):
     with open(out, "rb") as fh:
         fh.seek(-9, os.SEEK_END)
         assert fh.read() == b"99999989\n"
+
+
+def test_set_density_at_capacity_fits_memory_bound(tmp_path):
+    """`set-density --limit 10^8` on the multiples of 3 within
+    DENSITY_PEAK_MB."""
+    spec = tmp_path / "set.json"
+    spec.write_text('{"kind": "induced", '
+                    '"order_set": {"kind": "multiples_of", "ells": [3]}}\n')
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "set-density", "--spec", str(spec),
+         "--limit", str(SIEVE_CAPACITY)], tmp_path)
+    assert code == 0, text
+    assert json.loads(text) == {"limit": SIEVE_CAPACITY, "member_count": 2160585,
+                                "ratio": 2160585 / 5761454, "total_count": 5761454}
+    assert peak_mb < DENSITY_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
