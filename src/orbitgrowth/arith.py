@@ -230,11 +230,17 @@ def _pow2_mod(exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp % mod elementwise in uint64, for base < mod < 2^32."""
+    """base^exp % mod elementwise in uint64, for base < mod < 2^32.
+
+    Left to right: square and reduce, then multiply by bit * (base - 1) + 1,
+    which is base where the exponent bit is set and 1 elsewhere, and reduce.
+    A blend, not a masked write (see PrimeTable.least_factors); at base 0
+    the wrap of base - 1 cancels."""
     out = np.ones_like(mod)
+    base_less_1 = base - np.uint64(1)
     for k in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
         out *= out
         out %= mod
-        bit = (exp >> np.uint64(k)) & np.uint64(1) == 1
-        out[bit] = out[bit] * base[bit] % mod[bit]
+        out *= ((exp >> np.uint64(k)) & np.uint64(1)) * base_less_1 + np.uint64(1)
+        out %= mod
     return out

@@ -8,10 +8,12 @@ Two evaluation regimes:
     divisor).
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
-    order set, never a factorization.  The accumulator reads the mask of
-    surviving n one window of _WINDOW integers at a time, finds each term
-    floor(2^96 / n) as three base-2^32 digits by uint64 long division, and
-    combines the digit sums as exact Python ints.
+    order set, never a factorization.  The accumulator asks for the mask of
+    surviving n one window of at most _WINDOW integers at a time, the order
+    set's indicator over that window, inverted in place, so no array as
+    long as N is built.  It finds each term floor(2^96 / n) as three
+    base-2^32 digits by uint64 long division, and combines the digit sums
+    as exact Python ints.
 
 The same accumulator gives squarefree_slope, the harmonic sum over the
 squarefree n.  The decomposition of F_S(N) into strata, one for each
@@ -42,7 +44,10 @@ from .sets import (
 
 FRAC_BITS = 96
 _SCALE = 1 << FRAC_BITS
-_WINDOW = 1 << 16
+# Integers per window that the accumulator asks to be marked, and terms per
+# _fixed_point_terms call within it.
+_WINDOW = 1 << 19
+_CHUNK = 1 << 16
 _DIGIT = 1 << 32
 
 EXACT_CEILING = 120
@@ -278,11 +283,11 @@ def dominant_sum(
 
     Requires M closed under multiplication by the naturals; that closure is
     exactly what reduces every |2^n - 1|_S factor on the surviving n to 1.
-    Each indicator call returns a new array, so it is inverted in place into
-    the mask of surviving n, which _harmonic_fixed_point reads a window at a
-    time: no array of the surviving n is built.  Accumulation is fixed point
-    with 96 fractional bits (term error is one ulp, so the total error is
-    below N * 2^-96).
+    _harmonic_fixed_point asks for one window of n at a time; each
+    indicator call returns a new array, so the window's indicator is
+    inverted in place into the mask of its surviving n.  Accumulation is
+    fixed point with 96 fractional bits (term error is one ulp, so the
+    total error is below N * 2^-96).
     """
     if not oset.closed_under_nat_multiplication:
         raise ContractError(
@@ -295,25 +300,27 @@ def dominant_sum(
     grid = _sample_grid(n_max, grid)
     if grid[-1] > n_max:
         raise ContractError("mertens-engine: grid extends past n_max")
-    keep = oset.indicator(n_max)
-    np.logical_not(keep, out=keep)
-    keep[0] = False  # 0 is no term
+
+    def keep(lo: int, hi: int) -> np.ndarray:
+        mask = oset.indicator(lo, hi)
+        return np.logical_not(mask, out=mask)
+
     samples = [(g, Fraction(acc, _SCALE))
                for g, acc in zip(grid, _harmonic_fixed_point(keep, grid))]
     return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
 
 
-def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
-    """sum_{1 <= n <= g, keep[n]} floor(2^96 / n) for each g of the
-    increasing grid, whose last point is below len(keep).  The sums are
-    exact integers, so callers divide by 2^96 exactly (as Fraction or
-    correctly rounded float).
+def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
+    """sum floor(2^96 / n) over the kept n in [1, g] for each g of the
+    increasing grid, where keep(lo, hi) is the boolean mask over [lo, hi)
+    of the kept n.  The sums are exact integers, so callers divide by 2^96
+    exactly (as Fraction or correctly rounded float).
 
-    The boolean mask is walked over [1, grid[-1]] in windows of at most
-    _WINDOW integers, each ending at the next grid point if that comes
-    first, so every grid point closes at a window edge.  A window's terms
-    are its nonzero offsets plus its start, in uint64; only window-sized
-    temporaries are made, whatever the length of the mask.
+    [1, grid[-1]] is walked in windows of at most _WINDOW integers, each
+    ending at the next grid point if that comes first, so every grid point
+    closes at a window edge.  The terms of each _CHUNK integers of a window
+    are their nonzero offsets, read as uint64, plus their start; only
+    window- and chunk-sized arrays are made.
     """
     acc = 0
     lo = 1
@@ -321,9 +328,11 @@ def _harmonic_fixed_point(keep: np.ndarray, grid: list[int]) -> list[int]:
     for g in grid:
         while lo <= g:
             hi = min(lo + _WINDOW, g + 1)
-            n = keep[lo:hi].nonzero()[0].astype(np.uint64)
-            n += np.uint64(lo)
-            acc += _fixed_point_terms(n)
+            mask = keep(lo, hi)
+            for a in range(0, hi - lo, _CHUNK):
+                n = mask[a : a + _CHUNK].nonzero()[0].view(np.uint64)
+                n += np.uint64(lo + a)
+                acc += _fixed_point_terms(n)
             lo = hi
         out.append(acc)
     return out
@@ -338,15 +347,18 @@ def _fixed_point_terms(n: np.ndarray) -> int:
     Every digit is floor-exact because n < 2^32 keeps r << 32 below 2^64,
     and n = 1 needs no special case.  A digit is at most 2^32, so the digit
     sums stay exact in uint64 for fewer than 2^31 terms; they are combined
-    as Python ints.
+    as Python ints.  The two work arrays are updated in place: a fresh
+    pair per digit costs page faults, as freed arrays of this size go back
+    to the system.
     """
     top = int(n.max(initial=0))
     if top >= _DIGIT:
         raise CapacityError(f"mertens-engine: fixed-point terms need n < 2^32, got {top}")
-    cur = np.uint64(_DIGIT)
+    cur = np.full_like(n, _DIGIT)
+    q = np.empty_like(n)
     digits = []
     for _ in range(3):
-        q, cur = np.divmod(cur, n)
+        np.divmod(cur, n, out=(q, cur))
         digits.append(int(q.sum()))
         cur <<= np.uint64(32)
     return (digits[0] << 64) + (digits[1] << 32) + digits[2]
@@ -381,7 +393,7 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
         grid.append(g)
         g *= 2
     grid.append(n_max)
-    accs = _harmonic_fixed_point(squarefree_mask(n_max), grid)
+    accs = _harmonic_fixed_point(squarefree_mask, grid)
     samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
     fit_pts = [(g, v) for g, v in samples if g >= 1024]
     if len(fit_pts) < 2:

@@ -1,17 +1,20 @@
 """Declarative order sets M and prime sets S: membership and density, and
 the interval prime sets.
 
-prime_mask is the package's one boolean prime mask.  The primes up to
-sqrt(N) that the masks over [0, N] sieve by come from the integer core's
-list.  interval_L sieves each interval's odd numbers on their own with
-the integer core's progression sieve.  interval_L and estimate_density
-check N against arith.SIEVE_CAPACITY, as dominant_sum does for the
-indicators.
+prime_mask is the package's one boolean prime mask.  Every mask and
+indicator is a window over [lo, hi), checked against arith.SIEVE_CAPACITY;
+the primes up to sqrt(hi) that it sieves by come from the integer core's
+list, and it marks each window from that window's first multiples, so a
+dominant sum walks [1, N] in windows with no array as long as N.
+interval_L sieves each interval's odd numbers on their own with the
+integer core's progression sieve, and a CongruenceSource sieves its class
+progressions segment by segment.  interval_L and estimate_density check N
+against SIEVE_CAPACITY too.
 
 An order set is a subset of the naturals; the induced prime set is
 S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
-membership over [1, limit] is served by numpy sieves so that dominant sums
-never need factorizations.  The one closure flag, closure under
+membership over a window [lo, hi) is served by numpy sieves so that
+dominant sums never need factorizations.  The one closure flag, closure under
 multiplication by the naturals, is a fact of the code: a class attribute,
 False for a nonempty explicit list, and a squarefree_augmented base's flag.
 A JSON spec cannot claim it, so loading a spec tests nothing and draws no
@@ -36,48 +39,61 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .arith import SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, sieve_primes
+from .arith import ORDER_CHUNK, SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, sieve_primes
 from .errors import CapacityError, ContractError, InvariantViolation
 from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
-                       mult_order, ord_p, progression_segments)
+                       mult_order, ord_p)
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
 
 
 # ---------------------------------------------------------------------------
-# Sieve masks.  Each call builds a new array, which the caller owns and may
-# write into; so does every order set's indicator.
+# Sieve masks.  Each is a window over [lo, hi), 0 <= lo < hi, and each call
+# builds a new array, which the caller owns and may write into; so does
+# every order set's indicator.  The mask over [0, N] is the window (0, N + 1).
 
 
-def prime_mask(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1; True exactly at primes.
+def _check_window(lo: int, hi: int) -> None:
+    if not 0 <= lo < hi:
+        raise ContractError(f"prime-sets: a window needs 0 <= lo < hi, got [{lo}, {hi})")
+    if hi > SIEVE_CAPACITY + 1:
+        raise CapacityError(f"prime-sets: window end {hi} over capacity {SIEVE_CAPACITY}")
+
+
+def prime_mask(lo: int, hi: int) -> np.ndarray:
+    """Boolean array over [lo, hi); True exactly at primes.
 
     The odd entries come from the integer core's odd-number sieve, one span
     of 2 * SIEVE_BLOCK integers at a time; 2 is set by hand."""
-    mask = np.zeros(limit + 1, dtype=bool)
-    mask[2:3] = True
-    for a in range(3, limit + 1, 2 * SIEVE_BLOCK):
-        b = min(a + 2 * SIEVE_BLOCK, limit + 1)
-        mask[a:b:2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
+    _check_window(lo, hi)
+    mask = np.zeros(hi - lo, dtype=bool)
+    if lo <= 2 < hi:
+        mask[2 - lo] = True
+    for a in range(max(3, lo | 1), hi, 2 * SIEVE_BLOCK):
+        b = min(a + 2 * SIEVE_BLOCK, hi)
+        mask[a - lo : b - lo : 2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
     return mask
 
 
-def _prime_squares(limit: int) -> list[int]:
-    """p^2 for the primes p with p^2 <= limit."""
-    return [p * p for p in _primes_to(math.isqrt(limit))]
+def _mark_prime_squares(out: np.ndarray, lo: int, hi: int, value: bool) -> None:
+    """Set out[n - lo] = value at every n in [lo, hi) divisible by a prime
+    square, one slice per p^2 < hi from the window's first multiple."""
+    for p in _primes_to(math.isqrt(hi - 1)):
+        q = p * p
+        out[-lo % q :: q] = value
 
 
-def squarefree_mask(limit: int) -> np.ndarray:
-    """Boolean array; True at squarefree n (True at 1)."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    for q in _prime_squares(limit):
-        mask[q::q] = False
+def squarefree_mask(lo: int, hi: int) -> np.ndarray:
+    """Boolean array over [lo, hi); True at squarefree n (True at 1)."""
+    _check_window(lo, hi)
+    mask = np.ones(hi - lo, dtype=bool)
+    _mark_prime_squares(mask, lo, hi, False)
+    if lo == 0:
+        mask[0] = False
     return mask
 
 
@@ -144,7 +160,13 @@ class PrimeSource:
         raise NotImplementedError
 
     def primes_up_to(self, limit: int) -> np.ndarray:
-        """The source's primes <= limit, ascending, as an int64 array."""
+        """The source's primes <= limit, ascending, as an int32 array the
+        caller must not write into; limit is at most SIEVE_CAPACITY."""
+        raise NotImplementedError
+
+    def contains_primes(self, p: np.ndarray) -> np.ndarray:
+        """contains_prime of every entry of an array of primes up to
+        SIEVE_CAPACITY, as a boolean array."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -161,16 +183,29 @@ class ListSource(PrimeSource):
     def contains_prime(self, p: int) -> bool:
         return p in self.primes
 
+    def contains_primes(self, p):
+        return np.isin(p, self.primes_up_to(SIEVE_CAPACITY))
+
     def primes_up_to(self, limit: int) -> np.ndarray:
-        # Filter first: the list may hold primes past the int64 range.
-        return np.array([p for p in self.primes if p <= limit], dtype=np.int64)
+        # Filter first: the list may hold primes past the int32 range.
+        return np.array([p for p in self.primes if p <= limit], dtype=np.int32)
 
     def to_json(self) -> dict:
         return {"kind": "list", "primes": list(self.primes)}
 
 
+# Integers past the current reach that a CongruenceSource sieves at least,
+# so that windows walked in order extend its primes a few times, not once
+# per window.
+_SOURCE_SPAN = 1 << 22
+
+
 class CongruenceSource(PrimeSource):
-    """Primes p with p mod modulus in residues."""
+    """Primes p with p mod modulus in residues.
+
+    The primes found so far are kept: the first _count entries of _found
+    are those up to _reach, and a request past _reach sieves on from there.
+    """
 
     def __init__(self, modulus: int, residues):
         if modulus < 2:
@@ -179,37 +214,84 @@ class CongruenceSource(PrimeSource):
         self.residues = tuple(sorted(set(int(r) % modulus for r in residues)))
         if not self.residues:
             raise ContractError("prime-sets: empty residue set")
+        # Each class prime to the modulus is sieved over its odd lift mod
+        # step = lcm(2, modulus), from its first term past 1.  A class sharing
+        # a factor with the modulus holds one prime at most: r itself, or the
+        # modulus when r = 0; 2 is the other lone candidate.  Past capacity a
+        # step leaves one term per class in range, which is tested alone.
+        self._step = math.lcm(2, self.modulus)
+        lone = {2} if 2 % self.modulus in self.residues else set()
+        self._starts = []
+        for r in self.residues:
+            if math.gcd(r, self.modulus) > 1:
+                lone.add(r or self.modulus)
+                continue
+            t = r if r % 2 else r + self.modulus
+            if t == 1:
+                t += self._step
+            if self._step > SIEVE_CAPACITY:
+                lone.add(t)
+            else:
+                self._starts.append(t)
+        self._lone = sorted(lone)
+        self._found = np.empty(0, dtype=np.int32)
+        self._count = 0
+        self._reach = 1
 
     def contains_prime(self, p: int) -> bool:
         return p % self.modulus in self.residues
 
-    def primes_up_to(self, limit: int) -> np.ndarray:
-        """One progression sieve per listed class prime to the modulus,
-        over its odd lift mod lcm(2, modulus).  A class sharing a factor
-        with the modulus holds one prime at most: r itself, or the modulus
-        when r = 0.  2 is added by hand."""
+    def contains_primes(self, p):
+        # Every p is below a modulus past capacity, so is its own residue.
         m = self.modulus
-        if m > limit:
-            # Every p <= limit is its own residue, and a modulus past int64
-            # never reaches numpy.
-            return np.array([r for r in self.residues
-                             if r <= limit and is_probable_prime(r)], dtype=np.int64)
-        step = math.lcm(2, m)
-        lone = {2} if 2 % m in self.residues else set()
-        parts = []
-        for r in self.residues:
-            if math.gcd(r, m) > 1:
-                lone.add(r or m)
-                continue
-            lo = r if r % 2 else r + m
-            if lo == 1:
-                lo += step
-            if lo <= limit:
-                flags = np.frombuffer(_prime_flags(lo, limit + 1, step), dtype=bool)
-                parts.append(np.flatnonzero(flags) * step + lo)
-        parts.append(np.array([p for p in lone if p <= limit and is_probable_prime(p)],
-                              dtype=np.int64))
-        return np.sort(np.concatenate(parts))
+        return np.isin(p % m if m <= SIEVE_CAPACITY else p,
+                       [r for r in self.residues if r <= SIEVE_CAPACITY])
+
+    def primes_up_to(self, limit: int) -> np.ndarray:
+        if limit > self._reach:
+            self._extend(max(limit, min(2 * self._reach, self._reach + _SOURCE_SPAN,
+                                        SIEVE_CAPACITY)))
+        found = self._found[: self._count]
+        out = found[: np.searchsorted(found, np.int32(max(limit, 0)), side="right")]
+        out.flags.writeable = False
+        return out
+
+    def _extend(self, top: int) -> None:
+        """Sieve (_reach, top] a segment of SIEVE_BLOCK terms per class at a
+        time, and append its class primes in ascending order."""
+        step = self._step
+        seg = step * SIEVE_BLOCK
+        for a in range(self._reach + 1, top + 1, seg):
+            b = min(a + seg, top + 1)
+            parts = [np.array([p for p in self._lone if a <= p < b and is_probable_prime(p)],
+                              dtype=np.int32)]
+            for t in self._starts:
+                t = max(t, a + (t - a) % step)  # the class's first term from a
+                if t < b:
+                    i = np.flatnonzero(np.frombuffer(_prime_flags(t, b, step), dtype=bool))
+                    i = i.astype(np.int32)
+                    i *= step
+                    i += t
+                    parts.append(i)
+            parts = [x for x in parts if x.size]
+            if parts:
+                new = np.concatenate(parts)
+                if len(parts) > 1:
+                    new.sort()
+                self._append(new)
+        self._reach = top
+
+    def _append(self, new: np.ndarray) -> None:
+        """Append to _found, doubling its capacity when full.  The old
+        buffer is copied, not resized, so views already handed out stay
+        valid."""
+        end = self._count + new.size
+        if end > self._found.size:
+            grown = np.empty(max(end, 2 * self._found.size), dtype=np.int32)
+            grown[: self._count] = self._found[: self._count]
+            self._found = grown
+        self._found[self._count : end] = new
+        self._count = end
 
     def to_json(self) -> dict:
         return {
@@ -277,9 +359,19 @@ class OrderSet:
     def _member(self, n: int, fac: dict[int, int]) -> bool:
         raise NotImplementedError
 
-    def indicator(self, limit: int) -> np.ndarray:
-        """Boolean membership array over [0, limit] (index 0 is False), new
-        on each call, so the caller may write into it."""
+    def indicator(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean membership array over the window [lo, hi), 0 <= lo < hi
+        (n = 0 is no member), new on each call, so the caller may write into
+        it.  The mask over [0, N] is the window (0, N + 1)."""
+        _check_window(lo, hi)
+        out = self._window(lo, hi)
+        if lo == 0:
+            out[0] = False
+        return out
+
+    def _window(self, lo: int, hi: int) -> np.ndarray:
+        """indicator without the check of the window, and with any entry at
+        n = 0, which indicator clears."""
         raise NotImplementedError
 
     # Serialization ------------------------------------------------------
@@ -306,11 +398,11 @@ class ExplicitList(OrderSet):
     def _member(self, n, fac):
         return n in self.values
 
-    def indicator(self, limit):
-        out = np.zeros(limit + 1, dtype=bool)
+    def _window(self, lo, hi):
+        out = np.zeros(hi - lo, dtype=bool)
         for v in self.values:
-            if v <= limit:
-                out[v] = True
+            if lo <= v < hi:
+                out[v - lo] = True
         return out
 
     def to_json(self):
@@ -330,6 +422,44 @@ class PrimeList(ExplicitList):
 
     def to_json(self):
         return {"kind": "prime_list", "primes": list(self.values)}
+
+
+# Integers per span of a window that _mark_multiples walks, and the most
+# products k * ell that one gather holds.
+_SPAN = 1 << 18
+_GATHER = 1 << 16
+
+
+def _mark_multiples(out: np.ndarray, lo: int, big: np.ndarray) -> None:
+    """Set out[n - lo] at every multiple n = k * ell in [lo, lo + out.size)
+    of an ell of `big`, an ascending int32 array of values above the window
+    end's square root, so that every k is at most that root.
+
+    The window is walked in spans of _SPAN integers.  For all k at once,
+    the ells with k * ell in a span are big[start:end], end found by one
+    searchsorted on (span end - 1) // k, and each span's end is the next
+    span's start.  The products of consecutive k are gathered in chunks of
+    about _GATHER: no array as long as the window, or as big, is made.
+    """
+    if not big.size:
+        return
+    hi = lo + out.size
+    ks = np.arange(1, (hi - 1) // int(big[0]) + 1, dtype=np.int32)
+    start = np.searchsorted(big, (lo - 1) // ks, side="right")
+    for a in range(lo, hi, _SPAN):
+        end = np.searchsorted(big, (min(a + _SPAN, hi) - 1) // ks, side="right")
+        count = end - start
+        cum = np.cumsum(count)
+        first = cum - count  # the flat position of each k's first product
+        i = 0
+        while i < ks.size:
+            j = max(int(np.searchsorted(cum, first[i] + _GATHER, side="right")), i + 1)
+            c = count[i:j]
+            pos = np.repeat(start[i:j] - first[i:j], c)
+            pos += np.arange(first[i], cum[j - 1])
+            out[big[pos] * np.repeat(ks[i:j], c) - lo] = True
+            i = j
+        start = end
 
 
 class MultiplesOf(OrderSet):
@@ -353,21 +483,15 @@ class MultiplesOf(OrderSet):
             return any(n % l == 0 for l in self.ells)
         return any(self.ell_set.contains_prime(p) for p in fac)
 
-    def indicator(self, limit):
-        out = np.zeros(limit + 1, dtype=bool)
-        divs = (self.ell_set.primes_up_to(limit) if self.ells is None
-                else np.array([l for l in self.ells if l <= limit], dtype=np.int64))
-        small = math.isqrt(limit)
-        for l in divs[divs <= small].tolist():
-            out[l::l] = True
-        # Every multiple k * ell <= limit of a larger ell has k <= isqrt(limit),
-        # so one gather per k marks them all instead of one slice per ell.
-        big = divs[divs > small]
-        for k in range(1, small + 1):
-            hi = int(np.searchsorted(big, limit // k, side="right"))
-            if hi == 0:
-                break
-            out[big[:hi] * k] = True
+    def _window(self, lo, hi):
+        out = np.zeros(hi - lo, dtype=bool)
+        divs = (self.ell_set.primes_up_to(hi - 1) if self.ells is None
+                else np.array([l for l in self.ells if l < hi], dtype=np.int32))
+        root = math.isqrt(hi - 1)
+        cut = int(np.searchsorted(divs, np.int32(root), side="right"))
+        for l in divs[:cut].tolist():
+            out[-lo % l :: l] = True
+        _mark_multiples(out, lo, divs[cut:])
         return out
 
     def to_json(self):
@@ -390,10 +514,9 @@ class ComplementMultiplesOf(OrderSet):
     def _member(self, n, fac):
         return n % self.ell != 0
 
-    def indicator(self, limit):
-        out = np.ones(limit + 1, dtype=bool)
-        out[0] = False
-        out[self.ell :: self.ell] = False
+    def _window(self, lo, hi):
+        out = np.ones(hi - lo, dtype=bool)
+        out[-lo % self.ell :: self.ell] = False
         return out
 
     def to_json(self):
@@ -409,11 +532,9 @@ class CompositeNumbers(OrderSet):
     def _member(self, n, fac):
         return sum(fac.values()) != 1
 
-    def indicator(self, limit):
-        out = prime_mask(limit)
-        np.logical_not(out, out=out)
-        out[0] = False
-        return out
+    def _window(self, lo, hi):
+        out = prime_mask(lo, hi)
+        return np.logical_not(out, out=out)
 
     def to_json(self):
         return {"kind": "composite_numbers"}
@@ -426,8 +547,8 @@ class PrimeNumbers(OrderSet):
     def _member(self, n, fac):
         return sum(fac.values()) == 1
 
-    def indicator(self, limit):
-        return prime_mask(limit)
+    def _window(self, lo, hi):
+        return prime_mask(lo, hi)
 
     def to_json(self):
         return {"kind": "prime_numbers"}
@@ -449,11 +570,12 @@ class EllPowers(OrderSet):
             n //= self.ell
         return n == 1
 
-    def indicator(self, limit):
-        out = np.zeros(limit + 1, dtype=bool)
+    def _window(self, lo, hi):
+        out = np.zeros(hi - lo, dtype=bool)
         v = 1
-        while v <= limit:
-            out[v] = True
+        while v < hi:
+            if v >= lo:
+                out[v - lo] = True
             v *= self.ell
         return out
 
@@ -475,11 +597,9 @@ class SquarefreeAugmented(OrderSet):
             return True
         return self.base._member(n, fac)
 
-    def indicator(self, limit):
-        out = self.base.indicator(limit)
-        for q in _prime_squares(limit):
-            out[q::q] = True
-        out[0] = False
+    def _window(self, lo, hi):
+        out = self.base.indicator(lo, hi)
+        _mark_prime_squares(out, lo, hi, True)
         return out
 
     def to_json(self):
@@ -498,9 +618,10 @@ class CongruencePrimes(OrderSet):
     def _member(self, n, fac):
         return sum(fac.values()) == 1 and self.source.contains_prime(n)
 
-    def indicator(self, limit):
-        out = np.zeros(limit + 1, dtype=bool)
-        out[self.source.primes_up_to(limit)] = True
+    def _window(self, lo, hi):
+        out = np.zeros(hi - lo, dtype=bool)
+        p = self.source.primes_up_to(hi - 1)
+        out[p[np.searchsorted(p, np.int32(lo)) :] - lo] = True
         return out
 
     def to_json(self):
@@ -509,35 +630,17 @@ class CongruencePrimes(OrderSet):
                 "residues": j["residues"]}
 
 
-def _omega_or_outside(limit: int, r: int, source: PrimeSource) -> np.ndarray:
-    """Boolean array over [0, limit]; True at n >= 1 with Omega(n) > r or a
-    prime factor that source does not contain.
-
-    Every n <= limit has at most one prime factor above isqrt(limit).  So
-    each block of n has the primes up to the root and their powers divided
-    out, and what is left above 1 is that one large prime.
-    """
-    allowed = np.zeros(limit + 1, dtype=bool)
-    allowed[source.primes_up_to(limit)] = True
-    small = _primes_to(math.isqrt(limit))
-    out = np.zeros(limit + 1, dtype=bool)
-    for lo in range(0, limit + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, limit + 1)
-        rem = np.arange(lo, hi, dtype=np.int32)
-        omega = np.zeros(hi - lo, dtype=np.int8)
-        bad = out[lo:hi]
-        for p in small:
-            if not allowed[p]:
-                bad[-lo % p :: p] = True
-            pk = p
-            while pk < hi:
-                omega[-lo % pk :: pk] += 1
-                rem[-lo % pk :: pk] //= p
-                pk *= p
-        big = rem > 1
-        bad |= (omega + big > r) | (big & ~allowed[rem])
-    out[0] = False
-    return out
+def _residues(m: int, d: np.ndarray) -> np.ndarray:
+    """m % d for a Python int m >= 0 and every d of an array of positive
+    integers below 2^32, as uint64: Horner's rule over the base-2^32 digits
+    of m, high to low, so m itself, which may pass int64, never meets numpy."""
+    d = d.astype(np.uint64)
+    r = np.zeros_like(d)
+    for shift in range(32 * ((m.bit_length() - 1) // 32), -1, -32):
+        r <<= np.uint64(32)
+        r |= np.uint64((m >> shift) & 0xFFFFFFFF)
+        r %= d
+    return r
 
 
 class OmegaBounded(OrderSet):
@@ -569,39 +672,43 @@ class OmegaBounded(OrderSet):
                 omega_q += eq
         return omega_q > self.r
 
-    def _m_prime_powers(self, limit: int) -> dict[int, int]:
-        """{p: ord_p(m)} over the primes p <= limit of m, by trial division
-        that stops once what is left of m is 1.  The odd primes are sieved
-        one segment at a time, only as far as the division goes."""
-        odd = chain.from_iterable(progression_segments(3, limit + 1, 2))
-        out, rest = {}, self.m
-        for p in chain([2], odd):
-            if rest == 1 or p > limit:
-                break
+    def _window(self, lo, hi):
+        # Omega(q) and the primes of q for q = n/gcd(m, n), from the window's
+        # n alone, a block at a time.  The primes p up to the root of the
+        # window end and their powers are divided out of n; p^k | n puts p
+        # into q once k > ord_p(m).  What is left of n above 1 is its one
+        # larger prime, which is in q unless it divides m.  So no array
+        # outside the window is built, and m is never factored: only its
+        # primes up to the root are divided out, and the rest of it is read
+        # through _residues.
+        small = _primes_to(math.isqrt(hi - 1))
+        m_ord, rest = {}, self.m
+        for p in small:
             if rest % p == 0:
-                out[p] = e = ord_p(rest, p)
+                m_ord[p] = e = ord_p(rest, p)
                 rest //= p**e
-        return out
-
-    def indicator(self, limit):
-        # n is a member iff q = n/gcd(m, n) has more than r prime factors or
-        # one outside L.  q is formed a block at a time, so no full-length
-        # integer array is built, by dividing out the prime powers of m up to
-        # the block's end; m itself, which may pass int64, never meets numpy.
-        bad = _omega_or_outside(limit, self.r, self.ell_set)
-        m_fac = self._m_prime_powers(limit)
-        member = np.empty(limit + 1, dtype=bool)
-        for lo in range(0, limit + 1, SIEVE_BLOCK):
-            q = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
-            for p, e in m_fac.items():
-                pk = p
-                for _ in range(e):
-                    if pk >= lo + q.size:
-                        break
-                    q[-lo % pk :: pk] //= p
-                    pk *= p
-            member[lo : lo + q.size] = bad[q]
-        member[0] = False
+        member = np.empty(hi - lo, dtype=bool)
+        for a in range(lo, hi, SIEVE_BLOCK):
+            b = min(a + SIEVE_BLOCK, hi)
+            rem = np.arange(a, b, dtype=np.int32)
+            omega = np.zeros(b - a, dtype=np.int8)
+            bad = member[a - lo : b - lo]
+            bad[:] = False
+            for p in small:
+                e, k, pk = m_ord.get(p, 0), 1, p
+                while pk < b:
+                    rem[-a % pk :: pk] //= p
+                    if k > e:
+                        omega[-a % pk :: pk] += 1
+                        if k == e + 1 and not self.ell_set.contains_prime(p):
+                            bad[-a % pk :: pk] = True
+                    k, pk = k + 1, pk * p
+            big = np.flatnonzero(rem > 1)
+            if rest > 1:
+                big = big[_residues(rest, rem[big]) != 0]
+            omega[big] += 1
+            bad |= omega > self.r
+            bad[big[~self.ell_set.contains_primes(rem[big])]] = True
         return member
 
     def to_json(self):
@@ -725,9 +832,12 @@ class DensityEstimate:
 def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
     """Share of odd primes <= limit lying in the set.
 
-    Induced sets take every m_p from one bulk pass, after a seeded sample of
+    Induced sets take every m_p from bulk passes of ORDER_CHUNK primes,
+    kept as int32 (m_p < p <= limit < 2^31), after a seeded sample of
     CROSS_CHECKS of them agrees with scalar mult_order, and count
-    membership with one gather from the order set's indicator (m_p <= p-1).
+    membership with one gather from the order set's indicator.  The m_p
+    lie all over [1, limit], so that indicator is the one window
+    (0, limit + 1).
     """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
@@ -737,7 +847,9 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
         listed = np.array([p for p in pset.primes if p <= limit], dtype=np.int64)
         members = np.count_nonzero(np.isin(odd_primes, listed))
         return DensityEstimate(limit, int(members), odd_primes.size)
-    orders = mult_orders(odd_primes, table)
+    orders = np.empty(odd_primes.size, dtype=np.int32)
+    for lo in range(0, odd_primes.size, ORDER_CHUNK):
+        orders[lo : lo + ORDER_CHUNK] = mult_orders(odd_primes[lo : lo + ORDER_CHUNK], table)
     del table  # only the primes are read from here on, not the least factors
     sample = random.Random(0).sample(range(odd_primes.size),
                                      min(CROSS_CHECKS, odd_primes.size))
@@ -747,5 +859,5 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
         if bulk != expect:
             raise InvariantViolation(f"prime-sets: bulk order {bulk} of {p} "
                                      f"disagrees with mult_order {expect}")
-    members = np.count_nonzero(pset.order_set.indicator(limit)[orders])
+    members = np.count_nonzero(pset.order_set.indicator(0, limit + 1)[orders])
     return DensityEstimate(limit, int(members), odd_primes.size)

@@ -12,6 +12,7 @@ from orbitgrowth.arith import (
     SIEVE_BLOCK,
     SIEVE_CAPACITY,
     PrimeTable,
+    _pow_mod,
     mult_orders,
     sieve_primes,
 )
@@ -111,7 +112,7 @@ class TestSieve:
             assert least[k - 2] == expect and table.least_factor(k) == expect, k
         assert np.array_equal(least, least_factor_reference(limit)[2:])
         assert np.array_equal(table.primes, n[least == n])
-        assert np.array_equal(np.flatnonzero(prime_mask(limit)), table.primes)
+        assert np.array_equal(np.flatnonzero(prime_mask(0, limit + 1)), table.primes)
 
     def test_every_small_limit(self):
         # least_factors at x = limit reads past the table's last entry when
@@ -263,6 +264,20 @@ class TestMultOrders:
         top = table.primes[-64:]
         bulk = mult_orders(top, table)
         assert bulk.tolist() == [mult_order(p) for p in top.tolist()]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 2**31 - 1), st.integers(0, 2**31),
+                              st.integers(0, 2**31 - 2)), min_size=1, max_size=50))
+    @example([(3, 0, 0), (3, 0, 2), (7, 5, 1), (2**31 - 1, 2**31, 1),
+              (2**31 - 1, 2**31 - 1, 2**31 - 2), (5, 1, 0)])
+    def test_pow_mod_matches_builtin_pow(self, rows):
+        # (mod, exp, base) with base < mod, exp = 0 and base = 1 included;
+        # base 0 too, where the blend's base - 1 wraps.
+        mod, exp, base = (np.array(col, dtype=np.uint64) for col in zip(*rows))
+        base %= mod
+        got = _pow_mod(base, exp, mod)
+        assert got.tolist() == [pow(int(b), int(e), int(m))
+                                for b, e, m in zip(base, exp, mod)]
 
     def test_table_past_headroom(self):
         # Checked before any work: a table with no least factors cannot be

@@ -1,6 +1,6 @@
 """Every documented capacity is enforced before any array is allocated, and
 the largest sieve, density, squarefree sum, dominant sum and interval sets,
-and the largest recipe, fit their memory bounds."""
+and the largest recipes, fit their memory bounds."""
 
 import json
 import os
@@ -15,7 +15,8 @@ import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
 from orbitgrowth.mertens import dominant_sum, squarefree_slope
-from orbitgrowth.sets import ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L
+from orbitgrowth.sets import (ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L,
+                              prime_mask)
 
 OVER_CAPACITY = {
     "sieve_primes": lambda: sieve_primes(SIEVE_CAPACITY + 1),
@@ -26,6 +27,9 @@ OVER_CAPACITY = {
         ExplicitFinitePrimes([3]), SIEVE_CAPACITY + 1),
     # The sieve would reach 2^(m_hi + 1) > SIEVE_CAPACITY.
     "interval_L": lambda: interval_L(1.0, 1, SIEVE_CAPACITY.bit_length()),
+    # Windows over [0, SIEVE_CAPACITY + 1]: one integer past the last mask.
+    "prime_mask": lambda: prime_mask(0, SIEVE_CAPACITY + 2),
+    "indicator": lambda: MultiplesOf(ells=[3]).indicator(0, SIEVE_CAPACITY + 2),
 }
 
 
@@ -43,16 +47,21 @@ def test_over_capacity_raises_before_allocating(name, monkeypatch):
 # The 10^8 table holds about 90 MB: uint16 least factors of the n prime to 6
 # and int32 primes.  `sieve --out` streams its file a chunk at a time.
 SIEVE_PEAK_MB = 150
-# The dominant-mode accumulator reads its mask a window at a time; an index
-# array of the surviving n would cost 8 bytes per term on top of the mask.
-SQUAREFREE_PEAK_MB = 200
-DOMINANT_PEAK_MB = 250
-TRANSCENDENTAL_PEAK_MB = 60
+# The dominant-mode accumulator asks for its mask a window at a time, so no
+# array as long as N is built: squarefree_slope(10^8) peaked at 33 MB, and
+# dominant_sum(10^8) on the `logdelta` set at 50 MB, 12 MB of it the class
+# primes 1 mod 3 as int32.  The recipes peaked at 34 MB (`transcendental`)
+# and 36 MB (`logdelta`); numpy and the package alone take about 28 MB.
+SQUAREFREE_PEAK_MB = 50
+DOMINANT_PEAK_MB = 80
+TRANSCENDENTAL_PEAK_MB = 45
+LOGDELTA_PEAK_MB = 45
 # One interval's odd-number flags at a time, not a mask over [0, 2^(m_hi + delta)].
 INTERVAL_PEAK_MB = 120
-# The int32 primes and their int64 orders, then the order set's indicator:
-# the least-factor table is dropped once the orders are known.
-DENSITY_PEAK_MB = 240
+# The int32 primes and their int32 orders, then the order set's indicator
+# over [0, N]: the least-factor table is dropped once the orders are known.
+# Both specs below peaked at 181 and 193 MB.
+DENSITY_PEAK_MB = 220
 
 
 # A child's ru_maxrss starts at the peak RSS of the process it was forked
@@ -106,24 +115,28 @@ def test_sieve_out_at_capacity_fits_memory_bound(tmp_path):
         assert fh.read() == b"99999989\n"
 
 
-def test_set_density_at_capacity_fits_memory_bound(tmp_path):
-    """`set-density --limit 10^8` on the multiples of 3 within
-    DENSITY_PEAK_MB."""
+@pytest.mark.parametrize("order_set, members", [
+    ({"kind": "multiples_of", "ells": [3]}, 2160585),
+    ({"kind": "multiples_of",
+      "ell_set": {"kind": "congruence_primes", "modulus": 3, "residues": [1]}}, 4198597),
+], ids=["multiples_of_3", "multiples_of_primes_1_mod_3"])
+def test_set_density_at_capacity_fits_memory_bound(order_set, members, tmp_path):
+    """`set-density --limit 10^8` on the multiples of 3, and of the primes
+    1 mod 3, within DENSITY_PEAK_MB."""
     spec = tmp_path / "set.json"
-    spec.write_text('{"kind": "induced", '
-                    '"order_set": {"kind": "multiples_of", "ells": [3]}}\n')
+    spec.write_text(json.dumps({"kind": "induced", "order_set": order_set}))
     code, text, peak_mb = run_child(
         ["-m", "orbitgrowth.cli", "set-density", "--spec", str(spec),
          "--limit", str(SIEVE_CAPACITY)], tmp_path)
     assert code == 0, text
-    assert json.loads(text) == {"limit": SIEVE_CAPACITY, "member_count": 2160585,
-                                "ratio": 2160585 / 5761454, "total_count": 5761454}
+    assert json.loads(text) == {"limit": SIEVE_CAPACITY, "member_count": members,
+                                "ratio": members / 5761454, "total_count": 5761454}
     assert peak_mb < DENSITY_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
-    """squarefree_slope(10^8) within SQUAREFREE_PEAK_MB: the 100 MB mask and
-    no array of the 61 million squarefree n."""
+    """squarefree_slope(10^8) within SQUAREFREE_PEAK_MB: window-sized masks
+    and no array of the 61 million squarefree n."""
     code, text, peak_mb = run_child(
         ["-c", "from orbitgrowth.mertens import squarefree_slope; "
                f"print(squarefree_slope({SIEVE_CAPACITY}).samples[-1][0])"], tmp_path)
@@ -134,8 +147,8 @@ def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
 
 def test_dominant_sum_at_capacity_fits_memory_bound(tmp_path):
     """dominant_sum(10^8) on the `logdelta` recipe's set within
-    DOMINANT_PEAK_MB: its indicator, inverted in place, and window-sized
-    temporaries."""
+    DOMINANT_PEAK_MB: the class primes and window-sized arrays, no mask
+    over [0, 10^8]."""
     code, text, peak_mb = run_child(
         ["-c", "from orbitgrowth.mertens import dominant_sum; "
                "from orbitgrowth.sets import CongruenceSource, MultiplesOf, "
@@ -147,15 +160,25 @@ def test_dominant_sum_at_capacity_fits_memory_bound(tmp_path):
     assert peak_mb < DOMINANT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
-def test_reproduce_transcendental_fits_memory_bound(tmp_path):
-    """`reproduce --theorem transcendental`, whose squarefree sum at 10^7 is
-    the largest dominant-mode array of the recipes, within
-    TRANSCENDENTAL_PEAK_MB."""
+def assert_reproduce_fits(theorem, bound_mb, tmp_path):
+    """A cold `reproduce --theorem THEOREM` passes within bound_mb."""
     code, text, peak_mb = run_child(
-        ["-m", "orbitgrowth.cli", "reproduce", "--theorem", "transcendental"], tmp_path)
+        ["-m", "orbitgrowth.cli", "reproduce", "--theorem", theorem], tmp_path)
     assert code == 0, text
-    assert text.startswith("PASS  transcendental"), text
-    assert peak_mb < TRANSCENDENTAL_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+    assert text.startswith(f"PASS  {theorem}"), text
+    assert peak_mb < bound_mb, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_reproduce_transcendental_fits_memory_bound(tmp_path):
+    """`reproduce --theorem transcendental`, whose squarefree sum runs to
+    10^7, within TRANSCENDENTAL_PEAK_MB."""
+    assert_reproduce_fits("transcendental", TRANSCENDENTAL_PEAK_MB, tmp_path)
+
+
+def test_reproduce_logdelta_fits_memory_bound(tmp_path):
+    """`reproduce --theorem logdelta`, whose dominant sum over the class
+    primes 1 mod 3 runs to 10^7, within LOGDELTA_PEAK_MB."""
+    assert_reproduce_fits("logdelta", LOGDELTA_PEAK_MB, tmp_path)
 
 
 def test_interval_L_fits_memory_bound(tmp_path):

@@ -286,7 +286,7 @@ def landau_count(x: int, r: int, source=ALL_PRIMES) -> int:
     def kept(k: int) -> int:
         if k == 0:
             return 1
-        return x - int(np.count_nonzero(OmegaBounded(k, source, 1).indicator(x)))
+        return x - int(np.count_nonzero(OmegaBounded(k, source, 1).indicator(1, x + 1)))
 
     return kept(r) - kept(r - 1)
 
@@ -485,7 +485,7 @@ class TestSubsequence:
 
 class TestSquarefree:
     def test_count_to_100(self):
-        assert int(squarefree_mask(100).sum()) == 61
+        assert int(squarefree_mask(0, 101).sum()) == 61
 
     def test_unit_sum(self):
         assert squarefree_slope(1).total == 1

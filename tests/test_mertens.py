@@ -10,6 +10,7 @@ from orbitgrowth.arith import SIEVE_CAPACITY
 from orbitgrowth.errors import CapacityError, ContractError
 from orbitgrowth.integers import OrderTable, divisors, is_probable_prime
 from orbitgrowth.mertens import (
+    _CHUNK,
     _SCALE,
     _WINDOW,
     _fixed_point_terms,
@@ -229,36 +230,58 @@ def assert_terms_match_scalar(terms):
     assert _fixed_point_terms(terms) == sum(_SCALE // n for n in terms.tolist())
 
 
+def window_walk(mask, asked=None):
+    """keep(lo, hi) over a whole mask: a fresh copy of mask[lo:hi], after
+    checking that the window is nonempty, at most _WINDOW long and inside
+    the mask; each (lo, hi) is appended to `asked` when given."""
+    def keep(lo, hi):
+        assert 1 <= lo < hi <= mask.size and hi - lo <= _WINDOW, (lo, hi)
+        if asked is not None:
+            asked.append((lo, hi))
+        return mask[lo:hi].copy()
+
+    return keep
+
+
 def assert_matches_scalar(keep, grid):
     """The window walker on the mask of keep against the scalar reference
-    on keep itself; the mask runs to the last grid point or term."""
+    on keep itself; the mask runs to the last grid point or term.  The
+    windows asked for tile [1, grid[-1]] in order, one closing at each grid
+    point."""
     keep = np.asarray(keep, dtype=np.int64)
     mask = np.zeros(max(grid[-1], keep.max(initial=0)) + 1, dtype=bool)
     mask[keep] = True
-    assert _harmonic_fixed_point(mask, grid) == scalar_fixed_point(keep, grid)
+    asked = []
+    assert (_harmonic_fixed_point(window_walk(mask, asked), grid)
+            == scalar_fixed_point(keep, grid))
+    ends = [hi for _, hi in asked]
+    assert [lo for lo, _ in asked] == [1] + ends[:-1] and ends[-1] == grid[-1] + 1
+    assert set(g + 1 for g in grid) <= set(ends)
 
 
 class TestFixedPointAccumulator:
     def test_empty(self):
         assert _fixed_point_terms(np.array([], dtype=np.uint64)) == 0
         assert_matches_scalar([], [1, 10])
-        assert _harmonic_fixed_point(np.zeros(6, dtype=bool), [5]) == [0]
+        assert _harmonic_fixed_point(window_walk(np.zeros(6, dtype=bool)), [5]) == [0]
 
     def test_unit_term(self):
         assert _fixed_point_terms(np.array([1], dtype=np.uint64)) == _SCALE
-        assert _harmonic_fixed_point(np.array([False, True]), [1]) == [_SCALE]
+        assert _harmonic_fixed_point(window_walk(np.array([False, True])), [1]) == [_SCALE]
         assert_matches_scalar([1, 2, 3, 7], [1, 2, 7])
 
-    @pytest.mark.parametrize("length", [_WINDOW - 1, _WINDOW, _WINDOW + 1])
+    @pytest.mark.parametrize("length", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                        _WINDOW - 1, _WINDOW, _WINDOW + 1])
     def test_chunk_edges(self, length):
-        # A mask of length + 1 entries is a walk of length integers, the
-        # first window full and the second, if any, of one integer.
+        # A mask of length + 1 entries is a walk of length integers; its
+        # last chunk, and its second window if any, may be one integer.
         keep = np.arange(1, length + 1)
         assert_matches_scalar(keep, [length])
-        assert_matches_scalar(keep, sorted({1, _WINDOW - 1, _WINDOW, length}))
+        assert_matches_scalar(keep, sorted({1, _CHUNK - 1, _CHUNK, length}))
         assert_matches_scalar(3 * keep, [3 * length])
 
-    @pytest.mark.parametrize("edge", [_WINDOW, _WINDOW + 1, 2 * _WINDOW, 2 * _WINDOW + 1])
+    @pytest.mark.parametrize("edge", [_CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                                      _WINDOW, _WINDOW + 1, 2 * _WINDOW, 2 * _WINDOW + 1])
     def test_grid_points_on_window_edges(self, edge):
         keep = np.arange(1, 3 * _WINDOW, 5)
         grid = [edge - 1, edge, edge + 1, 3 * _WINDOW]
@@ -321,7 +344,7 @@ class TestSeriesDomain:
     def test_grid_point_below_1(self, low, monkeypatch):
         oset = MultiplesOf(ells=[3])
 
-        def no_sieve(limit):
+        def no_sieve(lo, hi):
             raise AssertionError("indicator built before the grid was checked")
 
         monkeypatch.setattr(oset, "indicator", no_sieve)

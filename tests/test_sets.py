@@ -37,7 +37,7 @@ def omega_reference(limit: int) -> np.ndarray:
     """Omega(n) for n in [0, limit], one slice per prime power up to limit:
     the loop the indicator's pass over the primes up to the root replaced."""
     omega = np.zeros(limit + 1, dtype=np.int8)
-    for p in np.flatnonzero(prime_mask(limit)).tolist():
+    for p in np.flatnonzero(prime_mask(0, limit + 1)).tolist():
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
@@ -50,7 +50,7 @@ def outside_reference(source, limit: int) -> np.ndarray:
     bad = np.zeros(limit + 1, dtype=bool)
     allowed = np.zeros(limit + 1, dtype=bool)
     allowed[source.primes_up_to(limit)] = True
-    for p in np.flatnonzero(prime_mask(limit)).tolist():
+    for p in np.flatnonzero(prime_mask(0, limit + 1)).tolist():
         if not allowed[p]:
             bad[p::p] = True
     return bad
@@ -168,20 +168,22 @@ class TestSieveArrays:
         CompositeNumbers().indicator,
     ], ids=["prime_mask", "squarefree_mask", "prime_numbers", "composite_numbers"])
     def test_each_call_returns_a_new_array(self, build):
-        first = build(1000)
-        expect = first.copy()
-        first[:] = ~first
-        assert np.array_equal(build(1000), expect)
+        for lo, hi in ((0, 1001), (500, 1001)):
+            first = build(lo, hi)
+            expect = first.copy()
+            first[:] = ~first
+            assert np.array_equal(build(lo, hi), expect)
 
     @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
     def test_indicator_returns_a_fresh_array(self, oset):
-        # dominant_sum inverts the indicator it is given in place.
-        first = oset.indicator(1000)
-        expect = first.copy()
-        np.logical_not(first, out=first)
-        second = oset.indicator(1000)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(second, expect)
+        # dominant_sum inverts each window's indicator in place.
+        for lo, hi in ((0, 1001), (500, 1001)):
+            first = oset.indicator(lo, hi)
+            expect = first.copy()
+            np.logical_not(first, out=first)
+            second = oset.indicator(lo, hi)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(second, expect)
 
     @pytest.mark.parametrize("source", [
         ListSource([2, 3, 97, 101, 99991, 2**127 - 1]),
@@ -189,17 +191,18 @@ class TestSieveArrays:
         CongruenceSource(3, [1]),
         CongruenceSource(2**70, [1, 3, 7919, 2**70 - 1]),
     ], ids=["list", "congruence_odd", "congruence_1mod3", "congruence_past_int64"])
-    def test_primes_up_to_is_sorted_int64(self, source):
+    def test_primes_up_to_is_sorted_int32(self, source):
         for limit in (1, 2, 3, 100, 10**5):
             got = source.primes_up_to(limit)
             expect = [p for p in range(2, limit + 1)
                       if is_probable_prime(p) and source.contains_prime(p)]
-            assert got.dtype == np.int64 and got.tolist() == expect, limit
+            assert got.dtype == np.int32 and got.tolist() == expect, limit
+            assert source.contains_primes(got).all()
 
 
 def congruence_reference(source, limit):
     """primes_up_to as a filter of every prime <= limit by its residue."""
-    idx = np.flatnonzero(prime_mask(limit))
+    idx = np.flatnonzero(prime_mask(0, limit + 1))
     if source.modulus > limit:
         return idx[np.isin(idx, [r for r in source.residues if r <= limit])]
     return idx[np.isin(idx % source.modulus, source.residues)]
@@ -221,7 +224,102 @@ class TestCongruenceSource:
         source = CongruenceSource(modulus, residues)
         got = source.primes_up_to(limit)
         expect = congruence_reference(source, limit)
-        assert got.dtype == np.int64 and np.array_equal(got, expect)
+        assert got.dtype == np.int32 and np.array_equal(got, expect)
+
+
+class TestIndicatorWindows:
+    # Every kind's window form against its own whole mask, and against the
+    # scalar membership test on short windows.  LIMIT's root is 200; 199 is
+    # the class prime 1 mod 3 below it and 211 the one above, 199^2 = 39601
+    # a prime square, and a window's root isqrt(hi - 1) splits the ells it
+    # marks by slices from those it gathers.
+    LIMIT = 40000
+    EDGES = [(0, 1), (0, 2), (0, 50), (1, 2), (2, 3), (199, 200), (200, 201),
+             (211, 212), (39601, 39602), (LIMIT, LIMIT + 1), (180, 230),
+             (190, 215), (39590, 39612), (16120, 16140), (39000, 39601),
+             (39000, 39602), (39000, 39603), (44 * 44, 45 * 45 + 1),
+             (0, LIMIT + 1)]
+
+    @staticmethod
+    def windows():
+        rng = random.Random(26)
+        drawn = []
+        for _ in range(24):
+            lo = rng.randrange(0, TestIndicatorWindows.LIMIT + 1)
+            hi = min(lo + rng.choice([1, 7, 60, 1000, 9000]), TestIndicatorWindows.LIMIT + 1)
+            drawn.append((lo, hi))
+        return TestIndicatorWindows.EDGES + drawn
+
+    @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
+    def test_window_matches_whole_mask_and_contains(self, oset):
+        whole = oset.indicator(0, self.LIMIT + 1)
+        assert whole.size == self.LIMIT + 1 and not whole[0]
+        for lo, hi in self.windows():
+            got = oset.indicator(lo, hi)
+            assert got.dtype == bool and np.array_equal(got, whole[lo:hi]), (lo, hi)
+            if hi - lo <= 60:
+                assert [bool(got[n - lo]) for n in range(max(lo, 1), hi)] == [
+                    oset.contains(n) for n in range(max(lo, 1), hi)], (lo, hi)
+
+    @pytest.mark.parametrize("build", [
+        prime_mask, squarefree_mask, MultiplesOf(ells=[3]).indicator,
+    ], ids=["prime_mask", "squarefree_mask", "multiples_of"])
+    @pytest.mark.parametrize("lo, hi", [(-1, 5), (5, 5), (6, 5)])
+    def test_bad_window_is_contract_error(self, build, lo, hi):
+        with pytest.raises(ContractError, match="window"):
+            build(lo, hi)
+
+    @pytest.mark.parametrize("source", [
+        CongruenceSource(3, [1]),
+        CongruenceSource(30, [1, 7, 11, 13, 17, 19, 23, 29]),
+        ListSource([5, 11, 499, 1048573]),
+    ], ids=["congruence_1mod3", "congruence_30", "list"])
+    def test_multiples_across_spans_and_gathers(self, source, monkeypatch):
+        # One slice per ell is the reference.  The window walks spans of
+        # _SPAN integers and gathers about _GATHER products at once; small
+        # spans and gathers split single k's runs too.
+        limit = 3 * sets._SPAN + 5
+        ref = np.zeros(limit + 1, dtype=bool)
+        for ell in source.primes_up_to(limit).tolist():
+            ref[ell::ell] = True
+        oset = MultiplesOf(ell_set=source)
+        assert np.array_equal(oset.indicator(0, limit + 1), ref)
+        for lo, hi in ((sets._SPAN - 3, 2 * sets._SPAN + 3), (1, sets._SPAN + 1),
+                       (limit - 10, limit + 1)):
+            assert np.array_equal(oset.indicator(lo, hi), ref[lo:hi]), (lo, hi)
+        monkeypatch.setattr(sets, "_SPAN", 1000)
+        monkeypatch.setattr(sets, "_GATHER", 100)
+        assert np.array_equal(oset.indicator(0, 60001), ref[:60001])
+        assert np.array_equal(oset.indicator(59000, 70001), ref[59000:70001])
+
+
+class TestSourceMemo:
+    @pytest.mark.parametrize("source", [
+        lambda: CongruenceSource(3, [1]),
+        lambda: CongruenceSource(12, [0, 2, 3, 5, 11]),
+        lambda: CongruenceSource(2**70, [1, 3, 7919, 2**70 - 1]),
+    ], ids=["1mod3", "shared_factors", "past_int64"])
+    def test_any_order_of_limits_gives_the_fresh_answer(self, source):
+        # A CongruenceSource keeps the primes it found and sieves on from
+        # there; what it returns never depends on what it was asked before.
+        limits = [10, 5000, 3, 2**18 + 1, 100, 2**22 + 7, 2**18, 0, 2**22 + 7]
+        kept = source()
+        views = []
+        for limit in limits:
+            got = kept.primes_up_to(limit)
+            assert not got.flags.writeable
+            assert np.array_equal(got, source().primes_up_to(limit)), limit
+            views.append((limit, got.copy(), got))
+        # Arrays handed out before the store grew still hold their primes.
+        for limit, copy, view in views:
+            assert np.array_equal(view, copy), limit
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**300), st.lists(st.integers(1, 2**32 - 1), min_size=1,
+                                            max_size=40))
+    def test_residues_of_a_big_m(self, m, d):
+        got = sets._residues(m, np.array(d, dtype=np.int64))
+        assert got.tolist() == [m % x for x in d]
 
 
 class TestMembership:
@@ -270,7 +368,7 @@ class TestMembership:
         # the square of 31, an ell of two specs.
         for limit in (500, 31 * 31 - 1, 31 * 31, 31 * 31 + 1):
             for spec in specs:
-                ind = spec.indicator(limit)
+                ind = spec.indicator(0, limit + 1)
                 assert len(ind) == limit + 1
                 for n in range(1, limit + 1):
                     assert bool(ind[n]) == spec.contains(n), (spec.kind, limit, n)
@@ -289,12 +387,12 @@ class TestMembership:
                 expect = ((omega[q] > oset.r)
                           | outside_reference(oset.ell_set, limit)[q])
                 expect[0] = False
-                assert np.array_equal(oset.indicator(limit), expect), (oset, limit)
+                assert np.array_equal(oset.indicator(0, limit + 1), expect), (oset, limit)
 
     @settings(max_examples=100, deadline=None)
     @given(oset=omega_bounded_specs(), limit=st.integers(1, 3000))
     def test_omega_bounded_indicator_matches_contains(self, oset, limit):
-        ind = oset.indicator(limit)
+        ind = oset.indicator(0, limit + 1)
         assert len(ind) == limit + 1 and not ind[0]
         assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
 
@@ -306,7 +404,7 @@ class TestMembership:
     def test_three_membership_paths_agree(self, oset, limit):
         # The sieve and the scalar test give one answer for every kind, and
         # the JSON form loads back to the same set.
-        ind = oset.indicator(limit)
+        ind = oset.indicator(0, limit + 1)
         assert len(ind) == limit + 1 and not ind[0]
         assert [n for n in range(1, limit + 1) if ind[n] != oset.contains(n)] == []
         spec = oset.to_json()
@@ -320,7 +418,7 @@ class TestMembership:
     def test_membership_paths_at_the_block_edge(self, oset):
         # 1048573 and 1048583 are the primes on either side of SIEVE_BLOCK.
         limit = SIEVE_BLOCK + 1
-        ind = oset.indicator(limit)
+        ind = oset.indicator(0, limit + 1)
         ns = list(range(SIEVE_BLOCK - 200, limit + 1))
         assert [n for n in ns if ind[n] != oset.contains(n)] == []
 
@@ -329,7 +427,7 @@ class TestMembership:
         source = ListSource([3, 5])
         big, small = OmegaBounded(2, source, 2**70), OmegaBounded(2, source, 2**40)
         for limit in (1, 1000, SIEVE_BLOCK + 5):
-            assert np.array_equal(big.indicator(limit), small.indicator(limit))
+            assert np.array_equal(big.indicator(0, limit + 1), small.indicator(0, limit + 1))
         spec = {"kind": "omega_bounded", "r": 2, "m": 2**70,
                 "ell_set": source.to_json()}
         assert order_set_from_json(spec).to_json() == spec
@@ -339,18 +437,18 @@ class TestMembership:
         # m's trial division; 10^19 + 51 is a prime past the limit.
         limit, source = 300011, ListSource([3, 5])
         oset = OmegaBounded(1, source, 3 * 100003)
-        ind = oset.indicator(limit)
-        diff = np.flatnonzero(ind != OmegaBounded(1, source, 3).indicator(limit))
+        ind = oset.indicator(0, limit + 1)
+        diff = np.flatnonzero(ind != OmegaBounded(1, source, 3).indicator(0, limit + 1))
         assert diff.tolist() == [100003, 300009]
         far = OmegaBounded(1, source, 3 * 100003 * (10**19 + 51))
-        assert np.array_equal(ind, far.indicator(limit))
+        assert np.array_equal(ind, far.indicator(0, limit + 1))
         assert [bool(ind[n]) for n in diff] == [oset.contains(int(n)) for n in diff]
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 9])
     def test_ell_powers_indicator_matches_contains(self, ell):
         # n = ell^e exactly, for a composite ell too.
         oset = EllPowers(ell)
-        ind = oset.indicator(5000)
+        ind = oset.indicator(0, 5000 + 1)
         assert [n for n in range(1, 5001) if ind[n] != oset.contains(n)] == []
         assert np.flatnonzero(ind).tolist() == [ell**e for e in range(13)
                                                 if ell**e <= 5000]
@@ -365,7 +463,7 @@ class TestClosureFlags:
         # A member a from the sieve and any natural k: a*k is a member when
         # multiplication closure is claimed.  Each of the ten least members
         # times the ten least members and 1..10 comes first, then the picks.
-        members = np.flatnonzero(oset.indicator(limit)).tolist()
+        members = np.flatnonzero(oset.indicator(0, limit + 1)).tolist()
         if not members:
             return
         least = members[:10]
