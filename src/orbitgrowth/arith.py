@@ -13,7 +13,7 @@ built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,21 +38,19 @@ if SIEVE_CAPACITY >= 2**31:
     raise InvariantViolation("core-arith: SIEVE_CAPACITY puts primes past int32")
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
     """Primes up to `limit` plus a least-prime-factor table of the n prime
     to 6.
 
-    Entry i of `smallest_factor` (uint16) is for n = 3i + 1 + (i & 1), that
-    is n = 1, 5, 7, 11, 13, ..., so i = n // 3; there are
-    (limit + 5)//6 + (limit + 1)//6 entries.  It holds the least prime
-    factor of a composite n, and 0 at a prime and at n = 1.  Every even n
-    has least factor 2 and every other multiple of 3 has 3, by arithmetic.
+    `primes` is int32, ascending from 2.  Entry i of `smallest_factor`
+    (uint16) is for n = 3i + 1 + (i & 1), that is n = 1, 5, 7, 11, 13, ...,
+    so i = n // 3; there are (limit + 5)//6 + (limit + 1)//6 entries.  It
+    holds the least prime factor of a composite n, and 0 at a prime and at
+    n = 1.  Every even n has least factor 2 and every other multiple of 3
+    has 3, by arithmetic.
     """
 
-    limit: int
-    primes: np.ndarray  # int32, ascending from 2
-    smallest_factor: np.ndarray
+    __slots__ = ()
 
     def least_factor(self, n: int) -> int:
         if n < 2 or n > self.limit:

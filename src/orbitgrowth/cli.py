@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         if isinstance(part, MersennePartial):
             payload = {"m": part.m}
             factors, cofactors = part.factors, part.cofactors
-        elif isinstance(part, tuple):  # factorize: (factors, composite cofactors)
+        elif type(part) is tuple:  # factorize: (factors, composite cofactors)
             payload = {}
             factors, cofactors = part
         else:

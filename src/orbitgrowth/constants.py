@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BudgetError,
@@ -26,12 +27,10 @@ from .errors import (
 from .integers import OrderTable, is_probable_prime, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 
-@dataclass(frozen=True)
-class ExactConstant:
+class ExactConstant(namedtuple("ExactConstant", "value error_bound", defaults=(None,))):
     """An exact rational value; error_bound present iff it truncates a series."""
 
-    value: Fraction
-    error_bound: Fraction | None = None
+    __slots__ = ()
 
     def __float__(self) -> float:
         return float(self.value)
@@ -106,34 +105,24 @@ def k_order_bounds(ells) -> tuple[Fraction, dict[int, Fraction]]:
 # Greedy construction of dense coefficient values.
 
 
-@dataclass(frozen=True)
-class GreedyStep:
-    ell: int
-    accepted: bool
-    k_candidate: Fraction
-    k_after: Fraction
+GreedyStep = namedtuple("GreedyStep", "ell accepted k_candidate k_after")
 
 
-@dataclass
-class GreedyTrace:
-    target: Fraction
-    eps: Fraction
-    decisions: list[GreedyStep]
-    terminal: bool
-    k_final: Fraction
-    chosen: tuple[int, ...]
+class GreedyTrace(namedtuple("GreedyTrace",
+                             "target eps decisions terminal k_final chosen")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, target: Fraction, eps: Fraction, decisions: list[GreedyStep],
+                terminal: bool, k_final: Fraction, chosen: tuple[int, ...]):
         last = None
-        for step in self.decisions:
+        for step in decisions:
             if step.accepted:
                 if last is not None and step.k_after > last:
                     raise InvariantViolation("constants: greedy k increased")
                 last = step.k_after
-        if self.terminal and not (
-            self.target <= self.k_final < self.target + self.eps
-        ):
+        if terminal and not target <= k_final < target + eps:
             raise InvariantViolation("constants: terminal greedy outside window")
+        return super().__new__(cls, target, eps, decisions, terminal, k_final, chosen)
 
 
 def _next_prime(n: int) -> int:
@@ -221,13 +210,9 @@ def greedy_L(
 # The transcendental series over ell-power orders.
 
 
-@dataclass(frozen=True)
-class TranscendentalSeries:
-    ell: int
-    terms: int
-    constant: ExactConstant
-    convergents: tuple[Fraction, ...]
-    term_values: tuple[Fraction, ...]
+class TranscendentalSeries(namedtuple(
+        "TranscendentalSeries", "ell terms constant convergents term_values")):
+    __slots__ = ()
 
     @property
     def tail_bound(self) -> Fraction:
@@ -276,30 +261,21 @@ def transcendental_series(
 RN_CAPACITY = 64
 
 
-@dataclass(frozen=True)
-class RecursionStep:
-    n: int
-    r_n: float            # exp of the exact exponent, for reporting
-    log_r_n: Fraction     # the exact exponent (a' - sum b)/2
-    b_n: Fraction
-    eta: Fraction
-    partial_sum: Fraction
-    r_cap: float          # delta / R_n
-    big_r: int
+# r_n is the float exp of log_r_n, the exact exponent (a' - sum b)/2, for
+# reporting; r_cap is delta / R_n, and big_r is R_n.
+RecursionStep = namedtuple(
+    "RecursionStep", "n r_n log_r_n b_n eta partial_sum r_cap big_r")
 
 
-@dataclass
-class RecursionTrace:
-    delta: Fraction
-    y: int
-    a_prime: Fraction
-    mode: str
-    steps: list[RecursionStep]
-    ratio_ok: bool         # 1 < r_n < 1 + delta/R_n at every step
-    sandwich_ok: bool      # a'(1 - 2^-n -/+ f(n)) brackets the partial sums
-    interval_ok: bool      # modeled log-weight sums decay like 2^(-n/2)
-    f_bound_ok: bool       # f(n) < 2^-(n+2) on the whole range
-    x: int | None = None
+class RecursionTrace(namedtuple(
+        "RecursionTrace",
+        "delta y a_prime mode steps ratio_ok sandwich_ok interval_ok f_bound_ok x")):
+    """The steps of one run and its invariants: ratio_ok, 1 < r_n <
+    1 + delta/R_n at every step; sandwich_ok, a'(1 - 2^-n -/+ f(n))
+    brackets the partial sums; interval_ok, the modeled log-weight sums
+    decay like 2^(-n/2); f_bound_ok, f(n) < 2^-(n+2) on the whole range."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -315,6 +291,11 @@ def _mpf_to_fraction(v) -> Fraction:
     return -fr if sign else fr
 
 
+# The section 9 enclosures are pure functions of their argument, and
+# rn_recursion calls on the same (delta, Y) ask for the same ones, so both
+# are memoized per process: every n up to RN_CAPACITY, and the latest
+# RN_CAPACITY + 1 log1p arguments, as many as one call asks for.
+@lru_cache(maxsize=RN_CAPACITY)
 def _g_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Rational lower/upper enclosures of 100^(-2^(n/4))."""
     if n % 4 == 0:
@@ -330,6 +311,7 @@ def _g_bounds(n: int) -> tuple[Fraction, Fraction]:
     return g * (1 - slack), g * (1 + slack)
 
 
+@lru_cache(maxsize=RN_CAPACITY + 1)
 def _log1p_fraction_lower(q: Fraction) -> Fraction:
     """A rational lower bound of log(1 + q) tight to ~2^-150."""
     import mpmath
@@ -514,14 +496,9 @@ def _a_prime_from_c(
 # Greedy subset with a prescribed product of (1 + 1/p).
 
 
-@dataclass(frozen=True)
-class ProductSubsetResult:
-    chosen: tuple[int, ...]
-    achieved: Fraction
-    target: Fraction
-    eps: Fraction
-    sum_logp_over_p: float
-    via_search: bool  # False when the plain greedy pass already landed
+# via_search is False when the plain greedy pass already landed.
+ProductSubsetResult = namedtuple(
+    "ProductSubsetResult", "chosen achieved target eps sum_logp_over_p via_search")
 
 
 def greedy_product_subset(pool, c, eps) -> ProductSubsetResult:
@@ -606,15 +583,9 @@ def greedy_product_subset(pool, c, eps) -> ProductSubsetResult:
 # Greedy subsequence tracking a target function.
 
 
-@dataclass(frozen=True)
-class SubsequenceReport:
-    selected_count: int
-    selected_sum: float
-    sup_error: float
-    final_error: float
-    start_x: int
-    max_weight: float
-    max_drift: float
+SubsequenceReport = namedtuple(
+    "SubsequenceReport",
+    "selected_count selected_sum sup_error final_error start_x max_weight max_drift")
 
 
 def greedy_subsequence(

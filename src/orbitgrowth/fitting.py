@@ -10,7 +10,7 @@ per free parameter.  Ties resolve to the slower-growing model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,15 +25,10 @@ LOGLOG_POWERS = (1, 2, 3)
 GOLDEN_ITERS = 80
 
 
-@dataclass(frozen=True)
-class FitReport:
-    model: str
-    k: float | None
-    delta: float | None
-    r: int | None
-    constant: float
-    residual: float
-    n_samples: int
+class FitReport(namedtuple("FitReport", "model k delta r constant residual n_samples")):
+    """A fitted model; k, delta and r are None where the model has none."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -11,9 +11,9 @@ Two evaluation regimes:
     order set, never a factorization.  The accumulator asks for the mask of
     surviving n one window of at most _WINDOW integers at a time, the order
     set's indicator over that window, inverted in place, so no array as
-    long as N is built.  It finds each term floor(2^96 / n) as three
-    base-2^32 digits by uint64 long division, and combines the digit sums
-    as exact Python ints.
+    long as N is built.  It finds each term floor(2^96 / n), n < 2^31, in
+    two uint64 divisions by 2^63 and by the remainder times 2^33, and
+    combines the sums of the two as exact Python ints.
 
 The same accumulator gives squarefree_slope, the harmonic sum over the
 squarefree n.  The decomposition of F_S(N) into strata, one for each
@@ -24,7 +24,7 @@ of the direct sum so the two code paths can cross-validate each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -48,30 +48,28 @@ _SCALE = 1 << FRAC_BITS
 # _fixed_point_terms call within it.
 _WINDOW = 1 << 19
 _CHUNK = 1 << 16
-_DIGIT = 1 << 32
 
 EXACT_CEILING = 120
 
 
-@dataclass
-class MertensSeries:
-    """Grid of (N, value) samples; exact rationals or fixed-point dyadics."""
+class MertensSeries(namedtuple("MertensSeries", "label mode samples")):
+    """Grid of (N, value) samples; exact rationals or fixed-point dyadics.
+    `mode` is "exact" or "dominant"."""
 
-    label: str
-    mode: str  # "exact" | "dominant"
-    samples: list[tuple[int, Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "dominant"):
-            raise ContractError(f"mertens-engine: unknown mode {self.mode!r}")
+    def __new__(cls, label: str, mode: str, samples: list[tuple[int, Fraction]]):
+        if mode not in ("exact", "dominant"):
+            raise ContractError(f"mertens-engine: unknown mode {mode!r}")
         last_n = 0
         last_v = None
-        for n, v in self.samples:
+        for n, v in samples:
             if n <= last_n:
                 raise InvariantViolation("mertens-engine: sample grid not increasing")
             if last_v is not None and v < last_v:
                 raise InvariantViolation("mertens-engine: series values decreased")
             last_n, last_v = n, v
+        return super().__new__(cls, label, mode, samples)
 
     def value_at(self, n: int) -> Fraction:
         for g, v in self.samples:
@@ -83,11 +81,7 @@ class MertensSeries:
         return [(n, float(v)) for n, v in self.samples]
 
 
-@dataclass(frozen=True)
-class RemainderBound:
-    n: int
-    bound_r: float
-    bound_q: float
+RemainderBound = namedtuple("RemainderBound", "n bound_r bound_q")
 
 
 def _normalize_prime_set(s) -> PrimeSet:
@@ -320,7 +314,9 @@ def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
     ending at the next grid point if that comes first, so every grid point
     closes at a window edge.  The terms of each _CHUNK integers of a window
     are their nonzero offsets, read as uint64, plus their start; only
-    window- and chunk-sized arrays are made.
+    window- and chunk-sized arrays are made.  Each chunk goes to
+    _fixed_point_terms, which takes n < 2^31; the callers keep the grid
+    within SIEVE_CAPACITY, below that.
     """
     acc = 0
     lo = 1
@@ -339,41 +335,38 @@ def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
 
 
 def _fixed_point_terms(n: np.ndarray) -> int:
-    """sum floor(2^96 / n) over a uint64 array of terms 1 <= n < 2^32, as
-    an exact int.
+    """sum floor(2^96 / n) over a uint64 array of fewer than 2^31 terms
+    1 <= n < 2^31, as an exact int.
 
-    Each term is found as three base-2^32 digits by uint64 long division:
-    cur = 2^32, then three times q = cur // n, r = cur % n, cur = r << 32.
-    Every digit is floor-exact because n < 2^32 keeps r << 32 below 2^64,
-    and n = 1 needs no special case.  A digit is at most 2^32, so the digit
-    sums stay exact in uint64 for fewer than 2^31 terms; they are combined
-    as Python ints.  The two work arrays are updated in place: a fresh
-    pair per digit costs page faults, as freed arrays of this size go back
-    to the system.
+    Each term is found in two uint64 divisions: q = 2^63 // n, r = 2^63 % n,
+    and floor(2^96 / n) = q 2^33 + (r 2^33) // n, floor-exact because
+    n < 2^31 keeps r 2^33 below 2^64; n = 1 needs no special case.  The
+    sum of the q, each at most 2^63, can pass 2^64: its wrapped uint64 sum
+    fixes it modulo 2^64, and the exact sum of q >> 32, taken in place,
+    gives the rest.  The second divisions, each below 2^33, sum exactly.
+    The work arrays are updated in place: a fresh one per step costs page
+    faults, as freed arrays of this size go back to the system.
     """
     top = int(n.max(initial=0))
-    if top >= _DIGIT:
-        raise CapacityError(f"mertens-engine: fixed-point terms need n < 2^32, got {top}")
-    cur = np.full_like(n, _DIGIT)
+    if top >= 1 << 31:
+        raise CapacityError(f"mertens-engine: fixed-point terms need n < 2^31, got {top}")
     q = np.empty_like(n)
-    digits = []
-    for _ in range(3):
-        np.divmod(cur, n, out=(q, cur))
-        digits.append(int(q.sum()))
-        cur <<= np.uint64(32)
-    return (digits[0] << 64) + (digits[1] << 32) + digits[2]
+    r = np.empty_like(n)
+    np.divmod(np.uint64(1 << 63), n, out=(q, r))
+    wrapped = int(q.sum())
+    q >>= np.uint64(32)
+    high = int(q.sum()) << 32
+    r <<= np.uint64(33)
+    np.floor_divide(r, n, out=r)
+    first = high + (wrapped - high) % (1 << 64)
+    return (first << 33) + int(r.sum())
 
 
 # ---------------------------------------------------------------------------
 # The squarefree harmonic slope.
 
 
-@dataclass(frozen=True)
-class SquarefreeSlope:
-    n_max: int
-    total: Fraction
-    slope: float
-    samples: tuple[tuple[int, float], ...]
+SquarefreeSlope = namedtuple("SquarefreeSlope", "n_max total slope samples")
 
 
 def squarefree_slope(n_max: int) -> SquarefreeSlope:

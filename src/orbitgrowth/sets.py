@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -104,14 +104,8 @@ def squarefree_mask(lo: int, hi: int) -> np.ndarray:
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
-    m: int
-    lo: int
-    hi: int
-    prime_count: int
-    sum_logp_over_p: float
-    target: float
+IntervalRecord = namedtuple("IntervalRecord",
+                            "m lo hi prime_count sum_logp_over_p target")
 
 
 def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
@@ -806,15 +800,13 @@ def prime_set_from_json(obj: dict) -> PrimeSet:
 # Density.
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    limit: int
-    member_count: int
-    total_count: int
+class DensityEstimate(namedtuple("DensityEstimate", "limit member_count total_count")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.member_count > self.total_count:
+    def __new__(cls, limit: int, member_count: int, total_count: int):
+        if member_count > total_count:
             raise InvariantViolation("prime-sets: member_count > total_count")
+        return super().__new__(cls, limit, member_count, total_count)
 
     @property
     def ratio(self) -> float:

@@ -516,6 +516,24 @@ class TestExitCodes:
         assert "core-arith" in err
 
 
+    def test_greedy_budget_is_4(self, capsys, monkeypatch):
+        # A greedy run that ends outside its window carries its trace, a
+        # namedtuple, as the partial result; only factoring's plain
+        # (factors, cofactors) tuple is printed.
+        from orbitgrowth.constants import GreedyTrace
+        from orbitgrowth.errors import BudgetError
+
+        trace = GreedyTrace(Fraction(3, 4), Fraction(1, 10), [], False, Fraction(1), ())
+
+        def exhausted(*args, **kwargs):
+            raise BudgetError("constants: forced for the exit-code test", partial=trace)
+
+        monkeypatch.setattr(constants, "greedy_L", exhausted)
+        code, _, err = run(capsys, "greedy", "--target", "3/4", "--eps", "1/10")
+        assert code == 4
+        assert "forced" in err and "partial" not in err
+
+
 class TestCacheFile:
     M11 = '{"m": 11, "factors": [[23, 1], [89, 1]]}\n'
 

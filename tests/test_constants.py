@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +436,36 @@ class TestRecursion:
         trace = rn_recursion(Fraction(1, 2), 50, 12, mode="idealized")
         for step in trace.steps:
             assert step.big_r == math.isqrt(50 * 50 << step.n)
+
+    def test_section9_evaluates_each_bound_once(self, monkeypatch):
+        # check_section9 runs four recursions on the same (1/2, 50, 40):
+        # two mpmath powers for each of the 30 n not divisible by 4, and a
+        # log1p for delta/Y and for each delta/R_n.
+        import mpmath
+
+        from orbitgrowth.reproduce import check_section9
+
+        calls = Counter()
+        for name in ("power", "log1p"):
+            def counted(*args, _name=name, _real=getattr(mpmath, name)):
+                calls[_name, args] += 1
+                return _real(*args)
+            monkeypatch.setattr(mpmath, name, counted)
+        constants._g_bounds.cache_clear()
+        constants._log1p_fraction_lower.cache_clear()
+        passed, _ = check_section9()
+        assert passed
+        assert set(calls.values()) == {1}
+        assert Counter(name for name, _ in calls) == {"power": 60, "log1p": 41}
+
+    @pytest.mark.parametrize("mode", ["idealized", "perturbed"])
+    def test_repeat_run_equals_the_first(self, mode):
+        constants._g_bounds.cache_clear()
+        constants._log1p_fraction_lower.cache_clear()
+        first = rn_recursion(Fraction(1, 2), 50, 40, mode=mode,
+                             sign_pattern="alternating")
+        assert rn_recursion(Fraction(1, 2), 50, 40, mode=mode,
+                            sign_pattern="alternating") == first
 
 
 class TestProductSubset:

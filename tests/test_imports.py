@@ -3,7 +3,8 @@ threading, `sets` does not import `mersenne`, every public definition,
 method and property has a caller outside the tests, the integer core and
 the modules above it import no array code when they load, the CLI does
 not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
-command needs it, and neither it nor the factor cache loads dataclasses.
+command needs it, and neither it nor the factor cache loads dataclasses,
+which no module imports.
 Every name the benchmark imports from the package exists, and so does every
 attribute it reads off such a function's result.
 
@@ -277,6 +278,23 @@ def test_cli_and_factor_cache_leave_dataclasses_unloaded():
                      "from orbitgrowth.mersenne import FactorCache\n"
                      "FactorCache()\n"
                      "print('dataclasses' in sys.modules)") == "False"
+
+
+# The result records are namedtuples, so no module of the package needs
+# dataclasses, whose class generation each cold recipe process paid for.
+def test_no_module_imports_dataclasses():
+    assert [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for module, line in import_time_modules(path)
+            if module == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("theorem", ["dense", "section9"])
+def test_exact_recipes_leave_dataclasses_unloaded(theorem):
+    assert run_child("import sys\n"
+                     "from orbitgrowth.cli import main\n"
+                     "code = main(sys.argv[1:])\n"
+                     "print(code, 'dataclasses' in sys.modules)\n",
+                     "reproduce", "--theorem", theorem) == "0 False"
 
 
 # Runs the CLI on its arguments, then prints whether numpy was loaded.

@@ -300,15 +300,32 @@ class TestFixedPointAccumulator:
         assert_terms_match_scalar(np.arange(SIEVE_CAPACITY - 3000, SIEVE_CAPACITY + 1, 7))
 
     def test_largest_term(self):
-        assert_terms_match_scalar([2, 2**32 - 5, 2**32 - 1])
-        assert_terms_match_scalar([1] + [2**32 - 1] * 1000)
+        assert_terms_match_scalar([2, 2**31 - 5, 2**31 - 1])
+        assert_terms_match_scalar([1] + [2**31 - 1] * 1000)
+
+    def test_powers_of_two(self):
+        # 2^63 % n is 0 here, so the second division adds nothing.
+        for e in range(31):
+            assert_terms_match_scalar([1 << e])
+        assert_terms_match_scalar([1 << e for e in range(31)] + [2**31 - 1])
+
+    def test_unit_terms_wrap_the_first_division_sum(self):
+        # Each floor(2^63 / 1) is 2^63, so the uint64 sum of the first
+        # divisions wraps to 0; it is recovered from the shifted sum.
+        terms = np.ones(1000, dtype=np.uint64)
+        assert _fixed_point_terms(terms) == 1000 * _SCALE
+        assert_terms_match_scalar([1] * 999 + [3])
 
     def test_term_past_2_pow_32_is_capacity_error(self):
         with pytest.raises(CapacityError):
             _fixed_point_terms(np.array([3, 2**32], dtype=np.uint64))
 
+    def test_term_2_pow_31_is_capacity_error(self):
+        with pytest.raises(CapacityError, match="n < 2\\^31"):
+            _fixed_point_terms(np.array([3, 2**31], dtype=np.uint64))
+
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(1, 2**32 - 1), max_size=300))
+    @given(st.lists(st.integers(1, 2**31 - 1), max_size=300))
     def test_matches_scalar_on_draws(self, terms):
         assert_terms_match_scalar(terms)
 
