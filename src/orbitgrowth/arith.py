@@ -2,20 +2,22 @@
 
 The segmented least-factor sieve, its PrimeTable, and bulk multiplicative
 orders of 2.  SIEVE_CAPACITY is the one capacity that every sieve and
-mask over [0, N] is checked against.  These need numpy; the exact integer
-core they build on (primality, small primes, factoring, scalar orders,
-valuations) is `integers`, which needs none.  The least-factor table
-covers only the n prime to 6, as uint16 with 0 at primes, and only
-PrimeTable reads it; the primes are int32.  Tables are immutable once
-built.
+mask over [0, N] is checked against.  These make numpy arrays; the exact
+integer core they build on (primality, small primes, factoring, scalar
+orders, valuations) is `integers`, which needs none.  `np` here is the
+array layer's one numpy, shared by `sets`, `mertens` and `fitting`: a lazy
+module whose code runs on the first array, so importing the layer runs no
+numpy.  The least-factor table covers only the n prime to 6, as uint16
+with 0 at primes, and only PrimeTable reads it; the primes are int32.
+Tables are immutable once built.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import namedtuple
-
-import numpy as np
 
 from .errors import CapacityError, InvariantViolation
 from .integers import OrderTable, _primes_to
@@ -36,6 +38,26 @@ if math.isqrt(SIEVE_CAPACITY) >= 2**16:
     raise InvariantViolation("core-arith: SIEVE_CAPACITY puts least factors past uint16")
 if SIEVE_CAPACITY >= 2**31:
     raise InvariantViolation("core-arith: SIEVE_CAPACITY puts primes past int32")
+
+
+def _lazy_module(name: str):
+    """The module `name`, whose code runs on its first attribute access and
+    not here (the LazyLoader recipe of the importlib docs); after that it is
+    the ordinary module, the one object in sys.modules.  A module already
+    imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 
 class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):

@@ -11,8 +11,10 @@ reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
 path; the packaged seed cache is always loaded underneath it.  Beyond the
 integer core and the factor cache, each command imports the modules it
-runs, so the exact commands (order, factor, k-exact, greedy, construct,
-and reproduce for dense and section9) never load numpy.
+runs, and the array layer's numpy runs only on the first array, so the
+exact commands (order, factor, k-exact, greedy, construct,
+series-transcendental, series --mode exact, and reproduce for dense and
+section9) never run numpy.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
+from .arith import np
 from .errors import ContractError
 
 MODELS = ("bounded", "k_loglogr", "k_logdelta", "k_log")  # slow -> fast

@@ -4,7 +4,8 @@ Primality, factoring, divisors, Möbius and totient, p-adic valuations,
 multiplicative orders of 2 with their memo, exponent lifting and cyclotomic
 values Phi_n(2).  Everything is plain Python integers and the module needs
 only the standard library, so the commands built on it (k-exact, order,
-factor, greedy, construct) start without numpy; the sieves and bulk orders
+factor, greedy, construct, series-transcendental, exact-mode series) run
+without numpy, which loads on the first array; the sieves and bulk orders
 that need arrays are in `arith`.  All factoring, of p - 1 here and of
 2^m - 1 in `mersenne`, goes through factor_by_trial: trial division, then
 per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to

@@ -27,9 +27,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import SIEVE_CAPACITY
+from .arith import SIEVE_CAPACITY, np
 from .errors import CapacityError, ContractError, InvariantViolation
 from .fitting import _linear_fit
 from .integers import OrderTable, divisors, moebius, ord_p, ord_p_mersenne

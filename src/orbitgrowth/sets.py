@@ -40,9 +40,8 @@ import math
 import random
 from collections import namedtuple
 
-import numpy as np
-
-from .arith import ORDER_CHUNK, SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, sieve_primes
+from .arith import (ORDER_CHUNK, SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, np,
+                    sieve_primes)
 from .errors import CapacityError, ContractError, InvariantViolation
 from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
                        mult_order, ord_p)

@@ -4,7 +4,9 @@ method and property has a caller outside the tests, the integer core and
 the modules above it import no array code when they load, the CLI does
 not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
 command needs it, and neither it nor the factor cache loads dataclasses,
-which no module imports.
+which no module imports.  No module imports numpy when it loads: the array
+layer shares one lazily loaded numpy, located by name in one place, whose
+code runs on the first array, so the exact paths never run it.
 Every name the benchmark imports from the package exists, and so does every
 attribute it reads off such a function's result.
 
@@ -14,6 +16,7 @@ or lists it in `__all__`; `from __future__` imports bind nothing.
 
 import ast
 import importlib
+import json
 import os
 import typing
 import subprocess
@@ -261,13 +264,69 @@ def test_integer_core_loads_no_array_code():
             if module.split(".")[0] == "numpy" or module in ARRAY_LAYER] == []
 
 
-def run_child(code: str, *argv: str) -> str:
+def numpy_lookups(source: str) -> list[str]:
+    """`where:callee` of every call in the source that is passed the name of
+    numpy or of one of its submodules: the function that makes the call
+    (`<module>` at top level) and the function called."""
+    out = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and any(
+                    isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    and arg.value.split(".")[0] == "numpy"
+                    for arg in child.args):
+                out.append(f"{where}:{ast.unparse(child.func)}")
+            walk(child, where)
+
+    walk(ast.parse(source), "<module>")
+    return out
+
+
+def test_numpy_lookup_checker():
+    source = ("np = lazy('numpy')\n"
+              "def f():\n    return importlib.import_module('numpy.linalg')\n"
+              "def g():\n    return lazy('numbers'), print(np)\n")
+    assert numpy_lookups(source) == ["<module>:lazy",
+                                     "f:importlib.import_module"]
+
+
+# numpy costs about 0.1 s of every cold process that runs it.  No module
+# imports it when it loads, so importing the array layer costs no numpy: a
+# later top-level `import numpy` would bring the cost back to every process
+# that imports the layer, and would pass every output test.
+def test_no_module_imports_numpy_when_it_loads():
+    assert [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for module, line in import_time_modules(path)
+            if module.split(".")[0] == "numpy"] == []
+
+
+# The array layer binds `np` from `arith`, whose one lazy module runs
+# numpy's code on the first attribute read.  An import of numpy anywhere
+# else, even in a function body, would be a second way in.
+def test_numpy_is_located_in_one_place():
+    assert [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for module, line in imported_modules(path)
+            if module.split(".")[0] == "numpy"] == []
+    assert [f"{path.name}:{where}" for path in sorted(PACKAGE.glob("*.py"))
+            for where in numpy_lookups(path.read_text(encoding="utf-8"))
+            ] == ["arith.py:<module>:_lazy_module"]
+
+
+def run_child(code: str, *argv: str, flags: tuple[str, ...] = ()) -> str:
+    """The last stdout line of a fresh interpreter running `code`, started
+    with the interpreter `flags`; it must exit 0 and, given flags, write
+    nothing to stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert not flags or proc.stderr == ""
     return proc.stdout.splitlines()[-1]
 
 
@@ -318,8 +377,98 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
                  ["--cache", cache, "factor", "--exponent", "29"],
                  ["greedy", "--target", "3/4", "--eps", "1/10"],
                  ["construct", "rn", "--delta", "1/2"],
+                 ["series-transcendental", "--ell", "3", "--terms", "4"],
                  ["reproduce", "--theorem", "dense"],
                  ["reproduce", "--theorem", "section9"]):
         assert run_child(AFTER_COMMAND, *argv) == "0 False", argv
     # ... while one that builds an array loads it, so the probe can see it.
     assert run_child(AFTER_COMMAND, "sieve", "--limit", "100") == "0 True"
+
+
+# Whether numpy's code has run.  The array layer's numpy is a lazy module,
+# so after `import orbitgrowth.sets` the name 'numpy' is in sys.modules
+# before numpy has run; numpy._core is imported only when it does.
+NUMPY_RAN = "'numpy._core' in sys.modules"
+
+# Runs the CLI on its arguments, then prints whether numpy's code ran.
+AFTER_COMMAND_RAN = AFTER_COMMAND.replace("'numpy' in sys.modules", NUMPY_RAN)
+
+
+def test_array_layer_import_runs_no_numpy():
+    assert run_child("import sys\n"
+                     "import orbitgrowth.arith, orbitgrowth.sets\n"
+                     "import orbitgrowth.mertens, orbitgrowth.fitting\n"
+                     f"print('numpy' in sys.modules, {NUMPY_RAN})") == "True False"
+
+
+INDUCED_SPEC = {"kind": "induced",
+                "order_set": {"kind": "multiples_of", "ells": [3]}}
+FINITE_SPEC = {"kind": "explicit_finite", "primes": [3, 7]}
+
+
+@pytest.mark.parametrize("spec", [INDUCED_SPEC, FINITE_SPEC],
+                         ids=["induced", "finite"])
+def test_exact_series_runs_no_numpy(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_child(AFTER_COMMAND_RAN, "series", "--spec", str(path),
+                     "--n-max", "120", "--mode", "exact",
+                     "--out", str(tmp_path / "series.csv"),
+                     flags=("-W", "error")) == "0 False"
+
+
+# numpy's code runs once, on the first array: under -W error a second run of
+# its core would fail on numpy's "module was reloaded" warning.
+def test_commands_that_make_arrays_run_numpy(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(INDUCED_SPEC), encoding="utf-8")
+    for argv in (["sieve", "--limit", "100"],
+                 ["series", "--spec", str(path), "--n-max", "100",
+                  "--mode", "dominant", "--out", str(tmp_path / "series.csv")],
+                 ["set-density", "--spec", str(path), "--limit", "1000"]):
+        assert run_child(AFTER_COMMAND_RAN, *argv,
+                         flags=("-W", "error")) == "0 True", argv
+
+
+# What the benchmark's three exact_cache processes call, in one process:
+# factoring into a fresh cache file, reading it back, exact Mertens series,
+# the strata against the direct sum, and an exact k_S.
+EXACT_CACHE_CALLS = f"""
+import sys
+from orbitgrowth.arith import OrderTable
+from orbitgrowth.constants import k_exact_finite_s
+from orbitgrowth.mersenne import FactorCache, factor_mersenne
+from orbitgrowth.mertens import decompose_lcm_closed, f_series_direct, mertens_exact
+from orbitgrowth.sets import InducedPrimes, order_set_from_json, prime_set_from_json
+
+path = sys.argv[1]
+cache = FactorCache(path=path)
+for m in (131, 143):  # past the seed cache, which ends at 128
+    factor_mersenne(m, cache)
+assert cache.flush() == 2
+cache, orders = FactorCache(path=path), OrderTable()
+assert 131 in cache and 143 in cache
+for spec in {[INDUCED_SPEC, FINITE_SPEC]!r}:
+    mertens_exact(120, prime_set_from_json(spec), orders, cache)
+oset = order_set_from_json({{"kind": "ell_powers", "ell": 2}})
+dec, _ = decompose_lcm_closed(120, oset, orders, cache)
+assert dec.samples == f_series_direct(120, InducedPrimes(oset), orders, cache).samples
+assert str(k_exact_finite_s([3, 7]).value) == "269/576"
+print({NUMPY_RAN})
+"""
+
+
+def test_exact_cache_calls_run_no_numpy(tmp_path):
+    assert run_child(EXACT_CACHE_CALLS, str(tmp_path / "cache.jsonl"),
+                     flags=("-W", "error")) == "False"
+
+
+# One numpy object, whichever side imports it first.
+@pytest.mark.parametrize("imports", [
+    "import numpy\nfrom orbitgrowth import sets\n",
+    "from orbitgrowth import sets\nimport numpy\n"],
+    ids=["numpy_first", "sets_first"])
+def test_lazy_numpy_is_the_imported_numpy(imports):
+    assert run_child("import sys\n" + imports + "z = numpy.zeros(3)\n"
+                     "print(sys.modules['numpy'] is sets.np is numpy, z.tolist())",
+                     flags=("-W", "error")) == "True [0.0, 0.0, 0.0]"
