@@ -150,7 +150,8 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """m_p for every p of an array of odd primes <= table.limit, as int64.
+    """m_p for every p of an array of odd primes <= table.limit, as int32,
+    exact as m_p < p <= table.limit < 2^31.
 
     The 2-part of m_p comes from p mod 8 and, at p = 1 mod 8, from a climb
     on q = 2; the odd part of p-1 is factored by table.least_factors, and
@@ -171,7 +172,7 @@ def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:
     primes = np.asarray(primes)
     if primes.size and (primes.min() < 3 or primes.max() > table.limit):
         raise ValueError(msg)
-    out = np.empty(primes.size, dtype=np.int64)
+    out = np.empty(primes.size, dtype=np.int32)
     for lo in range(0, primes.size, ORDER_CHUNK):
         chunk = primes[lo : lo + ORDER_CHUNK].astype(np.uint64)
         if np.any(table.least_factors(chunk) != chunk):

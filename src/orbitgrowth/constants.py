@@ -366,6 +366,9 @@ def rn_recursion(
     The giant intervals (2^(R_n), 2^(R_n r_n)] are never enumerated; the
     third invariant is checked against the modeled interval sum, with the
     ln 2 of both sides cancelled: R_n r_n |b_n| <= 4 a' Y 2^(-floor(n/2)).
+
+    a' is a_prime, or derived with Y from a target product c over the blocks
+    X = x (default 3) < m <= Y, or else the middle of its window at Y.
     """
     delta = Fraction(delta)
     if not (0 < delta <= 1):
@@ -382,7 +385,12 @@ def rn_recursion(
         raise CapacityError(
             f"constants: n_max {n_max} exceeds capacity bound {RN_CAPACITY}"
         )
-    if a_prime is None and c is not None:
+    if x is not None and c is None:
+        raise ContractError("constants: x (--x) is read only by the c route; "
+                            "give c (--c) too")
+    if c is not None and a_prime is not None:
+        raise ContractError("constants: give a' (--a-prime) or c (--c), not both")
+    if c is not None:
         # The c route derives its own cut Y; the y argument is ignored then.
         a_prime, y = _a_prime_from_c(Fraction(c), delta, x if x is not None else 3)
     lo, hi = a_prime_window(delta, y)

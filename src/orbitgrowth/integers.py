@@ -85,11 +85,6 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
-def primality_certified(n: int) -> bool:
-    """True when is_probable_prime is a proof rather than 40-round evidence."""
-    return n < MR_PROVEN_BOUND
-
-
 # factorize trial-divides by the primes up to TRIAL_LIMIT.  _primes holds
 # the primes up to _sieved_to and grows on demand.
 TRIAL_LIMIT = 10**5

@@ -31,10 +31,10 @@ from itertools import chain
 from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolation
 from .integers import (
     FACTORIZE_BUDGET,
+    MR_PROVEN_BOUND,
     OrderTable,
     divisors,
     factor_by_trial,
-    primality_certified,
     progression_segments,
 )
 
@@ -44,7 +44,7 @@ SEED_RESOURCE = "mersenne_m128.jsonl"
 MERSENNE_CAPACITY = 1000
 
 
-class MersenneFactorization(namedtuple("MersenneFactorization", "m factors certified")):
+class MersenneFactorization(namedtuple("MersenneFactorization", "m factors")):
     """Complete factorization of 2^m - 1, product-checked at construction.
 
     `factors` lists ascending (prime, exponent) pairs; `certified` says all
@@ -53,7 +53,7 @@ class MersenneFactorization(namedtuple("MersenneFactorization", "m factors certi
 
     __slots__ = ()
 
-    def __new__(cls, m: int, factors: tuple[tuple[int, int], ...], certified: bool):
+    def __new__(cls, m: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 1
         for p, e in factors:
@@ -67,7 +67,11 @@ class MersenneFactorization(namedtuple("MersenneFactorization", "m factors certi
             raise InvariantViolation(
                 f"mersenne-factors: product check failed for m={m}"
             )
-        return super().__new__(cls, m, factors, certified)
+        return super().__new__(cls, m, factors)
+
+    @property
+    def certified(self) -> bool:
+        return not self.factors or self.factors[-1][0] < MR_PROVEN_BOUND
 
     @property
     def value(self) -> int:
@@ -93,11 +97,7 @@ def _from_json_line(line: str, lineno: int, source: str) -> MersenneFactorizatio
             f"mersenne-factors: {source} line {lineno}: malformed entry ({exc})"
         ) from exc
     try:
-        fz = MersenneFactorization(
-            m=m,
-            factors=factors,
-            certified=all(primality_certified(p) for p, _ in factors),
-        )
+        fz = MersenneFactorization(m=m, factors=factors)
     except InvariantViolation as exc:
         raise ValueError(
             f"mersenne-factors: {source} line {lineno}: failed the product check"
@@ -250,11 +250,7 @@ def factor_mersenne(
         found.update(primitive)
         raise out_of_time(cofactors) from None
 
-    fz = MersenneFactorization(
-        m=m,
-        factors=tuple(sorted(found.items())),
-        certified=all(primality_certified(p) for p in found),
-    )
+    fz = MersenneFactorization(m=m, factors=tuple(sorted(found.items())))
     if cache is not None:
         cache.put(fz)
     return fz

@@ -15,10 +15,12 @@ Two evaluation regimes:
     two uint64 divisions by 2^63 and by the remainder times 2^33, and
     combines the sums of the two as exact Python ints.
 
-The same accumulator gives squarefree_slope, the harmonic sum over the
-squarefree n.  The decomposition of F_S(N) into strata, one for each
-mbar_n that occurs, takes any order set and is implemented independently
-of the direct sum so the two code paths can cross-validate each other.
+squarefree_slope is a dominant sum too: the squarefree n are those outside
+squarefree_augmented over the empty list.  The decomposition of F_S(N) into
+strata, one for each mbar_n that occurs, takes any order set and is
+implemented independently of the direct sum so the two code paths can
+cross-validate each other.  Both ask the order set for membership, which
+it decides once per n and remembers.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .integers import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 from .sets import (
     ExplicitFinitePrimes,
+    ExplicitList,
     InducedPrimes,
     OrderSet,
     PrimeSet,
-    squarefree_mask,
+    SquarefreeAugmented,
 )
 
 FRAC_BITS = 96
@@ -94,62 +97,42 @@ def _normalize_prime_set(s) -> PrimeSet:
 # The strata: n is charged to mbar_n, the lcm of the orders of M it realizes.
 
 
-def _realized_divisors(
-    n: int, oset: OrderSet, member: dict[int, bool] | None
-) -> list[int]:
+def _realized_divisors(n: int, oset: OrderSet) -> list[int]:
     """The divisors of n in M that are the order of some prime: all but 1
-    and 6, since 2^1 - 1 and 2^6 - 1 have no primitive prime.  `member`,
-    when given, memoizes d -> oset.contains(d), which factors d, across the
-    calls of one series."""
-    member = {} if member is None else member
-    out = []
-    for d in divisors(n):
-        if d not in member:
-            member[d] = d not in (1, 6) and oset.contains(d)
-        if member[d]:
-            out.append(d)
-    return out
+    and 6, since 2^1 - 1 and 2^6 - 1 have no primitive prime.  The order
+    set decides each d once, however many series and n ask."""
+    return [d for d in divisors(n) if d not in (1, 6) and oset.contains(d)]
 
 
-def mbar_of(n: int, oset: OrderSet, member: dict[int, bool] | None = None) -> int:
-    """lcm of the realized orders in M dividing n (empty lcm = 1); `member`
-    as in _realized_divisors."""
-    return math.lcm(*_realized_divisors(n, oset, member))
+def mbar_of(n: int, oset: OrderSet) -> int:
+    """lcm of the realized orders in M dividing n (empty lcm = 1)."""
+    return math.lcm(*_realized_divisors(n, oset))
 
 
 def s_mbar(
-    mbar: int,
-    oset: OrderSet,
-    cache: FactorCache,
-    orders: OrderTable,
-    member: dict[int, bool] | None = None,
+    mbar: int, oset: OrderSet, cache: FactorCache, orders: OrderTable
 ) -> dict[int, int]:
     """The finite stratum set S_mbar as {p: e_p}, the union of the primitive
     classes of the realized divisors of mbar; each class is registered in
-    orders, and `member` is as in _realized_divisors."""
+    orders."""
     out: dict[int, int] = {}
-    for d in _realized_divisors(mbar, oset, member):
+    for d in _realized_divisors(mbar, oset):
         out.update(primitive_primes(d, cache, orders))
     return out
 
 
 def _removal_exponents(
-    n: int,
-    pset: PrimeSet,
-    orders: OrderTable,
-    cache: FactorCache | None,
-    member: dict[int, bool],
+    n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
 ) -> dict[int, int]:
     """{p: ord_p(2^n - 1)} over the members p of S that may divide 2^n - 1:
-    all of a finite S, the stratum S_n of an induced one, whose order-set
-    membership `member` memoizes."""
+    all of a finite S, the stratum S_n of an induced one."""
     if isinstance(pset, ExplicitFinitePrimes):
         return {p: ord_p_mersenne(p, n, orders) for p in pset.primes}
     if isinstance(pset, InducedPrimes):
         if cache is None:
             raise ContractError("mertens-engine: induced sets need a factor cache")
         return {p: ord_p_mersenne(p, n, orders)
-                for p in s_mbar(n, pset.order_set, cache, orders, member)}
+                for p in s_mbar(n, pset.order_set, cache, orders)}
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
@@ -159,18 +142,14 @@ def periodic_points(
     """F(n) = (2^n - 1) prod_{p in S} |2^n - 1|_p, as an exact integer."""
     if n < 1:
         raise ContractError(f"mertens-engine: period must be >= 1, got {n}")
-    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable(), cache, {})
+    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable(), cache)
 
 
 def _periodic_points(
-    n: int,
-    pset: PrimeSet,
-    orders: OrderTable,
-    cache: FactorCache | None,
-    member: dict[int, bool],
+    n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
 ) -> int:
     removal = 1
-    for p, e in _removal_exponents(n, pset, orders, cache, member).items():
+    for p, e in _removal_exponents(n, pset, orders, cache).items():
         removal *= p**e
     q, r = divmod((1 << n) - 1, removal)
     if r:
@@ -225,9 +204,8 @@ def mertens_exact(
     pset = _normalize_prime_set(s)
     mu = [0] + [moebius(j) for j in range(1, n_max + 1)]
     totals = [0] * (n_max + 1)  # totals[n] = sum_{d|n} mu(n/d) F(d)
-    member: dict[int, bool] = {}
     for d in range(1, n_max + 1):
-        f = _periodic_points(d, pset, orders, cache, member)
+        f = _periodic_points(d, pset, orders, cache)
         for j in range(1, n_max // d + 1):
             totals[d * j] += mu[j] * f
     num = 0
@@ -370,22 +348,20 @@ SquarefreeSlope = namedtuple("SquarefreeSlope", "n_max total slope samples")
 def squarefree_slope(n_max: int) -> SquarefreeSlope:
     """Sum of 1/n over squarefree n <= N and its slope against log N.
 
-    Sampled on the dyadic grid; the regression uses points >= 2^10 to skip
-    the early transient (below two grid points the slope is NaN).  Fixed
-    point accumulation (96 fractional bits).
+    The squarefree n are exactly those outside squarefree_augmented over
+    the empty list, a set closed under multiplication by the naturals, so
+    the sum is that set's dominant_sum, which checks n_max.  Sampled on
+    the dyadic grid; the regression uses points >= 2^10 to skip the early
+    transient (below two grid points the slope is NaN).
     """
-    if n_max < 1:
-        raise ContractError("mertens-engine: n_max must be >= 1")
-    if n_max > SIEVE_CAPACITY:
-        raise CapacityError(f"mertens-engine: {n_max} over capacity")
     grid = []
     g = 64
     while g < n_max:
         grid.append(g)
         g *= 2
     grid.append(n_max)
-    accs = _harmonic_fixed_point(squarefree_mask, grid)
-    samples = [(g, acc / _SCALE) for g, acc in zip(grid, accs)]
+    series = dominant_sum(n_max, SquarefreeAugmented(ExplicitList([])), grid)
+    samples = series.float_samples()
     fit_pts = [(g, v) for g, v in samples if g >= 1024]
     if len(fit_pts) < 2:
         fit_pts = samples
@@ -396,7 +372,7 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
                                   np.array([v for _, v in fit_pts]))
     return SquarefreeSlope(
         n_max=n_max,
-        total=Fraction(accs[-1], _SCALE),
+        total=series.samples[-1][1],
         slope=slope,
         samples=tuple(samples),
     )
@@ -425,14 +401,13 @@ def decompose_lcm_closed(
         raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
     grid = set(_sample_grid(n_max, None))
-    member: dict[int, bool] = {}
     strata: dict[int, tuple[dict[int, int], int]] = {}  # mbar -> (S_mbar, denom)
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
-        mbar = mbar_of(n, oset, member)
+        mbar = mbar_of(n, oset)
         if mbar not in strata:
-            stratum = s_mbar(mbar, oset, cache, orders, member)
+            stratum = s_mbar(mbar, oset, cache, orders)
             denom = mbar
             for p in stratum:
                 denom *= p ** ord_p_mersenne(p, mbar, orders)
@@ -460,12 +435,11 @@ def f_series_direct(
     grid = set(_sample_grid(n_max, None))
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
-    member: dict[int, bool] = {}
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
         denom = n
-        for p, e in _removal_exponents(n, pset, orders, cache, member).items():
+        for p, e in _removal_exponents(n, pset, orders, cache).items():
             denom *= p**e
         acc += Fraction(1, denom)
         if n in grid:

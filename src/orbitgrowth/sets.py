@@ -12,9 +12,11 @@ progressions segment by segment.  interval_L and estimate_density check N
 against SIEVE_CAPACITY too.
 
 An order set is a subset of the naturals; the induced prime set is
-S_M = {odd primes p : m_p in M}.  Membership is exact and total; bulk
-membership over a window [lo, hi) is served by numpy sieves so that
-dominant sums never need factorizations.  The one closure flag, closure under
+S_M = {odd primes p : m_p in M}.  Membership is exact and total, and the
+order set is the one place that decides it: contains factors each n once
+per instance and remembers the answer.  Bulk membership over a window
+[lo, hi) is served by numpy sieves so that dominant sums never need
+factorizations.  The one closure flag, closure under
 multiplication by the naturals, is a fact of the code: a class attribute,
 False for a nonempty explicit list, and a squarefree_augmented base's flag.
 A JSON spec cannot claim it, so loading a spec tests nothing and draws no
@@ -31,7 +33,9 @@ Order-set kinds: explicit_list, prime_list, multiples_of (finite ells or an
 ell_set prime source), complement_multiples_of, composite_numbers,
 prime_numbers, ell_powers, squarefree_augmented, congruence_primes,
 omega_bounded.  Prime sources: {"kind": "list", ...} and
-{"kind": "congruence_primes", "modulus": q, "residues": [...]}.
+{"kind": "congruence_primes", "modulus": q, "residues": [...]}.  One class,
+CongruenceSource, is both that prime source and the congruence_primes
+order set.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ import math
 import random
 from collections import namedtuple
 
-from .arith import (ORDER_CHUNK, SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, np,
-                    sieve_primes)
+from .arith import SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, np, sieve_primes
 from .errors import CapacityError, ContractError, InvariantViolation
 from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
                        mult_order, ord_p)
@@ -78,22 +81,12 @@ def prime_mask(lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def _mark_prime_squares(out: np.ndarray, lo: int, hi: int, value: bool) -> None:
-    """Set out[n - lo] = value at every n in [lo, hi) divisible by a prime
-    square, one slice per p^2 < hi from the window's first multiple."""
+def _mark_prime_squares(out: np.ndarray, lo: int, hi: int) -> None:
+    """Set out[n - lo] at every n in [lo, hi) divisible by a prime square,
+    one slice per p^2 < hi from the window's first multiple."""
     for p in _primes_to(math.isqrt(hi - 1)):
         q = p * p
-        out[-lo % q :: q] = value
-
-
-def squarefree_mask(lo: int, hi: int) -> np.ndarray:
-    """Boolean array over [lo, hi); True at squarefree n (True at 1)."""
-    _check_window(lo, hi)
-    mask = np.ones(hi - lo, dtype=bool)
-    _mark_prime_squares(mask, lo, hi, False)
-    if lo == 0:
-        mask[0] = False
-    return mask
+        out[-lo % q :: q] = True
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +180,111 @@ class ListSource(PrimeSource):
         return {"kind": "list", "primes": list(self.primes)}
 
 
+def _field(obj, key: str):
+    """obj[key] of a JSON spec, or a ContractError naming the kind and field."""
+    if not isinstance(obj, dict):
+        raise ContractError(f"prime-sets: a spec must be a JSON object, "
+                            f"got {type(obj).__name__}")
+    if key not in obj:
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} spec needs field {key!r}")
+    return obj[key]
+
+
+def _int(obj, key: str) -> int:
+    """An integer field of a JSON spec (JSON true/false are not integers)."""
+    value = _field(obj, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
+                            f"must be an integer, got {value!r}")
+    return value
+
+
+def _ints(obj, key: str) -> list[int]:
+    """A list-of-integers field of a JSON spec."""
+    value = _field(obj, key)
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
+                            f"must be a list of integers, got {value!r}")
+    return value
+
+
+def prime_source_from_json(obj: dict) -> PrimeSource:
+    kind = _field(obj, "kind")
+    if kind == "list":
+        return ListSource(_ints(obj, "primes"))
+    if kind == "congruence_primes":
+        return CongruenceSource(_int(obj, "modulus"), _ints(obj, "residues"))
+    raise ContractError(f"prime-sets: unknown prime source kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Order sets.
+
+
+class OrderSet:
+    kind = "abstract"
+    # dominant_sum needs closure under multiplication by the naturals; a
+    # flag claimed False only narrows what it accepts.  The stratified
+    # decomposition takes every order set and needs no flag.
+    closed_under_nat_multiplication = False
+
+    # Membership --------------------------------------------------------
+    def contains(self, n: int) -> bool:
+        """Whether n is a member; each instance factors and decides each n
+        once, and the exact series' walks over divisors reuse the answer."""
+        if n < 1:
+            raise ContractError(f"prime-sets: order-set membership needs n >= 1")
+        decided = self.__dict__.setdefault("_decided", {})
+        if n not in decided:
+            decided[n] = self._member(n, factorize(n))
+        return decided[n]
+
+    def _member(self, n: int, fac: dict[int, int]) -> bool:
+        raise NotImplementedError
+
+    def indicator(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean membership array over the window [lo, hi), 0 <= lo < hi
+        (n = 0 is no member), new on each call, so the caller may write into
+        it.  The mask over [0, N] is the window (0, N + 1)."""
+        _check_window(lo, hi)
+        out = self._window(lo, hi)
+        if lo == 0:
+            out[0] = False
+        return out
+
+    def _window(self, lo: int, hi: int) -> np.ndarray:
+        """indicator without the check of the window, and with any entry at
+        n = 0, which indicator clears."""
+        raise NotImplementedError
+
+    # Serialization ------------------------------------------------------
+    def to_json(self) -> dict:
+        raise NotImplementedError
+
+    def label(self) -> str:
+        return str(self.to_json())
+
+    def __repr__(self):
+        return f"OrderSet({self.to_json()})"
+
+
 # Integers past the current reach that a CongruenceSource sieves at least,
 # so that windows walked in order extend its primes a few times, not once
 # per window.
 _SOURCE_SPAN = 1 << 22
 
 
-class CongruenceSource(PrimeSource):
-    """Primes p with p mod modulus in residues.
+class CongruenceSource(PrimeSource, OrderSet):
+    """Primes p with p mod modulus in residues: the prime source of a
+    multiples_of or omega_bounded, and the order set congruence_primes.
 
     The primes found so far are kept: the first _count entries of _found
     are those up to _reach, and a request past _reach sieves on from there.
     """
+
+    kind = "congruence_primes"
+    closed_under_nat_multiplication = False
 
     def __init__(self, modulus: int, residues):
         if modulus < 2:
@@ -233,6 +319,15 @@ class CongruenceSource(PrimeSource):
 
     def contains_prime(self, p: int) -> bool:
         return p % self.modulus in self.residues
+
+    def _member(self, n, fac):
+        return sum(fac.values()) == 1 and self.contains_prime(n)
+
+    def _window(self, lo, hi):
+        out = np.zeros(hi - lo, dtype=bool)
+        p = self.primes_up_to(hi - 1)
+        out[p[np.searchsorted(p, np.int32(lo)) :] - lo] = True
+        return out
 
     def contains_primes(self, p):
         # Every p is below a modulus past capacity, so is its own residue.
@@ -292,90 +387,6 @@ class CongruenceSource(PrimeSource):
             "modulus": self.modulus,
             "residues": list(self.residues),
         }
-
-
-def _field(obj, key: str):
-    """obj[key] of a JSON spec, or a ContractError naming the kind and field."""
-    if not isinstance(obj, dict):
-        raise ContractError(f"prime-sets: a spec must be a JSON object, "
-                            f"got {type(obj).__name__}")
-    if key not in obj:
-        raise ContractError(f"prime-sets: {obj.get('kind')!r} spec needs field {key!r}")
-    return obj[key]
-
-
-def _int(obj, key: str) -> int:
-    """An integer field of a JSON spec (JSON true/false are not integers)."""
-    value = _field(obj, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
-                            f"must be an integer, got {value!r}")
-    return value
-
-
-def _ints(obj, key: str) -> list[int]:
-    """A list-of-integers field of a JSON spec."""
-    value = _field(obj, key)
-    if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value):
-        raise ContractError(f"prime-sets: {obj.get('kind')!r} field {key!r} "
-                            f"must be a list of integers, got {value!r}")
-    return value
-
-
-def prime_source_from_json(obj: dict) -> PrimeSource:
-    kind = _field(obj, "kind")
-    if kind == "list":
-        return ListSource(_ints(obj, "primes"))
-    if kind == "congruence_primes":
-        return CongruenceSource(_int(obj, "modulus"), _ints(obj, "residues"))
-    raise ContractError(f"prime-sets: unknown prime source kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Order sets.
-
-
-class OrderSet:
-    kind = "abstract"
-    # dominant_sum needs closure under multiplication by the naturals; a
-    # flag claimed False only narrows what it accepts.  The stratified
-    # decomposition takes every order set and needs no flag.
-    closed_under_nat_multiplication = False
-
-    # Membership --------------------------------------------------------
-    def contains(self, n: int) -> bool:
-        if n < 1:
-            raise ContractError(f"prime-sets: order-set membership needs n >= 1")
-        return self._member(n, factorize(n))
-
-    def _member(self, n: int, fac: dict[int, int]) -> bool:
-        raise NotImplementedError
-
-    def indicator(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean membership array over the window [lo, hi), 0 <= lo < hi
-        (n = 0 is no member), new on each call, so the caller may write into
-        it.  The mask over [0, N] is the window (0, N + 1)."""
-        _check_window(lo, hi)
-        out = self._window(lo, hi)
-        if lo == 0:
-            out[0] = False
-        return out
-
-    def _window(self, lo: int, hi: int) -> np.ndarray:
-        """indicator without the check of the window, and with any entry at
-        n = 0, which indicator clears."""
-        raise NotImplementedError
-
-    # Serialization ------------------------------------------------------
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def label(self) -> str:
-        return str(self.to_json())
-
-    def __repr__(self):
-        return f"OrderSet({self.to_json()})"
 
 
 class ExplicitList(OrderSet):
@@ -592,35 +603,11 @@ class SquarefreeAugmented(OrderSet):
 
     def _window(self, lo, hi):
         out = self.base.indicator(lo, hi)
-        _mark_prime_squares(out, lo, hi, True)
+        _mark_prime_squares(out, lo, hi)
         return out
 
     def to_json(self):
         return {"kind": "squarefree_augmented", "base": self.base.to_json()}
-
-
-class CongruencePrimes(OrderSet):
-    """Primes in fixed residue classes, viewed as an order set."""
-
-    kind = "congruence_primes"
-    closed_under_nat_multiplication = False
-
-    def __init__(self, modulus: int, residues):
-        self.source = CongruenceSource(modulus, residues)
-
-    def _member(self, n, fac):
-        return sum(fac.values()) == 1 and self.source.contains_prime(n)
-
-    def _window(self, lo, hi):
-        out = np.zeros(hi - lo, dtype=bool)
-        p = self.source.primes_up_to(hi - 1)
-        out[p[np.searchsorted(p, np.int32(lo)) :] - lo] = True
-        return out
-
-    def to_json(self):
-        j = self.source.to_json()
-        return {"kind": "congruence_primes", "modulus": j["modulus"],
-                "residues": j["residues"]}
 
 
 def _residues(m: int, d: np.ndarray) -> np.ndarray:
@@ -724,9 +711,7 @@ _ORDER_KINDS = {
     "composite_numbers": lambda o: CompositeNumbers(),
     "prime_numbers": lambda o: PrimeNumbers(),
     "ell_powers": lambda o: EllPowers(_int(o, "ell")),
-    "congruence_primes": lambda o: CongruencePrimes(
-        _int(o, "modulus"), _ints(o, "residues")
-    ),
+    "congruence_primes": prime_source_from_json,  # same spec and class as the source
     "omega_bounded": lambda o: OmegaBounded(
         _int(o, "r"), prime_source_from_json(_field(o, "ell_set")), _int(o, "m")
     ),
@@ -823,12 +808,11 @@ class DensityEstimate(namedtuple("DensityEstimate", "limit member_count total_co
 def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
     """Share of odd primes <= limit lying in the set.
 
-    Induced sets take every m_p from bulk passes of ORDER_CHUNK primes,
-    kept as int32 (m_p < p <= limit < 2^31), after a seeded sample of
-    CROSS_CHECKS of them agrees with scalar mult_order, and count
-    membership with one gather from the order set's indicator.  The m_p
-    lie all over [1, limit], so that indicator is the one window
-    (0, limit + 1).
+    Induced sets take every m_p from one mult_orders call, as int32, and
+    once a seeded sample of CROSS_CHECKS of them agrees with scalar
+    mult_order, count membership with one gather from the order set's
+    indicator.  The m_p lie all over [1, limit], so that indicator is the
+    one window (0, limit + 1).
     """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
@@ -838,9 +822,7 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
         listed = np.array([p for p in pset.primes if p <= limit], dtype=np.int64)
         members = np.count_nonzero(np.isin(odd_primes, listed))
         return DensityEstimate(limit, int(members), odd_primes.size)
-    orders = np.empty(odd_primes.size, dtype=np.int32)
-    for lo in range(0, odd_primes.size, ORDER_CHUNK):
-        orders[lo : lo + ORDER_CHUNK] = mult_orders(odd_primes[lo : lo + ORDER_CHUNK], table)
+    orders = mult_orders(odd_primes, table)
     del table  # only the primes are read from here on, not the least factors
     sample = random.Random(0).sample(range(odd_primes.size),
                                      min(CROSS_CHECKS, odd_primes.size))

@@ -203,7 +203,7 @@ class TestMultOrders:
         table = sieve_primes(10**5)
         primes = table.primes[1:]
         bulk = mult_orders(primes, table)
-        assert bulk.dtype == np.int64
+        assert bulk.dtype == np.int32
         assert bulk.tolist() == [mult_order(p) for p in primes.tolist()]
 
     @settings(max_examples=25, deadline=None)

@@ -339,6 +339,16 @@ class TestExitCodes:
         assert message in err
         assert time.monotonic() - t0 < 1.0
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--x", "7"], ["--x", "--c"]),
+        (["--c", "4/3", "--a-prime", "1/100"], ["--a-prime", "--c"]),
+    ], ids=["x_without_c", "c_with_a_prime"])
+    def test_construct_flag_conflict_is_2(self, capsys, flags, named):
+        # Either flag would otherwise be dropped without a word.
+        code, out, err = run(capsys, "construct", "rn", "--delta", "1/2", *flags)
+        assert code == 2 and out == ""
+        assert all(flag in err for flag in named), err
+
     def test_budget_stops_rho(self, capsys, tmp_path):
         # A positive budget must also hold once Brent rho is running.
         t0 = time.monotonic()

@@ -39,7 +39,6 @@ from orbitgrowth.sets import (
     OmegaBounded,
     SquarefreeAugmented,
     interval_L,
-    squarefree_mask,
 )
 
 
@@ -408,6 +407,18 @@ class TestRecursion:
         assert trace.all_ok
         assert trace.y != 50  # Y is derived from c, not taken from the argument
 
+    def test_x_without_c_is_contract_error(self):
+        # x is the start X of the c route's blocks; alone it would change
+        # nothing.
+        with pytest.raises(ContractError, match=r"x \(--x\).*c \(--c\)"):
+            rn_recursion(Fraction(1, 2), 50, 4, x=7)
+
+    def test_c_with_a_prime_is_contract_error(self):
+        # The c route derives a' itself, so a given a' would be dropped.
+        with pytest.raises(ContractError, match=r"--a-prime.*--c"):
+            rn_recursion(Fraction(1, 2), 50, 4, a_prime=Fraction(1, 100),
+                         c=Fraction(4, 3))
+
     @pytest.mark.parametrize("mode", ["idealized", "perturbed"])
     def test_unknown_sign_pattern_raises(self, mode):
         with pytest.raises(ContractError, match="unknown sign pattern"):
@@ -516,7 +527,10 @@ class TestSubsequence:
 
 class TestSquarefree:
     def test_count_to_100(self):
-        assert int(squarefree_mask(0, 101).sum()) == 61
+        # The 61 squarefree n <= 100 are the n >= 1 outside the
+        # non-squarefree set that squarefree_slope sums over.
+        non_squarefree = SquarefreeAugmented(ExplicitList([])).indicator(0, 101)
+        assert int(np.count_nonzero(~non_squarefree[1:])) == 61
 
     def test_unit_sum(self):
         assert squarefree_slope(1).total == 1
@@ -544,8 +558,8 @@ class TestSquarefree:
         assert sf.slope.hex() == "0x1.36d525ef57b9cp-1"
 
     def test_samples_match_dominant_sum(self):
-        # Both callers of the shared fixed-point accumulator: the squarefree
-        # n are exactly the non-members of squarefree_augmented(empty).
+        # squarefree_slope is this dominant sum: the squarefree n are
+        # exactly the non-members of squarefree_augmented(empty).
         n_max = 10**5
         grid = [64 << k for k in range(11)] + [n_max]
         oset = SquarefreeAugmented(ExplicitList([]))

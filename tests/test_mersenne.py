@@ -120,7 +120,14 @@ class TestFactorization:
 
     def test_product_check_rejects_bad_entry(self):
         with pytest.raises(Exception):
-            MersenneFactorization(m=11, factors=((23, 1), (97, 1)), certified=True)
+            MersenneFactorization(m=11, factors=((23, 1), (97, 1)))
+
+    def test_certified_is_the_largest_prime_below_the_proven_bound(self, cache):
+        # 2^89 - 1 is a prime past MR_PROVEN_BOUND; 2^1 - 1 has no prime.
+        assert [cache.get(m).certified for m in (1, 60, 89)] == [True, True, False]
+        for m in range(1, 129):
+            fz = cache.get(m)
+            assert fz.certified == all(p < integers.MR_PROVEN_BOUND for p in fz.primes())
 
 
 class TestCache:

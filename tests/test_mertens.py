@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitgrowth import sets
 from orbitgrowth.arith import SIEVE_CAPACITY
 from orbitgrowth.errors import CapacityError, ContractError
 from orbitgrowth.integers import OrderTable, divisors, is_probable_prime
@@ -472,19 +473,32 @@ class TestMbar:
         assert s_mbar(9, oset, cache, orders) == {7: 1, 73: 1}
 
     def test_membership_decided_once_per_series(self, orders, cache, monkeypatch):
-        # contains factors d; each series call decides it once per d, not
-        # once per divisor d of every n.
-        oset = ComplementMultiplesOf(3)
+        # _member decides a factored d; the order set asks it once per d,
+        # not once per divisor d of every n, so a fresh set per series sees
+        # each d once.
         asked = []
-        contains = ComplementMultiplesOf.contains
-        monkeypatch.setattr(ComplementMultiplesOf, "contains",
-                            lambda self, d: asked.append(d) or contains(self, d))
-        for run in (lambda: mertens_exact(120, InducedPrimes(oset), orders, cache),
-                    lambda: decompose_lcm_closed(120, oset, orders, cache),
-                    lambda: f_series_direct(120, InducedPrimes(oset), orders, cache)):
+        member = ComplementMultiplesOf._member
+        monkeypatch.setattr(ComplementMultiplesOf, "_member",
+                            lambda self, d, fac: asked.append(d) or member(self, d, fac))
+        for run in (lambda o: mertens_exact(120, InducedPrimes(o), orders, cache),
+                    lambda o: decompose_lcm_closed(120, o, orders, cache),
+                    lambda o: f_series_direct(120, InducedPrimes(o), orders, cache)):
             asked.clear()
-            run()
+            run(ComplementMultiplesOf(3))
             assert asked and len(asked) == len(set(asked))
+
+    def test_second_series_factors_no_d_again(self, orders, cache, monkeypatch):
+        # The first series decides every d <= 120 the others ask about.
+        oset = ComplementMultiplesOf(3)
+        first, _ = decompose_lcm_closed(120, oset, orders, cache)
+        factored = []
+        factorize = sets.factorize
+        monkeypatch.setattr(sets, "factorize",
+                            lambda n: factored.append(n) or factorize(n))
+        again = f_series_direct(120, InducedPrimes(oset), orders, cache)
+        mertens_exact(120, InducedPrimes(oset), orders, cache)
+        assert factored == []
+        assert again.samples == first.samples
 
 
 class TestRemainderBounds:

@@ -48,7 +48,7 @@ RECORDS = [
     SquarefreeSlope(64, Fraction(3), 0.6, ((64, 3.0),)),
     IntervalRecord(4, 16, 22, 2, 0.34, 0.35),
     DensityEstimate(100, 3, 24),
-    MersenneFactorization(11, ((23, 1), (89, 1)), True),
+    MersenneFactorization(11, ((23, 1), (89, 1))),
     CriterionResult("dense", True, 0.5, ["detail"]),
 ]
 IDS = [type(r).__name__ for r in RECORDS]

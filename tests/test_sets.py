@@ -13,7 +13,6 @@ from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
     CompositeNumbers,
-    CongruencePrimes,
     CongruenceSource,
     EllPowers,
     ExplicitFinitePrimes,
@@ -29,7 +28,6 @@ from orbitgrowth.sets import (
     order_set_from_json,
     prime_set_from_json,
     prime_mask,
-    squarefree_mask,
 )
 
 
@@ -108,8 +106,7 @@ def base_order_sets(draw):
     if kind == "ell_powers":
         return EllPowers(draw(st.integers(2, 12)))
     if kind == "congruence_primes":
-        source = draw(congruence_sources())
-        return CongruencePrimes(source.modulus, source.residues)
+        return draw(congruence_sources())
     return OmegaBounded(draw(st.integers(1, 4)), draw(prime_sources),
                         draw(st.integers(1, 60) | big))
 
@@ -135,12 +132,15 @@ BASE_KINDS = [
     PrimeNumbers(),
     EllPowers(2),
     EllPowers(6),
-    CongruencePrimes(4, [1]),
+    CongruenceSource(4, [1]),
     # m shares 2 and 3 with the source, and 5 is outside it.
     OmegaBounded(2, ListSource([2, 3, 7]), 2**3 * 3 * 5),
     OmegaBounded(1, CongruenceSource(4, [1, 3]), 12),
 ]
 ALL_KINDS = BASE_KINDS + [SquarefreeAugmented(k) for k in BASE_KINDS]
+
+# The non-squarefree n; squarefree_slope sums over the n outside it.
+NON_SQUAREFREE = SquarefreeAugmented(ExplicitList([]))
 
 
 # Every pair of naturals up to 60.
@@ -163,10 +163,10 @@ def closure_break(oset, pairs):
 class TestSieveArrays:
     @pytest.mark.parametrize("build", [
         prime_mask,
-        squarefree_mask,
+        NON_SQUAREFREE.indicator,
         PrimeNumbers().indicator,
         CompositeNumbers().indicator,
-    ], ids=["prime_mask", "squarefree_mask", "prime_numbers", "composite_numbers"])
+    ], ids=["prime_mask", "non_squarefree", "prime_numbers", "composite_numbers"])
     def test_each_call_returns_a_new_array(self, build):
         for lo, hi in ((0, 1001), (500, 1001)):
             first = build(lo, hi)
@@ -262,8 +262,8 @@ class TestIndicatorWindows:
                     oset.contains(n) for n in range(max(lo, 1), hi)], (lo, hi)
 
     @pytest.mark.parametrize("build", [
-        prime_mask, squarefree_mask, MultiplesOf(ells=[3]).indicator,
-    ], ids=["prime_mask", "squarefree_mask", "multiples_of"])
+        prime_mask, NON_SQUAREFREE.indicator, MultiplesOf(ells=[3]).indicator,
+    ], ids=["prime_mask", "non_squarefree", "multiples_of"])
     @pytest.mark.parametrize("lo, hi", [(-1, 5), (5, 5), (6, 5)])
     def test_bad_window_is_contract_error(self, build, lo, hi):
         with pytest.raises(ContractError, match="window"):
@@ -355,7 +355,7 @@ class TestMembership:
             PrimeNumbers(),
             EllPowers(3),
             SquarefreeAugmented(MultiplesOf(ells=[3])),
-            CongruencePrimes(3, [1]),
+            CongruenceSource(3, [1]),
             OmegaBounded(2, CongruenceSource(4, [1, 3]), 12),
             OmegaBounded(1, ListSource([3, 5, 7]), 4),
             ExplicitList([1, 2, 6, 28, 500]),
@@ -413,7 +413,7 @@ class TestMembership:
     @pytest.mark.parametrize("oset", [
         MultiplesOf(ell_set=CongruenceSource(3, [1])),
         MultiplesOf(ell_set=ListSource([3, 1048573, 1048583])),
-        CongruencePrimes(4, [1]),
+        CongruenceSource(4, [1]),
     ], ids=["multiples_of_congruence", "multiples_of_list", "congruence_primes"])
     def test_membership_paths_at_the_block_edge(self, oset):
         # 1048573 and 1048583 are the primes on either side of SIEVE_BLOCK.
@@ -624,6 +624,18 @@ class TestJson:
             {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}}
         )
         assert ind.order_set.contains(orders.order(73))
+
+    def test_congruence_primes_is_one_class(self):
+        # The order-set kind and the multiples_of prime source load to one
+        # class with one store of primes.
+        spec = {"kind": "congruence_primes", "modulus": 4, "residues": [1, 3]}
+        as_order_set = order_set_from_json(spec)
+        as_source = order_set_from_json({"kind": "multiples_of", "ell_set": spec}).ell_set
+        assert type(as_order_set) is type(as_source) is CongruenceSource
+        for limit in (0, 2, 3, 100, 10**5):
+            assert np.array_equal(as_order_set.primes_up_to(limit),
+                                  as_source.primes_up_to(limit)), limit
+        assert as_order_set.to_json() == as_source.to_json() == spec
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
