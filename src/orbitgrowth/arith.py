@@ -5,11 +5,11 @@ orders of 2.  SIEVE_CAPACITY is the one capacity that every sieve and
 mask over [0, N] is checked against.  These make numpy arrays; the exact
 integer core they build on (primality, small primes, factoring, scalar
 orders, valuations) is `integers`, which needs none.  `np` here is the
-array layer's one numpy, shared by `sets`, `mertens` and `fitting`: a lazy
-module whose code runs on the first array, so importing the layer runs no
-numpy.  The least-factor table covers only the n prime to 6, as uint16
-with 0 at primes, and only PrimeTable reads it; the primes are int32.
-Tables are immutable once built.
+array layer's one numpy, shared by `sets` and `mertens`: a lazy module
+whose code runs on the first array, so importing the layer runs no numpy.
+The least-factor table covers only the n prime to 6, as uint16 with 0 at
+primes, and only PrimeTable reads it; the primes are int32.  Tables are
+immutable once built.
 """
 
 from __future__ import annotations

@@ -368,8 +368,8 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
     if len(fit_pts) < 2:
         slope = math.nan
     else:
-        slope, _, _ = _linear_fit(np.array([math.log(g) for g, _ in fit_pts]),
-                                  np.array([v for _, v in fit_pts]))
+        slope, _, _ = _linear_fit([math.log(g) for g, _ in fit_pts],
+                                  [v for _, v in fit_pts])
     return SquarefreeSlope(
         n_max=n_max,
         total=series.samples[-1][1],

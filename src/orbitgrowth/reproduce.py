@@ -6,8 +6,8 @@ returns (passed, detail lines); run_theorem times the call, the recipe's
 own imports included, and names the CriterionResult.  The CLI
 `reproduce --theorem NAME` and the acceptance test suite both dispatch
 through run_theorem, so there is a single source of truth for every
-tolerance.  Each recipe imports the modules it runs, so `dense` and
-`section9`, which need no arrays, run without numpy.
+tolerance.  Each recipe imports the modules it runs, so `dense`, `zero`
+and `section9`, which need no arrays, run without numpy.
 """
 
 from __future__ import annotations

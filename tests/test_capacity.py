@@ -1,8 +1,10 @@
 """Every documented capacity is enforced before any array is allocated, and
 the largest sieve, density, squarefree sum, dominant sum and interval sets,
-and the largest recipes, fit their memory bounds."""
+and the largest recipes, fit their memory bounds; the commands that only
+fit a series stay below what loading numpy would cost."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
-from orbitgrowth.mertens import dominant_sum, squarefree_slope
+from orbitgrowth.mertens import default_grid, dominant_sum, squarefree_slope
 from orbitgrowth.sets import (ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L,
                               prime_mask)
 
@@ -58,6 +60,9 @@ TRANSCENDENTAL_PEAK_MB = 45
 LOGDELTA_PEAK_MB = 45
 # One interval's odd-number flags at a time, not a mask over [0, 2^(m_hi + delta)].
 INTERVAL_PEAK_MB = 120
+# `reproduce --theorem zero` and `fit --model auto` run no numpy: they
+# peaked at 15-17 MB, and a numpy import would add about 13 MB.
+FIT_PEAK_MB = 22
 # The int32 primes and their int32 orders, then the order set's indicator
 # over [0, N]: the least-factor table is dropped once the orders are known.
 # Both specs below peaked at 181 and 193 MB.
@@ -190,3 +195,22 @@ def test_interval_L_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert text == "94906265\n"
     assert peak_mb < INTERVAL_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_reproduce_zero_fits_memory_bound(tmp_path):
+    """`reproduce --theorem zero`, an exact series and a classification,
+    within FIT_PEAK_MB."""
+    assert_reproduce_fits("zero", FIT_PEAK_MB, tmp_path)
+
+
+def test_fit_fits_memory_bound(tmp_path):
+    """`fit --model auto` on a half-decade series within FIT_PEAK_MB."""
+    series = tmp_path / "series.csv"
+    series.write_text("N,value\n" + "".join(
+        f"{n},{0.6 * math.log(n) + 0.1!r}\n" for n in default_grid(10**6)))
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "fit", "--in", str(series), "--model", "auto"],
+        tmp_path)
+    assert code == 0, text
+    assert json.loads(text)["model"] == "k_log"
+    assert peak_mb < FIT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"

@@ -128,9 +128,9 @@ class TestKExact:
             k_exact_finite_s([2, 3], orders)
 
     def test_twenty_orders(self, orders):
-        # The odd primes to 73 have 20 distinct orders, the most allowed.
-        # Subsets of equal lcm merge over the lcm of their denominators; a
-        # walk merging by product spends over 4 s here.
+        # The odd primes to 73 have 20 distinct orders and 516 lcms.  Subsets
+        # of equal lcm merge over the lcm of their denominators; a walk
+        # merging by product spends over 4 s here.
         primes = ODD_PRIMES_BELOW_2000[:20]
         assert primes[-1] == 73
         start = time.perf_counter()
@@ -139,8 +139,21 @@ class TestKExact:
         assert k == Fraction(
             199930154550532743807504998858174294308219,
             712763263132544902563532033769361899520000)
-        with pytest.raises(CapacityError, match="more than 2"):
-            k_exact_finite_s(primes + [79], orders)
+        # The cap counts the walk's lcms, not the orders: 79 (a 21st
+        # order) and the odd primes to 150 (13 648 lcms) are taken.  Each
+        # prime added lowers f(n) = prod |2^n - 1|_p, so k falls.
+        k_79 = k_exact_finite_s(primes + [79], orders).value
+        to_150 = [p for p in ODD_PRIMES_BELOW_2000 if p <= 150]
+        assert 0 < k_exact_finite_s(to_150, orders).value < k_79 < k
+
+    def test_walk_capacity(self, orders):
+        # The odd primes to 200 would reach 441 008 lcms in about 30 s; the
+        # walk stops once it holds more than K_EXACT_STRATA, here in 0.2 s.
+        to_200 = [p for p in ODD_PRIMES_BELOW_2000 if p <= 200]
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"{constants.K_EXACT_STRATA} lcm"):
+            k_exact_finite_s(to_200, orders)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("s", [
         [3], [5], [7], [3, 5], [3, 7], [1093], [31, 127], [3, 73],
@@ -544,18 +557,20 @@ class TestSquarefree:
         assert sf.total == Fraction(748129049326425230915469102589, 1 << 96)
 
     def test_small_n_max_pinned(self):
-        # Pinned bit for bit.  Below two grid points the slope is NaN; 100
-        # fits its 2 points (none >= 1024), 3000 fits 1024, 2048 and 3000:
-        # fewer samples than fit_model accepts.
+        # Pinned bit for bit: the exact least-squares slope of the float
+        # samples, rounded once, which test_fitting checks against Fraction.
+        # Below two grid points the slope is NaN; 100 fits its 2 points
+        # (none >= 1024), 3000 fits 1024, 2048 and 3000: fewer samples than
+        # fit_model accepts.
         for n_max in (1, 64):
             sf = squarefree_slope(n_max)
             assert len(sf.samples) == 1 and math.isnan(sf.slope)
         sf = squarefree_slope(100)
         assert [g for g, _ in sf.samples] == [64, 100]
-        assert sf.slope.hex() == "0x1.3e74e1dc08e0fp-1"
+        assert sf.slope.hex() == "0x1.3e74e1dc08e08p-1"
         sf = squarefree_slope(3000)
         assert [g for g, _ in sf.samples] == [64, 128, 256, 512, 1024, 2048, 3000]
-        assert sf.slope.hex() == "0x1.36d525ef57b9cp-1"
+        assert sf.slope.hex() == "0x1.36d525ef57b96p-1"
 
     def test_samples_match_dominant_sum(self):
         # squarefree_slope is this dominant sum: the squarefree n are

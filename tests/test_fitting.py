@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from orbitgrowth.errors import ContractError
-from orbitgrowth.fitting import classify_growth, fit_model
+from orbitgrowth.fitting import LOGLOG_POWERS, _linear_fit, classify_growth, fit_model
 from orbitgrowth.mertens import (
     default_grid,
     dominant_sum,
     f_series_direct,
+    squarefree_slope,
 )
+from orbitgrowth.reproduce import ONTO_GRID, ZERO_GRID
 from orbitgrowth.sets import CompositeNumbers, ExplicitList, MultiplesOf
 
 
@@ -19,6 +21,61 @@ def synth(k, c, g, grid):
 
 
 GRID = default_grid(10**6)
+
+
+def exact_line(g, vs):
+    """The least-squares slope and intercept of the floats g and vs, as
+    exact rationals."""
+    g = [Fraction(x) for x in g]
+    vs = [Fraction(v) for v in vs]
+    g_mean, v_mean = sum(g) / len(g), sum(vs) / len(vs)
+    slope = (sum((x - g_mean) * (v - v_mean) for x, v in zip(g, vs))
+             / sum((x - g_mean) ** 2 for x in g))
+    return slope, v_mean - slope * g_mean
+
+
+def ulps_off(got: float, exact: Fraction) -> Fraction:
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+# Columns the fits regress on: the growth models on the half-decade grid,
+# a 2-point fit, and log N on the grids of the recipes that fit (`onto`,
+# `logdelta`, `zero`, and the squarefree slope of `transcendental`).
+SQUAREFREE_GRID = [1024 << k for k in range(14)] + [10**7]
+ORACLE_COLUMNS = {
+    **{f"logdelta_{d}": [math.log(n) ** d for n in default_grid(10**7)]
+       for d in (0.05, 0.5, 1, 3)},
+    **{f"loglogr_{r}": [math.log(math.log(n)) ** r for n in default_grid(10**7)]
+       for r in LOGLOG_POWERS},
+    "two_points": [math.log(64), math.log(100)],
+    **{f"recipe_{name}": [math.log(n) for n in grid] for name, grid in (
+        ("onto", ONTO_GRID), ("logdelta", default_grid(10**7, start=100)),
+        ("zero", ZERO_GRID), ("squarefree", SQUAREFREE_GRID))},
+}
+
+
+class TestLinearFit:
+    @pytest.mark.parametrize("column", sorted(ORACLE_COLUMNS))
+    def test_matches_exact_least_squares(self, column):
+        # Seeded lines with noise, some nearly flat against the column.
+        g = ORACLE_COLUMNS[column]
+        rng = random.Random(column)
+        for _ in range(20):
+            k, c, noise = rng.uniform(-2, 2), rng.uniform(-3, 3), rng.choice([0, 1e-6, 1e-2])
+            vs = [k * x + c + rng.gauss(0, noise) for x in g]
+            slope, intercept, pred = _linear_fit(g, vs)
+            exact_slope, exact_intercept = exact_line(g, vs)
+            assert ulps_off(slope, exact_slope) <= 4
+            assert ulps_off(intercept, exact_intercept) <= 4
+            assert pred == [intercept + slope * x for x in g]
+
+    def test_squarefree_slope_is_the_exact_line(self):
+        # The two small squarefree slopes test_constants pins bit for bit.
+        for n_max in (100, 3000):
+            sf = squarefree_slope(n_max)
+            pts = [(n, v) for n, v in sf.samples if n >= 1024] or sf.samples
+            slope, _ = exact_line([math.log(n) for n, _ in pts], [v for _, v in pts])
+            assert ulps_off(sf.slope, slope) <= 4
 
 
 class TestFitModel:
@@ -68,10 +125,32 @@ class TestFitModel:
         with pytest.raises(ContractError):
             fit_model(synth(1, 0, math.log, GRID), "exp")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value(self, bad):
+        samples = synth(1, 0, math.log, GRID)
+        samples[3] = (samples[3][0], bad)
+        with pytest.raises(ContractError, match="non-finite"):
+            classify_growth(samples)
+
 
 class TestClassify:
     def test_synthetic_klog(self):
         assert classify_growth(synth(0.6, 0.1, math.log, GRID)).model == "k_log"
+
+    @pytest.mark.parametrize("grid", [GRID, default_grid(10**7, start=100)],
+                             ids=["default", "recipe"])
+    def test_noise_free_lines_take_the_fewest_parameters(self, grid):
+        # k (log N)^delta with delta next to 1 fits k log N + c as well, to
+        # rounding; residuals below an ulp of the values score as that ulp,
+        # so the penalty, not the last bit, decides.  Without that floor
+        # about 1 line in 20 classified as k_logdelta.
+        rng = random.Random(5)
+        for _ in range(100):
+            k, c = rng.uniform(0.1, 2), rng.uniform(-1, 1)
+            assert classify_growth(synth(k, c, math.log, grid)).model == "k_log"
+            loglog = synth(k, c, lambda n: math.log(math.log(n)), grid)
+            rep = classify_growth(loglog)
+            assert (rep.model, rep.r) == ("k_loglogr", 1)
 
     def test_synthetic_logdelta(self):
         samples = synth(1.5, 0.2, lambda n: math.log(n) ** 0.5, GRID)

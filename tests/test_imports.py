@@ -6,7 +6,8 @@ not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
 command needs it, and neither it nor the factor cache loads dataclasses,
 which no module imports.  No module imports numpy when it loads: the array
 layer shares one lazily loaded numpy, located by name in one place, whose
-code runs on the first array, so the exact paths never run it.
+code runs on the first array, so the exact paths and the fits never run
+it.
 Every name the benchmark imports from the package exists, and so does every
 attribute it reads off such a function's result.
 
@@ -17,6 +18,7 @@ or lists it in `__all__`; `from __future__` imports bind nothing.
 import ast
 import importlib
 import json
+import math
 import os
 import typing
 import subprocess
@@ -241,8 +243,9 @@ def import_time_modules(path: Path) -> list[tuple[str, int]]:
 # The exact commands run on the integer core: these modules load no array
 # code, and the CLI handlers and reproduce recipes import the array layer
 # only when they run a command that needs it.
-NUMPY_FREE = ("integers", "errors", "mersenne", "constants", "reproduce", "cli")
-ARRAY_LAYER = {".arith", ".sets", ".mertens", ".fitting"}
+NUMPY_FREE = ("integers", "errors", "fitting", "mersenne", "constants", "reproduce",
+              "cli")
+ARRAY_LAYER = {".arith", ".sets", ".mertens"}
 
 
 def test_import_time_checker(tmp_path):
@@ -415,6 +418,20 @@ def test_exact_series_runs_no_numpy(tmp_path, spec):
                      "--n-max", "120", "--mode", "exact",
                      "--out", str(tmp_path / "series.csv"),
                      flags=("-W", "error")) == "0 False"
+
+
+# The fits are closed-form least squares on a few dozen points, so the
+# commands that only fit run no numpy: the `zero` recipe, which classifies
+# an exact series, and `fit` on a series CSV.
+def test_fit_commands_run_no_numpy(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("N,value\n" + "".join(
+        f"{n},{0.6 * math.log(n) + 0.1!r}\n" for n in (10**k for k in range(1, 10))),
+        encoding="utf-8")
+    for argv in (["reproduce", "--theorem", "zero"],
+                 ["fit", "--in", str(path), "--model", "auto"]):
+        assert run_child(AFTER_COMMAND_RAN, *argv,
+                         flags=("-W", "error")) == "0 False", argv
 
 
 # numpy's code runs once, on the first array: under -W error a second run of
