@@ -9,10 +9,12 @@ set-density by a fixed seed; loading a --spec draws no random numbers.
 Outputs are byte-identical across identical invocations, except that
 reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
-path; the packaged seed cache is always loaded underneath it.  Beyond the
-integer core and the factor cache, each command imports the modules it
-runs, and the array layer's numpy runs only on the first array, so the
-exact commands (order, factor, k-exact, greedy, construct,
+path; the packaged seed cache is always loaded underneath it.  Only
+factor, greedy, series-transcendental and reproduce open the cache;
+series, in exact mode too, reads no factorization.  Beyond the integer
+core and the factor cache, each command imports the modules it runs, and
+the array layer's numpy runs only on the first array, so the exact
+commands (order, factor, k-exact, greedy, construct,
 series-transcendental, series --mode exact, and reproduce for dense and
 section9) never run numpy.
 """
@@ -125,9 +127,8 @@ def _cmd_series(args) -> int:
     from .sets import InducedPrimes
 
     pset = _load_prime_set(args.spec)
-    cache = _open_cache(args)
     if args.mode == "exact":
-        series = mertens_exact(args.n_max, pset, cache=cache)
+        series = mertens_exact(args.n_max, pset)
     else:
         if not isinstance(pset, InducedPrimes):
             raise ContractError(
@@ -366,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(fn=_cmd_set_density)
 
-    p = sub.add_parser("series", help="Mertens series, exact or dominant mode")
+    p = sub.add_parser("series", help="Mertens series, exact (N <= 10^4) or "
+                                      "dominant mode (N <= 10^8)")
     p.add_argument("--spec", required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "dominant"), required=True)

@@ -4,8 +4,12 @@ dominant-term evaluators that need no factorizations at all.
 Two evaluation regimes:
 
   * exact mode: F(n), O(n) and M_S(N) = sum O(n) 2^-n as exact rationals,
-    up to N = EXACT_CEILING = 120 (the seed factor cache covers every
-    divisor).
+    up to N = EXACT_CEILING = 10^4, a few seconds.  No factorization of
+    2^n - 1 is read: a finite S lifts its members' exponents, and an
+    induced S multiplies the primitive parts Phi_d(2) / gcd(Phi_d(2), d)
+    of the orders d | n in M.  The ceiling must stay below 14284: past
+    it, str() of a value over 2^N passes Python's default limit of 4300
+    digits.
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
     order set, never a factorization.  The accumulator asks for the mask of
@@ -17,10 +21,11 @@ Two evaluation regimes:
 
 squarefree_slope is a dominant sum too: the squarefree n are those outside
 squarefree_augmented over the empty list.  The decomposition of F_S(N) into
-strata, one for each mbar_n that occurs, takes any order set and is
-implemented independently of the direct sum so the two code paths can
-cross-validate each other.  Both ask the order set for membership, which
-it decides once per n and remembers.
+strata, one for each mbar_n that occurs, takes any order set; it removes
+S from 2^mbar - 1 once per stratum and lifts the rest from j = n / mbar,
+while the direct sum removes S from each 2^n - 1 whole, so the two code
+paths cross-validate each other.  Both ask the order set for membership,
+which it decides once per n and remembers.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from fractions import Fraction
 from .arith import SIEVE_CAPACITY, np
 from .errors import CapacityError, ContractError, InvariantViolation
 from .fitting import _linear_fit
-from .integers import OrderTable, divisors, moebius, ord_p, ord_p_mersenne
-from .mersenne import FactorCache, primitive_primes
+from .integers import (OrderTable, cyclotomic_eval2, divisors, factorize, moebius,
+                       ord_p_mersenne)
 from .sets import (
     ExplicitFinitePrimes,
     ExplicitList,
@@ -50,7 +55,7 @@ _SCALE = 1 << FRAC_BITS
 _WINDOW = 1 << 19
 _CHUNK = 1 << 16
 
-EXACT_CEILING = 120
+EXACT_CEILING = 10_000
 
 
 class MertensSeries(namedtuple("MertensSeries", "label mode samples")):
@@ -109,49 +114,51 @@ def mbar_of(n: int, oset: OrderSet) -> int:
     return math.lcm(*_realized_divisors(n, oset))
 
 
-def s_mbar(
-    mbar: int, oset: OrderSet, cache: FactorCache, orders: OrderTable
-) -> dict[int, int]:
-    """The finite stratum set S_mbar as {p: e_p}, the union of the primitive
-    classes of the realized divisors of mbar; each class is registered in
-    orders."""
-    out: dict[int, int] = {}
-    for d in _realized_divisors(mbar, oset):
-        out.update(primitive_primes(d, cache, orders))
-    return out
+def _removal(n: int, pset: PrimeSet, orders: OrderTable) -> int:
+    """prod_{p in S} p^{ord_p(2^n - 1)}, the S-part of 2^n - 1.
 
-
-def _removal_exponents(
-    n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
-) -> dict[int, int]:
-    """{p: ord_p(2^n - 1)} over the members p of S that may divide 2^n - 1:
-    all of a finite S, the stratum S_n of an induced one."""
+    A finite S lifts each member's exponent with ord_p_mersenne.  An
+    induced S = {p : m_p in M} needs no factorization of 2^n - 1: by Bang
+    and Zsigmondy the primes of order d, with multiplicity, multiply to
+    Phi_d(2) / gcd(Phi_d(2), d), since the one other prime that can divide
+    Phi_d(2) is the largest prime of d, and only once.  Lifting the
+    exponent, ord_p(2^n - 1) = e_p + ord_p(n), adds the p^{ord_p(n)}.
+    """
     if isinstance(pset, ExplicitFinitePrimes):
-        return {p: ord_p_mersenne(p, n, orders) for p in pset.primes}
+        return math.prod(p ** ord_p_mersenne(p, n, orders) for p in pset.primes)
     if isinstance(pset, InducedPrimes):
-        if cache is None:
-            raise ContractError("mertens-engine: induced sets need a factor cache")
-        return {p: ord_p_mersenne(p, n, orders)
-                for p in s_mbar(n, pset.order_set, cache, orders)}
+        out = _lifted(n, n, pset.order_set, orders)
+        for d in _realized_divisors(n, pset.order_set):
+            phi = cyclotomic_eval2(d)
+            out *= phi // math.gcd(phi, d)
+        return out
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
-def periodic_points(
-    n: int, s, orders: OrderTable | None = None, cache: FactorCache | None = None
-) -> int:
+def _lifted(j: int, mbar: int, oset: OrderSet, orders: OrderTable) -> int:
+    """prod p^{ord_p(j)} over the odd primes p | j whose order m_p is in M
+    and divides mbar.  By lifting the exponent this is the S-part of
+    2^(mbar j) - 1 over that of 2^mbar - 1 when mbar is the stratum of
+    mbar j, and with j = mbar the S-part of 2^mbar - 1 over its primitive
+    parts."""
+    out = 1
+    for p, e in factorize(j).items():
+        if p > 2:
+            m = orders.order(p)
+            if mbar % m == 0 and oset.contains(m):
+                out *= p**e
+    return out
+
+
+def periodic_points(n: int, s, orders: OrderTable | None = None) -> int:
     """F(n) = (2^n - 1) prod_{p in S} |2^n - 1|_p, as an exact integer."""
     if n < 1:
         raise ContractError(f"mertens-engine: period must be >= 1, got {n}")
-    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable(), cache)
+    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable())
 
 
-def _periodic_points(
-    n: int, pset: PrimeSet, orders: OrderTable, cache: FactorCache | None
-) -> int:
-    removal = 1
-    for p, e in _removal_exponents(n, pset, orders, cache).items():
-        removal *= p**e
-    q, r = divmod((1 << n) - 1, removal)
+def _periodic_points(n: int, pset: PrimeSet, orders: OrderTable) -> int:
+    q, r = divmod((1 << n) - 1, _removal(n, pset, orders))
     if r:
         raise InvariantViolation(
             f"mertens-engine: |2^{n}-1|_S removal not exact (S={pset.label()})"
@@ -159,14 +166,12 @@ def _periodic_points(
     return q
 
 
-def orbit_count(
-    n: int, s, orders: OrderTable | None = None, cache: FactorCache | None = None
-) -> int:
+def orbit_count(n: int, s, orders: OrderTable | None = None) -> int:
     """O(n) = (1/n) sum_{d|n} mu(n/d) F(d); checked non-negative integer."""
     orders = orders or OrderTable()
     total = 0
     for d in divisors(n):
-        total += moebius(n // d) * periodic_points(d, s, orders, cache)
+        total += moebius(n // d) * periodic_points(d, s, orders)
     return _orbits(n, total)
 
 
@@ -185,14 +190,15 @@ def mertens_exact(
     n_max: int,
     s,
     orders: OrderTable | None = None,
-    cache: FactorCache | None = None,
+    cache: object = None,
 ) -> MertensSeries:
     """M_S(N) = sum_{n <= N} O(n) 2^-n for every N <= n_max, exactly.
 
     F(1..n_max) are computed once each, and Möbius inversion over that list
     gives every O(n), as orbit_count does for one n.  The sum is kept as one
     integer numerator over 2^N, num_N = 2 num_{N-1} + O(N).  The entropy
-    log 2 is hardwired through e^{-hn} = 2^{-n}.
+    log 2 is hardwired through e^{-hn} = 2^{-n}.  `cache` is ignored:
+    perfbench/ops.py still passes a factor cache positionally.
     """
     if n_max < 1:
         raise ContractError("mertens-engine: n_max must be >= 1")
@@ -205,7 +211,7 @@ def mertens_exact(
     mu = [0] + [moebius(j) for j in range(1, n_max + 1)]
     totals = [0] * (n_max + 1)  # totals[n] = sum_{d|n} mu(n/d) F(d)
     for d in range(1, n_max + 1):
-        f = _periodic_points(d, pset, orders, cache)
+        f = _periodic_points(d, pset, orders)
         for j in range(1, n_max // d + 1):
             totals[d * j] += mu[j] * f
     num = 0
@@ -382,42 +388,35 @@ def decompose_lcm_closed(
     n_max: int,
     oset: OrderSet,
     orders: OrderTable | None = None,
-    cache: FactorCache | None = None,
+    cache: object = None,
 ) -> tuple[MertensSeries, list[int]]:
     """F_S(N) assembled stratum by stratum, and the sorted strata: the
     mbar_n that occur for n <= N.  Any order set is taken; the name is
-    historical, from when only lcm-closed sets were.
+    historical, from when only lcm-closed sets were.  `cache` is ignored:
+    perfbench/ops.py still passes a factor cache positionally.
 
     Each n is charged to the stratum of mbar_n = lcm of the realized orders
     in M dividing n.  A prime p of S divides 2^n - 1 exactly when m_p is
-    one of those orders, that is when p lies in S_mbar; so writing
-    n = mbar * j turns the term into (|2^mbar - 1|_{S_mbar} / mbar) *
-    |j|_{S_mbar} / j.  A stratum's set and denominator are built the first
-    time its mbar turns up.  The result must agree exactly with the direct
-    summation f_series_direct — two independent code paths over the same
-    rationals.  Both sample default_grid(n_max).
+    one of those orders, that is when m_p divides mbar; so writing
+    n = mbar * j turns the term into (|2^mbar - 1|_S / mbar) * |j|_S' / j,
+    with S' the odd primes p | j with m_p | mbar in M, whose exponents
+    lifting adds.  A stratum's denominator mbar * |2^mbar - 1|_S^-1 is
+    built the first time its mbar turns up.  The result must agree exactly
+    with the direct summation f_series_direct, which removes the S-part of
+    each 2^n - 1 whole.  Both sample default_grid(n_max).
     """
-    if cache is None:
-        raise ContractError("mertens-engine: decomposition needs a factor cache")
     orders = orders or OrderTable()
+    pset = InducedPrimes(oset)
     grid = set(_sample_grid(n_max, None))
-    strata: dict[int, tuple[dict[int, int], int]] = {}  # mbar -> (S_mbar, denom)
+    strata: dict[int, int] = {}  # mbar -> mbar |2^mbar - 1|_S^-1
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
         mbar = mbar_of(n, oset)
         if mbar not in strata:
-            stratum = s_mbar(mbar, oset, cache, orders)
-            denom = mbar
-            for p in stratum:
-                denom *= p ** ord_p_mersenne(p, mbar, orders)
-            strata[mbar] = stratum, denom
-        stratum, denom = strata[mbar]
+            strata[mbar] = mbar * _removal(mbar, pset, orders)
         j = n // mbar
-        denom *= j
-        for p in stratum:
-            denom *= p ** ord_p(j, p)
-        acc += Fraction(1, denom)
+        acc += Fraction(1, strata[mbar] * j * _lifted(j, mbar, oset, orders))
         if n in grid:
             samples.append((n, acc))
     series = MertensSeries(label=oset.label(), mode="dominant", samples=samples)
@@ -428,20 +427,18 @@ def f_series_direct(
     n_max: int,
     s,
     orders: OrderTable | None = None,
-    cache: FactorCache | None = None,
+    cache: object = None,
 ) -> MertensSeries:
     """F_S(N) = sum_{n <= N} |2^n - 1|_S / n summed term by term, exactly,
-    sampled on default_grid(n_max)."""
+    sampled on default_grid(n_max).  `cache` is ignored: perfbench/ops.py
+    still passes a factor cache positionally."""
     grid = set(_sample_grid(n_max, None))
     orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
-        denom = n
-        for p, e in _removal_exponents(n, pset, orders, cache).items():
-            denom *= p**e
-        acc += Fraction(1, denom)
+        acc += Fraction(1, n * _removal(n, pset, orders))
         if n in grid:
             samples.append((n, acc))
     return MertensSeries(label=pset.label(), mode="dominant", samples=samples)

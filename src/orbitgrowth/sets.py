@@ -21,8 +21,8 @@ multiplication by the naturals, is a fact of the code: a class attribute,
 False for a nonempty explicit list, and a squarefree_augmented base's flag.
 A JSON spec cannot claim it, so loading a spec tests nothing and draws no
 random numbers; a property test checks every kind's claim.  The strata
-mbar_n that exact sums build over any order set, and the factor cache they
-need, belong to mertens.
+mbar_n that exact sums build over any order set belong to mertens, which
+reads no factor cache either.
 
 JSON wire forms (the single schema used by the CLI):
 

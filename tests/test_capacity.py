@@ -1,13 +1,15 @@
 """Every documented capacity is enforced before any array is allocated, and
 the largest sieve, density, squarefree sum, dominant sum and interval sets,
-and the largest recipes, fit their memory bounds; the commands that only
-fit a series stay below what loading numpy would cost."""
+the exact series at its ceiling, and the largest recipes, fit their memory
+bounds; the commands that only fit a series stay below what loading numpy
+would cost."""
 
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,11 @@ INTERVAL_PEAK_MB = 120
 # `reproduce --theorem zero` and `fit --model auto` run no numpy: they
 # peaked at 15-17 MB, and a numpy import would add about 13 MB.
 FIT_PEAK_MB = 22
+# mertens_exact(EXACT_CEILING) on the multiples of 3 took 2.2 s and peaked
+# at 35 MB on a 2-core x86-64 machine: integers below 2^(10^4) each, the
+# F(n) and the totals of the Moebius inversion.
+EXACT_PEAK_MB = 60
+EXACT_SECONDS = 8
 # The int32 primes and their int32 orders, then the order set's indicator
 # over [0, N]: the least-factor table is dropped once the orders are known.
 # Both specs below peaked at 181 and 193 MB.
@@ -163,6 +170,22 @@ def test_dominant_sum_at_capacity_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert text == f"{SIEVE_CAPACITY}\n"
     assert peak_mb < DOMINANT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_exact_series_at_ceiling_fits_bounds(tmp_path):
+    """mertens_exact to EXACT_CEILING on the multiples of 3, in a cold
+    process, within EXACT_SECONDS and EXACT_PEAK_MB."""
+    t0 = time.monotonic()
+    code, text, peak_mb = run_child(
+        ["-c", "from orbitgrowth.mertens import EXACT_CEILING, mertens_exact; "
+               "from orbitgrowth.sets import InducedPrimes, MultiplesOf; "
+               "s = mertens_exact(EXACT_CEILING, InducedPrimes(MultiplesOf(ells=[3]))); "
+               "print(s.samples[-1][0], f'{float(s.samples[-1][1]):.9f}')"], tmp_path)
+    elapsed = time.monotonic() - t0
+    assert code == 0, text
+    assert text == "10000 6.068029302\n"
+    assert peak_mb < EXACT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+    assert elapsed < EXACT_SECONDS, f"{elapsed:.1f} s"
 
 
 def assert_reproduce_fits(theorem, bound_mb, tmp_path):

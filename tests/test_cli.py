@@ -561,3 +561,16 @@ class TestCacheFile:
         proc = run_cold("--cache", str(path), "factor", "--exponent", "29")
         assert proc.returncode == 2
         assert "line 2: malformed entry" in proc.stderr
+
+    def test_exact_series_opens_no_cache(self, tmp_path):
+        # The exact series reads no factorization of 2^n - 1, so the cache
+        # file that stops `factor` above is never opened.
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.M11 + '{"m": 130, "fac\n')
+        spec = tmp_path / "m3.json"
+        spec.write_text(json.dumps({"kind": "induced", "order_set": {
+            "kind": "multiples_of", "ells": [3]}}))
+        proc = run_cold("--cache", str(path), "series", "--spec", str(spec),
+                        "--n-max", "120", "--mode", "exact")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith("120,")

@@ -159,12 +159,12 @@ class TestKExact:
         [3], [5], [7], [3, 5], [3, 7], [1093], [31, 127], [3, 73],
         [5, 17, 257], [7, 73, 127], [3, 5, 7, 11, 13, 17, 31, 127],
     ], ids=str)
-    def test_matches_series_slope(self, orders, cache, s):
+    def test_matches_series_slope(self, orders, s):
         # k_S is the slope of M_S(N) against log N, which the exact series
         # reaches through F(n) and Moebius inversion, not through the
         # subset expansion.  Fitted over N in [40, 120], it lands within
         # 0.01 of k_S; the offsets seen are -0.0035 to -0.0062.
-        series = mertens_exact(120, ExplicitFinitePrimes(s), orders, cache)
+        series = mertens_exact(120, ExplicitFinitePrimes(s), orders)
         ns = np.arange(40, 121)
         vs = np.array([float(series.value_at(int(n))) for n in ns])
         slope, _, _ = _linear_fit(np.log(ns.astype(float)), vs)

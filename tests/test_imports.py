@@ -1,13 +1,13 @@
 """No module of the package imports a name it never uses or imports
-threading, `sets` does not import `mersenne`, every public definition,
-method and property has a caller outside the tests, the integer core and
-the modules above it import no array code when they load, the CLI does
-not import numpy or mpmath, or build the Pollard p - 1 exponent, before a
-command needs it, and neither it nor the factor cache loads dataclasses,
-which no module imports.  No module imports numpy when it loads: the array
-layer shares one lazily loaded numpy, located by name in one place, whose
-code runs on the first array, so the exact paths and the fits never run
-it.
+threading, neither `sets` nor `mertens` imports `mersenne`, every public
+definition, method and property has a caller outside the tests, the
+integer core and the modules above it import no array code when they
+load, the CLI does not import numpy or mpmath, or build the Pollard p - 1
+exponent, before a command needs it, and neither it nor the factor cache
+loads dataclasses, which no module imports.  No module imports numpy when
+it loads: the array layer shares one lazily loaded numpy, located by name
+in one place, whose code runs on the first array, so the exact paths and
+the fits never run it.
 Every name the benchmark imports from the package exists, and so does every
 attribute it reads off such a function's result.
 
@@ -111,10 +111,10 @@ def uncalled(definitions: dict[str, str], callers: list[str]) -> list[str]:
     return sorted(out)
 
 
-# Independent oracles, called only by tests: `cyclotomic_eval2` bounds the
-# primitive parts of 2^n - 1, and `euler_phi` gives the exponent of the
-# paper's bound 2^(phi(n) - 2) on both.
-ORACLES = {"integers.cyclotomic_eval2", "integers.euler_phi"}
+# An independent oracle, called only by tests: `euler_phi` gives the
+# exponent of the paper's bound 2^(phi(n) - 2) on the primitive parts of
+# 2^n - 1.
+ORACLES = {"integers.euler_phi"}
 
 
 def test_caller_checker():
@@ -213,12 +213,19 @@ def test_no_module_imports_threading():
             if module.split(".")[0] == "threading"] == []
 
 
-# Membership and density need no factor cache: the lcm strata, which read
-# the factorizations of 2^n - 1, live in `mertens`, so `sets` sits below
+# Membership and density need no factor cache, so `sets` sits below
 # `mersenne` in the layering and never imports it.
 def test_sets_does_not_import_mersenne():
     modules = [m for m, _ in imported_modules(PACKAGE / "sets.py")]
     assert ".arith" in modules
+    assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
+
+
+# Nor do the exact series: an induced set's removal is a product of
+# cyclotomic values Phi_d(2), not of cached factorizations of 2^n - 1.
+def test_mertens_does_not_import_mersenne():
+    modules = [m for m, _ in imported_modules(PACKAGE / "mertens.py")]
+    assert ".integers" in modules
     assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from orbitgrowth import integers
 from orbitgrowth.errors import BudgetError, CacheMissError
-from orbitgrowth.integers import OrderTable, _pollard_pm1, euler_phi
+from orbitgrowth.integers import OrderTable, _pollard_pm1, cyclotomic_eval2, euler_phi
 from orbitgrowth.mersenne import (
     FactorCache,
     MersenneFactorization,
@@ -271,11 +271,13 @@ class TestPrimitive:
         assert primitive_product(4, cache) == 5
 
     def test_primitive_part_vs_cyclotomic(self, cache):
-        from orbitgrowth.integers import cyclotomic_eval2
-
-        for n in range(2, 65):
-            # (2^n - 1)^* >= Phi_n(2) / n
-            assert n * primitive_product(n, cache) >= cyclotomic_eval2(n)
+        # (2^n - 1)^* = Phi_n(2) / gcd(Phi_n(2), n) >= Phi_n(2) / n: by Bang
+        # and Zsigmondy, besides the primes of order n, Phi_n(2) holds at
+        # most the largest prime of n, once, and the gcd is it.  The exact
+        # series remove an induced set's primes by this identity.
+        for n in range(1, 129):
+            phi = cyclotomic_eval2(n)
+            assert primitive_product(n, cache) == phi // math.gcd(phi, n), n
 
     def test_valuation_bound_at_primitive_set(self, cache):
         # |2^n - 1|_S <= n / 2^(phi(n) - 2) for S containing the class of n:
