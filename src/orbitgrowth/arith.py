@@ -4,12 +4,13 @@ The segmented least-factor sieve, its PrimeTable, and bulk multiplicative
 orders of 2.  SIEVE_CAPACITY is the one capacity that every sieve and
 mask over [0, N] is checked against.  These make numpy arrays; the exact
 integer core they build on (primality, small primes, factoring, scalar
-orders, valuations) is `integers`, which needs none.  `np` here is the
-array layer's one numpy, shared by `sets` and `mertens`: a lazy module
-whose code runs on the first array, so importing the layer runs no numpy.
-The least-factor table covers only the n prime to 6, as uint16 with 0 at
-primes, and only PrimeTable reads it; the primes are int32.  Tables are
-immutable once built.
+orders and the process's one order memo, valuations) is `integers`, which
+needs none.  OrderTable is re-exported only because perfbench/ops.py
+imports it from here.  `np` here is the array layer's one numpy, shared by
+`sets` and `mertens`: a lazy module whose code runs on the first array, so
+importing the layer runs no numpy.  The least-factor table covers only the
+n prime to 6, as uint16 with 0 at primes, and only PrimeTable reads it; the
+primes are int32.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from collections import namedtuple
 from .errors import CapacityError, InvariantViolation
 from .integers import OrderTable, _primes_to
 
-# OrderTable is re-exported for the benchmark's operations, which import it
-# from here.
 __all__ = ["ORDER_CHUNK", "SIEVE_BLOCK", "SIEVE_CAPACITY", "OrderTable",
            "PrimeTable", "mult_orders", "sieve_primes"]
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .errors import (
@@ -135,21 +136,21 @@ def _cmd_series(args) -> int:
                 "cli: dominant mode needs an induced prime set (an order set)"
             )
         series = dominant_sum(args.n_max, pset.order_set)
-    rows = ["N,value,mode,bound_R,bound_Q"]
-    for n, v in series.samples:
-        if n >= 6:
-            rb = remainder_bounds(n)
-            br, bq = _fmt18(rb.bound_r), _fmt18(rb.bound_q)
-        else:
-            br = bq = ""
-        val = str(v) if args.mode == "exact" else _fmt18(float(v))
-        rows.append(f"{n},{val},{args.mode},{br},{bq}")
-    text = "\n".join(rows) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # Each row is written as it is built: at the exact ceiling the rows
+    # hold about 30 MB of text.
+    to_file = args.out != "-"
+    with (open(args.out, "w", encoding="utf-8") if to_file
+          else nullcontext(sys.stdout)) as fh:
+        fh.write("N,value,mode,bound_R,bound_Q\n")
+        for n, v in series.samples:
+            if n >= 6:
+                rb = remainder_bounds(n)
+                br, bq = _fmt18(rb.bound_r), _fmt18(rb.bound_q)
+            else:
+                br = bq = ""
+            val = str(v) if args.mode == "exact" else _fmt18(float(v))
+            fh.write(f"{n},{val},{args.mode},{br},{bq}\n")
+    if to_file:
         print(f"wrote {args.out} ({len(series.samples)} rows)")
     return 0
 

@@ -24,7 +24,7 @@ from .errors import (
     InfeasibleError,
     InvariantViolation,
 )
-from .integers import OrderTable, is_probable_prime, ord_p_mersenne
+from .integers import ORDERS, is_probable_prime, ord_p_mersenne
 from .mersenne import FactorCache, primitive_primes
 
 class ExactConstant(namedtuple("ExactConstant", "value error_bound", defaults=(None,))):
@@ -45,7 +45,7 @@ class ExactConstant(namedtuple("ExactConstant", "value error_bound", defaults=(N
 K_EXACT_STRATA = 1 << 15
 
 
-def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
+def k_exact_finite_s(s) -> ExactConstant:
     """The exact rational coefficient of log N in the Mertens sum of finite S,
     given as an iterable of odd primes.
 
@@ -71,13 +71,12 @@ def k_exact_finite_s(s, orders: OrderTable | None = None) -> ExactConstant:
     for p in primes:
         if not is_probable_prime(p):
             raise ContractError(f"constants: {p} is not prime")
-    orders = orders or OrderTable()
     terms = {1: (1, 1)}  # L_T -> the sum over the T seen so far, as num/den
     for p in reversed(primes):
-        m = orders.order(p)
+        m = ORDERS.order(p)
         for lcm, (num, den) in list(terms.items()):
             key = math.lcm(lcm, m)
-            d = p ** (ord_p_mersenne(p, key, orders) - 1) * (p + 1)
+            d = p ** (ord_p_mersenne(p, key) - 1) * (p + 1)
             term = (num * (1 - d), den * d)
             terms[key] = _add_over_lcm(terms[key], term) if key in terms else term
         if len(terms) > K_EXACT_STRATA:
@@ -144,7 +143,6 @@ def greedy_L(
     k,
     eps,
     cache: FactorCache,
-    orders: OrderTable | None = None,
     cap: int = 127,
 ) -> GreedyTrace:
     """Greedy selection of prime orders whose class-set coefficient lands in
@@ -160,7 +158,6 @@ def greedy_L(
     eps = Fraction(eps)
     if not (0 < k < 1) or eps <= 0:
         raise ContractError("constants: need 0 < k < 1 and eps > 0")
-    orders = orders or OrderTable()
 
     ell0 = _next_prime(math.floor(1 + k / eps))
     certifier, _ = k_order_bounds(
@@ -173,7 +170,7 @@ def greedy_L(
         )
 
     def class_primes(ell: int) -> list[int]:
-        return sorted(p for p, _ in primitive_primes(ell, cache, orders))
+        return sorted(p for p, _ in primitive_primes(ell, cache))
 
     chosen: list[int] = []
     union: list[int] = []
@@ -186,7 +183,7 @@ def greedy_L(
             terminal = True
             break
         cand_set = union + class_primes(l)
-        k_cand = k_exact_finite_s(cand_set, orders).value
+        k_cand = k_exact_finite_s(cand_set).value
         accepted = k_cand >= k
         if accepted:
             chosen.append(l)

@@ -16,8 +16,9 @@ far as a caller needs (the array layer's primes up to sqrt(N) too), and
 the stage-2 primes segment by segment; over 1 + step, 1 + 2 step, ... it
 gives factor_mersenne its trial divisors, the only primes that can divide
 a primitive part.  Nothing is sieved at import.
-The package runs in one thread per process, so the prime list and the
-OrderTable memo hold no locks.
+The package runs in one thread per process, so the prime list and ORDERS,
+the process's one OrderTable, hold no locks: every exact quantity reads
+its m_p and e_p there.
 """
 
 from __future__ import annotations
@@ -391,19 +392,20 @@ class OrderTable:
             self._exponents[p] = e
 
 
-def ord_p_mersenne(p: int, n: int, orders: OrderTable | None = None) -> int:
+# The process's order memo: every m_p and e_p the package computes.
+ORDERS = OrderTable()
+
+
+def ord_p_mersenne(p: int, n: int) -> int:
     """ord_p(2^n - 1) without ever forming 2^n - 1.
 
     Equals e_p + ord_p(n) when m_p | n and 0 otherwise.
     """
     if n < 1:
         raise ValueError(f"core-arith: exponent must be >= 1, got {n}")
-    if orders is None:
-        orders = OrderTable()
-    m = orders.order(p)
-    if n % m:
+    if n % ORDERS.order(p):
         return 0
-    return orders.exponent(p) + ord_p(n, p)
+    return ORDERS.exponent(p) + ord_p(n, p)
 
 
 def cyclotomic_eval2(n: int) -> int:

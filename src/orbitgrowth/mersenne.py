@@ -32,7 +32,7 @@ from .errors import BudgetError, CacheMissError, CapacityError, InvariantViolati
 from .integers import (
     FACTORIZE_BUDGET,
     MR_PROVEN_BOUND,
-    OrderTable,
+    ORDERS,
     divisors,
     factor_by_trial,
     progression_segments,
@@ -261,10 +261,9 @@ def factor_mersenne(
 MersennePartial = namedtuple("MersennePartial", "m factors cofactors")
 
 
-def primitive_primes(
-    m: int, cache: FactorCache, orders: OrderTable | None = None
-) -> frozenset[tuple[int, int]]:
-    """{(p, e_p)} for the primes of multiplicative order exactly m.
+def primitive_primes(m: int, cache: FactorCache) -> frozenset[tuple[int, int]]:
+    """{(p, e_p)} for the primes of multiplicative order exactly m, which
+    are registered in the order memo integers.ORDERS.
 
     Computed by removing from the factors of 2^m - 1 every prime dividing
     some 2^d - 1 with d | m, d < m.  For a primitive p the cached exponent
@@ -277,6 +276,5 @@ def primitive_primes(
             continue
         earlier.update(cache.get(d).primes())
     members = frozenset((p, e) for p, e in fz.factors if p not in earlier)
-    if orders is not None:
-        orders.register_class(m, members)
+    ORDERS.register_class(m, members)
     return members

@@ -33,12 +33,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import SIEVE_CAPACITY, np
 from .errors import CapacityError, ContractError, InvariantViolation
 from .fitting import _linear_fit
-from .integers import (OrderTable, cyclotomic_eval2, divisors, factorize, moebius,
-                       ord_p_mersenne)
+from .integers import ORDERS, cyclotomic_eval2, divisors, factorize, moebius, ord_p_mersenne
 from .sets import (
     ExplicitFinitePrimes,
     ExplicitList,
@@ -114,7 +114,7 @@ def mbar_of(n: int, oset: OrderSet) -> int:
     return math.lcm(*_realized_divisors(n, oset))
 
 
-def _removal(n: int, pset: PrimeSet, orders: OrderTable) -> int:
+def _removal(n: int, pset: PrimeSet) -> int:
     """prod_{p in S} p^{ord_p(2^n - 1)}, the S-part of 2^n - 1.
 
     A finite S lifts each member's exponent with ord_p_mersenne.  An
@@ -125,17 +125,25 @@ def _removal(n: int, pset: PrimeSet, orders: OrderTable) -> int:
     exponent, ord_p(2^n - 1) = e_p + ord_p(n), adds the p^{ord_p(n)}.
     """
     if isinstance(pset, ExplicitFinitePrimes):
-        return math.prod(p ** ord_p_mersenne(p, n, orders) for p in pset.primes)
+        return math.prod(p ** ord_p_mersenne(p, n) for p in pset.primes)
     if isinstance(pset, InducedPrimes):
-        out = _lifted(n, n, pset.order_set, orders)
+        out = _lifted(n, n, pset.order_set)
         for d in _realized_divisors(n, pset.order_set):
-            phi = cyclotomic_eval2(d)
-            out *= phi // math.gcd(phi, d)
+            out *= _primitive_part(d)
         return out
     raise ContractError(f"mertens-engine: unsupported prime-set kind {pset.kind!r}")
 
 
-def _lifted(j: int, mbar: int, oset: OrderSet, orders: OrderTable) -> int:
+@lru_cache(maxsize=EXACT_CEILING)
+def _primitive_part(d: int) -> int:
+    """Phi_d(2) / gcd(Phi_d(2), d), the product of the primes of order d
+    with multiplicity.  The cache keeps one value per d, so at the ceiling
+    at most sum_{d <= 10^4} phi(d) bits, about 3.8 MB."""
+    phi = cyclotomic_eval2(d)
+    return phi // math.gcd(phi, d)
+
+
+def _lifted(j: int, mbar: int, oset: OrderSet) -> int:
     """prod p^{ord_p(j)} over the odd primes p | j whose order m_p is in M
     and divides mbar.  By lifting the exponent this is the S-part of
     2^(mbar j) - 1 over that of 2^mbar - 1 when mbar is the stratum of
@@ -144,21 +152,21 @@ def _lifted(j: int, mbar: int, oset: OrderSet, orders: OrderTable) -> int:
     out = 1
     for p, e in factorize(j).items():
         if p > 2:
-            m = orders.order(p)
+            m = ORDERS.order(p)
             if mbar % m == 0 and oset.contains(m):
                 out *= p**e
     return out
 
 
-def periodic_points(n: int, s, orders: OrderTable | None = None) -> int:
+def periodic_points(n: int, s) -> int:
     """F(n) = (2^n - 1) prod_{p in S} |2^n - 1|_p, as an exact integer."""
     if n < 1:
         raise ContractError(f"mertens-engine: period must be >= 1, got {n}")
-    return _periodic_points(n, _normalize_prime_set(s), orders or OrderTable())
+    return _periodic_points(n, _normalize_prime_set(s))
 
 
-def _periodic_points(n: int, pset: PrimeSet, orders: OrderTable) -> int:
-    q, r = divmod((1 << n) - 1, _removal(n, pset, orders))
+def _periodic_points(n: int, pset: PrimeSet) -> int:
+    q, r = divmod((1 << n) - 1, _removal(n, pset))
     if r:
         raise InvariantViolation(
             f"mertens-engine: |2^{n}-1|_S removal not exact (S={pset.label()})"
@@ -166,12 +174,11 @@ def _periodic_points(n: int, pset: PrimeSet, orders: OrderTable) -> int:
     return q
 
 
-def orbit_count(n: int, s, orders: OrderTable | None = None) -> int:
+def orbit_count(n: int, s) -> int:
     """O(n) = (1/n) sum_{d|n} mu(n/d) F(d); checked non-negative integer."""
-    orders = orders or OrderTable()
     total = 0
     for d in divisors(n):
-        total += moebius(n // d) * periodic_points(d, s, orders)
+        total += moebius(n // d) * periodic_points(d, s)
     return _orbits(n, total)
 
 
@@ -189,7 +196,7 @@ def _orbits(n: int, total: int) -> int:
 def mertens_exact(
     n_max: int,
     s,
-    orders: OrderTable | None = None,
+    orders: object = None,
     cache: object = None,
 ) -> MertensSeries:
     """M_S(N) = sum_{n <= N} O(n) 2^-n for every N <= n_max, exactly.
@@ -197,8 +204,9 @@ def mertens_exact(
     F(1..n_max) are computed once each, and Möbius inversion over that list
     gives every O(n), as orbit_count does for one n.  The sum is kept as one
     integer numerator over 2^N, num_N = 2 num_{N-1} + O(N).  The entropy
-    log 2 is hardwired through e^{-hn} = 2^{-n}.  `cache` is ignored:
-    perfbench/ops.py still passes a factor cache positionally.
+    log 2 is hardwired through e^{-hn} = 2^{-n}.  `orders` and `cache` are
+    ignored: perfbench/ops.py still passes an order table and a factor
+    cache positionally.
     """
     if n_max < 1:
         raise ContractError("mertens-engine: n_max must be >= 1")
@@ -206,12 +214,11 @@ def mertens_exact(
         raise ContractError(
             f"mertens-engine: exact mode ceiling is {EXACT_CEILING}, got n_max={n_max}"
         )
-    orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
     mu = [0] + [moebius(j) for j in range(1, n_max + 1)]
     totals = [0] * (n_max + 1)  # totals[n] = sum_{d|n} mu(n/d) F(d)
     for d in range(1, n_max + 1):
-        f = _periodic_points(d, pset, orders)
+        f = _periodic_points(d, pset)
         for j in range(1, n_max // d + 1):
             totals[d * j] += mu[j] * f
     num = 0
@@ -387,13 +394,14 @@ def squarefree_slope(n_max: int) -> SquarefreeSlope:
 def decompose_lcm_closed(
     n_max: int,
     oset: OrderSet,
-    orders: OrderTable | None = None,
+    orders: object = None,
     cache: object = None,
 ) -> tuple[MertensSeries, list[int]]:
     """F_S(N) assembled stratum by stratum, and the sorted strata: the
     mbar_n that occur for n <= N.  Any order set is taken; the name is
-    historical, from when only lcm-closed sets were.  `cache` is ignored:
-    perfbench/ops.py still passes a factor cache positionally.
+    historical, from when only lcm-closed sets were.  `orders` and `cache`
+    are ignored: perfbench/ops.py still passes an order table and a factor
+    cache positionally.
 
     Each n is charged to the stratum of mbar_n = lcm of the realized orders
     in M dividing n.  A prime p of S divides 2^n - 1 exactly when m_p is
@@ -405,7 +413,6 @@ def decompose_lcm_closed(
     with the direct summation f_series_direct, which removes the S-part of
     each 2^n - 1 whole.  Both sample default_grid(n_max).
     """
-    orders = orders or OrderTable()
     pset = InducedPrimes(oset)
     grid = set(_sample_grid(n_max, None))
     strata: dict[int, int] = {}  # mbar -> mbar |2^mbar - 1|_S^-1
@@ -414,9 +421,9 @@ def decompose_lcm_closed(
     for n in range(1, n_max + 1):
         mbar = mbar_of(n, oset)
         if mbar not in strata:
-            strata[mbar] = mbar * _removal(mbar, pset, orders)
+            strata[mbar] = mbar * _removal(mbar, pset)
         j = n // mbar
-        acc += Fraction(1, strata[mbar] * j * _lifted(j, mbar, oset, orders))
+        acc += Fraction(1, strata[mbar] * j * _lifted(j, mbar, oset))
         if n in grid:
             samples.append((n, acc))
     series = MertensSeries(label=oset.label(), mode="dominant", samples=samples)
@@ -426,19 +433,19 @@ def decompose_lcm_closed(
 def f_series_direct(
     n_max: int,
     s,
-    orders: OrderTable | None = None,
+    orders: object = None,
     cache: object = None,
 ) -> MertensSeries:
     """F_S(N) = sum_{n <= N} |2^n - 1|_S / n summed term by term, exactly,
-    sampled on default_grid(n_max).  `cache` is ignored: perfbench/ops.py
-    still passes a factor cache positionally."""
+    sampled on default_grid(n_max).  `orders` and `cache` are ignored:
+    perfbench/ops.py still passes an order table and a factor cache
+    positionally."""
     grid = set(_sample_grid(n_max, None))
-    orders = orders or OrderTable()
     pset = _normalize_prime_set(s)
     acc = Fraction(0)
     samples = []
     for n in range(1, n_max + 1):
-        acc += Fraction(1, n * _removal(n, pset, orders))
+        acc += Fraction(1, n * _removal(n, pset))
         if n in grid:
             samples.append((n, acc))
     return MertensSeries(label=pset.label(), mode="dominant", samples=samples)

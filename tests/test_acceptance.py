@@ -11,7 +11,7 @@ from fractions import Fraction
 from orbitgrowth.arith import sieve_primes
 from orbitgrowth.cli import main as cli_main
 from orbitgrowth.constants import transcendental_series
-from orbitgrowth.integers import OrderTable, divisors, ord_p_mersenne
+from orbitgrowth.integers import divisors, ord_p_mersenne
 from orbitgrowth.mersenne import FactorCache, primitive_primes
 from orbitgrowth.mertens import orbit_count, periodic_points, squarefree_slope
 from orbitgrowth.reproduce import run_theorem
@@ -38,7 +38,6 @@ def test_criterion_01_exact_constant(capsys):
 def test_criterion_02_valuation_oracle():
     t0 = time.monotonic()
     table = sieve_primes(10**4)
-    orders = OrderTable()
     ok = True
     for p in table.primes[1:].tolist():
         for n in range(1, 65):
@@ -47,21 +46,21 @@ def test_criterion_02_valuation_oracle():
             while value % p == 0:
                 value //= p
                 expect += 1
-            if ord_p_mersenne(p, n, orders) != expect:
+            if ord_p_mersenne(p, n) != expect:
                 ok = False
     elapsed = time.monotonic() - t0
     _report(2, "ord_p(2^n - 1) matches the big-integer oracle, p <= 1e4, n <= 64",
             ok, elapsed, 60.0)
 
 
-def test_criterion_03_moebius_round_trip(orders):
+def test_criterion_03_moebius_round_trip():
     t0 = time.monotonic()
     ok = True
     sets = [[], [3], [3, 7], InducedPrimes(MultiplesOf(ells=[3]))]
     for s in sets:
         for n in range(1, 41):
-            lhs = sum(d * orbit_count(d, s, orders) for d in divisors(n))
-            if lhs != periodic_points(n, s, orders):
+            lhs = sum(d * orbit_count(d, s) for d in divisors(n))
+            if lhs != periodic_points(n, s):
                 ok = False
     elapsed = time.monotonic() - t0
     _report(3, "sum_{d|n} d O(d) = F(n) exactly, n <= 40, four prime sets",

@@ -324,16 +324,23 @@ class TestValuations:
         with pytest.raises(ValueError):
             ord_p(0, 3)
 
-    def test_mersenne_examples(self, orders):
-        assert ord_p_mersenne(3, 6, orders) == 2      # ord_3(63)
-        assert ord_p_mersenne(5, 3, orders) == 0      # m_5 = 4 does not divide 3
-        assert ord_p_mersenne(1093, 364, orders) == 2  # Wieferich: e_p = 2
+    def test_mersenne_examples(self):
+        assert ord_p_mersenne(3, 6) == 2      # ord_3(63)
+        assert ord_p_mersenne(5, 3) == 0      # m_5 = 4 does not divide 3
+        assert ord_p_mersenne(1093, 364) == 2  # Wieferich: e_p = 2
 
-    def test_against_big_integer_oracle(self, orders, table_1e6):
+    def test_order_computed_once(self, empty_orders, count_orders):
+        # The process's one memo keeps m_p across calls.
+        assert [ord_p_mersenne(1093, n) for n in range(1, 101)] == [0] * 100
+        assert ord_p_mersenne(23, 11) == 1
+        assert ord_p_mersenne(23, 22) == 1
+        assert count_orders == [1093, 23]
+
+    def test_against_big_integer_oracle(self, table_1e6):
         primes = [int(p) for p in table_1e6.primes[1:100]]
         for p in primes:
             for n in range(1, 65):
-                assert ord_p_mersenne(p, n, orders) == mersenne_valuation(p, n)
+                assert ord_p_mersenne(p, n) == mersenne_valuation(p, n)
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(3, 999983).map(next_prime_from), n=st.integers(1, 400))
@@ -475,8 +482,9 @@ class TestFactorize:
         got = list(chain.from_iterable(progression_segments(3, 200_001, 2)))
         assert got == [c for c in range(3, 200_001, 2) if is_probable_prime(c)]
 
-    def test_order_table_exponent_lifting(self, orders):
+    def test_order_table_exponent_lifting(self):
         # e_p = ord_p(2^{m_p} - 1); spot-check by direct division.
+        orders = OrderTable()
         for p in (3, 5, 7, 23, 89, 233, 1093, 3511):
             m = orders.order(p)
             value = (1 << m) - 1
@@ -486,6 +494,7 @@ class TestFactorize:
                 e += 1
             assert orders.exponent(p) == e
 
-    def test_wieferich_exponents(self, orders):
+    def test_wieferich_exponents(self):
+        orders = OrderTable()
         assert orders.exponent(1093) == 2
         assert orders.exponent(3511) == 2

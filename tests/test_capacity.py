@@ -18,7 +18,7 @@ import pytest
 import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
-from orbitgrowth.mertens import default_grid, dominant_sum, squarefree_slope
+from orbitgrowth.mertens import EXACT_CEILING, default_grid, dominant_sum, squarefree_slope
 from orbitgrowth.sets import (ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L,
                               prime_mask)
 
@@ -65,9 +65,10 @@ INTERVAL_PEAK_MB = 120
 # `reproduce --theorem zero` and `fit --model auto` run no numpy: they
 # peaked at 15-17 MB, and a numpy import would add about 13 MB.
 FIT_PEAK_MB = 22
-# mertens_exact(EXACT_CEILING) on the multiples of 3 took 2.2 s and peaked
-# at 35 MB on a 2-core x86-64 machine: integers below 2^(10^4) each, the
-# F(n) and the totals of the Moebius inversion.
+# mertens_exact(EXACT_CEILING) on the multiples of 3 took 1.3 s and peaked
+# at 36 MB on a 2-core x86-64 machine: integers below 2^(10^4) each, the
+# F(n) and the totals of the Moebius inversion.  `series --mode exact` there
+# writes each of its 30.5 MB of rows as it builds it, and peaked at 37 MB.
 EXACT_PEAK_MB = 60
 EXACT_SECONDS = 8
 # The int32 primes and their int32 orders, then the order set's indicator
@@ -186,6 +187,29 @@ def test_exact_series_at_ceiling_fits_bounds(tmp_path):
     assert text == "10000 6.068029302\n"
     assert peak_mb < EXACT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
     assert elapsed < EXACT_SECONDS, f"{elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out_file", "out_stdout"])
+def test_exact_series_csv_at_ceiling_fits_memory_bound(to_file, tmp_path):
+    """`series --mode exact` to EXACT_CEILING on the multiples of 3, to a
+    file and to stdout, within EXACT_PEAK_MB: no text of all the rows."""
+    spec = tmp_path / "set.json"
+    spec.write_text(json.dumps(
+        {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}}))
+    csv = tmp_path / "series.csv"
+    code, text, peak_mb = run_child(
+        ["-m", "orbitgrowth.cli", "series", "--spec", str(spec), "--mode", "exact",
+         "--n-max", str(EXACT_CEILING), "--out", str(csv) if to_file else "-"],
+        tmp_path)
+    assert code == 0, text[-2000:]
+    if to_file:
+        assert text == f"wrote {csv} ({EXACT_CEILING} rows)\n"
+        text = csv.read_text(encoding="utf-8")
+    rows = text.splitlines()
+    assert rows[0] == "N,value,mode,bound_R,bound_Q"
+    assert len(rows) == EXACT_CEILING + 1
+    assert rows[-1].startswith(f"{EXACT_CEILING},")
+    assert peak_mb < EXACT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
 def assert_reproduce_fits(theorem, bound_mb, tmp_path):

@@ -31,7 +31,7 @@ from orbitgrowth.errors import (
 from orbitgrowth.fitting import _linear_fit
 from orbitgrowth.integers import OrderTable, ord_p
 from orbitgrowth.mersenne import primitive_primes
-from orbitgrowth.mertens import dominant_sum, mertens_exact, squarefree_slope
+from orbitgrowth.mertens import EXACT_CEILING, dominant_sum, mertens_exact, squarefree_slope
 from orbitgrowth.sets import (
     CongruenceSource,
     ExplicitFinitePrimes,
@@ -42,10 +42,12 @@ from orbitgrowth.sets import (
 )
 
 
-def k_exact_reference(primes: list[int], orders: OrderTable) -> Fraction:
-    """k_S as one Fraction per term, the reference for the integer walk."""
+def k_exact_reference(primes: list[int]) -> Fraction:
+    """k_S as one Fraction per term, the reference for the integer walk,
+    over a fresh order memo."""
     if not primes:
         return Fraction(1)
+    orders = OrderTable()
     m_of = {p: orders.order(p) for p in primes}
     mbars = {1}
     for m in sorted(set(m_of.values())):
@@ -79,26 +81,36 @@ def k_exact_reference(primes: list[int], orders: OrderTable) -> Fraction:
 
 
 ODD_PRIMES_BELOW_2000 = sieve_primes(2000).primes[1:].tolist()
+ODD_PRIMES_BELOW_1000 = [p for p in ODD_PRIMES_BELOW_2000 if p < 1000]
 
 
 class TestKExact:
-    def test_flagship(self, orders):
-        assert k_exact_finite_s([3, 7], orders).value == Fraction(269, 576)
+    def test_flagship(self):
+        assert k_exact_finite_s([3, 7]).value == Fraction(269, 576)
 
-    def test_empty(self, orders):
-        assert k_exact_finite_s([], orders).value == 1
+    def test_empty(self):
+        assert k_exact_finite_s([]).value == 1
 
-    def test_single_3(self, orders):
+    def test_second_walk_computes_no_order(self, empty_orders, count_orders):
+        # The walk reads each m_p from the process's one memo.
+        primes = [3, 5, 7, 11, 13, 17, 31, 127]
+        first = k_exact_finite_s(primes).value
+        assert sorted(count_orders) == primes
+        count_orders.clear()
+        assert k_exact_finite_s(primes).value == first
+        assert count_orders == []
+
+    def test_single_3(self):
         # T = {} and T = {3}, L = 2, d_3 = 4: 1 + (1/2)(1/4 - 1)
-        assert k_exact_finite_s([3], orders).value == Fraction(5, 8)
+        assert k_exact_finite_s([3]).value == Fraction(5, 8)
 
-    def test_single_7(self, orders):
-        assert k_exact_finite_s([7], orders).value == Fraction(17, 24)
+    def test_single_7(self):
+        assert k_exact_finite_s([7]).value == Fraction(17, 24)
 
-    def test_wieferich_member(self, orders):
+    def test_wieferich_member(self):
         # e_1093 = 2, so the order stratum carries 1093^-2.
         expect = Fraction(363, 364) + Fraction(1, 364 * 1093 * 1094)
-        assert k_exact_finite_s([1093], orders).value == expect
+        assert k_exact_finite_s([1093]).value == expect
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(ODD_PRIMES_BELOW_2000), max_size=6,
@@ -110,31 +122,31 @@ class TestKExact:
     @example([3, 19], False)  # m_19 = 18, likewise
     @example([1093, 3511], False)  # both Wieferich primes: e_p = 2
     @example([3, 5, 7, 11, 13, 17, 31, 127], False)  # the exact_cache primes
-    def test_matches_fraction_reference(self, orders, primes, wieferich):
+    def test_matches_fraction_reference(self, primes, wieferich):
         # 1093 is the Wieferich prime below 2000: e_1093 = 2.
         s = sorted(set(primes) | ({1093} if wieferich else set()))
-        assert k_exact_finite_s(s, orders).value == k_exact_reference(s, orders)
+        assert k_exact_finite_s(s).value == k_exact_reference(s)
 
-    def test_in_unit_interval(self, orders):
+    def test_in_unit_interval(self):
         rng = random.Random(0)
         pool = [3, 5, 7, 11, 13, 17, 23, 31, 73, 89, 127]
         for _ in range(25):
             s = rng.sample(pool, rng.randint(1, 4))
-            k = k_exact_finite_s(s, orders).value
+            k = k_exact_finite_s(s).value
             assert 0 < k < 1
 
-    def test_rejects_2(self, orders):
+    def test_rejects_2(self):
         with pytest.raises(ContractError):
-            k_exact_finite_s([2, 3], orders)
+            k_exact_finite_s([2, 3])
 
-    def test_twenty_orders(self, orders):
+    def test_twenty_orders(self):
         # The odd primes to 73 have 20 distinct orders and 516 lcms.  Subsets
         # of equal lcm merge over the lcm of their denominators; a walk
         # merging by product spends over 4 s here.
         primes = ODD_PRIMES_BELOW_2000[:20]
         assert primes[-1] == 73
         start = time.perf_counter()
-        k = k_exact_finite_s(primes, orders).value
+        k = k_exact_finite_s(primes).value
         assert time.perf_counter() - start < 1.0
         assert k == Fraction(
             199930154550532743807504998858174294308219,
@@ -142,35 +154,50 @@ class TestKExact:
         # The cap counts the walk's lcms, not the orders: 79 (a 21st
         # order) and the odd primes to 150 (13 648 lcms) are taken.  Each
         # prime added lowers f(n) = prod |2^n - 1|_p, so k falls.
-        k_79 = k_exact_finite_s(primes + [79], orders).value
+        k_79 = k_exact_finite_s(primes + [79]).value
         to_150 = [p for p in ODD_PRIMES_BELOW_2000 if p <= 150]
-        assert 0 < k_exact_finite_s(to_150, orders).value < k_79 < k
+        assert 0 < k_exact_finite_s(to_150).value < k_79 < k
 
-    def test_walk_capacity(self, orders):
+    def test_walk_capacity(self):
         # The odd primes to 200 would reach 441 008 lcms in about 30 s; the
         # walk stops once it holds more than K_EXACT_STRATA, here in 0.2 s.
         to_200 = [p for p in ODD_PRIMES_BELOW_2000 if p <= 200]
         start = time.perf_counter()
         with pytest.raises(CapacityError, match=f"{constants.K_EXACT_STRATA} lcm"):
-            k_exact_finite_s(to_200, orders)
+            k_exact_finite_s(to_200)
         assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("s", [
         [3], [5], [7], [3, 5], [3, 7], [1093], [31, 127], [3, 73],
         [5, 17, 257], [7, 73, 127], [3, 5, 7, 11, 13, 17, 31, 127],
     ], ids=str)
-    def test_matches_series_slope(self, orders, s):
+    def test_matches_series_slope(self, s):
         # k_S is the slope of M_S(N) against log N, which the exact series
         # reaches through F(n) and Moebius inversion, not through the
         # subset expansion.  Fitted over N in [40, 120], it lands within
         # 0.01 of k_S; the offsets seen are -0.0035 to -0.0062.
-        series = mertens_exact(120, ExplicitFinitePrimes(s), orders)
+        series = mertens_exact(120, ExplicitFinitePrimes(s))
         ns = np.arange(40, 121)
         vs = np.array([float(series.value_at(int(n))) for n in ns])
         slope, _, _ = _linear_fit(np.log(ns.astype(float)), vs)
-        assert abs(slope - float(k_exact_finite_s(s, orders).value)) < 0.01
+        assert abs(slope - float(k_exact_finite_s(s).value)) < 0.01
 
-    def test_slope_confirmation_single_3(self, orders):
+    @pytest.mark.parametrize("s", [
+        [3, 7],
+        sorted(random.Random(2).sample(ODD_PRIMES_BELOW_1000, 4)),
+        sorted(random.Random(3).sample(ODD_PRIMES_BELOW_1000, 4)),
+    ], ids=str)
+    def test_series_flat_to_the_ceiling(self, s):
+        # M_S(N) - k_S log N settles.  From N = 2000 to the exact ceiling it
+        # spread by 1.8e-4 on {3, 7} and by 1.4e-4 to 7.2e-4 on the sets of
+        # seeds 0 to 3; a k_S off by 1 % spreads it by 0.008 to 0.017.
+        series = mertens_exact(EXACT_CEILING, ExplicitFinitePrimes(s))
+        k = float(k_exact_finite_s(s).value)
+        offsets = [float(series.value_at(n)) - k * math.log(n)
+                   for n in (2000, 3162, 5000, EXACT_CEILING)]
+        assert max(offsets) - min(offsets) < 2e-3
+
+    def test_slope_confirmation_single_3(self):
         # |2^n - 1|_{3} = 3^-(1 + v3(n)) for even n; slope fit to 1e5.
         n_max = 10**5
         w = np.zeros(n_max + 1)
@@ -197,58 +224,58 @@ class TestOrderBounds:
         upper, mult = k_order_bounds([])
         assert upper == 1 and mult == {}
 
-    def test_upper_bound_holds(self, orders, cache):
+    def test_upper_bound_holds(self, cache):
         for ells in ([3], [5], [3, 5], [3, 7]):
             union = []
             for l in ells:
-                union.extend(p for p, _ in primitive_primes(l, cache, orders))
-            k = k_exact_finite_s(union, orders).value
+                union.extend(p for p, _ in primitive_primes(l, cache))
+            k = k_exact_finite_s(union).value
             upper, _ = k_order_bounds(ells)
             assert k <= upper
 
-    def test_lower_multiplier_holds(self, orders, cache):
+    def test_lower_multiplier_holds(self, cache):
         # (1 - 1/l) k_L <= k_{L + {l}}
         def class_set(ells):
             out = []
             for l in ells:
-                out.extend(p for p, _ in primitive_primes(l, cache, orders))
+                out.extend(p for p, _ in primitive_primes(l, cache))
             return out
 
         for base, ell in (([], 3), ([3], 5), ([3], 7), ([5], 3)):
-            k_before = k_exact_finite_s(class_set(base), orders).value
-            k_after = k_exact_finite_s(class_set(base + [ell]), orders).value
+            k_before = k_exact_finite_s(class_set(base)).value
+            k_after = k_exact_finite_s(class_set(base + [ell])).value
             assert (1 - Fraction(1, ell)) * k_before <= k_after
 
 
 class TestGreedy:
-    def test_window_09(self, cache, orders):
-        trace = greedy_L(Fraction(9, 10), Fraction(1, 20), cache, orders)
+    def test_window_09(self, cache):
+        trace = greedy_L(Fraction(9, 10), Fraction(1, 20), cache)
         assert trace.terminal
         assert Fraction(9, 10) <= trace.k_final < Fraction(19, 20)
         assert trace.chosen == (11,)
 
-    def test_window_075(self, cache, orders):
-        trace = greedy_L(Fraction(3, 4), Fraction(1, 10), cache, orders)
+    def test_window_075(self, cache):
+        trace = greedy_L(Fraction(3, 4), Fraction(1, 10), cache)
         assert trace.terminal
         assert Fraction(3, 4) <= trace.k_final < Fraction(17, 20)
 
-    def test_trivial_window(self, cache, orders):
+    def test_trivial_window(self, cache):
         # 1 < k + eps already: the empty selection terminates immediately.
-        trace = greedy_L(Fraction(99, 100), Fraction(1, 10), cache, orders)
+        trace = greedy_L(Fraction(99, 100), Fraction(1, 10), cache)
         assert trace.terminal and trace.chosen == ()
         assert trace.k_final == 1
 
-    def test_per_step_lower_bound(self, cache, orders):
-        trace = greedy_L(Fraction(9, 10), Fraction(1, 20), cache, orders)
+    def test_per_step_lower_bound(self, cache):
+        trace = greedy_L(Fraction(9, 10), Fraction(1, 20), cache)
         k_before = Fraction(1)
         for step in trace.decisions:
             assert (1 - Fraction(1, step.ell)) * k_before <= step.k_candidate
             if step.accepted:
                 k_before = step.k_after
 
-    def test_uncertifiable_target_fails_loudly(self, cache, orders):
+    def test_uncertifiable_target_fails_loudly(self, cache):
         with pytest.raises(BudgetError):
-            greedy_L(Fraction(999, 1000), Fraction(1, 10**6), cache, orders)
+            greedy_L(Fraction(999, 1000), Fraction(1, 10**6), cache)
 
 
 class TestTranscendental:

@@ -169,9 +169,9 @@ class TestClassify:
         rng.shuffle(shuffled)
         assert classify_growth(shuffled) == classify_growth(samples)
 
-    def test_nested_sets_fit_monotonicity(self, orders):
-        small = f_series_direct(2000, [3], orders)
-        large = f_series_direct(2000, [3, 7], orders)
+    def test_nested_sets_fit_monotonicity(self):
+        small = f_series_direct(2000, [3])
+        large = f_series_direct(2000, [3, 7])
         rep_small = fit_model(small.float_samples(), "k_log", strict=False)
         rep_large = fit_model(large.float_samples(), "k_log", strict=False)
         slack = 2 * (rep_small.residual + rep_large.residual)

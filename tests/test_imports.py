@@ -229,6 +229,13 @@ def test_mertens_does_not_import_mersenne():
     assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
 
 
+# The package's __init__ imports none of its modules, so loading the order
+# sets or the exact series does not load `mersenne` through it either.
+def test_sets_and_mertens_load_no_mersenne():
+    assert run_child("import sys, orbitgrowth.sets, orbitgrowth.mertens\n"
+                     "print('orbitgrowth.mersenne' in sys.modules)") == "False"
+
+
 def import_time_modules(path: Path) -> list[tuple[str, int]]:
     """(module, line) for every import the file runs when it is loaded: all
     but those inside function bodies.  `orbitgrowth.x` is given as `.x`."""

@@ -300,9 +300,11 @@ class TestPrimitive:
                     continue
                 assert e == orders.exponent(p) + ord_p(m, p)
 
-    def test_order_class_registers(self, cache):
-        orders = OrderTable()
-        members = primitive_primes(29, cache, orders)
+    def test_order_class_registers(self, cache, empty_orders, count_orders):
+        # The class goes into the process's order memo, which then answers
+        # m_p and e_p of its members without computing an order.
+        members = primitive_primes(29, cache)
         assert dict(members) == {233: 1, 1103: 1, 2089: 1}
-        assert orders.order(233) == 29
-        assert orders.exponent(2089) == 1
+        assert [empty_orders.order(p) for p, _ in sorted(members)] == [29] * 3
+        assert [empty_orders.exponent(p) for p, _ in sorted(members)] == [1] * 3
+        assert count_orders == []

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitgrowth import sets
+from orbitgrowth import mertens, sets
 from orbitgrowth.arith import SIEVE_CAPACITY
 from orbitgrowth.errors import CapacityError, ContractError
-from orbitgrowth.integers import OrderTable, divisors, is_probable_prime, ord_p, ord_p_mersenne
+from orbitgrowth.integers import divisors, is_probable_prime, ord_p, ord_p_mersenne
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.mertens import (
     EXACT_CEILING,
@@ -68,26 +68,26 @@ def necklace_orbit_count(n: int) -> int:
 
 
 class TestPeriodicPoints:
-    def test_full_system(self, orders):
+    def test_full_system(self):
         assert periodic_points(4, []) == 15
 
-    def test_invert_3(self, orders):
-        assert periodic_points(4, [3], orders) == 5
+    def test_invert_3(self):
+        assert periodic_points(4, [3]) == 5
 
-    def test_invert_3_7(self, orders):
-        assert periodic_points(6, [3, 7], orders) == 1
+    def test_invert_3_7(self):
+        assert periodic_points(6, [3, 7]) == 1
 
-    def test_divides_mersenne(self, orders):
+    def test_divides_mersenne(self):
         for n in range(1, 41):
             for s in ([], [3], [3, 7]):
-                assert ((1 << n) - 1) % periodic_points(n, s, orders) == 0
+                assert ((1 << n) - 1) % periodic_points(n, s) == 0
 
-    def test_adding_2_changes_nothing(self, orders):
+    def test_adding_2_changes_nothing(self):
         # |2^n - 1|_2 = 1: the 2-part of an odd number is trivial.
         for n in range(1, 41):
             assert ord_2_of_mersenne(n) == 0
-        a = mertens_exact(40, ExplicitFinitePrimes([3, 7]), orders)
-        b = mertens_exact(40, ExplicitFinitePrimes([2, 3, 7]), orders)
+        a = mertens_exact(40, ExplicitFinitePrimes([3, 7]))
+        b = mertens_exact(40, ExplicitFinitePrimes([2, 3, 7]))
         assert a.samples == b.samples
 
 
@@ -101,18 +101,18 @@ def ord_2_of_mersenne(n: int) -> int:
 
 
 class TestOrbitCounts:
-    def test_necklace_oracle(self, orders):
+    def test_necklace_oracle(self):
         for n in range(1, 13):
-            assert orbit_count(n, [], orders) == necklace_orbit_count(n)
+            assert orbit_count(n, []) == necklace_orbit_count(n)
 
-    def test_unit(self, orders):
-        assert orbit_count(1, [], orders) == 1
+    def test_unit(self):
+        assert orbit_count(1, []) == 1
 
-    def test_destroyed_two_cycle(self, orders):
+    def test_destroyed_two_cycle(self):
         # F(1) = F(2) = 1 once 3 is inverted
-        assert orbit_count(2, [3], orders) == 0
+        assert orbit_count(2, [3]) == 0
 
-    def test_moebius_round_trip(self, orders):
+    def test_moebius_round_trip(self):
         sets = [
             [],
             [3],
@@ -122,18 +122,17 @@ class TestOrbitCounts:
         for s in sets:
             for n in range(1, 41):
                 total = sum(
-                    d * orbit_count(d, s, orders) for d in divisors(n)
+                    d * orbit_count(d, s) for d in divisors(n)
                 )
-                assert total == periodic_points(n, s, orders)
+                assert total == periodic_points(n, s)
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.lists(st.sampled_from(ODD_PRIMES_BELOW_200), max_size=6,
                       unique=True),
            n=st.integers(1, 120))
     def test_moebius_round_trip_on_random_finite_sets(self, s, n):
-        orders = OrderTable()
-        total = sum(d * orbit_count(d, s, orders) for d in divisors(n))
-        assert total == periodic_points(n, s, orders)
+        total = sum(d * orbit_count(d, s) for d in divisors(n))
+        assert total == periodic_points(n, s)
 
 
 class TestMertensExact:
@@ -148,45 +147,44 @@ class TestMertensExact:
     ], ids=["empty", "3,7", "eight_primes", "multiples_of_3",
             "complement_multiples_of_3"])
     def test_matches_scalar_orbit_counts(self, s):
-        orders = OrderTable()
-        series = mertens_exact(120, s, orders)
+        series = mertens_exact(120, s)
         acc = Fraction(0)
         for n in range(1, 121):
-            acc += Fraction(orbit_count(n, s, orders), 1 << n)
+            acc += Fraction(orbit_count(n, s), 1 << n)
             assert series.value_at(n) == acc, n
 
-    def test_empty_system_small(self, orders):
-        series = mertens_exact(4, [], orders)
+    def test_empty_system_small(self):
+        series = mertens_exact(4, [])
         assert series.value_at(4) == Fraction(19, 16)
 
-    def test_first_sample_is_half_orbit(self, orders):
+    def test_first_sample_is_half_orbit(self):
         for s in ([], [3], [3, 7]):
-            series = mertens_exact(1, s, orders)
-            assert series.value_at(1) == Fraction(orbit_count(1, s, orders), 2)
+            series = mertens_exact(1, s)
+            assert series.value_at(1) == Fraction(orbit_count(1, s), 2)
 
-    def test_regression_sentinel_37(self, orders):
+    def test_regression_sentinel_37(self):
         # Frozen from this engine: the step from N=100 to N=120 tracks
         # k_{3,7} log(120/100) (the growth is logarithmic, so the gap is
         # ~0.085, far from zero).
-        series = mertens_exact(120, [3, 7], orders)
+        series = mertens_exact(120, [3, 7])
         diff = float(series.value_at(120) - series.value_at(100))
         assert abs(diff - 0.0852789292451261) < 1e-12
         assert abs(diff - float(Fraction(269, 576)) * math.log(1.2)) < 0.01
 
-    def test_ceiling(self, orders):
+    def test_ceiling(self):
         assert EXACT_CEILING == 10_000
         with pytest.raises(ContractError, match="ceiling"):
-            mertens_exact(10_001, [], orders)
+            mertens_exact(10_001, [])
 
-    def test_sandwich_inner_outer(self, orders):
+    def test_sandwich_inner_outer(self):
         # 233 is one of the three primes of order 29: S^o induced by no
         # order lies inside S, S-bar induced by the order 29 around it.
         s = ExplicitFinitePrimes([233])
         inner = InducedPrimes(ExplicitList([]))
         outer = InducedPrimes(ExplicitList([29]))
-        m_mid = mertens_exact(40, s, orders)
-        m_inner = mertens_exact(40, inner, orders)  # S^o, fewer removals
-        m_outer = mertens_exact(40, outer, orders)  # S-bar, more removals
+        m_mid = mertens_exact(40, s)
+        m_inner = mertens_exact(40, inner)  # S^o, fewer removals
+        m_outer = mertens_exact(40, outer)  # S-bar, more removals
         for n in range(1, 41):
             assert (
                 m_outer.value_at(n) <= m_mid.value_at(n) <= m_inner.value_at(n)
@@ -352,16 +350,16 @@ class TestSeriesDomain:
                 dominant_sum(n_max, MultiplesOf(ells=[3]), grid=grid)
 
     @pytest.mark.parametrize("n_max", [0, -1, -10])
-    def test_decompose_lcm_closed(self, n_max, orders):
+    def test_decompose_lcm_closed(self, n_max):
         for oset in (EllPowers(3), ComplementMultiplesOf(3), ExplicitList([2, 3])):
             with pytest.raises(ContractError, match="n_max must be >= 1"):
-                decompose_lcm_closed(n_max, oset, orders)
+                decompose_lcm_closed(n_max, oset)
 
     @pytest.mark.parametrize("n_max", [0, -1, -10])
-    def test_f_series_direct(self, n_max, orders):
+    def test_f_series_direct(self, n_max):
         for s in ([3, 7], InducedPrimes(EllPowers(3))):
             with pytest.raises(ContractError, match="n_max must be >= 1"):
-                f_series_direct(n_max, s, orders)
+                f_series_direct(n_max, s)
 
     @pytest.mark.parametrize("low", [0, -5])
     def test_grid_point_below_1(self, low, monkeypatch):
@@ -374,25 +372,25 @@ class TestSeriesDomain:
         with pytest.raises(ContractError, match="grid points must be >= 1"):
             dominant_sum(100, oset, grid=[low, 50])
 
-    def test_smallest_n_max(self, orders):
+    def test_smallest_n_max(self):
         assert dominant_sum(1, MultiplesOf(ells=[3])).samples == [(1, Fraction(1))]
-        series, _ = decompose_lcm_closed(1, EllPowers(3), orders)
-        assert series.samples == f_series_direct(1, InducedPrimes(EllPowers(3)),
-                                                 orders).samples
+        series, _ = decompose_lcm_closed(1, EllPowers(3))
+        direct = f_series_direct(1, InducedPrimes(EllPowers(3)))
+        assert series.samples == direct.samples
 
 
 class TestDecomposition:
-    def test_ell_powers_matches_direct(self, orders):
+    def test_ell_powers_matches_direct(self):
         oset = EllPowers(3)
-        series, strata = decompose_lcm_closed(120, oset, orders)
-        direct = f_series_direct(120, InducedPrimes(oset), orders)
+        series, strata = decompose_lcm_closed(120, oset)
+        direct = f_series_direct(120, InducedPrimes(oset))
         assert series.samples == direct.samples
         assert strata == [1, 3, 9, 27, 81]
 
-    def test_complement_strata_are_ell_power_fibres(self, orders):
+    def test_complement_strata_are_ell_power_fibres(self):
         oset = ComplementMultiplesOf(3)
-        series, _ = decompose_lcm_closed(100, oset, orders)
-        direct = f_series_direct(100, InducedPrimes(oset), orders)
+        series, _ = decompose_lcm_closed(100, oset)
+        direct = f_series_direct(100, InducedPrimes(oset))
         assert series.samples == direct.samples
         # each stratum fibre {n : mbar_n = m} is {m * 3^e}
         for n in range(1, 101):
@@ -406,19 +404,19 @@ class TestDecomposition:
     @pytest.mark.parametrize("oset", [MultiplesOf(ells=[2, 3]), MultiplesOf(ells=[6]),
                                       CompositeNumbers()],
                              ids=["2_and_3", "6_alone", "composite"])
-    def test_stratum_6_exactly_when_2_and_3_are_members(self, oset, orders):
+    def test_stratum_6_exactly_when_2_and_3_are_members(self, oset):
         # n = 6 realizes the orders 2 and 3 but no prime has order 6, so 6
         # is a stratum of its own only when 2 and 3 are both members.
-        series, strata = decompose_lcm_closed(60, oset, orders)
-        direct = f_series_direct(60, InducedPrimes(oset), orders)
+        series, strata = decompose_lcm_closed(60, oset)
+        direct = f_series_direct(60, InducedPrimes(oset))
         assert series.samples == direct.samples
         assert (6 in strata) == (oset.contains(2) and oset.contains(3))
 
-    def test_explicit_list_closure_and_slope(self, orders):
+    def test_explicit_list_closure_and_slope(self):
         oset = ExplicitList([2, 3])
-        series, strata = decompose_lcm_closed(1000, oset, orders)
+        series, strata = decompose_lcm_closed(1000, oset)
         assert strata == [1, 2, 3, 6]
-        direct = f_series_direct(1000, ExplicitFinitePrimes([3, 7]), orders)
+        direct = f_series_direct(1000, ExplicitFinitePrimes([3, 7]))
         assert series.samples == direct.samples
         assert [n for n, _ in series.samples] == default_grid(1000)
         import numpy as np
@@ -432,36 +430,36 @@ class TestDecomposition:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.integers(1, 30), max_size=4),
            n_max=st.integers(1, 60))
-    def test_explicit_lists_match_direct(self, values, n_max, orders):
+    def test_explicit_lists_match_direct(self, values, n_max):
         oset = ExplicitList(values)
-        series, _ = decompose_lcm_closed(n_max, oset, orders)
-        direct = f_series_direct(n_max, InducedPrimes(oset), orders)
+        series, _ = decompose_lcm_closed(n_max, oset)
+        direct = f_series_direct(n_max, InducedPrimes(oset))
         assert series.samples == direct.samples
 
-    def test_list_of_3_and_4_matches_direct(self, orders):
+    def test_list_of_3_and_4_matches_direct(self):
         # 12 = lcm(3, 4) is a stratum, but 13, whose order is 12, is not in
         # S: of 2^12 - 1 = 3^2 5 7 13 only 5 and 7 are removed, so the
         # strata are not the list's lcm closure.
         oset = ExplicitList([3, 4])
-        series, strata = decompose_lcm_closed(120, oset, orders)
+        series, strata = decompose_lcm_closed(120, oset)
         assert strata == [1, 3, 4, 12]
-        assert _removal(12, InducedPrimes(oset), orders) == 5 * 7
-        direct = f_series_direct(120, InducedPrimes(oset), orders)
+        assert _removal(12, InducedPrimes(oset)) == 5 * 7
+        direct = f_series_direct(120, InducedPrimes(oset))
         assert series.samples == direct.samples
 
-    def test_prime_numbers_matches_direct(self, orders):
+    def test_prime_numbers_matches_direct(self):
         oset = PrimeNumbers()
-        series, strata = decompose_lcm_closed(100, oset, orders)
-        direct = f_series_direct(100, InducedPrimes(oset), orders)
+        series, strata = decompose_lcm_closed(100, oset)
+        direct = f_series_direct(100, InducedPrimes(oset))
         assert series.samples == direct.samples
         assert strata[:8] == [1, 2, 3, 5, 6, 7, 10, 11]
 
     @pytest.mark.parametrize("n_max", [1, 60, 120])
     @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
-    def test_every_kind_matches_direct(self, oset, n_max, orders):
+    def test_every_kind_matches_direct(self, oset, n_max):
         # The strata are the mbar_n that occur, whatever closure M has.
-        series, strata = decompose_lcm_closed(n_max, oset, orders)
-        direct = f_series_direct(n_max, InducedPrimes(oset), orders)
+        series, strata = decompose_lcm_closed(n_max, oset)
+        direct = f_series_direct(n_max, InducedPrimes(oset))
         assert series.samples == direct.samples
         assert strata == sorted({mbar_of(n, oset) for n in range(1, n_max + 1)})
 
@@ -472,23 +470,34 @@ class TestRemoval:
     # each with its lifted exponent ord_p(2^n - 1).
     @pytest.mark.parametrize("oset", ALL_KINDS, ids=lambda oset: oset.kind)
     def test_matches_primitive_primes_of_the_seed_cache(self, oset, cache):
-        orders = OrderTable()
         pset = InducedPrimes(oset)
         for n in range(1, 129):
-            expect = math.prod(p ** ord_p_mersenne(p, n, orders)
+            expect = math.prod(p ** ord_p_mersenne(p, n)
                                for d in divisors(n) if oset.contains(d)
                                for p, _ in primitive_primes(d, cache))
-            assert _removal(n, pset, orders) == expect, n
+            assert _removal(n, pset) == expect, n
 
-    def test_wieferich_prime_past_the_seed_cache(self, orders):
+    def test_primitive_part_evaluated_once_per_order(self, monkeypatch):
+        # Each Phi_d(2) / gcd(Phi_d(2), d) is kept, not evaluated again for
+        # every n that d divides: the composite d to 120 but 6.
+        evaluated = []
+        real = mertens.cyclotomic_eval2
+        monkeypatch.setattr(mertens, "cyclotomic_eval2",
+                            lambda d: evaluated.append(d) or real(d))
+        mertens._primitive_part.cache_clear()
+        mertens_exact(120, InducedPrimes(CompositeNumbers()))
+        assert sorted(evaluated) == [d for d in range(4, 121)
+                                     if d != 6 and not is_probable_prime(d)]
+
+    def test_wieferich_prime_past_the_seed_cache(self):
         # 1093 has order 364 and 1093^2 | 2^364 - 1, inside the primitive
         # part of Phi_364(2); lifting adds one more 1093 at n = 364 * 1093.
         pset = InducedPrimes(ExplicitList([364]))
         for n, e in ((364, 2), (364 * 1093, 3)):
-            removal = _removal(n, pset, orders)
+            removal = _removal(n, pset)
             assert ((1 << n) - 1) % removal == 0
             assert ord_p(removal, 1093) == e
-            assert _removal(n, ExplicitFinitePrimes([1093]), orders) == 1093**e
+            assert _removal(n, ExplicitFinitePrimes([1093])) == 1093**e
 
 
 class TestMbar:
@@ -498,12 +507,12 @@ class TestMbar:
     def test_coprime_gives_unit(self):
         assert mbar_of(35, ExplicitList([2, 3])) == 1
 
-    def test_ell_powers(self, orders):
+    def test_ell_powers(self):
         oset = EllPowers(3)
         assert mbar_of(18, oset) == 9
-        assert _removal(9, InducedPrimes(oset), orders) == 7 * 73
+        assert _removal(9, InducedPrimes(oset)) == 7 * 73
 
-    def test_membership_decided_once_per_series(self, orders, monkeypatch):
+    def test_membership_decided_once_per_series(self, monkeypatch):
         # _member decides a factored d; the order set asks it once per d,
         # not once per divisor d of every n, so a fresh set per series sees
         # each d once.
@@ -511,23 +520,23 @@ class TestMbar:
         member = ComplementMultiplesOf._member
         monkeypatch.setattr(ComplementMultiplesOf, "_member",
                             lambda self, d, fac: asked.append(d) or member(self, d, fac))
-        for run in (lambda o: mertens_exact(120, InducedPrimes(o), orders),
-                    lambda o: decompose_lcm_closed(120, o, orders),
-                    lambda o: f_series_direct(120, InducedPrimes(o), orders)):
+        for run in (lambda o: mertens_exact(120, InducedPrimes(o)),
+                    lambda o: decompose_lcm_closed(120, o),
+                    lambda o: f_series_direct(120, InducedPrimes(o))):
             asked.clear()
             run(ComplementMultiplesOf(3))
             assert asked and len(asked) == len(set(asked))
 
-    def test_second_series_factors_no_d_again(self, orders, monkeypatch):
+    def test_second_series_factors_no_d_again(self, monkeypatch):
         # The first series decides every d <= 120 the others ask about.
         oset = ComplementMultiplesOf(3)
-        first, _ = decompose_lcm_closed(120, oset, orders)
+        first, _ = decompose_lcm_closed(120, oset)
         factored = []
         factorize = sets.factorize
         monkeypatch.setattr(sets, "factorize",
                             lambda n: factored.append(n) or factorize(n))
-        again = f_series_direct(120, InducedPrimes(oset), orders)
-        mertens_exact(120, InducedPrimes(oset), orders)
+        again = f_series_direct(120, InducedPrimes(oset))
+        mertens_exact(120, InducedPrimes(oset))
         assert factored == []
         assert again.samples == first.samples
 
@@ -547,10 +556,10 @@ class TestRemainderBounds:
         with pytest.raises(ContractError):
             remainder_bounds(5)
 
-    def test_exact_vs_dominant_envelope(self, orders):
+    def test_exact_vs_dominant_envelope(self):
         oset = MultiplesOf(ells=[3])
         grid = list(range(40, 121))
-        exact = mertens_exact(120, InducedPrimes(oset), orders)
+        exact = mertens_exact(120, InducedPrimes(oset))
         dom = dominant_sum(120, oset, grid=grid)
         gaps = {
             n: float(exact.value_at(n) - dom.value_at(n)) for n in grid
@@ -579,8 +588,8 @@ class TestExactAgainstDominant:
         "oset", [o for o in ALL_KINDS if o.closed_under_nat_multiplication]
         + [MultiplesOf(ells=[3]), OmegaBounded(1, CongruenceSource(3, [1]), 1)],
         ids=lambda oset: oset.kind)
-    def test_difference_is_constant(self, oset, orders):
-        exact = mertens_exact(1000, InducedPrimes(oset), orders)
+    def test_difference_is_constant(self, oset):
+        exact = mertens_exact(1000, InducedPrimes(oset))
         dom = dominant_sum(1000, oset, grid=[500, 1000])
         gaps = [float(exact.value_at(n) - dom.value_at(n)) for n in (500, 1000)]
         assert abs(gaps[0] - gaps[1]) < 1e-9

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from orbitgrowth import sets
 from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
-from orbitgrowth.integers import is_probable_prime
+from orbitgrowth.integers import is_probable_prime, mult_order
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
     ComplementMultiplesOf,
@@ -328,18 +328,18 @@ class TestMembership:
         assert m.contains(12)
         assert not m.contains(10)
 
-    def test_composite_orders(self, orders):
+    def test_composite_orders(self):
         s = InducedPrimes(CompositeNumbers())
         # m_7 = 3 and m_23 = m_89 = 11 are prime; m_5 = 4 is composite.
-        assert not s.order_set.contains(orders.order(7))
-        assert not s.order_set.contains(orders.order(23))
-        assert not s.order_set.contains(orders.order(89))
-        assert s.order_set.contains(orders.order(5))
+        assert not s.order_set.contains(mult_order(7))
+        assert not s.order_set.contains(mult_order(23))
+        assert not s.order_set.contains(mult_order(89))
+        assert s.order_set.contains(mult_order(5))
 
-    def test_ell_power_orders(self, orders):
+    def test_ell_power_orders(self):
         s = InducedPrimes(EllPowers(3))
-        assert s.order_set.contains(orders.order(73))  # m_73 = 9
-        assert not s.order_set.contains(orders.order(5))
+        assert s.order_set.contains(mult_order(73))  # m_73 = 9
+        assert not s.order_set.contains(mult_order(5))
 
     def test_two_never_member(self):
         assert 2 not in ExplicitFinitePrimes([2, 3]).primes
@@ -514,25 +514,25 @@ class TestClosureFlags:
 
 
 class TestCorrespondence:
-    def test_s_of_m_of_s_contains_s(self, orders):
+    def test_s_of_m_of_s_contains_s(self):
         rng = random.Random(0)
         pool = [int(p) for p in sieve_primes(10**4).primes[1:]]
         for _ in range(100):
             s = rng.sample(pool, rng.randint(1, 6))
-            m_s = sorted({orders.order(p) for p in s})
+            m_s = sorted({mult_order(p) for p in s})
             induced = InducedPrimes(ExplicitList(m_s))
-            assert all(induced.order_set.contains(orders.order(p)) for p in s)
+            assert all(induced.order_set.contains(mult_order(p)) for p in s)
 
-    def test_induced_idempotent(self, orders):
+    def test_induced_idempotent(self):
         # S_{M_{S_M}} = S_M: membership agrees on a prime sample.
         base = InducedPrimes(MultiplesOf(ells=[3]))
         sample = [3, 5, 7, 73, 233, 331, 4051]
-        m_realized = sorted({orders.order(p) for p in sample
-                             if base.order_set.contains(orders.order(p))})
+        m_realized = sorted({mult_order(p) for p in sample
+                             if base.order_set.contains(mult_order(p))})
         again = InducedPrimes(ExplicitList(m_realized))
         for p in sample:
-            if base.order_set.contains(orders.order(p)):
-                assert again.order_set.contains(orders.order(p))
+            if base.order_set.contains(mult_order(p)):
+                assert again.order_set.contains(mult_order(p))
 
     def test_m_of_s_m_drops_1_and_6(self, cache):
         rng = random.Random(1)
@@ -580,7 +580,7 @@ class TestDensity:
         est = estimate_density(pset, 1000)
         assert (est.member_count, est.total_count) == (members, 167)
 
-    def test_counts_match_scalar_orders(self, table_1e6, orders):
+    def test_counts_match_scalar_orders(self, table_1e6):
         # The bulk orders and the indicator gather against scalar orders.
         limit = 20000
         for oset in (MultiplesOf(ells=[3]),
@@ -589,7 +589,7 @@ class TestDensity:
                      EllPowers(2)):
             pset = InducedPrimes(oset)
             odd = [p for p in table_1e6.primes[1:].tolist() if p <= limit]
-            members = sum(oset.contains(orders.order(p)) for p in odd)
+            members = sum(oset.contains(mult_order(p)) for p in odd)
             est = estimate_density(pset, limit)
             assert (est.member_count, est.total_count) == (members, len(odd))
 
@@ -617,13 +617,13 @@ class TestJson:
             for n in (1, 5, 12, 30, 49, 450):
                 assert clone.contains(n) == spec.contains(n)
 
-    def test_prime_set_roundtrip(self, orders):
+    def test_prime_set_roundtrip(self):
         ps = prime_set_from_json({"kind": "explicit_finite", "primes": [3, 7]})
         assert 3 in ps.primes and 5 not in ps.primes
         ind = prime_set_from_json(
             {"kind": "induced", "order_set": {"kind": "multiples_of", "ells": [3]}}
         )
-        assert ind.order_set.contains(orders.order(73))
+        assert ind.order_set.contains(mult_order(73))
 
     def test_congruence_primes_is_one_class(self):
         # The order-set kind and the multiples_of prime source load to one
