@@ -10,21 +10,26 @@ that need arrays are in `arith`.  All factoring, of p - 1 here and of
 2^m - 1 in `mersenne`, goes through factor_by_trial: trial division, then
 per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to
 PM1_BOUND2) and Brent rho, under a deadline (FACTORIZE_BUDGET seconds by
-default).  One bytearray sieve of an arithmetic progression serves all
-of it: over the odd numbers it lists the small primes on demand, only as
-far as a caller needs (the array layer's primes up to sqrt(N) too), and
-the stage-2 primes segment by segment; over 1 + step, 1 + 2 step, ... it
-gives factor_mersenne its trial divisors, the only primes that can divide
-a primitive part.  Nothing is sieved at import.
-The package runs in one thread per process, so the prime list and ORDERS,
-the process's one OrderTable, hold no locks: every exact quantity reads
-its m_p and e_p there.
+default).  factorize keeps its answers for n below FACTOR_MEMO_BOUND, so
+the exact layer factors each small n once.  One bytearray sieve of an
+arithmetic progression serves all of it: over the odd numbers it lists
+the small primes on demand, only as far as a caller needs (the array
+layer's primes up to sqrt(N) too), and the stage-2 primes segment by
+segment; over 1 + step, 1 + 2 step, ... it gives factor_mersenne its trial
+divisors, the only primes that can divide a primitive part.  A progression
+finds each sieving prime's first multiple once and every segment carries
+on from there; a single window is the one-segment case.  Nothing is
+sieved at import.
+The package runs in one thread per process, so the prime list, the
+factorize memo and ORDERS, the process's one OrderTable, hold no locks:
+every exact quantity reads its m_p and e_p there.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from itertools import compress, takewhile
 
 from .errors import BudgetError, InvariantViolation
@@ -118,29 +123,49 @@ def _prime_flags(lo: int, hi: int, step: int) -> bytearray:
     """One bytearray over the terms lo, lo + step, ... below hi of a
     progression with even step and lo >= 3 prime to step: entry i is 1
     exactly when lo + i * step is prime.  The odd numbers are step 2.
+    The one-segment case of _flag_segments."""
+    return next(_flag_segments(lo, hi, step, max(hi - lo, 1)), bytearray())
+
+
+def _flag_segments(lo: int, hi: int, step: int, span: int):
+    """The flags of _prime_flags over lo, lo + step, ... below hi, one
+    bytearray per segment of at most `span` terms, each built when it is
+    reached.
 
     Each prime p up to isqrt(hi - 1) that does not divide step clears the
-    terms divisible by p, which are p entries apart, except p itself."""
-    flags = bytearray([1]) * len(range(lo, hi, step))
-    for p in _small_primes(math.isqrt(hi - 1))[1:]:
-        if p * p >= hi:
-            break
-        if step % p == 0:
-            continue
-        i = -lo * pow(step, -1, p) % p  # the first term divisible by p
-        if lo + i * step == p:
-            i += p
-        flags[i::p] = bytes(len(range(i, len(flags), p)))
-    return flags
+    terms divisible by p, which are p entries apart, except p itself.  It
+    joins at the first segment whose end passes p * p, where its first
+    such term is found by pow(step, -1, p), once: each later segment
+    carries on from where the one before stopped."""
+    primes = _small_primes(math.isqrt(hi - 1))
+    joined = 0  # primes[:joined] are set up (2 divides step, so it is skipped)
+    pairs = []  # (p, index of p's next multiple in the coming segment)
+    n = len(range(lo, hi, step))
+    for base in range(0, n, span):
+        size = min(span, n - base)
+        a = lo + base * step
+        top = bisect_right(primes, math.isqrt(min(a + size * step, hi) - 1))
+        for p in primes[joined:top]:
+            if step % p:
+                i = -a * pow(step, -1, p) % p  # the first term divisible by p
+                pairs.append((p, i + p if a + i * step == p else i))
+        joined = top
+        flags = bytearray([1]) * size
+        for p, i in pairs:
+            flags[i::p] = bytes(len(range(i, size, p)))
+        yield flags
+        # i < size + p, as p itself lies in the segment it joins
+        pairs = [(p, (i - size) % p) for p, i in pairs]
 
 
 def progression_segments(lo: int, hi: int, step: int):
     """The primes among lo, lo + step, ... below hi (even step, lo >= 3
     prime to step), ascending: one iterator per sieve segment of
-    _PM1_SEGMENT terms, each segment sieved when it is reached."""
-    for a in range(lo, hi, step * _PM1_SEGMENT):
-        b = min(a + step * _PM1_SEGMENT, hi)
-        yield compress(range(a, b, step), _prime_flags(a, b, step))
+    _PM1_SEGMENT terms, each segment sieved when it is reached, from
+    sieving offsets found once for the whole progression."""
+    for a, flags in zip(range(lo, hi, step * _PM1_SEGMENT),
+                        _flag_segments(lo, hi, step, _PM1_SEGMENT)):
+        yield compress(range(a, min(a + step * _PM1_SEGMENT, hi), step), flags)
 
 
 def _brent_rho(n: int, deadline: float) -> int:
@@ -291,16 +316,30 @@ def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, in
     return out
 
 
+# factorize keeps its answers for n below FACTOR_MEMO_BOUND, which covers
+# the exact layer's ceiling of 10^4: about 3 MB when full.
+FACTOR_MEMO_BOUND = 2**14
+_factored: dict[int, dict[int, int]] = {}
+
+
 def factorize(n: int) -> dict[int, int]:
     """Full factorization of n >= 1 by factor_by_trial over the primes up to
     isqrt(n), or TRIAL_LIMIT when that is smaller, under a deadline
     FACTORIZE_BUDGET seconds away; past it, BudgetError.  Up to
-    TRIAL_LIMIT^2 the primes come out in ascending order.
+    TRIAL_LIMIT^2 the primes come out in ascending order.  Each call
+    returns a new dict; below FACTOR_MEMO_BOUND it is a copy of the
+    process's memo, so each such n is factored once.
     """
     if n < 1:
         raise ValueError(f"core-arith: cannot factor {n}")
-    return factor_by_trial(n, _small_primes(min(math.isqrt(n), TRIAL_LIMIT)), 1,
-                           time.monotonic() + FACTORIZE_BUDGET)
+    fac = _factored.get(n)
+    if fac is None:
+        fac = factor_by_trial(n, _small_primes(min(math.isqrt(n), TRIAL_LIMIT)), 1,
+                              time.monotonic() + FACTORIZE_BUDGET)
+        if n >= FACTOR_MEMO_BOUND:
+            return fac
+        _factored[n] = fac
+    return dict(fac)
 
 
 def divisors(n: int) -> list[int]:

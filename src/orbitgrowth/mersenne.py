@@ -1,8 +1,9 @@
 """Factorizations of 2^m - 1 with a persistent, verified cache.
 
 factor_mersenne peels the factors of 2^d - 1 for the proper divisors d of
-m and hands the primitive part to integers.factor_by_trial, the package's one
-factoring routine; exponents run to MERSENNE_CAPACITY.
+m, records a prime primitive part as it is and hands a composite one to
+integers.factor_by_trial, the package's one factoring routine; exponents
+run to MERSENNE_CAPACITY.
 
 The cache file is line-delimited JSON, one object per line:
 
@@ -35,6 +36,7 @@ from .integers import (
     ORDERS,
     divisors,
     factor_by_trial,
+    is_probable_prime,
     progression_segments,
 )
 
@@ -194,10 +196,12 @@ def factor_mersenne(
     MERSENNE_CAPACITY and a budget of at least 0 seconds.
 
     Strategy: peel the algebraic part using cached/recursive factorizations
-    of 2^d - 1 for proper divisors d | m, then factor the primitive part
-    with integers.factor_by_trial: trial division by the primes
-    p = 1 (mod m) up to 10^7, sieved from that progression (any new prime
-    must have order exactly m), and for each composite piece left one
+    of 2^d - 1 for proper divisors d | m.  A primitive part that
+    is_probable_prime accepts is recorded as it is, with no trial division;
+    a composite one is factored with integers.factor_by_trial: trial
+    division by the primes p = 1 (mod m) up to 10^7, sieved from that
+    progression (any new prime must have order exactly m) with each
+    sieving prime set up once, and for each composite piece left one
     Pollard p - 1 step (stages 1 and 2, stage 2 stopping at the first
     segment that splits) with multiplier 2m, then Brent rho, all under the
     time budget.  The budget covers the whole call: recursive calls get the
@@ -238,17 +242,21 @@ def factor_mersenne(
                 remaining //= p
                 found[p] = found.get(p, 0) + 1
 
-    # Primitive primes are 1 mod m (and odd), so the trial divisors are the
-    # primes of 1 + step, 1 + 2 step, ... with step m or 2m accordingly;
-    # p - 1 takes 2m on top of its smooth part.
-    step = m if m % 2 == 0 else 2 * m
-    candidates = chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step))
-    try:
-        found.update(factor_by_trial(remaining, candidates, 2 * m, deadline))
-    except BudgetError as exc:
-        primitive, cofactors = exc.partial
-        found.update(primitive)
-        raise out_of_time(cofactors) from None
+    # A prime primitive part is recorded as it is.  Otherwise primitive
+    # primes are 1 mod m (and odd), so the trial divisors are the primes of
+    # 1 + step, 1 + 2 step, ... with step m or 2m accordingly; p - 1 takes
+    # 2m on top of its smooth part.
+    if is_probable_prime(remaining):
+        found[remaining] = 1
+    else:
+        step = m if m % 2 == 0 else 2 * m
+        candidates = chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step))
+        try:
+            found.update(factor_by_trial(remaining, candidates, 2 * m, deadline))
+        except BudgetError as exc:
+            primitive, cofactors = exc.partial
+            found.update(primitive)
+            raise out_of_time(cofactors) from None
 
     fz = MersenneFactorization(m=m, factors=tuple(sorted(found.items())))
     if cache is not None:

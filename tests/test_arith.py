@@ -421,6 +421,30 @@ class TestPrimality:
 
 
 class TestFactorize:
+    def test_returns_a_new_dict(self):
+        first = factorize(360)
+        first[2] = 99
+        assert factorize(360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(360) is not factorize(360)
+
+    def test_small_n_factored_once(self, monkeypatch):
+        monkeypatch.setattr(integers, "_factored", {})
+        runs = []
+        real = integers.factor_by_trial
+        monkeypatch.setattr(integers, "factor_by_trial",
+                            lambda n, *rest: runs.append(n) or real(n, *rest))
+        below = integers.FACTOR_MEMO_BOUND - 1
+        above = integers.FACTOR_MEMO_BOUND + 1
+        assert integers.FACTOR_MEMO_BOUND > 10**4  # the exact-mode ceiling
+        for n in (below, below, 9240, 9240):
+            prod = 1
+            for p, e in factorize(n).items():
+                prod *= p**e
+            assert prod == n
+        assert runs == [below, 9240]
+        assert factorize(above) == factorize(above) == {5: 1, 29: 1, 113: 1}
+        assert runs == [below, 9240, above, above]
+
     def test_matches_recomposition(self):
         # Past the 10^5 table and trial division: two products that p - 1
         # takes whole (gcd n), so rho splits them, a composite square, a
@@ -481,6 +505,29 @@ class TestFactorize:
         # Step 2 from 3 to 2 * 10^5 spans four sieve segments.
         got = list(chain.from_iterable(progression_segments(3, 200_001, 2)))
         assert got == [c for c in range(3, 200_001, 2) if is_probable_prime(c)]
+
+    def test_progression_sieve_at_trial_steps(self):
+        # factor_mersenne's trial progressions to 10^7 for m = 131, 143 and
+        # 148 each end in a short tail segment, sieved from the offsets the
+        # full segment before it stopped at; step 2 from 10^6 + 1 sets up
+        # every sieving prime at a start inside the odd numbers' later
+        # segments.
+        primes = sieve_primes(10**7).primes
+        for step in (262, 286, 148):
+            got = list(chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step)))
+            assert got == primes[primes % step == 1].tolist(), step
+        got = list(chain.from_iterable(progression_segments(10**6 + 1, 10**7 + 1, 2)))
+        assert got == primes[primes > 10**6].tolist()
+
+    def test_progression_sets_up_each_prime_once(self, monkeypatch):
+        # Step 286 to 10^7 is a full segment and a tail: each sieving prime
+        # to isqrt(10^7) but 2, 11 and 13 takes one pow for both.
+        calls = []
+        monkeypatch.setattr(integers, "pow", lambda *a: calls.append(a) or pow(*a),
+                            raising=False)
+        for segment in progression_segments(287, 10**7 + 1, 286):
+            list(segment)
+        assert len(calls) == len(integers._primes_to(math.isqrt(10**7))) - 3
 
     def test_order_table_exponent_lifting(self):
         # e_p = ord_p(2^{m_p} - 1); spot-check by direct division.

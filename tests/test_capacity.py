@@ -18,6 +18,7 @@ import pytest
 import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
+from orbitgrowth.mersenne import FactorCache, factor_mersenne
 from orbitgrowth.mertens import EXACT_CEILING, default_grid, dominant_sum, squarefree_slope
 from orbitgrowth.sets import (ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L,
                               prime_mask)
@@ -71,6 +72,10 @@ FIT_PEAK_MB = 22
 # writes each of its 30.5 MB of rows as it builds it, and peaked at 37 MB.
 EXACT_PEAK_MB = 60
 EXACT_SECONDS = 8
+# factor_mersenne for m = 129..148 but 137 on top of the seed cache, the
+# factoring that the exact_cache benchmark's first child does, took
+# 0.11-0.13 s in process on a 2-core x86-64 machine.
+FACTOR_SECONDS = 1.0
 # The int32 primes and their int32 orders, then the order set's indicator
 # over [0, N]: the least-factor table is dropped once the orders are known.
 # Both specs below peaked at 181 and 193 MB.
@@ -261,3 +266,15 @@ def test_fit_fits_memory_bound(tmp_path):
     assert code == 0, text
     assert json.loads(text)["model"] == "k_log"
     assert peak_mb < FIT_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_factoring_past_the_seed_fits_time_bound(tmp_path):
+    """factor_mersenne for m = 129..148 but 137, with an empty overlay,
+    within FACTOR_SECONDS."""
+    cache = FactorCache(path=str(tmp_path / "overlay.jsonl"))
+    t0 = time.monotonic()
+    for m in range(129, 149):
+        if m != 137:
+            factor_mersenne(m, cache)
+    elapsed = time.monotonic() - t0
+    assert elapsed < FACTOR_SECONDS, f"{elapsed:.2f} s"

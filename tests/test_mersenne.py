@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orbitgrowth import integers
+from orbitgrowth import integers, mersenne
 from orbitgrowth.errors import BudgetError, CacheMissError
 from orbitgrowth.integers import OrderTable, _pollard_pm1, cyclotomic_eval2, euler_phi
 from orbitgrowth.mersenne import (
@@ -117,6 +117,24 @@ class TestFactorization:
         assert pow(3, 134 * integers._pm1_exponent, n) == 1
         fz = factor_mersenne(67, FactorCache(load_seed=False))
         assert fz.factors == ((193707721, 1), (761838257287, 1))
+
+    def test_prime_primitive_part_is_not_trial_divided(self, cache, monkeypatch):
+        # The primitive parts of 2^127 - 1, 2^129 - 1 and 2^133 - 1 are
+        # prime, so their own factor_by_trial call (multiplier 2m) is
+        # skipped; 2^131 - 1 = 263 * a prime still trial-divides.
+        multipliers = []
+        real = mersenne.factor_by_trial
+        monkeypatch.setattr(mersenne, "factor_by_trial",
+                            lambda n, cands, k, *rest: multipliers.append(k)
+                            or real(n, cands, k, *rest))
+        assert factor_mersenne(127, None) == cache.get(127)
+        for m in (129, 133):
+            fz = factor_mersenne(m, None)
+            assert math.prod(p**e for p, e in fz.factors) == (1 << m) - 1
+            assert all(integers.is_probable_prime(p) for p in fz.primes())
+        assert not {2 * 127, 2 * 129, 2 * 133} & set(multipliers)
+        assert factor_mersenne(131, None).factors == ((263, 1), (((1 << 131) - 1) // 263, 1))
+        assert multipliers[-1] == 2 * 131
 
     def test_product_check_rejects_bad_entry(self):
         with pytest.raises(Exception):
