@@ -10,13 +10,13 @@ Outputs are byte-identical across identical invocations, except that
 reproduce prints its elapsed seconds on its first line.  The
 ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
 path; the packaged seed cache is always loaded underneath it.  Only
-factor, greedy, series-transcendental and reproduce open the cache;
-series, in exact mode too, reads no factorization.  Beyond the integer
-core and the factor cache, each command imports the modules it runs, and
-the array layer's numpy runs only on the first array, so the exact
-commands (order, factor, k-exact, greedy, construct,
-series-transcendental, series --mode exact, and reproduce for dense and
-section9) never run numpy.
+factor, greedy and series-transcendental open the cache; reproduce reads
+the packaged seed alone, and series, in exact mode too, reads no
+factorization.  Beyond the integer core and the factor cache, each
+command imports the modules it runs, and the array layer's numpy runs
+only on the first array, so the exact commands (order, factor, k-exact,
+greedy, construct, series-transcendental, series --mode exact, and
+reproduce for dense and section9) never run numpy.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = run_theorem(args.theorem, _open_cache(args))
+    result = run_theorem(args.theorem)
     for line in result.lines():
         print(line)
     return 0 if result.passed else 1

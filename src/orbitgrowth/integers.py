@@ -7,16 +7,17 @@ only the standard library, so the commands built on it (k-exact, order,
 factor, greedy, construct, series-transcendental, exact-mode series) run
 without numpy, which loads on the first array; the sieves and bulk orders
 that need arrays are in `arith`.  All factoring, of p - 1 here and of
-2^m - 1 in `mersenne`, goes through factor_by_trial: trial division, then
-per composite piece Pollard p - 1 (stage 1 to PM1_BOUND, stage 2 to
-PM1_BOUND2) and Brent rho, under a deadline (FACTORIZE_BUDGET seconds by
-default).  factorize keeps its answers for n below FACTOR_MEMO_BOUND, so
-the exact layer factors each small n once.  One bytearray sieve of an
-arithmetic progression serves all of it: over the odd numbers it lists
-the small primes on demand, only as far as a caller needs (the array
-layer's primes up to sqrt(N) too), and the stage-2 primes segment by
-segment; over 1 + step, 1 + 2 step, ... it gives factor_mersenne its trial
-divisors, the only primes that can divide a primitive part.  A progression
+2^m - 1 in `mersenne`, goes through factor_by_trial: trial division that
+stops once the part left is prime, then per composite piece Pollard p - 1
+(stage 1 to PM1_BOUND, stage 2 to PM1_BOUND2) and Brent rho, under a
+deadline (FACTORIZE_BUDGET seconds by default).  factorize keeps its
+answers for n below FACTOR_MEMO_BOUND, so the exact layer factors each
+small n once.  One bytearray sieve of an arithmetic progression serves
+all of it: over the odd numbers it lists the small primes on demand, only
+as far as a caller needs (the array layer's primes up to sqrt(N) too),
+and the stage-2 primes segment by segment; over 1 + step, 1 + 2 step, ...
+it gives factor_mersenne its trial divisors, the only primes that can
+divide a primitive part.  A progression
 finds each sieving prime's first multiple once and every segment carries
 on from there; a single window is the one-segment case.  Nothing is
 sieved at import.
@@ -270,26 +271,32 @@ def factor_by_trial(n: int, candidates, k: int, deadline: float) -> dict[int, in
     are odd, with the primes in ascending order as far as trial division
     reaches.
 
-    Trial-divides n by the increasing `candidates` while p * p <= n.  The
-    candidates must include every prime factor of n below the last of them,
-    so a part left when p * p > n is prime; that part is not tested, so a
-    prime missing from the candidates would go unseen.  A part left when
-    they run out is tested with is_probable_prime, as is every piece split
-    from it; a composite square becomes its root twice, and any other
-    composite gets one _pollard_pm1 step with multiplier k (stage 1, then
-    stage 2 when stage 1 finds nothing), then _brent_rho when that does not
-    split it.  Past `deadline`, BudgetError whose `partial` is (factors
-    found so far, composite cofactors left), which multiply to n.
+    Tests n, and the part left after each trial factor divided out, with
+    is_probable_prime and stops once that part is prime, drawing no further
+    candidate; until then trial-divides it by the increasing `candidates`
+    while p * p <= n.  The candidates must include every prime factor of n
+    below the last of them, so trial division ends at p * p > n only at a
+    part of 1.  A part left when they run out is tested with
+    is_probable_prime, as is every piece split from it; a composite square
+    becomes its root twice, and any other composite gets one _pollard_pm1
+    step with multiplier k (stage 1, then stage 2 when stage 1 finds
+    nothing), then _brent_rho when that does not split it.  Past
+    `deadline`, BudgetError whose `partial` is (factors found so far,
+    composite cofactors left), which multiply to n.
     """
     out: dict[int, int] = {}
+    if is_probable_prime(n):
+        return {n: 1}
     for p in candidates:
         if p * p > n:
-            if n > 1:
-                out[n] = 1  # no prime below p divides it
-            return out
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+            break
+        if n % p == 0:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            if is_probable_prime(n):
+                out[n] = 1
+                return out
     composites: list[int] = []
 
     def record(piece: int) -> None:

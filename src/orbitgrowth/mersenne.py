@@ -1,9 +1,10 @@
 """Factorizations of 2^m - 1 with a persistent, verified cache.
 
 factor_mersenne peels the factors of 2^d - 1 for the proper divisors d of
-m, records a prime primitive part as it is and hands a composite one to
-integers.factor_by_trial, the package's one factoring routine; exponents
-run to MERSENNE_CAPACITY.
+m and hands the primitive part to integers.factor_by_trial, the package's
+one factoring routine; exponents run to MERSENNE_CAPACITY.
+primitive_primes reads the primitive class of m from the cache line of m
+alone, by one order test per prime.
 
 The cache file is line-delimited JSON, one object per line:
 
@@ -36,7 +37,7 @@ from .integers import (
     ORDERS,
     divisors,
     factor_by_trial,
-    is_probable_prime,
+    factorize,
     progression_segments,
 )
 
@@ -74,10 +75,6 @@ class MersenneFactorization(namedtuple("MersenneFactorization", "m factors")):
     @property
     def certified(self) -> bool:
         return not self.factors or self.factors[-1][0] < MR_PROVEN_BOUND
-
-    @property
-    def value(self) -> int:
-        return (1 << self.m) - 1
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
@@ -196,10 +193,9 @@ def factor_mersenne(
     MERSENNE_CAPACITY and a budget of at least 0 seconds.
 
     Strategy: peel the algebraic part using cached/recursive factorizations
-    of 2^d - 1 for proper divisors d | m.  A primitive part that
-    is_probable_prime accepts is recorded as it is, with no trial division;
-    a composite one is factored with integers.factor_by_trial: trial
-    division by the primes p = 1 (mod m) up to 10^7, sieved from that
+    of 2^d - 1 for proper divisors d | m, then factor the primitive part
+    with integers.factor_by_trial: trial division, until the part left is
+    prime, by the primes p = 1 (mod m) up to 10^7, sieved from that
     progression (any new prime must have order exactly m) with each
     sieving prime set up once, and for each composite piece left one
     Pollard p - 1 step (stages 1 and 2, stage 2 stopping at the first
@@ -242,21 +238,17 @@ def factor_mersenne(
                 remaining //= p
                 found[p] = found.get(p, 0) + 1
 
-    # A prime primitive part is recorded as it is.  Otherwise primitive
-    # primes are 1 mod m (and odd), so the trial divisors are the primes of
-    # 1 + step, 1 + 2 step, ... with step m or 2m accordingly; p - 1 takes
-    # 2m on top of its smooth part.
-    if is_probable_prime(remaining):
-        found[remaining] = 1
-    else:
-        step = m if m % 2 == 0 else 2 * m
-        candidates = chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step))
-        try:
-            found.update(factor_by_trial(remaining, candidates, 2 * m, deadline))
-        except BudgetError as exc:
-            primitive, cofactors = exc.partial
-            found.update(primitive)
-            raise out_of_time(cofactors) from None
+    # Primitive primes are 1 mod m (and odd), so the trial divisors are the
+    # primes of 1 + step, 1 + 2 step, ... with step m or 2m accordingly;
+    # p - 1 takes 2m on top of its smooth part.
+    step = m if m % 2 == 0 else 2 * m
+    candidates = chain.from_iterable(progression_segments(1 + step, 10**7 + 1, step))
+    try:
+        found.update(factor_by_trial(remaining, candidates, 2 * m, deadline))
+    except BudgetError as exc:
+        primitive, cofactors = exc.partial
+        found.update(primitive)
+        raise out_of_time(cofactors) from None
 
     fz = MersenneFactorization(m=m, factors=tuple(sorted(found.items())))
     if cache is not None:
@@ -273,16 +265,13 @@ def primitive_primes(m: int, cache: FactorCache) -> frozenset[tuple[int, int]]:
     """{(p, e_p)} for the primes of multiplicative order exactly m, which
     are registered in the order memo integers.ORDERS.
 
-    Computed by removing from the factors of 2^m - 1 every prime dividing
-    some 2^d - 1 with d | m, d < m.  For a primitive p the cached exponent
-    is e_p itself, since p = 1 (mod m) forces p > m, hence ord_p(m) = 0.
+    Read from the cache line of m alone: a prime p of 2^m - 1 has order
+    exactly m when 2^(m/q) != 1 (mod p) for every prime q | m.  For a
+    primitive p the cached exponent is e_p itself, since p = 1 (mod m)
+    forces p > m, hence ord_p(m) = 0.
     """
-    fz = cache.get(m)
-    earlier: set[int] = set()
-    for d in divisors(m)[:-1]:
-        if d == 1:
-            continue
-        earlier.update(cache.get(d).primes())
-    members = frozenset((p, e) for p, e in fz.factors if p not in earlier)
+    maximal = [m // q for q in factorize(m)]  # the largest proper divisors
+    members = frozenset((p, e) for p, e in cache.get(m).factors
+                        if all(pow(2, d, p) != 1 for d in maximal))
     ORDERS.register_class(m, members)
     return members

@@ -1,9 +1,10 @@
 """Desk-scale reproduction recipes, one per headline result.
 
-Each recipe takes the same optional factor cache (recipes that need no
-factorizations ignore it), runs a fixed, documented configuration and
+Each recipe takes no arguments, runs a fixed, documented configuration and
 returns (passed, detail lines); run_theorem times the call, the recipe's
-own imports included, and names the CriterionResult.  The CLI
+own imports included, and names the CriterionResult.  Only `dense` and
+`transcendental` read factorizations, each through one FactorCache() of
+the packaged seed, which holds every m <= 128 they read.  The CLI
 `reproduce --theorem NAME` and the acceptance test suite both dispatch
 through run_theorem, so there is a single source of truth for every
 tolerance.  Each recipe imports the modules it runs, so `dense`, `zero`
@@ -33,12 +34,12 @@ class CriterionResult(namedtuple("CriterionResult", "theorem passed elapsed deta
         return out
 
 
-def check_dense(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_dense() -> tuple[bool, list[str]]:
     """Greedy order selection terminates inside [k, k+eps) for two targets,
     with the one-prime lower bound holding at every candidate."""
     from .constants import greedy_L
 
-    cache = cache or FactorCache()
+    cache = FactorCache()
     details = []
     ok = True
     for k, eps in ((Fraction(9, 10), Fraction(1, 20)),
@@ -65,7 +66,7 @@ def check_dense(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
 ONTO_GRID = (10**4, 31623, 10**5, 316228, 10**6)
 
 
-def check_onto(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_onto() -> tuple[bool, list[str]]:
     """Dominant slope for orders divisible by 3 equals 2/3 within 0.01."""
     from .fitting import fit_model
     from .mertens import dominant_sum
@@ -77,7 +78,7 @@ def check_onto(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     return ok, [f"slope {slope:.6f} vs 2/3, |dev| = {abs(slope - 2/3):.2e} (tol 0.01)"]
 
 
-def check_loglog(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_loglog() -> tuple[bool, list[str]]:
     """Prime-harmonic dominant sum minus loglog N settles at the oracle
     constant: tail oscillation < 1e-3 and limit within 1e-3 of 0.26149.
 
@@ -101,7 +102,7 @@ def check_loglog(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
     ]
 
 
-def check_logdelta(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_logdelta() -> tuple[bool, list[str]]:
     """Squarefree-augmented orders over primes = 1 mod 3: classified as
     k (log N)^delta with delta in [0.4, 0.6].  Convergence is slow; the
     wide delta band is the contract."""
@@ -125,7 +126,7 @@ def check_logdelta(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
 ZERO_GRID = (10, 20, 40, 60, 80, 90, 95, 100, 105, 110, 115, 120)
 
 
-def check_zero(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_zero() -> tuple[bool, list[str]]:
     """Exact Mertens series for S = {p : 3 does not divide m_p} is bounded;
     tail Cauchy oscillation below 1e-2."""
     from .fitting import classify_growth
@@ -141,14 +142,13 @@ def check_zero(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
                 f"(tol 1e-2), limit ~ {rep.constant:.6f}"]
 
 
-def check_transcendental(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_transcendental() -> tuple[bool, list[str]]:
     """The ell = 3 order-power series: exact convergents with a rigorous
     tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
     from .constants import transcendental_series
     from .mertens import squarefree_slope
 
-    cache = cache or FactorCache()
-    ts = transcendental_series(3, 4, cache)
+    ts = transcendental_series(3, 4, FactorCache())
     expected = (
         Fraction(2, 3),
         Fraction(25, 36),
@@ -175,7 +175,7 @@ def check_transcendental(cache: FactorCache | None = None) -> tuple[bool, list[s
     ]
 
 
-def check_section9(cache: FactorCache | None = None) -> tuple[bool, list[str]]:
+def check_section9() -> tuple[bool, list[str]]:
     """Interval recursion: idealized mode has the exact closed form; the
     perturbed mode passes all three invariants for every extremal sign
     pattern at delta = 1/2, Y = 50, n <= 40."""
@@ -217,11 +217,11 @@ THEOREMS = {
 }
 
 
-def run_theorem(name: str, cache: FactorCache | None = None) -> CriterionResult:
+def run_theorem(name: str) -> CriterionResult:
     try:
         fn = THEOREMS[name]
     except KeyError:
         raise ContractError(f"cli: unknown theorem {name!r}") from None
     t0 = time.monotonic()
-    passed, details = fn(cache)
+    passed, details = fn()
     return CriterionResult(name, passed, time.monotonic() - t0, details)

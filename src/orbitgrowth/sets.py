@@ -138,28 +138,11 @@ def interval_L(delta: float, m_lo: int, m_hi: int) -> list[IntervalRecord]:
 
 
 # ---------------------------------------------------------------------------
-# Prime sources: the L in multiples_of / omega_bounded.
+# Prime sources, ListSource and CongruenceSource: the L in multiples_of /
+# omega_bounded.
 
 
-class PrimeSource:
-    def contains_prime(self, p: int) -> bool:
-        raise NotImplementedError
-
-    def primes_up_to(self, limit: int) -> np.ndarray:
-        """The source's primes <= limit, ascending, as an int32 array the
-        caller must not write into; limit is at most SIEVE_CAPACITY."""
-        raise NotImplementedError
-
-    def contains_primes(self, p: np.ndarray) -> np.ndarray:
-        """contains_prime of every entry of an array of primes up to
-        SIEVE_CAPACITY, as a boolean array."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-class ListSource(PrimeSource):
+class ListSource:
     def __init__(self, primes):
         self.primes = tuple(sorted(set(int(p) for p in primes)))
         for p in self.primes:
@@ -170,9 +153,13 @@ class ListSource(PrimeSource):
         return p in self.primes
 
     def contains_primes(self, p):
+        """contains_prime of every entry of an array of primes up to
+        SIEVE_CAPACITY, as a boolean array."""
         return np.isin(p, self.primes_up_to(SIEVE_CAPACITY))
 
     def primes_up_to(self, limit: int) -> np.ndarray:
+        """The source's primes <= limit, ascending, as an int32 array the
+        caller must not write into; limit is at most SIEVE_CAPACITY."""
         # Filter first: the list may hold primes past the int32 range.
         return np.array([p for p in self.primes if p <= limit], dtype=np.int32)
 
@@ -209,7 +196,7 @@ def _ints(obj, key: str) -> list[int]:
     return value
 
 
-def prime_source_from_json(obj: dict) -> PrimeSource:
+def prime_source_from_json(obj: dict) -> ListSource | CongruenceSource:
     kind = _field(obj, "kind")
     if kind == "list":
         return ListSource(_ints(obj, "primes"))
@@ -275,12 +262,14 @@ class OrderSet:
 _SOURCE_SPAN = 1 << 22
 
 
-class CongruenceSource(PrimeSource, OrderSet):
+class CongruenceSource(OrderSet):
     """Primes p with p mod modulus in residues: the prime source of a
     multiples_of or omega_bounded, and the order set congruence_primes.
 
     The primes found so far are kept: the first _count entries of _found
     are those up to _reach, and a request past _reach sieves on from there.
+    _found is made on the first primes_up_to, so exact membership makes no
+    array.
     """
 
     kind = "congruence_primes"
@@ -313,7 +302,7 @@ class CongruenceSource(PrimeSource, OrderSet):
             else:
                 self._starts.append(t)
         self._lone = sorted(lone)
-        self._found = np.empty(0, dtype=np.int32)
+        self._found = None
         self._count = 0
         self._reach = 1
 
@@ -330,12 +319,18 @@ class CongruenceSource(PrimeSource, OrderSet):
         return out
 
     def contains_primes(self, p):
+        """contains_prime of every entry of an array of primes up to
+        SIEVE_CAPACITY, as a boolean array."""
         # Every p is below a modulus past capacity, so is its own residue.
         m = self.modulus
         return np.isin(p % m if m <= SIEVE_CAPACITY else p,
                        [r for r in self.residues if r <= SIEVE_CAPACITY])
 
     def primes_up_to(self, limit: int) -> np.ndarray:
+        """The source's primes <= limit, ascending, as an int32 array the
+        caller must not write into; limit is at most SIEVE_CAPACITY."""
+        if self._found is None:
+            self._found = np.empty(0, dtype=np.int32)
         if limit > self._reach:
             self._extend(max(limit, min(2 * self._reach, self._reach + _SOURCE_SPAN,
                                         SIEVE_CAPACITY)))
@@ -472,7 +467,8 @@ class MultiplesOf(OrderSet):
     kind = "multiples_of"
     closed_under_nat_multiplication = True
 
-    def __init__(self, ells=None, ell_set: PrimeSource | None = None):
+    def __init__(self, ells=None,
+                 ell_set: ListSource | CongruenceSource | None = None):
         if (ells is None) == (ell_set is None):
             raise ContractError("prime-sets: multiples_of needs ells or ell_set")
         self.ells = None if ells is None else tuple(sorted(set(int(v) for v in ells)))
@@ -633,7 +629,7 @@ class OmegaBounded(OrderSet):
     kind = "omega_bounded"
     closed_under_nat_multiplication = True
 
-    def __init__(self, r: int, ell_set: PrimeSource, m: int):
+    def __init__(self, r: int, ell_set: ListSource | CongruenceSource, m: int):
         if r < 1 or m < 1:
             raise ContractError("prime-sets: omega_bounded needs r >= 1, m >= 1")
         self.r = int(r)

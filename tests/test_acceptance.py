@@ -94,8 +94,8 @@ def test_criterion_07_logdelta_classification():
             res.passed, res.elapsed, 300.0)
 
 
-def test_criterion_08_proposition_zero(cache):
-    res = run_theorem("zero", cache)
+def test_criterion_08_proposition_zero():
+    res = run_theorem("zero")
     _report(8, "exact series for 3-free orders is bounded, tail Cauchy < 1e-2",
             res.passed, res.elapsed, 300.0)
 
@@ -116,8 +116,8 @@ def test_criterion_09_transcendental_series(cache):
             ok, elapsed, 10.0)
 
 
-def test_criterion_10_dense_greedy(cache):
-    res = run_theorem("dense", cache)
+def test_criterion_10_dense_greedy():
+    res = run_theorem("dense")
     _report(10, "greedy terminates in [k, k+eps) with the per-step bound, "
                 "both targets", res.passed, res.elapsed, 300.0)
 

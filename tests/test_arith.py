@@ -24,6 +24,7 @@ from orbitgrowth.integers import (
     cyclotomic_eval2,
     divisors,
     euler_phi,
+    factor_by_trial,
     factorize,
     is_probable_prime,
     moebius,
@@ -491,11 +492,22 @@ class TestFactorize:
                 expect.append((p, e))
             assert list(factorize(n).items()) == expect, n
 
+    def test_trial_division_stops_at_a_prime_part(self):
+        # 2^131 - 1 = 263 * a 124-bit prime: after 263 the part left is
+        # prime, so no candidate past 263 is drawn.
+        n = (1 << 131) - 1
+        drawn = []
+        candidates = chain.from_iterable(progression_segments(263, 10**7 + 1, 262))
+        got = factor_by_trial(n, (drawn.append(p) or p for p in candidates),
+                              262, math.inf)
+        assert got == {263: 1, n // 263: 1}
+        assert drawn == [263]
+
     def test_progression_sieve_matches_primality(self):
-        # factor_by_trial takes what is left at p * p > n as prime untested,
-        # so a prime the sieve drops would go unseen.  Steps 2, 4 and 6 have
-        # the sieving primes 3, 5 and 7 as terms; most steps share a prime
-        # with the sieving primes.
+        # factor_by_trial needs every prime of the progression among its
+        # candidates: one the sieve drops is missed by trial division.
+        # Steps 2, 4 and 6 have the sieving primes 3, 5 and 7 as terms; most
+        # steps share a prime with the sieving primes.
         for step in range(2, 401, 2):
             got = list(chain.from_iterable(progression_segments(1 + step, 20001, step)))
             assert got == [c for c in range(1 + step, 20001, step)

@@ -562,6 +562,20 @@ class TestCacheFile:
         assert proc.returncode == 2
         assert "line 2: malformed entry" in proc.stderr
 
+    def test_reproduce_reads_the_seed_alone(self, capsys, tmp_path, monkeypatch):
+        # A line that fails the product check stops the commands that open
+        # the cache, but the recipes read the packaged seed only.
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"m": 11, "factors": [[23, 1], [97, 1]]}\n')
+        monkeypatch.setenv("ORBITGROWTH_CACHE", str(path))
+        for theorem in ("zero", "section9"):
+            code, out, _ = run(capsys, "reproduce", "--theorem", theorem)
+            assert code == 0 and out.startswith(f"PASS  {theorem}"), theorem
+        for argv in (["factor", "--exponent", "29"],
+                     ["greedy", "--target", "3/4", "--eps", "1/10"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "line 1: failed the product check" in err, argv
+
     def test_exact_series_opens_no_cache(self, tmp_path):
         # The exact series reads no factorization of 2^n - 1, so the cache
         # file that stops `factor` above is never opened.

@@ -421,10 +421,20 @@ def test_array_layer_import_runs_no_numpy():
 INDUCED_SPEC = {"kind": "induced",
                 "order_set": {"kind": "multiples_of", "ells": [3]}}
 FINITE_SPEC = {"kind": "explicit_finite", "primes": [3, 7]}
+# A congruence source keeps its primes in an array made on the first
+# window, so exact membership, which asks it about single primes, makes none.
+ONE_MOD_3 = {"kind": "congruence_primes", "modulus": 3, "residues": [1]}
+CONGRUENCE_SPECS = [
+    {"kind": "induced", "order_set": {"kind": "multiples_of", "ell_set": ONE_MOD_3}},
+    {"kind": "induced", "order_set": ONE_MOD_3},
+    {"kind": "induced", "order_set": {"kind": "omega_bounded", "r": 1,
+                                      "ell_set": ONE_MOD_3, "m": 6}},
+]
 
 
-@pytest.mark.parametrize("spec", [INDUCED_SPEC, FINITE_SPEC],
-                         ids=["induced", "finite"])
+@pytest.mark.parametrize("spec", [INDUCED_SPEC, FINITE_SPEC, *CONGRUENCE_SPECS],
+                         ids=["induced", "finite", "multiples_of_congruence",
+                              "congruence_primes", "omega_bounded_congruence"])
 def test_exact_series_runs_no_numpy(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")

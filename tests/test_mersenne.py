@@ -11,7 +11,13 @@ import pytest
 
 from orbitgrowth import integers, mersenne
 from orbitgrowth.errors import BudgetError, CacheMissError
-from orbitgrowth.integers import OrderTable, _pollard_pm1, cyclotomic_eval2, euler_phi
+from orbitgrowth.integers import (
+    OrderTable,
+    _pollard_pm1,
+    cyclotomic_eval2,
+    divisors,
+    euler_phi,
+)
 from orbitgrowth.mersenne import (
     FactorCache,
     MersenneFactorization,
@@ -120,21 +126,24 @@ class TestFactorization:
 
     def test_prime_primitive_part_is_not_trial_divided(self, cache, monkeypatch):
         # The primitive parts of 2^127 - 1, 2^129 - 1 and 2^133 - 1 are
-        # prime, so their own factor_by_trial call (multiplier 2m) is
-        # skipped; 2^131 - 1 = 263 * a prime still trial-divides.
-        multipliers = []
+        # prime, so no trial candidate is drawn for them; 2^131 - 1 = 263 *
+        # a prime draws 263 and stops there.  Drawn candidates by m = k / 2.
+        drawn = {}
         real = mersenne.factor_by_trial
-        monkeypatch.setattr(mersenne, "factor_by_trial",
-                            lambda n, cands, k, *rest: multipliers.append(k)
-                            or real(n, cands, k, *rest))
+
+        def counting(n, cands, k, *rest):
+            seen = drawn.setdefault(k // 2, [])
+            return real(n, (seen.append(p) or p for p in cands), k, *rest)
+
+        monkeypatch.setattr(mersenne, "factor_by_trial", counting)
         assert factor_mersenne(127, None) == cache.get(127)
         for m in (129, 133):
             fz = factor_mersenne(m, None)
             assert math.prod(p**e for p, e in fz.factors) == (1 << m) - 1
             assert all(integers.is_probable_prime(p) for p in fz.primes())
-        assert not {2 * 127, 2 * 129, 2 * 133} & set(multipliers)
+        assert [drawn.get(m, []) for m in (127, 129, 133)] == [[], [], []]
         assert factor_mersenne(131, None).factors == ((263, 1), (((1 << 131) - 1) // 263, 1))
-        assert multipliers[-1] == 2 * 131
+        assert drawn[131] == [263]
 
     def test_product_check_rejects_bad_entry(self):
         with pytest.raises(Exception):
@@ -317,6 +326,20 @@ class TestPrimitive:
                 if p > 10**6:
                     continue
                 assert e == orders.exponent(p) + ord_p(m, p)
+
+    def test_class_from_its_own_line(self, cache):
+        # The order test needs the line of m alone, not those of its divisors.
+        alone = FactorCache(load_seed=False)
+        alone.put(cache.get(60))
+        assert primitive_primes(60, alone) == primitive_primes(60, cache)
+        assert alone.exponents() == [60]
+
+    def test_matches_divisor_walk(self, cache):
+        # The primes of 2^m - 1 that divide no 2^d - 1 with d | m, d < m.
+        for m in range(1, 129):
+            earlier = {p for d in divisors(m)[:-1] for p in cache.get(d).primes()}
+            walk = {(p, e) for p, e in cache.get(m).factors if p not in earlier}
+            assert primitive_primes(m, cache) == walk, m
 
     def test_order_class_registers(self, cache, empty_orders, count_orders):
         # The class goes into the process's order memo, which then answers
