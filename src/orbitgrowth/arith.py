@@ -23,12 +23,15 @@ from collections import namedtuple
 from .errors import CapacityError, InvariantViolation
 from .integers import OrderTable, _primes_to
 
-__all__ = ["ORDER_CHUNK", "SIEVE_BLOCK", "SIEVE_CAPACITY", "OrderTable",
-           "PrimeTable", "mult_orders", "sieve_primes"]
+__all__ = ["ORDER_CHUNK", "PRIME_WALK_BLOCK", "SIEVE_BLOCK", "SIEVE_CAPACITY",
+           "OrderTable", "PrimeTable", "mult_orders", "sieve_primes"]
 
 SIEVE_CAPACITY = 10**8
 SIEVE_BLOCK = 2**20
 ORDER_CHUNK = 2**16
+# Entries per step of the sieve's second walk, which turns zero entries
+# into primes: its index and value temporaries stay at 2^16 int64s.
+PRIME_WALK_BLOCK = 2**16
 
 # The least factor of a composite n <= SIEVE_CAPACITY is at most its square
 # root, which the uint16 least-factor table must hold; every prime must fit
@@ -109,7 +112,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     written last; entries no prime reaches stay 0 and are primes (or
     n = 1).  The prime count is taken block by block, so `primes` is
     allocated once at its final size and filled in a second walk: 2 and 3,
-    then n = 3i + 1 + (i & 1) of every zero entry i.
+    then n = 3i + 1 + (i & 1) of every zero entry i.  That walk steps
+    PRIME_WALK_BLOCK entries at a time, so beyond the two arrays returned
+    it holds well under 1 MiB at any limit.
     """
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
@@ -138,8 +143,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     primes = np.empty(len(head) + count - 1, dtype=np.int32)
     primes[: len(head)] = head
     k = len(head)
-    for lo in range(0, size, SIEVE_BLOCK):
-        i = np.flatnonzero(spf[lo : lo + SIEVE_BLOCK] == 0)
+    for lo in range(0, size, PRIME_WALK_BLOCK):
+        i = np.flatnonzero(spf[lo : lo + PRIME_WALK_BLOCK] == 0)
         if lo == 0:
             i = i[1:]  # n = 1
         i += lo

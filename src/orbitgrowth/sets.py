@@ -51,6 +51,8 @@ from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
+# Integers per indicator window when estimate_density counts members.
+DENSITY_WINDOW = 2 * SIEVE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -806,27 +808,36 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
 
     Induced sets take every m_p from one mult_orders call, as int32, and
     once a seeded sample of CROSS_CHECKS of them agrees with scalar
-    mult_order, count membership with one gather from the order set's
-    indicator.  The m_p lie all over [1, limit], so that indicator is the
-    one window (0, limit + 1).
+    mult_order, count membership window by window.  The m_p lie all over
+    [1, limit], so they are sorted in place, and each window of
+    DENSITY_WINDOW integers gathers its own m_p from the order set's
+    indicator over that window: the sieve table and the primes are dropped
+    first, and no array as long as limit is built beyond the orders.
     """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
     table = sieve_primes(limit)
     odd_primes = table.primes[1:]  # primes[0] is 2
+    total = odd_primes.size
     if isinstance(pset, ExplicitFinitePrimes):
         listed = np.array([p for p in pset.primes if p <= limit], dtype=np.int64)
         members = np.count_nonzero(np.isin(odd_primes, listed))
-        return DensityEstimate(limit, int(members), odd_primes.size)
+        return DensityEstimate(limit, int(members), total)
     orders = mult_orders(odd_primes, table)
-    del table  # only the primes are read from here on, not the least factors
-    sample = random.Random(0).sample(range(odd_primes.size),
-                                     min(CROSS_CHECKS, odd_primes.size))
-    for i in sample:
-        p, bulk = int(odd_primes[i]), int(orders[i])
+    checks = [(int(odd_primes[i]), int(orders[i]))
+              for i in random.Random(0).sample(range(total), min(CROSS_CHECKS, total))]
+    del table, odd_primes  # only the orders are read from here on
+    for p, bulk in checks:
         expect = mult_order(p)
         if bulk != expect:
             raise InvariantViolation(f"prime-sets: bulk order {bulk} of {p} "
                                      f"disagrees with mult_order {expect}")
-    members = np.count_nonzero(pset.order_set.indicator(0, limit + 1)[orders])
-    return DensityEstimate(limit, int(members), odd_primes.size)
+    orders.sort()
+    edges = [*range(0, limit + 1, DENSITY_WINDOW), limit + 1]
+    # int32 needles, as the orders are: wider ones would cast all of them.
+    cuts = orders.searchsorted(np.array(edges, dtype=np.int32)).tolist()
+    members = 0
+    for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
+        window = pset.order_set.indicator(lo, hi)
+        members += np.count_nonzero(window[orders[a:b] - lo])
+    return DensityEstimate(limit, int(members), total)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orbitgrowth import integers
 from orbitgrowth.arith import (
+    PRIME_WALK_BLOCK,
     SIEVE_BLOCK,
     SIEVE_CAPACITY,
     PrimeTable,
@@ -114,6 +115,27 @@ class TestSieve:
         assert np.array_equal(least, least_factor_reference(limit)[2:])
         assert np.array_equal(table.primes, n[least == n])
         assert np.array_equal(np.flatnonzero(prime_mask(0, limit + 1)), table.primes)
+
+    # The walk that turns zero entries into primes steps PRIME_WALK_BLOCK
+    # entries and the strike walk SIEVE_BLOCK, so the index-space edges sit
+    # at n = 3 k PRIME_WALK_BLOCK and n = 3 k SIEVE_BLOCK.
+    WALK_EDGES = (3 * PRIME_WALK_BLOCK, 3 * SIEVE_BLOCK, 6 * SIEVE_BLOCK)
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 25] + [
+        edge + d for edge in WALK_EDGES for d in chain(range(-6, 0), range(1, 7))])
+    def test_primes_across_walk_edges(self, limit):
+        primes = sieve_primes(limit).primes
+        assert np.array_equal(primes, np.flatnonzero(prime_mask(0, limit + 1)))
+
+    def test_least_factor_against_factorize(self):
+        # Every n up to 10^5, and seeded n on both sides of each walk edge.
+        reach = 3000
+        table = sieve_primes(max(self.WALK_EDGES) + reach)
+        rng = random.Random(2)
+        near_edges = [edge + rng.randint(-reach, reach)
+                      for edge in self.WALK_EDGES for _ in range(200)]
+        for n in chain(range(2, 10**5 + 1), near_edges):
+            assert table.least_factor(n) == min(factorize(n)), n
 
     def test_every_small_limit(self):
         # least_factors at x = limit reads past the table's last entry when

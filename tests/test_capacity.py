@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,12 @@ def test_over_capacity_raises_before_allocating(name, monkeypatch):
 
 # The 10^8 table holds about 90 MB: uint16 least factors of the n prime to 6
 # and int32 primes.  `sieve --out` streams its file a chunk at a time.
-SIEVE_PEAK_MB = 150
+# `sieve --limit 10^8` peaked at 115 MB, numpy and the package about 28 MB.
+SIEVE_PEAK_MB = 135
+# What sieve_primes(10^7) holds beyond the arrays it returns, as tracemalloc
+# counts it, so heap layout does not move it: 0.62 MiB, the strike list and
+# one step of the walk that collects the primes.
+SIEVE_TRANSIENT_MIB = 1.0
 # The dominant-mode accumulator asks for its mask a window at a time, so no
 # array as long as N is built: squarefree_slope(10^8) peaked at 33 MB, and
 # dominant_sum(10^8) on the `logdelta` set at 50 MB, 12 MB of it the class
@@ -76,10 +82,11 @@ EXACT_SECONDS = 8
 # factoring that the exact_cache benchmark's first child does, took
 # 0.11-0.13 s in process on a 2-core x86-64 machine.
 FACTOR_SECONDS = 1.0
-# The int32 primes and their int32 orders, then the order set's indicator
-# over [0, N]: the least-factor table is dropped once the orders are known.
-# Both specs below peaked at 181 and 193 MB.
-DENSITY_PEAK_MB = 220
+# The least-factor table, the int32 primes and their int32 orders while the
+# orders are computed; then the table and the primes are dropped, and the
+# sorted orders are gathered one window of the indicator at a time.  Both
+# specs below peaked at 147 MB.
+DENSITY_PEAK_MB = 170
 
 
 # A child's ru_maxrss starts at the peak RSS of the process it was forked
@@ -107,6 +114,20 @@ def run_child(args, tmp_path):
         text = out.read().decode()
     code, maxrss_kb = map(int, usage.read_text().split())
     return code, text, maxrss_kb / 1024
+
+
+def test_sieve_transient_fits_traced_bound():
+    """sieve_primes(10^7) allocates at most SIEVE_TRANSIENT_MIB beyond the
+    arrays it returns."""
+    sieve_primes(10)  # numpy loads outside the trace
+    tracemalloc.start()
+    try:
+        table = sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    transient = (peak - table.primes.nbytes - table.smallest_factor.nbytes) / 2**20
+    assert transient < SIEVE_TRANSIENT_MIB, f"{transient:.2f} MiB"
 
 
 def test_sieve_at_capacity_fits_memory_bound(tmp_path):

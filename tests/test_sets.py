@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitgrowth import sets
-from orbitgrowth.arith import SIEVE_BLOCK, sieve_primes
+from orbitgrowth.arith import SIEVE_BLOCK, mult_orders, sieve_primes
 from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.integers import is_probable_prime, mult_order
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
+    DENSITY_WINDOW,
     ComplementMultiplesOf,
     CompositeNumbers,
     CongruenceSource,
@@ -592,6 +593,35 @@ class TestDensity:
             members = sum(oset.contains(mult_order(p)) for p in odd)
             est = estimate_density(pset, limit)
             assert (est.member_count, est.total_count) == (members, len(odd))
+
+    # Limits around the first edge of the real window, where the m_p (all
+    # below the limit) reach that edge at most; then narrow windows, so that
+    # the m_p span many of them and sit on both sides of each edge.
+    @pytest.mark.parametrize("window, limit", [
+        *((DENSITY_WINDOW, DENSITY_WINDOW + d) for d in (-2, -1, 0, 1)),
+        (DENSITY_WINDOW, 2 * 10**6), (1000, 999), (1000, 1001), (1000, 30011), (64, 5000)])
+    def test_windowed_count_matches_one_mask(self, window, limit, monkeypatch):
+        # The windowed gather against one indicator over (0, limit + 1),
+        # each on its own order set, so no sieve state is shared.
+        monkeypatch.setattr(sets, "DENSITY_WINDOW", window)
+        edge_orders = [mult_order(p) for p in range(max(3, window - 300), window + 300)
+                       if is_probable_prime(p)]
+        specs = [{"kind": "multiples_of", "ells": [3]},
+                 {"kind": "multiples_of",
+                  "ell_set": {"kind": "congruence_primes", "modulus": 3, "residues": [1]}},
+                 {"kind": "complement_multiples_of", "ell": 3},
+                 {"kind": "ell_powers", "ell": 2},
+                 {"kind": "explicit_list", "values": [2, 3, 4, 5, 10, *edge_orders]},
+                 {"kind": "omega_bounded", "r": 2, "m": 6,
+                  "ell_set": {"kind": "congruence_primes", "modulus": 4, "residues": [1]}},
+                 {"kind": "complement_multiples_of", "ell": 2}]
+        table = sieve_primes(limit)
+        orders = mult_orders(table.primes[1:], table)
+        for spec in specs:
+            oset = order_set_from_json(spec)
+            members = np.count_nonzero(oset.indicator(0, limit + 1)[orders])
+            est = estimate_density(InducedPrimes(order_set_from_json(spec)), limit)
+            assert (est.member_count, est.total_count) == (members, orders.size), spec
 
     def test_corrupted_bulk_orders_are_caught(self, monkeypatch):
         from orbitgrowth import sets
