@@ -1,18 +1,23 @@
 """Command-line surface.
 
 Subcommands: sieve, order, factor, set-density, series, fit, k-exact,
-greedy, series-transcendental, construct, reproduce.  Exit codes: 2 on
-usage or contract errors, 3 on cache misses, 4 on exhausted budgets, 5 on
-internal invariant violations.  All randomness is seeded: construct rn
+greedy, series-transcendental, construct, reproduce.  Each flag has one
+spelling, taken in full (no prefix stands for it), and each command
+accepts only the flags it reads.  Exit codes: 2 on usage or contract
+errors, 3 on cache misses, 4 on exhausted budgets, 5 on internal
+invariant violations, 141 (128 + SIGPIPE) with nothing on stderr when the
+reader of stdout goes away.  All randomness is seeded: construct rn
 --sign random by its --seed (default 0), the cross-checked sample of
 set-density by a fixed seed; loading a --spec draws no random numbers.
 Outputs are byte-identical across identical invocations, except that
-reproduce prints its elapsed seconds on its first line.  The
-ORBITGROWTH_CACHE environment variable supplies a writable factor-cache
-path; the packaged seed cache is always loaded underneath it.  Only
-factor, greedy and series-transcendental open the cache; reproduce reads
-the packaged seed alone, and series, in exact mode too, reads no
-factorization.  Beyond the integer core and the factor cache, each
+reproduce prints its elapsed seconds on its first line.  Only factor,
+greedy and series-transcendental open the factor cache, and only they
+take --cache, a writable overlay path, after the command name; the
+ORBITGROWTH_CACHE environment variable supplies it otherwise, and the
+packaged seed cache is always loaded underneath it.  reproduce reads the
+packaged seed alone, and series, in exact mode too, reads no
+factorization.  fit --model takes auto or a model name as the fit JSON
+prints it.  Beyond the integer core, the factor cache and the fits, each
 command imports the modules it runs, and the array layer's numpy runs
 only on the first array, so the exact commands (order, factor, k-exact,
 greedy, construct, series-transcendental, series --mode exact, and
@@ -22,6 +27,7 @@ reproduce for dense and section9) never run numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,6 +35,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
+from . import fitting
 from .errors import (
     BudgetError,
     CacheMissError,
@@ -43,6 +50,7 @@ EXIT_USAGE = 2
 EXIT_CACHE_MISS = 3
 EXIT_BUDGET = 4
 EXIT_INVARIANT = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a SIGPIPE kill
 
 
 def _fmt18(x: float) -> str:
@@ -57,9 +65,8 @@ def _load_prime_set(path: str):
     return prime_set_from_json(obj)
 
 
-def _open_cache(args) -> FactorCache:
-    path = getattr(args, "cache", None) or os.environ.get("ORBITGROWTH_CACHE")
-    return FactorCache(path=path)
+def _open_cache(path) -> FactorCache:
+    return FactorCache(path=path or os.environ.get("ORBITGROWTH_CACHE"))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +99,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    cache = _open_cache(args)
+    cache = _open_cache(args.cache)
     fz = factor_mersenne(args.exponent, cache, budget=args.budget)
     cache.flush()
     print(
@@ -155,14 +162,6 @@ def _cmd_series(args) -> int:
     return 0
 
 
-_MODEL_NAMES = {
-    "klog": "k_log",
-    "logdelta": "k_logdelta",
-    "loglogr": "k_loglogr",
-    "bounded": "bounded",
-}
-
-
 def _parse_series_csv(path: str) -> list[tuple[int, float]]:
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,13 +182,11 @@ def _parse_series_csv(path: str) -> list[tuple[int, float]]:
 
 
 def _cmd_fit(args) -> int:
-    from .fitting import classify_growth, fit_model
-
     samples = _parse_series_csv(args.infile)
     if args.model == "auto":
-        report = classify_growth(samples)
+        report = fitting.classify_growth(samples)
     else:
-        report = fit_model(samples, _MODEL_NAMES[args.model])
+        report = fitting.fit_model(samples, args.model)
     payload = json.dumps(report.to_json(), sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,7 +207,7 @@ def _cmd_k_exact(args) -> int:
 def _cmd_greedy(args) -> int:
     from .constants import greedy_L
 
-    cache = _open_cache(args)
+    cache = _open_cache(args.cache)
     trace = greedy_L(
         Fraction(args.target), Fraction(args.eps), cache,
         cap=args.cap,
@@ -247,7 +244,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_series_transcendental(args) -> int:
     from .constants import transcendental_series
 
-    cache = _open_cache(args)
+    cache = _open_cache(args.cache)
     ts = transcendental_series(args.ell, args.terms, cache)
     v = ts.constant.value
     print(f"value {v}")
@@ -335,18 +332,22 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    # A flag has its one spelling: no parser takes a prefix of it.
+    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = parser(
         prog="orbitgrowth",
         description=(
             "Periodic points, orbit counts and dynamical Mertens sums of "
             "S-integer circle-doubling systems."
         ),
     )
-    ap.add_argument("--cache", default=None,
-                    help="writable factor-cache path (default "
-                         "$ORBITGROWTH_CACHE; the packaged seed cache is "
-                         "always loaded)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser)
+    # The commands that open the factor cache.
+    cache = parser(add_help=False)
+    cache.add_argument("--cache", default=None,
+                       help="writable factor-cache path (default "
+                            "$ORBITGROWTH_CACHE; the packaged seed cache is "
+                            "always loaded)")
 
     p = sub.add_parser("sieve", help="enumerate primes with the least-factor sieve")
     p.add_argument("--limit", type=int, required=True)
@@ -358,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.set_defaults(fn=_cmd_order)
 
-    p = sub.add_parser("factor", help="factor 2^M - 1 (cache-backed)")
+    p = sub.add_parser("factor", help="factor 2^M - 1 (cache-backed)",
+                       parents=[cache])
     p.add_argument("--exponent", type=int, required=True)
     p.add_argument("--budget", type=float, default=FACTORIZE_BUDGET)
     p.set_defaults(fn=_cmd_factor)
@@ -378,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit growth regimes to a series CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--model",
-                   choices=("auto", "klog", "logdelta", "loglogr", "bounded"),
-                   default="auto")
+    p.add_argument("--model", choices=("auto", *fitting.MODELS), default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_fit)
 
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated primes, e.g. 3,7")
     p.set_defaults(fn=_cmd_k_exact)
 
-    p = sub.add_parser("greedy", help="greedy order selection hitting [k, k+eps)")
+    p = sub.add_parser("greedy", help="greedy order selection hitting [k, k+eps)",
+                       parents=[cache])
     p.add_argument("--target", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--cap", type=int, default=127)
@@ -396,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_greedy)
 
     p = sub.add_parser("series-transcendental",
-                       help="partial sums of the ell-power order series")
+                       help="partial sums of the ell-power order series",
+                       parents=[cache])
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.set_defaults(fn=_cmd_series_transcendental)
@@ -429,7 +431,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, as under `| head`: end as a SIGPIPE
+        # kill would, without a word.  What is still buffered goes to
+        # os.devnull, so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CacheMissError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS

@@ -1,5 +1,9 @@
+import argparse
+import ast
 import hashlib
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import orbitgrowth
-from orbitgrowth import constants, integers
+from orbitgrowth import constants, fitting, integers
 from orbitgrowth.arith import sieve_primes
-from orbitgrowth.cli import main
+from orbitgrowth.cli import build_parser, main
 from orbitgrowth.constants import rn_recursion
 from orbitgrowth.integers import mult_order
 
@@ -26,12 +30,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_cold(*argv, timeout=60):
-    """The CLI as a fresh process, as a user runs it."""
+def cold_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cold(*argv, timeout=60):
+    """The CLI as a fresh process, as a user runs it."""
     return subprocess.run([sys.executable, "-m", "orbitgrowth.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+                          env=cold_env(), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 class TestBasicCommands:
@@ -172,7 +181,7 @@ class TestPipelines:
         assert code == 0
         report_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "fit", "--in", str(csv_path),
-                           "--model", "klog", "--out", str(report_path))
+                           "--model", "k_log", "--out", str(report_path))
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert payload["model"] == "k_log"
@@ -306,24 +315,24 @@ class TestExitCodes:
         assert "2^243" in err
 
     def test_budget_exhausted_is_4(self, capsys, tmp_path):
-        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                           "factor", "--exponent", "149", "--budget", "0")
+        code, _, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                           "--exponent", "149", "--budget", "0")
         assert code == 4
 
     @pytest.mark.parametrize("budget", ["nan", "-1"])
     def test_budget_below_0_or_nan_is_2(self, capsys, tmp_path, budget):
         # NaN compares false with every deadline, so it would never stop.
         t0 = time.monotonic()
-        code, out, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                             "factor", "--exponent", "137", "--budget", budget)
+        code, out, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                             "--exponent", "137", "--budget", budget)
         assert code == 2 and out == ""
         assert "budget must be >= 0" in err
         assert time.monotonic() - t0 < 1.0
 
     def test_factor_exponent_past_capacity_is_2(self, capsys, tmp_path):
         t0 = time.monotonic()
-        code, out, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                             "factor", "--exponent", "1001")
+        code, out, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                             "--exponent", "1001")
         assert code == 2 and out == ""
         assert "exceeds capacity bound 1000" in err
         assert time.monotonic() - t0 < 1.0
@@ -352,8 +361,8 @@ class TestExitCodes:
     def test_budget_stops_rho(self, capsys, tmp_path):
         # A positive budget must also hold once Brent rho is running.
         t0 = time.monotonic()
-        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                           "factor", "--exponent", "137", "--budget", "0.2")
+        code, _, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                           "--exponent", "137", "--budget", "0.2")
         assert code == 4
         assert time.monotonic() - t0 < 2.0
         assert "m=137" in err
@@ -361,8 +370,8 @@ class TestExitCodes:
     def test_budget_reports_partial_factors(self, capsys, tmp_path):
         # 2^274 - 1 = (2^137 - 1)(2^137 + 1): the factor 3 of 2^2 - 1 is found
         # before the budget runs out on 2^137 - 1, and must be reported.
-        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                           "factor", "--exponent", "274", "--budget", "0.2")
+        code, _, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                           "--exponent", "274", "--budget", "0.2")
         assert code == 4
         line = next(ln for ln in err.splitlines() if ln.startswith("partial: "))
         partial = json.loads(line.removeprefix("partial: "))
@@ -419,16 +428,16 @@ class TestExitCodes:
 
     def test_budget_lets_pm1_finish_139(self, capsys, tmp_path):
         # p - 1 finds the factor 5625767248687 of 2^139 - 1 in milliseconds.
-        code, out, _ = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                           "factor", "--exponent", "139", "--budget", "1")
+        code, out, _ = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                           "--exponent", "139", "--budget", "1")
         assert code == 0
         assert "5625767248687" in out
 
     def test_budget_still_stops_137(self, capsys, tmp_path):
         # Neither prime of 2^137 - 1 has a 10^4-smooth p - 1, so rho runs
         # and the budget still ends it.
-        code, _, err = run(capsys, "--cache", str(tmp_path / "c.jsonl"),
-                           "factor", "--exponent", "137", "--budget", "1")
+        code, _, err = run(capsys, "factor", "--cache", str(tmp_path / "c.jsonl"),
+                           "--exponent", "137", "--budget", "1")
         assert code == 4
         assert any(ln.startswith("partial: ") for ln in err.splitlines())
 
@@ -550,7 +559,7 @@ class TestCacheFile:
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(self.M11 + '{"m": 130, "fac')
-        proc = run_cold("--cache", str(path), "factor", "--exponent", "29")
+        proc = run_cold("factor", "--cache", str(path), "--exponent", "29")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout.splitlines()[0])
         assert payload["factors"] == [[233, 1], [1103, 1], [2089, 1]]
@@ -558,7 +567,7 @@ class TestCacheFile:
     def test_corrupt_complete_line_is_2(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(self.M11 + '{"m": 130, "fac\n')
-        proc = run_cold("--cache", str(path), "factor", "--exponent", "29")
+        proc = run_cold("factor", "--cache", str(path), "--exponent", "29")
         assert proc.returncode == 2
         assert "line 2: malformed entry" in proc.stderr
 
@@ -576,15 +585,167 @@ class TestCacheFile:
             code, _, err = run(capsys, *argv)
             assert code == 2 and "line 1: failed the product check" in err, argv
 
-    def test_exact_series_opens_no_cache(self, tmp_path):
+    def test_factor_writes_then_reads_the_overlay(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        code, out, _ = run(capsys, "factor", "--cache", str(path),
+                           "--exponent", "139")
+        assert code == 0
+        assert [json.loads(ln)["m"] for ln in path.read_text().splitlines()] == [139]
+        # With no budget left, only the overlay can answer.
+        code, again, _ = run(capsys, "factor", "--exponent", "139",
+                             "--budget", "0", "--cache", str(path))
+        assert code == 0 and again == out
+
+    @pytest.mark.parametrize("argv", [
+        ["greedy", "--target", "3/4", "--eps", "1/10"],
+        ["series-transcendental", "--ell", "3", "--terms", "4"],
+    ], ids=["greedy", "series-transcendental"])
+    def test_cache_after_the_command_is_opened(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        fresh = tmp_path / "fresh.jsonl"
+        assert run(capsys, *argv, "--cache", str(fresh)) == (0, out, "")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"m": 11, "factors": [[23, 1], [97, 1]]}\n')
+        code, _, err = run(capsys, *argv, "--cache", str(bad))
+        assert code == 2 and "line 1: failed the product check" in err
+
+    def test_exact_series_opens_no_cache(self, tmp_path, monkeypatch):
         # The exact series reads no factorization of 2^n - 1, so the cache
         # file that stops `factor` above is never opened.
         path = tmp_path / "c.jsonl"
         path.write_text(self.M11 + '{"m": 130, "fac\n')
+        monkeypatch.setenv("ORBITGROWTH_CACHE", str(path))
         spec = tmp_path / "m3.json"
         spec.write_text(json.dumps({"kind": "induced", "order_set": {
             "kind": "multiples_of", "ells": [3]}}))
-        proc = run_cold("--cache", str(path), "series", "--spec", str(spec),
+        proc = run_cold("series", "--spec", str(spec),
                         "--n-max", "120", "--mode", "exact")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].startswith("120,")
+
+
+def valid_argvs(tmp_path) -> dict[str, list[str]]:
+    """A valid argv of each command that opens no factor cache."""
+    spec = tmp_path / "m3.json"
+    spec.write_text('{"kind": "induced", "order_set": '
+                    '{"kind": "multiples_of", "ells": [3]}}\n')
+    csv = tmp_path / "series.csv"
+    csv.write_text("N,value\n" + "".join(f"{10**k},{k}\n" for k in range(1, 10)))
+    return {
+        "sieve": ["sieve", "--limit", "10", "--out", str(tmp_path / "p.csv")],
+        "order": ["order", "--prime", "233"],
+        "set-density": ["set-density", "--spec", str(spec), "--limit", "1000"],
+        "series": ["series", "--spec", str(spec), "--n-max", "12",
+                   "--mode", "exact", "--out", str(tmp_path / "s.csv")],
+        "fit": ["fit", "--in", str(csv), "--out", str(tmp_path / "fit.json")],
+        "k-exact": ["k-exact", "--set", "3,7"],
+        "construct": ["construct", "rn", "--delta", "1/2", "--n-max", "4",
+                      "--out", str(tmp_path / "rn.json")],
+        "reproduce": ["reproduce", "--theorem", "section9"],
+    }
+
+
+def usage_error(capsys, argv) -> str:
+    """stderr of an argv the parser refuses, with exit 2 and no stdout."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out = capsys.readouterr()
+    assert err.value.code == 2 and out.out == ""
+    return out.err
+
+
+class TestSpellings:
+    COMMANDS = ["sieve", "order", "set-density", "series", "fit", "k-exact",
+                "construct", "reproduce"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cache_on_a_command_that_opens_none_is_2(self, capsys, tmp_path,
+                                                    command):
+        argv = valid_argvs(tmp_path)[command]
+        cache = ["--cache", str(tmp_path / "c.jsonl")]
+        inputs = sorted(tmp_path.iterdir())
+        for placed in ([*argv, *cache], [*cache, *argv]):
+            usage_error(capsys, placed)
+            assert sorted(tmp_path.iterdir()) == inputs  # refused before any work
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--exponent", "139"],
+        ["greedy", "--target", "3/4", "--eps", "1/10"],
+        ["series-transcendental", "--ell", "3", "--terms", "4"],
+    ], ids=["factor", "greedy", "series-transcendental"])
+    def test_cache_before_the_command_is_2(self, capsys, tmp_path, argv):
+        cache = tmp_path / "c.jsonl"
+        usage_error(capsys, ["--cache", str(cache), *argv])
+        assert not cache.exists()
+
+    def test_abbreviated_flag_is_2(self, capsys, tmp_path):
+        argvs = valid_argvs(tmp_path)
+        for argv, flag, prefix in [
+            (["order", "--prime", "233"], "--prime", "--p"),
+            (argvs["series"], "--n-max", "--n"),
+            (["greedy", "--target", "3/4", "--eps", "1/10", "--cap", "127"],
+             "--cap", "--ca"),
+            (argvs["construct"], "--delta", "--d"),
+        ]:
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+            usage_error(capsys, [prefix if a == flag else a for a in argv])
+
+    def test_fit_takes_the_model_names_it_prints(self, capsys, tmp_path):
+        csv = tmp_path / "series.csv"
+        csv.write_text("N,value\n" + "".join(
+            f"{10**k},{0.6 * math.log(10**k) + 0.1!r}\n" for k in range(1, 10)))
+        code, out, _ = run(capsys, "fit", "--in", str(csv), "--model", "auto")
+        assert code == 0
+        best = json.loads(out)["model"]
+        assert run(capsys, "fit", "--in", str(csv), "--model", best) == (0, out, "")
+        for model in fitting.MODELS:
+            code, out, _ = run(capsys, "fit", "--in", str(csv), "--model", model)
+            assert code == 0 and json.loads(out)["model"] == model
+        usage_error(capsys, ["fit", "--in", str(csv), "--model", "klog"])
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # About 1.3 MB of rows, far past a pipe's buffer, so the child is still
+    # writing when the reader goes away.
+    spec = tmp_path / "m3.json"
+    spec.write_text('{"kind": "induced", "order_set": '
+                    '{"kind": "multiples_of", "ells": [3]}}\n')
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitgrowth.cli", "series", "--spec", str(spec),
+         "--n-max", "2000", "--mode", "exact"],
+        env=cold_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"N,value,mode,bound_R,bound_Q\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_every_option_is_read_by_its_command():
+    # What a command accepts it reads: each option's dest is read as
+    # `args.<dest>` in the function that runs the command.  `command` and
+    # `fn` are the parser's own; `construct`'s positional `construction`
+    # names the one construction there is, `rn`, which stays in the syntax.
+    root = build_parser()
+    (commands,) = [a for a in root._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, parser in commands.choices.items():
+        fn = parser.get_default("fn")
+        tree = ast.parse(inspect.getsource(fn))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        for action in root._actions + parser._actions:
+            if (isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+                    or (name, action.dest) == ("construct", "construction")):
+                continue
+            if action.dest not in read:
+                unread.append(f"{name} {action.dest}")
+    assert unread == []

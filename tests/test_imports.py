@@ -391,7 +391,7 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
     # Each exact command runs without numpy ...
     cache = str(tmp_path / "cache.jsonl")
     for argv in (["k-exact", "--set", "3,7"], ["order", "--prime", "233"],
-                 ["--cache", cache, "factor", "--exponent", "29"],
+                 ["factor", "--cache", cache, "--exponent", "29"],
                  ["greedy", "--target", "3/4", "--eps", "1/10"],
                  ["construct", "rn", "--delta", "1/2"],
                  ["series-transcendental", "--ell", "3", "--terms", "4"],
