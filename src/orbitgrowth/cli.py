@@ -100,8 +100,12 @@ def _cmd_order(args) -> int:
 
 def _cmd_factor(args) -> int:
     cache = _open_cache(args.cache)
-    fz = factor_mersenne(args.exponent, cache, budget=args.budget)
-    cache.flush()
+    try:
+        fz = factor_mersenne(args.exponent, cache, budget=args.budget)
+    finally:
+        # The complete factorizations of divisor exponents found before a
+        # budget ran out are kept too; a partial one is never put.
+        cache.flush()
     print(
         json.dumps(
             {

@@ -6,7 +6,8 @@ Giant prime intervals are never enumerated: the interval recursion is
 verified under an idealized/perturbed error model whose per-step error
 amplitude is the derived bound a' * 100^(-2^(n/4)).  The module builds on
 the integer core and the factor cache only, never on arrays; the interval
-prime sets are in `sets` and the squarefree slope in `mertens`.
+prime sets are in `sets`, and the squarefree slope is a dominant sum that
+the `transcendental` recipe fits.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def _tail_sup(pred: list[float], vs: list[float]) -> float:
 
 def _linear_fit(g, vs) -> tuple[float, float, list[float]]:
     """(slope, intercept, prediction) of vs against {1, g}: the package's one
-    least-squares routine, also behind mertens.squarefree_slope.
+    least-squares routine, behind every model that fit_model fits.
 
     Each float is an integer times a power of two, so over a common power
     of two the normal equations are integer sums: with X = g 2^-ex and

@@ -19,13 +19,14 @@ Two evaluation regimes:
     two uint64 divisions by 2^63 and by the remainder times 2^33, and
     combines the sums of the two as exact Python ints.
 
-squarefree_slope is a dominant sum too: the squarefree n are those outside
-squarefree_augmented over the empty list.  The decomposition of F_S(N) into
-strata, one for each mbar_n that occurs, takes any order set; it removes
-S from 2^mbar - 1 once per stratum and lifts the rest from j = n / mbar,
-while the direct sum removes S from each 2^n - 1 whole, so the two code
-paths cross-validate each other.  Both ask the order set for membership,
-which it decides once per n and remembers.
+The squarefree harmonic sum is a dominant sum too: the squarefree n are
+those outside squarefree_augmented over the empty list.  The
+decomposition of F_S(N) into strata, one for each mbar_n that occurs,
+takes any order set; it removes S from 2^mbar - 1 once per stratum and
+lifts the rest from j = n / mbar, while the direct sum removes S from
+each 2^n - 1 whole, so the two code paths cross-validate each other.
+Both ask the order set for membership, which it decides once per n and
+remembers.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ from functools import lru_cache
 
 from .arith import SIEVE_CAPACITY, np
 from .errors import CapacityError, ContractError, InvariantViolation
-from .fitting import _linear_fit
 from .integers import ORDERS, cyclotomic_eval2, divisors, factorize, moebius, ord_p_mersenne
 from .sets import (
     ExplicitFinitePrimes,
-    ExplicitList,
     InducedPrimes,
     OrderSet,
     PrimeSet,
-    SquarefreeAugmented,
 )
 
 FRAC_BITS = 96
@@ -349,46 +347,6 @@ def _fixed_point_terms(n: np.ndarray) -> int:
     np.floor_divide(r, n, out=r)
     first = high + (wrapped - high) % (1 << 64)
     return (first << 33) + int(r.sum())
-
-
-# ---------------------------------------------------------------------------
-# The squarefree harmonic slope.
-
-
-SquarefreeSlope = namedtuple("SquarefreeSlope", "n_max total slope samples")
-
-
-def squarefree_slope(n_max: int) -> SquarefreeSlope:
-    """Sum of 1/n over squarefree n <= N and its slope against log N.
-
-    The squarefree n are exactly those outside squarefree_augmented over
-    the empty list, a set closed under multiplication by the naturals, so
-    the sum is that set's dominant_sum, which checks n_max.  Sampled on
-    the dyadic grid; the regression uses points >= 2^10 to skip the early
-    transient (below two grid points the slope is NaN).
-    """
-    grid = []
-    g = 64
-    while g < n_max:
-        grid.append(g)
-        g *= 2
-    grid.append(n_max)
-    series = dominant_sum(n_max, SquarefreeAugmented(ExplicitList([])), grid)
-    samples = series.float_samples()
-    fit_pts = [(g, v) for g, v in samples if g >= 1024]
-    if len(fit_pts) < 2:
-        fit_pts = samples
-    if len(fit_pts) < 2:
-        slope = math.nan
-    else:
-        slope, _, _ = _linear_fit([math.log(g) for g, _ in fit_pts],
-                                  [v for _, v in fit_pts])
-    return SquarefreeSlope(
-        n_max=n_max,
-        total=series.samples[-1][1],
-        slope=slope,
-        samples=tuple(samples),
-    )
 
 
 def decompose_lcm_closed(

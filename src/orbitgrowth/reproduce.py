@@ -85,19 +85,20 @@ def check_loglog() -> tuple[bool, list[str]]:
     Measured on the half-decade grid from 100 to 1e7; the tail half starts
     at 31623, past the early Mertens transient.
     """
+    from .fitting import fit_model
     from .mertens import default_grid, dominant_sum
     from .sets import CompositeNumbers
 
     series = dominant_sum(10**7, CompositeNumbers(),
                           grid=default_grid(10**7, start=100))
     devs = [(n, float(v) - math.log(math.log(n))) for n, v in series.samples]
-    tail = [d for _, d in devs[len(devs) // 2 :]]
-    osc = max(tail) - min(tail)
-    limit_dev = abs(tail[-1] - MERTENS_CONSTANT_ORACLE)
+    osc = fit_model(devs, "bounded").residual
+    limit = devs[-1][1]
+    limit_dev = abs(limit - MERTENS_CONSTANT_ORACLE)
     ok = osc < 1e-3 and limit_dev < 1e-3
     return ok, [
         f"tail oscillation {osc:.2e} (tol 1e-3) on N >= {devs[len(devs)//2][0]}",
-        f"limit {tail[-1]:.6f} vs {MERTENS_CONSTANT_ORACLE} "
+        f"limit {limit:.6f} vs {MERTENS_CONSTANT_ORACLE} "
         f"(|dev| = {limit_dev:.2e}, tol 1e-3)",
     ]
 
@@ -142,11 +143,20 @@ def check_zero() -> tuple[bool, list[str]]:
                 f"(tol 1e-2), limit ~ {rep.constant:.6f}"]
 
 
+# The squarefree sum's grid: dyadic from 2^10, past the early transient,
+# to 10^7; 15 points over 3.99 decades, so the strict grid contract holds.
+SQUAREFREE_GRID = (*(1024 << k for k in range(14)), 10**7)
+
+
 def check_transcendental() -> tuple[bool, list[str]]:
     """The ell = 3 order-power series: exact convergents with a rigorous
-    tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2."""
+    tail bound below 2^-79, plus the squarefree harmonic slope at 6/pi^2.
+    The squarefree n are those outside squarefree_augmented over the empty
+    list, so their harmonic sum is that set's dominant sum."""
     from .constants import transcendental_series
-    from .mertens import squarefree_slope
+    from .fitting import fit_model
+    from .mertens import dominant_sum
+    from .sets import ExplicitList, SquarefreeAugmented
 
     ts = transcendental_series(3, 4, FactorCache())
     expected = (
@@ -160,8 +170,10 @@ def check_transcendental() -> tuple[bool, list[str]]:
         for i in range(len(ts.convergents) - 1)
     )
     tail_ok = ts.tail_bound < Fraction(1, 1 << 79)
-    sf = squarefree_slope(10**7)
-    slope_dev = abs(sf.slope - 6.0 / math.pi**2)
+    series = dominant_sum(10**7, SquarefreeAugmented(ExplicitList([])),
+                          grid=list(SQUAREFREE_GRID))
+    slope = fit_model(series.float_samples(), "k_log").k
+    slope_dev = abs(slope - 6.0 / math.pi**2)
     slope_ok = slope_dev <= 0.01
     ok = conv_ok and increasing and tail_ok and slope_ok
     return ok, [
@@ -170,7 +182,7 @@ def check_transcendental() -> tuple[bool, list[str]]:
         f"strictly increasing: {'yes' if increasing else 'NO'}",
         f"tail bound {float(ts.tail_bound):.3e} < 2^-79: "
         f"{'yes' if tail_ok else 'NO'}",
-        f"squarefree slope {sf.slope:.6f} vs 6/pi^2, |dev| = "
+        f"squarefree slope {slope:.6f} vs 6/pi^2, |dev| = "
         f"{slope_dev:.2e} (tol 0.01)",
     ]
 

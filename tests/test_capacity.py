@@ -20,15 +20,16 @@ import orbitgrowth
 from orbitgrowth.arith import SIEVE_CAPACITY, sieve_primes
 from orbitgrowth.errors import CapacityError
 from orbitgrowth.mersenne import FactorCache, factor_mersenne
-from orbitgrowth.mertens import EXACT_CEILING, default_grid, dominant_sum, squarefree_slope
-from orbitgrowth.sets import (ExplicitFinitePrimes, MultiplesOf, estimate_density, interval_L,
-                              prime_mask)
+from orbitgrowth.mertens import EXACT_CEILING, default_grid, dominant_sum
+from orbitgrowth.sets import (ExplicitFinitePrimes, ExplicitList, MultiplesOf, SquarefreeAugmented,
+                              estimate_density, interval_L, prime_mask)
 
 OVER_CAPACITY = {
     "sieve_primes": lambda: sieve_primes(SIEVE_CAPACITY + 1),
     "dominant_sum": lambda: dominant_sum(
         SIEVE_CAPACITY + 1, MultiplesOf(ells=[3])),
-    "squarefree_slope": lambda: squarefree_slope(SIEVE_CAPACITY + 1),
+    "dominant_sum[squarefree]": lambda: dominant_sum(
+        SIEVE_CAPACITY + 1, SquarefreeAugmented(ExplicitList([]))),
     "estimate_density": lambda: estimate_density(
         ExplicitFinitePrimes([3]), SIEVE_CAPACITY + 1),
     # The sieve would reach 2^(m_hi + 1) > SIEVE_CAPACITY.
@@ -59,7 +60,7 @@ SIEVE_PEAK_MB = 135
 # one step of the walk that collects the primes.
 SIEVE_TRANSIENT_MIB = 1.0
 # The dominant-mode accumulator asks for its mask a window at a time, so no
-# array as long as N is built: squarefree_slope(10^8) peaked at 33 MB, and
+# array as long as N is built: the squarefree sum to 10^8 peaked at 33 MB, and
 # dominant_sum(10^8) on the `logdelta` set at 50 MB, 12 MB of it the class
 # primes 1 mod 3 as int32.  The recipes peaked at 34 MB (`transcendental`)
 # and 36 MB (`logdelta`); numpy and the package alone take about 28 MB.
@@ -173,12 +174,14 @@ def test_set_density_at_capacity_fits_memory_bound(order_set, members, tmp_path)
     assert peak_mb < DENSITY_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
-def test_squarefree_slope_at_capacity_fits_memory_bound(tmp_path):
-    """squarefree_slope(10^8) within SQUAREFREE_PEAK_MB: window-sized masks
-    and no array of the 61 million squarefree n."""
+def test_squarefree_sum_at_capacity_fits_memory_bound(tmp_path):
+    """dominant_sum(10^8) over the squarefree n within SQUAREFREE_PEAK_MB:
+    window-sized masks and no array of the 61 million squarefree n."""
     code, text, peak_mb = run_child(
-        ["-c", "from orbitgrowth.mertens import squarefree_slope; "
-               f"print(squarefree_slope({SIEVE_CAPACITY}).samples[-1][0])"], tmp_path)
+        ["-c", "from orbitgrowth.mertens import dominant_sum; "
+               "from orbitgrowth.sets import ExplicitList, SquarefreeAugmented; "
+               f"print(dominant_sum({SIEVE_CAPACITY}, "
+               "SquarefreeAugmented(ExplicitList([]))).samples[-1][0])"], tmp_path)
     assert code == 0, text
     assert text == f"{SIEVE_CAPACITY}\n"
     assert peak_mb < SQUAREFREE_PEAK_MB, f"peak RSS {peak_mb:.0f} MB"

@@ -596,6 +596,31 @@ class TestCacheFile:
                              "--budget", "0", "--cache", str(path))
         assert code == 0 and again == out
 
+    def test_factor_keeps_what_it_completed_when_the_budget_runs_out(
+            self, capsys, tmp_path):
+        # 129 divides 387: 2^129 - 1, whose primitive part is prime, is
+        # factored on the way, and then the primitive part of 2^387 - 1
+        # outlasts the budget.
+        path = tmp_path / "c.jsonl"
+        code, out, err = run(capsys, "factor", "--exponent", "387",
+                             "--budget", "1", "--cache", str(path))
+        assert code == 4 and out == "" and "m=387" in err
+        text = path.read_text()
+        assert [json.loads(ln)["m"] for ln in text.splitlines()] == [129]
+        # Answered from the overlay, so nothing is appended again.
+        code, out, _ = run(capsys, "factor", "--exponent", "129",
+                           "--budget", "0", "--cache", str(path))
+        assert code == 0 and json.loads(out)["m"] == 129
+        assert path.read_text() == text
+
+    def test_factor_caches_no_partial_factorization(self, capsys, tmp_path):
+        # 2^274 - 1 = (2^137 - 1)(2^137 + 1): 2 comes from the seed, and the
+        # budget runs out on 137, so nothing complete is left to append.
+        path = tmp_path / "c.jsonl"
+        code, _, _ = run(capsys, "factor", "--exponent", "274",
+                         "--budget", "0.2", "--cache", str(path))
+        assert code == 4 and not path.exists()
+
     @pytest.mark.parametrize("argv", [
         ["greedy", "--target", "3/4", "--eps", "1/10"],
         ["series-transcendental", "--ell", "3", "--terms", "4"],

@@ -28,10 +28,11 @@ from orbitgrowth.errors import (
     InfeasibleError,
     InvariantViolation,
 )
-from orbitgrowth.fitting import _linear_fit
-from orbitgrowth.integers import OrderTable, ord_p
+from orbitgrowth.fitting import _linear_fit, fit_model
+from orbitgrowth.integers import OrderTable, moebius, ord_p
 from orbitgrowth.mersenne import primitive_primes
-from orbitgrowth.mertens import EXACT_CEILING, dominant_sum, mertens_exact, squarefree_slope
+from orbitgrowth.mertens import EXACT_CEILING, dominant_sum, mertens_exact
+from orbitgrowth.reproduce import SQUAREFREE_GRID
 from orbitgrowth.sets import (
     CongruenceSource,
     ExplicitFinitePrimes,
@@ -565,47 +566,58 @@ class TestSubsequence:
         assert report.final_error < 1.0
 
 
+# The squarefree n are the n >= 1 outside this set, so their harmonic sum
+# is its dominant sum.
+NON_SQUAREFREE = SquarefreeAugmented(ExplicitList([]))
+
+
 class TestSquarefree:
     def test_count_to_100(self):
-        # The 61 squarefree n <= 100 are the n >= 1 outside the
-        # non-squarefree set that squarefree_slope sums over.
-        non_squarefree = SquarefreeAugmented(ExplicitList([])).indicator(0, 101)
+        # The 61 squarefree n <= 100.
+        non_squarefree = NON_SQUAREFREE.indicator(0, 101)
         assert int(np.count_nonzero(~non_squarefree[1:])) == 61
 
     def test_unit_sum(self):
-        assert squarefree_slope(1).total == 1
+        assert dominant_sum(1, NON_SQUAREFREE).value_at(1) == 1
 
     def test_slope_at_1e6(self):
-        sf = squarefree_slope(10**6)
-        assert abs(sf.slope - 6 / math.pi**2) < 0.01
+        grid = [g for g in SQUAREFREE_GRID if g < 10**6] + [10**6]
+        series = dominant_sum(10**6, NON_SQUAREFREE, grid=grid)
+        # 11 points over 2.99 decades, short of the strict grid contract.
+        slope = fit_model(series.float_samples(), "k_log", strict=False).k
+        assert abs(slope - 6 / math.pi**2) < 0.01
+        # The exact least-squares slope of the float samples, rounded once.
+        assert slope == 0.6079169113492685
         # Pinned bit for bit from the accumulator that listed whole grid
         # segments; the last segment, (2^19, 10^6], holds 289201 terms and
         # so spans several conversion chunks.
-        assert sf.total == Fraction(748129049326425230915469102589, 1 << 96)
+        assert series.value_at(10**6) == Fraction(748129049326425230915469102589, 1 << 96)
 
-    def test_small_n_max_pinned(self):
-        # Pinned bit for bit: the exact least-squares slope of the float
-        # samples, rounded once, which test_fitting checks against Fraction.
-        # Below two grid points the slope is NaN; 100 fits its 2 points
-        # (none >= 1024), 3000 fits 1024, 2048 and 3000: fewer samples than
-        # fit_model accepts.
-        for n_max in (1, 64):
-            sf = squarefree_slope(n_max)
-            assert len(sf.samples) == 1 and math.isnan(sf.slope)
-        sf = squarefree_slope(100)
-        assert [g for g, _ in sf.samples] == [64, 100]
-        assert sf.slope.hex() == "0x1.3e74e1dc08e08p-1"
-        sf = squarefree_slope(3000)
-        assert [g for g, _ in sf.samples] == [64, 128, 256, 512, 1024, 2048, 3000]
-        assert sf.slope.hex() == "0x1.36d525ef57b96p-1"
+    def test_samples_match_moebius_oracle(self):
+        # The n outside the set are exactly those with mu(n) != 0: each
+        # sample is the sum of floor(2^96 / n) over them, over 2^96.
+        n_max = 3000
+        grid = [64 << k for k in range(6)] + [n_max]
+        series = dominant_sum(n_max, NON_SQUAREFREE, grid=grid)
+        total, expected = 0, []
+        for n in range(1, n_max + 1):
+            if moebius(n):
+                total += (1 << 96) // n
+            if n in grid:
+                expected.append((n, Fraction(total, 1 << 96)))
+        assert series.samples == expected
 
-    def test_samples_match_dominant_sum(self):
-        # squarefree_slope is this dominant sum: the squarefree n are
-        # exactly the non-members of squarefree_augmented(empty).
-        n_max = 10**5
-        grid = [64 << k for k in range(11)] + [n_max]
-        oset = SquarefreeAugmented(ExplicitList([]))
-        series = dominant_sum(n_max, oset, grid=grid)
-        sf = squarefree_slope(n_max)
-        assert sf.samples == tuple(series.float_samples())
-        assert sf.total == series.value_at(n_max)
+    def test_short_series_are_refused_not_fitted(self):
+        # A series too short for a slope is refused by fit_model: 7 points
+        # over 1.67 decades fail the strict grid contract, and 2 points or
+        # 1 fail even without it.
+        grid = [64 << k for k in range(6)] + [3000]
+        samples = dominant_sum(3000, NON_SQUAREFREE, grid=grid).float_samples()
+        with pytest.raises(ContractError, match="7 over 1.67"):
+            fit_model(samples, "k_log")
+        assert fit_model(samples, "k_log", strict=False).n_samples == 7
+        for n_max, grid in ((100, [64, 100]), (1, [1])):
+            series = dominant_sum(n_max, NON_SQUAREFREE, grid=grid)
+            assert [n for n, _ in series.samples] == grid
+            with pytest.raises(ContractError, match="at least 4 samples"):
+                fit_model(series.float_samples(), "k_log", strict=False)

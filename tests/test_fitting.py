@@ -6,14 +6,9 @@ import pytest
 
 from orbitgrowth.errors import ContractError
 from orbitgrowth.fitting import LOGLOG_POWERS, _linear_fit, classify_growth, fit_model
-from orbitgrowth.mertens import (
-    default_grid,
-    dominant_sum,
-    f_series_direct,
-    squarefree_slope,
-)
-from orbitgrowth.reproduce import ONTO_GRID, ZERO_GRID
-from orbitgrowth.sets import CompositeNumbers, ExplicitList, MultiplesOf
+from orbitgrowth.mertens import default_grid, dominant_sum, f_series_direct
+from orbitgrowth.reproduce import ONTO_GRID, SQUAREFREE_GRID, ZERO_GRID
+from orbitgrowth.sets import CompositeNumbers, ExplicitList, MultiplesOf, SquarefreeAugmented
 
 
 def synth(k, c, g, grid):
@@ -41,7 +36,6 @@ def ulps_off(got: float, exact: Fraction) -> Fraction:
 # Columns the fits regress on: the growth models on the half-decade grid,
 # a 2-point fit, and log N on the grids of the recipes that fit (`onto`,
 # `logdelta`, `zero`, and the squarefree slope of `transcendental`).
-SQUAREFREE_GRID = [1024 << k for k in range(14)] + [10**7]
 ORACLE_COLUMNS = {
     **{f"logdelta_{d}": [math.log(n) ** d for n in default_grid(10**7)]
        for d in (0.05, 0.5, 1, 3)},
@@ -70,12 +64,12 @@ class TestLinearFit:
             assert pred == [intercept + slope * x for x in g]
 
     def test_squarefree_slope_is_the_exact_line(self):
-        # The two small squarefree slopes test_constants pins bit for bit.
-        for n_max in (100, 3000):
-            sf = squarefree_slope(n_max)
-            pts = [(n, v) for n, v in sf.samples if n >= 1024] or sf.samples
-            slope, _ = exact_line([math.log(n) for n, _ in pts], [v for _, v in pts])
-            assert ulps_off(sf.slope, slope) <= 4
+        # The `transcendental` recipe's slope, on its own samples.
+        series = dominant_sum(10**7, SquarefreeAugmented(ExplicitList([])),
+                              grid=list(SQUAREFREE_GRID))
+        pts = series.float_samples()
+        slope, _ = exact_line([math.log(n) for n, _ in pts], [v for _, v in pts])
+        assert ulps_off(fit_model(pts, "k_log").k, slope) <= 4
 
 
 class TestFitModel:

@@ -229,6 +229,14 @@ def test_mertens_does_not_import_mersenne():
     assert [m for m in modules if m.split(".")[-1] == "mersenne"] == []
 
 
+# Every fit is a fitting.fit_model fit: no other module reaches for its
+# least-squares routine.
+def test_only_fitting_runs_least_squares():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "fitting.py"
+            and "_linear_fit" in path.read_text(encoding="utf-8")] == []
+
+
 # The package's __init__ imports none of its modules, so loading the order
 # sets or the exact series does not load `mersenne` through it either.
 def test_sets_and_mertens_load_no_mersenne():

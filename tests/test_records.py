@@ -21,7 +21,7 @@ from orbitgrowth.constants import (
 from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.fitting import FitReport
 from orbitgrowth.mersenne import MersenneFactorization
-from orbitgrowth.mertens import MertensSeries, RemainderBound, SquarefreeSlope
+from orbitgrowth.mertens import MertensSeries, RemainderBound
 from orbitgrowth.reproduce import CriterionResult
 from orbitgrowth.sets import DensityEstimate, IntervalRecord
 
@@ -45,7 +45,6 @@ RECORDS = [
     FitReport("bounded", None, None, None, 0.9, 1e-5, 12),
     MertensSeries("x", "exact", [(1, Fraction(1, 2)), (2, Fraction(1))]),
     RemainderBound(6, 0.1, 0.2),
-    SquarefreeSlope(64, Fraction(3), 0.6, ((64, 3.0),)),
     IntervalRecord(4, 16, 22, 2, 0.34, 0.35),
     DensityEstimate(100, 3, 24),
     MersenneFactorization(11, ((23, 1), (89, 1))),

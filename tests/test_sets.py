@@ -140,7 +140,7 @@ BASE_KINDS = [
 ]
 ALL_KINDS = BASE_KINDS + [SquarefreeAugmented(k) for k in BASE_KINDS]
 
-# The non-squarefree n; squarefree_slope sums over the n outside it.
+# The non-squarefree n; the squarefree harmonic sum runs over the n outside it.
 NON_SQUAREFREE = SquarefreeAugmented(ExplicitList([]))
 
 
