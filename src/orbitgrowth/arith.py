@@ -9,8 +9,9 @@ needs none.  OrderTable is re-exported only because perfbench/ops.py
 imports it from here.  `np` here is the array layer's one numpy, shared by
 `sets` and `mertens`: a lazy module whose code runs on the first array, so
 importing the layer runs no numpy.  The least-factor table covers only the
-n prime to 6, as uint16 with 0 at primes, and only PrimeTable reads it; the
-primes are int32.  Tables are immutable once built.
+n prime to 30 (a mod-30 wheel: 8 entries for every 30 integers), as uint16
+with 0 at primes, and only PrimeTable reads it; the primes are int32.
+Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -61,17 +62,31 @@ def _lazy_module(name: str):
 
 np = _lazy_module("numpy")
 
+# The least-factor table keeps the n prime to 30: entry i is for
+# n = 30 (i >> 3) + _WHEEL[i & 7].  As 8r // 30 is the place of r in
+# _WHEEL, the entry of such an n is 4n // 15.
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+# The least factor of n from n % 30 where it is 2, 3 or 5, else 0.
+_WHEEL_FACTOR = tuple(next((q for q in (2, 3, 5) if r % q == 0), 0) for r in range(30))
+# The sieving primes above the cut strike the whole table one at a time;
+# those up to it strike it one SIEVE_BLOCK block at a time.
+_STRIKE_CUT = 1000
+# 7, 11 and 13 strike no progressions: whether they divide n repeats every
+# 7 * 11 * 13 rows of the wheel, _PERIOD entries, so each block takes their
+# least factor from one precomputed pattern.
+_PERIOD = 8 * 7 * 11 * 13
+
 
 class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
     """Primes up to `limit` plus a least-prime-factor table of the n prime
-    to 6.
+    to 30.
 
     `primes` is int32, ascending from 2.  Entry i of `smallest_factor`
-    (uint16) is for n = 3i + 1 + (i & 1), that is n = 1, 5, 7, 11, 13, ...,
-    so i = n // 3; there are (limit + 5)//6 + (limit + 1)//6 entries.  It
-    holds the least prime factor of a composite n, and 0 at a prime and at
-    n = 1.  Every even n has least factor 2 and every other multiple of 3
-    has 3, by arithmetic.
+    (uint16) is for n = 30 (i >> 3) + R[i & 7], R = _WHEEL = (1, 7, 11, 13,
+    17, 19, 23, 29), so i = 4n // 15; there are 8 (limit // 30) +
+    #{r in R : r <= limit % 30} entries.  It holds the least prime factor
+    of a composite n, and 0 at a prime and at n = 1.  Every other n has
+    least factor 2, 3 or 5, read from n % 30 in _WHEEL_FACTOR.
     """
 
     __slots__ = ()
@@ -79,42 +94,40 @@ class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
     def least_factor(self, n: int) -> int:
         if n < 2 or n > self.limit:
             raise CapacityError(f"core-arith: {n} outside table range [2, {self.limit}]")
-        if n % 2 == 0:
-            return 2
-        if n % 3 == 0:
-            return 3
-        return int(self.smallest_factor[n // 3]) or n
+        return _WHEEL_FACTOR[n % 30] or int(self.smallest_factor[4 * n // 15]) or n
 
     def least_factors(self, x: np.ndarray) -> np.ndarray:
         """least_factor of every x in [2, limit], in x's integer dtype."""
-        # An even or 3-divisible x at the top can index one past the table;
-        # clipping reads some entry, and the answer is overwritten below.
-        # Each overwrite is a blend, f += (new - f) * mask: a masked write
-        # whose mask is true at random costs a mispredicted branch per
-        # element, several times a pass.  In an unsigned dtype f - 3 may
-        # wrap, and the wrap cancels.
-        i = x // 3
-        f = self.smallest_factor.take(i, mode="clip").astype(x.dtype)
+        # An x with a factor 2, 3 or 5 has no entry, and at the top its
+        # index 4x // 15 can be one past the table; clipping reads some
+        # entry, and the answer is overwritten below by the blend f -=
+        # (f - s) * mask: a masked write whose mask is true at random costs
+        # a mispredicted branch per element, several times a pass.  In an
+        # unsigned dtype f - s may wrap, and the wrap cancels.
+        f = self.smallest_factor.take(4 * x // 15, mode="clip").astype(x.dtype)
         f += x * (f == 0)  # primes
-        f -= (f - 3) * (x == 3 * i)
-        f -= (f - 2) * (x & 1 == 0)
+        s = np.array(_WHEEL_FACTOR, dtype=x.dtype).take(x % 30)
+        f -= (f - s) * (s != 0)
         return f
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Least-factor sieve of the n <= limit prime to 6, walked in blocks of
-    SIEVE_BLOCK entries (3 * SIEVE_BLOCK integers).
+    """Least-factor sieve of the n <= limit prime to 30.
 
-    In index space each prime p >= 5 up to sqrt(limit) strikes two
-    progressions of stride 2p: its multiples p * m with m prime to 6 and
-    m >= p, from p * p // 3 and from p * m2 // 3, m2 the next such m after
-    p.  The primes write in descending order, so the least factor is
-    written last; entries no prime reaches stay 0 and are primes (or
-    n = 1).  The prime count is taken block by block, so `primes` is
-    allocated once at its final size and filled in a second walk: 2 and 3,
-    then n = 3i + 1 + (i & 1) of every zero entry i.  That walk steps
-    PRIME_WALK_BLOCK entries at a time, so beyond the two arrays returned
-    it holds well under 1 MiB at any limit.
+    In index space each prime p >= 7 up to sqrt(limit) strikes eight
+    progressions of stride 8p, one per class of its cofactor m mod 30:
+    the multiples p * m with m prime to 30 and m >= p.  The table starts
+    from np.zeros.  The primes above _STRIKE_CUT strike the whole table,
+    in descending order.  Then, block by block of SIEVE_BLOCK entries, the
+    primes from 17 up to the cut strike it, also descending, and the least
+    factor among 7, 11 and 13 is blended in from a pattern of _PERIOD
+    entries instead of eight strikes each.  The least factor is thus
+    written last, and each block's zero entries are counted while it is
+    hot.  Entries no prime reaches stay 0 and are primes (or n = 1).  So
+    `primes` is allocated once at its final size and filled in a second
+    walk: 2, 3 and 5, then n = 30 (i >> 3) + R[i & 7] of every zero entry
+    i.  That walk steps PRIME_WALK_BLOCK entries at a time, so beyond the
+    two arrays returned it holds well under 1 MiB at any limit.
     """
     if limit < 2:
         raise CapacityError(f"core-arith: sieve limit must be >= 2, got {limit}")
@@ -122,35 +135,74 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(
             f"core-arith: sieve limit {limit} exceeds capacity bound {SIEVE_CAPACITY}"
         )
-    # Each prime from 5 up, descending, with the index of p * p and of p * m2.
-    strikes = [(p, p * m // 3)
-               for p in _primes_to(math.isqrt(limit))[:1:-1]
-               for m in (p, p + (4 if p % 6 == 1 else 2))]
-    size = (limit + 5) // 6 + (limit + 1) // 6
-    spf = np.empty(size, dtype=np.uint16)
-    count = 0  # entries left at 0: the primes from 5 up and n = 1
-    for lo in range(0, size, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, size)
-        block = spf[lo:hi]
-        block[:] = 0
-        for p, start in strikes:
-            if start < lo:
-                start = lo + (start - lo) % (2 * p)
-            if start < hi:
-                block[start - lo :: 2 * p] = p
-        count += block.size - np.count_nonzero(block)
-    head = [2, 3][: limit - 1]
+    size = 8 * (limit // 30) + sum(r <= limit % 30 for r in _WHEEL)
+    spf = np.zeros(size, dtype=np.uint16)
+    count = _strike(spf, _primes_to(math.isqrt(limit))[3:])
+    head = [q for q in (2, 3, 5) if q <= limit]
     primes = np.empty(len(head) + count - 1, dtype=np.int32)
     primes[: len(head)] = head
     k = len(head)
+    wheel = np.array(_WHEEL)
     for lo in range(0, size, PRIME_WALK_BLOCK):
         i = np.flatnonzero(spf[lo : lo + PRIME_WALK_BLOCK] == 0)
         if lo == 0:
             i = i[1:]  # n = 1
         i += lo
-        primes[k : k + i.size] = 3 * i + 1 + (i & 1)
+        primes[k : k + i.size] = 30 * (i >> 3) + wheel[i & 7]
         k += i.size
     return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
+
+
+def _strike(spf: np.ndarray, sieving: list[int]) -> int:
+    """Writes the least factor of every composite n of the table spf, given
+    the sieving primes from 7 up, and returns the number of entries left 0:
+    the primes from 7 up and n = 1."""
+
+    def starts(p: int) -> list[int]:
+        """The index of p * m, for the least m >= p of each class mod 30."""
+        return [4 * p * (p + (r - p) % 30) // 15 for r in _WHEEL]
+
+    for p in reversed(sieving):
+        if p <= _STRIKE_CUT:
+            break
+        for start in starts(p):
+            spf[start :: 8 * p] = p
+    strikes = [(p, start) for p in reversed(sieving) if 13 < p <= _STRIKE_CUT
+               for start in starts(p)]
+    least, keep = _pattern()
+    count = 0
+    for lo in range(0, spf.size, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, spf.size)
+        block = spf[lo:hi]
+        for p, start in strikes:
+            if start < lo:
+                start = lo + (start - lo) % (8 * p)
+            if start < hi:
+                block[start - lo :: 8 * p] = p
+        # block = keep * block + least, over whole periods and the tail.
+        phase = lo % _PERIOD
+        rows, tail = divmod(block.size, _PERIOD)
+        for part, width in ((block[: rows * _PERIOD].reshape(rows, _PERIOD), _PERIOD),
+                            (block[rows * _PERIOD :], tail)):
+            part *= keep[phase : phase + width]
+            part += least[phase : phase + width]
+        if lo == 0:
+            block[1:4] = 0  # the primes 7, 11 and 13
+        count += block.size - np.count_nonzero(block)
+    return count
+
+
+def _pattern() -> tuple[np.ndarray, np.ndarray]:
+    """Over two periods of entries from n = 1: the least factor among 7, 11
+    and 13 of each n, or 0 if none divides n, and 1 where it is 0 (uint16
+    both).  Two periods, so that a block starting at any phase reads one
+    whole period."""
+    i = np.arange(2 * _PERIOD)
+    n = 30 * (i >> 3) + np.array(_WHEEL)[i & 7]
+    least = np.zeros(i.size, dtype=np.uint16)
+    for q in (13, 11, 7):
+        least[n % q == 0] = q
+    return least, (least == 0).astype(np.uint16)
 
 
 def mult_orders(primes: np.ndarray, table: PrimeTable) -> np.ndarray:

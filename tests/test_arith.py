@@ -13,6 +13,7 @@ from orbitgrowth.arith import (
     SIEVE_BLOCK,
     SIEVE_CAPACITY,
     PrimeTable,
+    _STRIKE_CUT,
     _pow_mod,
     mult_orders,
     sieve_primes,
@@ -85,29 +86,41 @@ def least_factor_reference(limit: int) -> np.ndarray:
     return spf
 
 
+# Residues of the n prime to 30: entry i of the least-factor table is for
+# n = 30 (i >> 3) + WHEEL[i & 7].
+WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+# The first sieving prime above the cut strikes the whole table from the
+# limit that is its square on.
+WHOLE_TABLE_FROM = next_prime_from(_STRIKE_CUT + 1) ** 2
+# The n of the first strike-block edge: SIEVE_BLOCK entries, 8 for each 30 n.
+EDGE = 30 * SIEVE_BLOCK // 8
+
+
 class TestSieve:
-    # Blocks hold SIEVE_BLOCK entries for the n prime to 6, so their edges
-    # sit at n = 3 k SIEVE_BLOCK: 3 SIEVE_BLOCK - 1 fills one block exactly,
-    # 3 SIEVE_BLOCK + 1 and + 7 end just past the first edge.  prime_mask,
-    # compared below, sieves spans of 2 SIEVE_BLOCK integers, so n =
-    # 2 k SIEVE_BLOCK are probed too; 4 SIEVE_BLOCK + 7 and + 8 end just
-    # past the second of those, odd and even.
+    # Blocks hold SIEVE_BLOCK entries for the n prime to 30, so their edges
+    # sit at n = 30 k SIEVE_BLOCK / 8: EDGE - 1 and EDGE fill one block
+    # exactly, EDGE + 1 and + 7 end just past the first edge.  prime_mask, compared below, sieves spans of 2 SIEVE_BLOCK
+    # integers, so n = 2 k SIEVE_BLOCK are probed too; 4 SIEVE_BLOCK + 7
+    # and + 8 end just past the second of those, odd and even.
     @pytest.mark.parametrize("limit", [2, 3, 4, 9, 10, 11, SIEVE_BLOCK - 1,
                                        SIEVE_BLOCK, SIEVE_BLOCK + 1,
                                        2 * SIEVE_BLOCK - 1, 2 * SIEVE_BLOCK,
-                                       2 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK - 1,
-                                       3 * SIEVE_BLOCK + 1, 3 * SIEVE_BLOCK + 7,
-                                       4 * SIEVE_BLOCK + 7, 4 * SIEVE_BLOCK + 8])
+                                       2 * SIEVE_BLOCK + 1, 4 * SIEVE_BLOCK + 7,
+                                       4 * SIEVE_BLOCK + 8] + [
+        EDGE + d for d in (-30, -29, -2, -1, 0, 1, 7, 29, 30)] + [
+        WHOLE_TABLE_FROM + d for d in (-1, 0, 1, 30)])
     def test_least_factor_across_blocks(self, limit):
         table = sieve_primes(limit)
         spf = table.smallest_factor
         assert spf.dtype == np.uint16 and table.primes.dtype == np.int32
-        assert spf.shape == ((limit + 5) // 6 + (limit + 1) // 6,)
+        assert spf.shape == (8 * (limit // 30) + sum(r <= limit % 30 for r in WHEEL),)
         n = np.arange(2, limit + 1)
+        # Two bytes for each n <= limit prime to 30, n = 1 included.
+        assert spf.nbytes == 2 * (1 + np.count_nonzero(np.gcd(n, 30) == 1))
         least = table.least_factors(n)
         # Scalar trial division on every n near a block edge and the top.
         edges = sorted(set(range(0, limit + 1, 2 * SIEVE_BLOCK))
-                       | set(range(0, limit + 1, 3 * SIEVE_BLOCK)) | {limit})
+                       | set(range(0, limit + 1, EDGE)) | {limit})
         probe = {k for edge in edges for k in range(edge - 200, edge + 40)}
         for k in sorted(k for k in probe if 2 <= k <= limit):
             expect = least_factor_by_trial_division(k)
@@ -118,11 +131,12 @@ class TestSieve:
 
     # The walk that turns zero entries into primes steps PRIME_WALK_BLOCK
     # entries and the strike walk SIEVE_BLOCK, so the index-space edges sit
-    # at n = 3 k PRIME_WALK_BLOCK and n = 3 k SIEVE_BLOCK.
-    WALK_EDGES = (3 * PRIME_WALK_BLOCK, 3 * SIEVE_BLOCK, 6 * SIEVE_BLOCK)
+    # at n = 30 k PRIME_WALK_BLOCK / 8 and n = 30 k SIEVE_BLOCK / 8.
+    WALK_EDGES = (30 * PRIME_WALK_BLOCK // 8, EDGE, 2 * EDGE)
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 5, 25] + [
-        edge + d for edge in WALK_EDGES for d in chain(range(-6, 0), range(1, 7))])
+        edge + d for edge in WALK_EDGES
+        for d in chain(range(-30, 0, 3), range(1, 31, 3), (-1, 30))])
     def test_primes_across_walk_edges(self, limit):
         primes = sieve_primes(limit).primes
         assert np.array_equal(primes, np.flatnonzero(prime_mask(0, limit + 1)))
@@ -139,8 +153,9 @@ class TestSieve:
 
     def test_every_small_limit(self):
         # least_factors at x = limit reads past the table's last entry when
-        # limit is even or a multiple of 3; the answer must still be right.
-        for limit in range(2, 101):
+        # limit has a factor 2, 3 or 5; the answer must still be right.  To
+        # 300, so every residue mod 30 is the top of some table.
+        for limit in range(2, 301):
             table = sieve_primes(limit)
             expect = [least_factor_by_trial_division(k) for k in range(2, limit + 1)]
             assert table.least_factors(np.arange(2, limit + 1)).tolist() == expect
@@ -150,9 +165,10 @@ class TestSieve:
 
     def test_least_factors_on_uint64(self, table_1e6):
         # mult_orders passes uint64 chunks, and the odd parts of p - 1 it
-        # factors include multiples of 3 and 9.
-        x = np.array([3, 9, 15, 21, 45, 81, 999999, 999997, 5, 7, 49, 961],
-                     dtype=np.uint64)
+        # factors include multiples of 3 and 9, and of 5 but not 3, which
+        # the table holds no entry for either.
+        x = np.array([3, 9, 15, 21, 45, 81, 999999, 999997, 5, 7, 49, 961,
+                      25, 35, 125, 245, 999995], dtype=np.uint64)
         least = table_1e6.least_factors(x)
         assert least.dtype == np.uint64
         assert least.tolist() == [least_factor_by_trial_division(int(k)) for k in x]

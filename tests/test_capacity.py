@@ -51,13 +51,15 @@ def test_over_capacity_raises_before_allocating(name, monkeypatch):
         OVER_CAPACITY[name]()
 
 
-# The 10^8 table holds about 90 MB: uint16 least factors of the n prime to 6
-# and int32 primes.  `sieve --out` streams its file a chunk at a time.
-# `sieve --limit 10^8` peaked at 115 MB, numpy and the package about 28 MB.
-SIEVE_PEAK_MB = 135
+# The 10^8 table holds about 76 MB: uint16 least factors of the n prime to
+# 30 (53.3 MB) and int32 primes.  `sieve --out` streams its file a chunk at
+# a time.  `sieve --limit 10^8` peaked at 102 MB, numpy and the package
+# about 28 MB.
+SIEVE_PEAK_MB = 122
 # What sieve_primes(10^7) holds beyond the arrays it returns, as tracemalloc
-# counts it, so heap layout does not move it: 0.62 MiB, the strike list and
-# one step of the walk that collects the primes.
+# counts it, so heap layout does not move it: 0.68 MiB, the strike list and
+# the pattern of 7, 11 and 13, or one step of the walk that collects the
+# primes.
 SIEVE_TRANSIENT_MIB = 1.0
 # The dominant-mode accumulator asks for its mask a window at a time, so no
 # array as long as N is built: the squarefree sum to 10^8 peaked at 33 MB, and
@@ -86,8 +88,8 @@ FACTOR_SECONDS = 1.0
 # The least-factor table, the int32 primes and their int32 orders while the
 # orders are computed; then the table and the primes are dropped, and the
 # sorted orders are gathered one window of the indicator at a time.  Both
-# specs below peaked at 147 MB.
-DENSITY_PEAK_MB = 170
+# specs below peaked at 134 MB.
+DENSITY_PEAK_MB = 158
 
 
 # A child's ru_maxrss starts at the peak RSS of the process it was forked
