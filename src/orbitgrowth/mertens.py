@@ -13,11 +13,12 @@ Two evaluation regimes:
   * dominant mode: sum_{n <= N, n not in M} 1/n by membership sieving with
     a 96-fractional-bit fixed-point accumulator; the only ingredient is the
     order set, never a factorization.  The accumulator asks for the mask of
-    surviving n one window of at most _WINDOW integers at a time, the order
-    set's indicator over that window, inverted in place, so no array as
-    long as N is built.  It finds each term floor(2^96 / n), n < 2^31, in
-    two uint64 divisions by 2^63 and by the remainder times 2^33, and
-    combines the sums of the two as exact Python ints.
+    surviving n one window of at most sets.WINDOW integers at a time, the
+    order set's indicator over that window (one piece of it), inverted in
+    place, so no array as long as N is built.  It finds each term
+    floor(2^96 / n), n < 2^31, in two uint64 divisions by 2^63 and by the
+    remainder times 2^33, and combines the sums of the two as exact Python
+    ints.
 
 The squarefree harmonic sum is a dominant sum too: the squarefree n are
 those outside squarefree_augmented over the empty list.  The
@@ -40,6 +41,7 @@ from .arith import SIEVE_CAPACITY, np
 from .errors import CapacityError, ContractError, InvariantViolation
 from .integers import ORDERS, cyclotomic_eval2, divisors, factorize, moebius, ord_p_mersenne
 from .sets import (
+    WINDOW,
     ExplicitFinitePrimes,
     InducedPrimes,
     OrderSet,
@@ -48,23 +50,18 @@ from .sets import (
 
 FRAC_BITS = 96
 _SCALE = 1 << FRAC_BITS
-# Integers per window that the accumulator asks to be marked, and terms per
-# _fixed_point_terms call within it.
-_WINDOW = 1 << 19
+# Terms per _fixed_point_terms call within a window of the accumulator.
 _CHUNK = 1 << 16
 
 EXACT_CEILING = 10_000
 
 
-class MertensSeries(namedtuple("MertensSeries", "label mode samples")):
-    """Grid of (N, value) samples; exact rationals or fixed-point dyadics.
-    `mode` is "exact" or "dominant"."""
+class MertensSeries(namedtuple("MertensSeries", "samples")):
+    """Grid of (N, value) samples; exact rationals or fixed-point dyadics."""
 
     __slots__ = ()
 
-    def __new__(cls, label: str, mode: str, samples: list[tuple[int, Fraction]]):
-        if mode not in ("exact", "dominant"):
-            raise ContractError(f"mertens-engine: unknown mode {mode!r}")
+    def __new__(cls, samples: list[tuple[int, Fraction]]):
         last_n = 0
         last_v = None
         for n, v in samples:
@@ -73,7 +70,7 @@ class MertensSeries(namedtuple("MertensSeries", "label mode samples")):
             if last_v is not None and v < last_v:
                 raise InvariantViolation("mertens-engine: series values decreased")
             last_n, last_v = n, v
-        return super().__new__(cls, label, mode, samples)
+        return super().__new__(cls, samples)
 
     def value_at(self, n: int) -> Fraction:
         for g, v in self.samples:
@@ -167,7 +164,7 @@ def _periodic_points(n: int, pset: PrimeSet) -> int:
     q, r = divmod((1 << n) - 1, _removal(n, pset))
     if r:
         raise InvariantViolation(
-            f"mertens-engine: |2^{n}-1|_S removal not exact (S={pset.label()})"
+            f"mertens-engine: |2^{n}-1|_S removal not exact (S={pset.to_json()})"
         )
     return q
 
@@ -224,7 +221,7 @@ def mertens_exact(
     for n in range(1, n_max + 1):
         num = 2 * num + _orbits(n, totals[n])
         samples.append((n, Fraction(num, 1 << n)))
-    return MertensSeries(label=pset.label(), mode="exact", samples=samples)
+    return MertensSeries(samples)
 
 
 def default_grid(n_max: int, start: int = 10) -> list[int]:
@@ -272,8 +269,8 @@ def dominant_sum(
     """
     if not oset.closed_under_nat_multiplication:
         raise ContractError(
-            "mertens-engine: order set is not closed under multiplication by N; "
-            "use decompose_lcm_closed instead"
+            "mertens-engine: order set is not closed under multiplication by N, "
+            "so it has no dominant sum; use exact mode (series --mode exact) instead"
         )
     if n_max > SIEVE_CAPACITY:
         raise CapacityError(
@@ -288,7 +285,7 @@ def dominant_sum(
 
     samples = [(g, Fraction(acc, _SCALE))
                for g, acc in zip(grid, _harmonic_fixed_point(keep, grid))]
-    return MertensSeries(label=oset.label(), mode="dominant", samples=samples)
+    return MertensSeries(samples)
 
 
 def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
@@ -297,7 +294,7 @@ def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
     of the kept n.  The sums are exact integers, so callers divide by 2^96
     exactly (as Fraction or correctly rounded float).
 
-    [1, grid[-1]] is walked in windows of at most _WINDOW integers, each
+    [1, grid[-1]] is walked in windows of at most WINDOW integers, each
     ending at the next grid point if that comes first, so every grid point
     closes at a window edge.  The terms of each _CHUNK integers of a window
     are their nonzero offsets, read as uint64, plus their start; only
@@ -310,7 +307,7 @@ def _harmonic_fixed_point(keep, grid: list[int]) -> list[int]:
     out = []
     for g in grid:
         while lo <= g:
-            hi = min(lo + _WINDOW, g + 1)
+            hi = min(lo + WINDOW, g + 1)
             mask = keep(lo, hi)
             for a in range(0, hi - lo, _CHUNK):
                 n = mask[a : a + _CHUNK].nonzero()[0].view(np.uint64)
@@ -384,8 +381,7 @@ def decompose_lcm_closed(
         acc += Fraction(1, strata[mbar] * j * _lifted(j, mbar, oset))
         if n in grid:
             samples.append((n, acc))
-    series = MertensSeries(label=oset.label(), mode="dominant", samples=samples)
-    return series, sorted(strata)
+    return MertensSeries(samples), sorted(strata)
 
 
 def f_series_direct(
@@ -406,7 +402,7 @@ def f_series_direct(
         acc += Fraction(1, n * _removal(n, pset))
         if n in grid:
             samples.append((n, acc))
-    return MertensSeries(label=pset.label(), mode="dominant", samples=samples)
+    return MertensSeries(samples)
 
 
 _LN2 = math.log(2.0)

@@ -2,10 +2,13 @@
 the interval prime sets.
 
 prime_mask is the package's one boolean prime mask.  Every mask and
-indicator is a window over [lo, hi), checked against arith.SIEVE_CAPACITY;
-the primes up to sqrt(hi) that it sieves by come from the integer core's
-list, and it marks each window from that window's first multiples, so a
-dominant sum walks [1, N] in windows with no array as long as N.
+indicator is a window over [lo, hi), checked against arith.SIEVE_CAPACITY,
+and marked in pieces of at most WINDOW integers: _by_pieces is the one code
+that splits a window, and a window no wider than WINDOW is one piece.  The
+primes up to sqrt(hi) that a piece is sieved by come from the integer
+core's list, and it is marked from its own first multiples, so a dominant
+sum or a density walks [1, N] in windows of WINDOW integers with no array
+as long as N.
 interval_L sieves each interval's odd numbers on their own with the
 integer core's progression sieve, and a CongruenceSource sieves its class
 progressions segment by segment.  interval_L and estimate_density check N
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import namedtuple
 
 from .arith import SIEVE_BLOCK, SIEVE_CAPACITY, mult_orders, np, sieve_primes
@@ -51,8 +55,9 @@ from .integers import (_prime_flags, _primes_to, factorize, is_probable_prime,
 
 # Bulk orders that estimate_density recomputes with scalar mult_order.
 CROSS_CHECKS = 64
-# Integers per indicator window when estimate_density counts members.
-DENSITY_WINDOW = 2 * SIEVE_BLOCK
+# The most integers that one piece of a mask or indicator marks, and the
+# window that dominant sums and densities walk [1, N] by.
+WINDOW = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +73,34 @@ def _check_window(lo: int, hi: int) -> None:
         raise CapacityError(f"prime-sets: window end {hi} over capacity {SIEVE_CAPACITY}")
 
 
-def prime_mask(lo: int, hi: int) -> np.ndarray:
-    """Boolean array over [lo, hi); True exactly at primes.
+def _by_pieces(lo: int, hi: int, piece) -> np.ndarray:
+    """The boolean array over a checked window [lo, hi) that piece(a, b)
+    builds over each piece [a, b) of at most WINDOW integers: one piece
+    when the window is no wider, else pieces filled in order into one
+    result."""
+    if hi - lo <= WINDOW:
+        return piece(lo, hi)
+    out = np.empty(hi - lo, dtype=bool)
+    for a in range(lo, hi, WINDOW):
+        b = min(a + WINDOW, hi)
+        out[a - lo : b - lo] = piece(a, b)
+    return out
 
-    The odd entries come from the integer core's odd-number sieve, one span
-    of 2 * SIEVE_BLOCK integers at a time; 2 is set by hand."""
+
+def prime_mask(lo: int, hi: int) -> np.ndarray:
+    """Boolean array over [lo, hi); True exactly at primes."""
     _check_window(lo, hi)
+    return _by_pieces(lo, hi, _prime_piece)
+
+
+def _prime_piece(lo: int, hi: int) -> np.ndarray:
+    """prime_mask over one piece: the odd entries come from the integer
+    core's odd-number sieve, and 2 is set by hand."""
     mask = np.zeros(hi - lo, dtype=bool)
     if lo <= 2 < hi:
         mask[2 - lo] = True
-    for a in range(max(3, lo | 1), hi, 2 * SIEVE_BLOCK):
-        b = min(a + 2 * SIEVE_BLOCK, hi)
-        mask[a - lo : b - lo : 2] = np.frombuffer(_prime_flags(a, b, 2), dtype=bool)
+    a = max(3, lo | 1)
+    mask[a - lo :: 2] = np.frombuffer(_prime_flags(a, hi, 2), dtype=bool)
     return mask
 
 
@@ -237,22 +258,20 @@ class OrderSet:
         (n = 0 is no member), new on each call, so the caller may write into
         it.  The mask over [0, N] is the window (0, N + 1)."""
         _check_window(lo, hi)
-        out = self._window(lo, hi)
+        out = _by_pieces(lo, hi, self._window)
         if lo == 0:
             out[0] = False
         return out
 
     def _window(self, lo: int, hi: int) -> np.ndarray:
-        """indicator without the check of the window, and with any entry at
-        n = 0, which indicator clears."""
+        """indicator over one piece of at most WINDOW integers, without the
+        check of the window, and with any entry at n = 0, which indicator
+        clears."""
         raise NotImplementedError
 
     # Serialization ------------------------------------------------------
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    def label(self) -> str:
-        return str(self.to_json())
 
     def __repr__(self):
         return f"OrderSet({self.to_json()})"
@@ -268,10 +287,9 @@ class CongruenceSource(OrderSet):
     """Primes p with p mod modulus in residues: the prime source of a
     multiples_of or omega_bounded, and the order set congruence_primes.
 
-    The primes found so far are kept: the first _count entries of _found
-    are those up to _reach, and a request past _reach sieves on from there.
-    _found is made on the first primes_up_to, so exact membership makes no
-    array.
+    The primes found so far are kept: _found holds those up to _reach, and
+    a request past _reach sieves on from there.  _found is made on the
+    first primes_up_to, so exact membership makes no array.
     """
 
     kind = "congruence_primes"
@@ -305,7 +323,6 @@ class CongruenceSource(OrderSet):
                 self._starts.append(t)
         self._lone = sorted(lone)
         self._found = None
-        self._count = 0
         self._reach = 1
 
     def contains_prime(self, p: int) -> bool:
@@ -336,16 +353,18 @@ class CongruenceSource(OrderSet):
         if limit > self._reach:
             self._extend(max(limit, min(2 * self._reach, self._reach + _SOURCE_SPAN,
                                         SIEVE_CAPACITY)))
-        found = self._found[: self._count]
-        out = found[: np.searchsorted(found, np.int32(max(limit, 0)), side="right")]
+        out = self._found[: np.searchsorted(self._found, np.int32(max(limit, 0)),
+                                            side="right")]
         out.flags.writeable = False
         return out
 
     def _extend(self, top: int) -> None:
         """Sieve (_reach, top] a segment of SIEVE_BLOCK terms per class at a
-        time, and append its class primes in ascending order."""
+        time, and append its class primes in ascending order.  _found is
+        replaced, not resized, so views already handed out stay valid."""
         step = self._step
         seg = step * SIEVE_BLOCK
+        found = [self._found]
         for a in range(self._reach + 1, top + 1, seg):
             b = min(a + seg, top + 1)
             parts = [np.array([p for p in self._lone if a <= p < b and is_probable_prime(p)],
@@ -363,20 +382,9 @@ class CongruenceSource(OrderSet):
                 new = np.concatenate(parts)
                 if len(parts) > 1:
                     new.sort()
-                self._append(new)
+                found.append(new)
+        self._found = np.concatenate(found)
         self._reach = top
-
-    def _append(self, new: np.ndarray) -> None:
-        """Append to _found, doubling its capacity when full.  The old
-        buffer is copied, not resized, so views already handed out stay
-        valid."""
-        end = self._count + new.size
-        if end > self._found.size:
-            grown = np.empty(max(end, 2 * self._found.size), dtype=np.int32)
-            grown[: self._count] = self._found[: self._count]
-            self._found = grown
-        self._found[self._count : end] = new
-        self._count = end
 
     def to_json(self) -> dict:
         return {
@@ -401,9 +409,8 @@ class ExplicitList(OrderSet):
 
     def _window(self, lo, hi):
         out = np.zeros(hi - lo, dtype=bool)
-        for v in self.values:
-            if lo <= v < hi:
-                out[v - lo] = True
+        inside = self.values[bisect_left(self.values, lo) : bisect_left(self.values, hi)]
+        out[[v - lo for v in inside]] = True
         return out
 
     def to_json(self):
@@ -425,10 +432,8 @@ class PrimeList(ExplicitList):
         return {"kind": "prime_list", "primes": list(self.values)}
 
 
-# Integers per span of a window that _mark_multiples walks, and the most
-# products k * ell that one gather holds.
-_SPAN = 1 << 18
-_GATHER = 1 << 16
+# The most products k * ell that one gather of _mark_multiples holds.
+_GATHER = 1 << 15
 
 
 def _mark_multiples(out: np.ndarray, lo: int, big: np.ndarray) -> None:
@@ -436,31 +441,27 @@ def _mark_multiples(out: np.ndarray, lo: int, big: np.ndarray) -> None:
     of an ell of `big`, an ascending int32 array of values above the window
     end's square root, so that every k is at most that root.
 
-    The window is walked in spans of _SPAN integers.  For all k at once,
-    the ells with k * ell in a span are big[start:end], end found by one
-    searchsorted on (span end - 1) // k, and each span's end is the next
-    span's start.  The products of consecutive k are gathered in chunks of
-    about _GATHER: no array as long as the window, or as big, is made.
+    For all k at once, the ells with k * ell in the window are
+    big[start:end], start and end found by one searchsorted each.  The
+    products of consecutive k are gathered in chunks of about _GATHER, so
+    no array as long as the window's products, or as big, is made.
     """
     if not big.size:
         return
     hi = lo + out.size
     ks = np.arange(1, (hi - 1) // int(big[0]) + 1, dtype=np.int32)
     start = np.searchsorted(big, (lo - 1) // ks, side="right")
-    for a in range(lo, hi, _SPAN):
-        end = np.searchsorted(big, (min(a + _SPAN, hi) - 1) // ks, side="right")
-        count = end - start
-        cum = np.cumsum(count)
-        first = cum - count  # the flat position of each k's first product
-        i = 0
-        while i < ks.size:
-            j = max(int(np.searchsorted(cum, first[i] + _GATHER, side="right")), i + 1)
-            c = count[i:j]
-            pos = np.repeat(start[i:j] - first[i:j], c)
-            pos += np.arange(first[i], cum[j - 1])
-            out[big[pos] * np.repeat(ks[i:j], c) - lo] = True
-            i = j
-        start = end
+    count = np.searchsorted(big, (hi - 1) // ks, side="right") - start
+    cum = np.cumsum(count)
+    first = cum - count  # the flat position of each k's first product
+    i = 0
+    while i < ks.size:
+        j = max(int(np.searchsorted(cum, first[i] + _GATHER, side="right")), i + 1)
+        c = count[i:j]
+        pos = np.repeat(start[i:j] - first[i:j], c)
+        pos += np.arange(first[i], cum[j - 1])
+        out[big[pos] * np.repeat(ks[i:j], c) - lo] = True
+        i = j
 
 
 class MultiplesOf(OrderSet):
@@ -488,7 +489,7 @@ class MultiplesOf(OrderSet):
     def _window(self, lo, hi):
         out = np.zeros(hi - lo, dtype=bool)
         divs = (self.ell_set.primes_up_to(hi - 1) if self.ells is None
-                else np.array([l for l in self.ells if l < hi], dtype=np.int32))
+                else np.array(self.ells[: bisect_left(self.ells, hi)], dtype=np.int32))
         root = math.isqrt(hi - 1)
         cut = int(np.searchsorted(divs, np.int32(root), side="right"))
         for l in divs[:cut].tolist():
@@ -651,43 +652,38 @@ class OmegaBounded(OrderSet):
         return omega_q > self.r
 
     def _window(self, lo, hi):
-        # Omega(q) and the primes of q for q = n/gcd(m, n), from the window's
-        # n alone, a block at a time.  The primes p up to the root of the
-        # window end and their powers are divided out of n; p^k | n puts p
-        # into q once k > ord_p(m).  What is left of n above 1 is its one
-        # larger prime, which is in q unless it divides m.  So no array
-        # outside the window is built, and m is never factored: only its
-        # primes up to the root are divided out, and the rest of it is read
-        # through _residues.
+        # Omega(q) and the primes of q for q = n/gcd(m, n), from the piece's
+        # n alone.  The primes p up to the root of the piece end and their
+        # powers are divided out of n; p^k | n puts p into q once
+        # k > ord_p(m).  What is left of n above 1 is its one larger prime,
+        # which is in q unless it divides m.  So no array outside the piece
+        # is built, and m is never factored: only its primes up to the root
+        # are divided out, and the rest of it is read through _residues.
         small = _primes_to(math.isqrt(hi - 1))
         m_ord, rest = {}, self.m
         for p in small:
             if rest % p == 0:
                 m_ord[p] = e = ord_p(rest, p)
                 rest //= p**e
-        member = np.empty(hi - lo, dtype=bool)
-        for a in range(lo, hi, SIEVE_BLOCK):
-            b = min(a + SIEVE_BLOCK, hi)
-            rem = np.arange(a, b, dtype=np.int32)
-            omega = np.zeros(b - a, dtype=np.int8)
-            bad = member[a - lo : b - lo]
-            bad[:] = False
-            for p in small:
-                e, k, pk = m_ord.get(p, 0), 1, p
-                while pk < b:
-                    rem[-a % pk :: pk] //= p
-                    if k > e:
-                        omega[-a % pk :: pk] += 1
-                        if k == e + 1 and not self.ell_set.contains_prime(p):
-                            bad[-a % pk :: pk] = True
-                    k, pk = k + 1, pk * p
-            big = np.flatnonzero(rem > 1)
-            if rest > 1:
-                big = big[_residues(rest, rem[big]) != 0]
-            omega[big] += 1
-            bad |= omega > self.r
-            bad[big[~self.ell_set.contains_primes(rem[big])]] = True
-        return member
+        rem = np.arange(lo, hi, dtype=np.int32)
+        omega = np.zeros(hi - lo, dtype=np.int8)
+        bad = np.zeros(hi - lo, dtype=bool)
+        for p in small:
+            e, k, pk = m_ord.get(p, 0), 1, p
+            while pk < hi:
+                rem[-lo % pk :: pk] //= p
+                if k > e:
+                    omega[-lo % pk :: pk] += 1
+                    if k == e + 1 and not self.ell_set.contains_prime(p):
+                        bad[-lo % pk :: pk] = True
+                k, pk = k + 1, pk * p
+        big = np.flatnonzero(rem > 1)
+        if rest > 1:
+            big = big[_residues(rest, rem[big]) != 0]
+        omega[big] += 1
+        bad |= omega > self.r
+        bad[big[~self.ell_set.contains_primes(rem[big])]] = True
+        return bad
 
     def to_json(self):
         return {
@@ -738,9 +734,6 @@ class PrimeSet:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    def label(self) -> str:
-        return str(self.to_json())
 
 
 class ExplicitFinitePrimes(PrimeSet):
@@ -809,10 +802,10 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
     Induced sets take every m_p from one mult_orders call, as int32, and
     once a seeded sample of CROSS_CHECKS of them agrees with scalar
     mult_order, count membership window by window.  The m_p lie all over
-    [1, limit], so they are sorted in place, and each window of
-    DENSITY_WINDOW integers gathers its own m_p from the order set's
-    indicator over that window: the sieve table and the primes are dropped
-    first, and no array as long as limit is built beyond the orders.
+    [1, limit], so they are sorted in place, and each window of WINDOW
+    integers gathers its own m_p from the order set's indicator over that
+    window: the sieve table and the primes are dropped first, and no array
+    as long as limit is built beyond the orders.
     """
     if limit > SIEVE_CAPACITY:
         raise CapacityError(f"prime-sets: density limit {limit} over capacity")
@@ -833,7 +826,7 @@ def estimate_density(pset: PrimeSet, limit: int) -> DensityEstimate:
             raise InvariantViolation(f"prime-sets: bulk order {bulk} of {p} "
                                      f"disagrees with mult_order {expect}")
     orders.sort()
-    edges = [*range(0, limit + 1, DENSITY_WINDOW), limit + 1]
+    edges = [*range(0, limit + 1, WINDOW), limit + 1]
     # int32 needles, as the orders are: wider ones would cast all of them.
     cuts = orders.searchsorted(np.array(edges, dtype=np.int32)).tolist()
     members = 0

@@ -99,9 +99,11 @@ EDGE = 30 * SIEVE_BLOCK // 8
 class TestSieve:
     # Blocks hold SIEVE_BLOCK entries for the n prime to 30, so their edges
     # sit at n = 30 k SIEVE_BLOCK / 8: EDGE - 1 and EDGE fill one block
-    # exactly, EDGE + 1 and + 7 end just past the first edge.  prime_mask, compared below, sieves spans of 2 SIEVE_BLOCK
-    # integers, so n = 2 k SIEVE_BLOCK are probed too; 4 SIEVE_BLOCK + 7
-    # and + 8 end just past the second of those, odd and even.
+    # exactly, EDGE + 1 and + 7 end just past the first edge.  prime_mask,
+    # compared below, sieves pieces of sets.WINDOW = SIEVE_BLOCK / 2
+    # integers, so the piece edges n = 2 k SIEVE_BLOCK are probed too;
+    # 4 SIEVE_BLOCK + 7 and + 8 end just past the second of those, odd and
+    # even.
     @pytest.mark.parametrize("limit", [2, 3, 4, 9, 10, 11, SIEVE_BLOCK - 1,
                                        SIEVE_BLOCK, SIEVE_BLOCK + 1,
                                        2 * SIEVE_BLOCK - 1, 2 * SIEVE_BLOCK,

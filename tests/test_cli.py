@@ -308,6 +308,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "100000000" in err
 
+    def test_dominant_on_unclosed_set_names_exact_mode(self, capsys, tmp_path):
+        # The prime numbers are not closed under multiplication by N; the
+        # remedy is a flag of this command, not a library function.
+        spec = tmp_path / "primes.json"
+        spec.write_text('{"kind": "induced", "order_set": {"kind": "prime_numbers"}}\n')
+        code, out, err = run(capsys, "series", "--spec", str(spec),
+                             "--n-max", "100", "--mode", "dominant")
+        assert code == 2 and out == ""
+        assert "--mode exact" in err and "decompose_lcm_closed" not in err
+
     def test_cache_miss_is_3(self, capsys):
         code, _, err = run(capsys, "series-transcendental",
                            "--ell", "3", "--terms", "6")

@@ -18,7 +18,7 @@ from orbitgrowth.constants import (
     SubsequenceReport,
     TranscendentalSeries,
 )
-from orbitgrowth.errors import ContractError, InvariantViolation
+from orbitgrowth.errors import InvariantViolation
 from orbitgrowth.fitting import FitReport
 from orbitgrowth.mersenne import MersenneFactorization
 from orbitgrowth.mertens import MertensSeries, RemainderBound
@@ -43,7 +43,7 @@ RECORDS = [
                         0.366, False),
     SubsequenceReport(0, 0.0, 0.0, 0.0, 101, 0.0, 0.0),
     FitReport("bounded", None, None, None, 0.9, 1e-5, 12),
-    MertensSeries("x", "exact", [(1, Fraction(1, 2)), (2, Fraction(1))]),
+    MertensSeries([(1, Fraction(1, 2)), (2, Fraction(1))]),
     RemainderBound(6, 0.1, 0.2),
     IntervalRecord(4, 16, 22, 2, 0.34, 0.35),
     DensityEstimate(100, 3, 24),
@@ -78,12 +78,6 @@ def test_density_estimate_members_within_total():
     assert DensityEstimate(10, 4, 4).ratio == 1.0
     with pytest.raises(InvariantViolation, match="member_count > total_count"):
         DensityEstimate(10, 5, 4)
-
-
-def test_mertens_series_mode_checked():
-    # The grid and value checks are in test_mertens.py::TestSeriesContainer.
-    with pytest.raises(ContractError, match="unknown mode"):
-        MertensSeries("x", "approximate", [])
 
 
 def test_greedy_trace_checks():

@@ -11,7 +11,7 @@ from orbitgrowth.errors import ContractError, InvariantViolation
 from orbitgrowth.integers import is_probable_prime, mult_order
 from orbitgrowth.mersenne import primitive_primes
 from orbitgrowth.sets import (
-    DENSITY_WINDOW,
+    WINDOW,
     ComplementMultiplesOf,
     CompositeNumbers,
     CongruenceSource,
@@ -262,6 +262,18 @@ class TestIndicatorWindows:
                 assert [bool(got[n - lo]) for n in range(max(lo, 1), hi)] == [
                     oset.contains(n) for n in range(max(lo, 1), hi)], (lo, hi)
 
+    # LIMIT + 1 is below WINDOW, so unpatched every window is one piece;
+    # patched, the same windows are filled piece by piece, with piece edges
+    # on either side of the edges above.
+    @pytest.mark.parametrize("window", [64, 1000])
+    @pytest.mark.parametrize("build", [prime_mask, *(o.indicator for o in ALL_KINDS)],
+                             ids=["prime_mask", *(o.kind for o in ALL_KINDS)])
+    def test_pieces_match_one_piece(self, build, window, monkeypatch):
+        expect = [build(lo, hi) for lo, hi in self.windows()]
+        monkeypatch.setattr(sets, "WINDOW", window)
+        for (lo, hi), want in zip(self.windows(), expect):
+            assert np.array_equal(build(lo, hi), want), (lo, hi)
+
     @pytest.mark.parametrize("build", [
         prime_mask, NON_SQUAREFREE.indicator, MultiplesOf(ells=[3]).indicator,
     ], ids=["prime_mask", "non_squarefree", "multiples_of"])
@@ -276,19 +288,19 @@ class TestIndicatorWindows:
         ListSource([5, 11, 499, 1048573]),
     ], ids=["congruence_1mod3", "congruence_30", "list"])
     def test_multiples_across_spans_and_gathers(self, source, monkeypatch):
-        # One slice per ell is the reference.  The window walks spans of
-        # _SPAN integers and gathers about _GATHER products at once; small
-        # spans and gathers split single k's runs too.
-        limit = 3 * sets._SPAN + 5
+        # One slice per ell is the reference.  A window is marked in pieces
+        # of WINDOW integers, each gathering about _GATHER products at once;
+        # small pieces and gathers split single k's runs too.
+        limit = 3 * sets.WINDOW + 5
         ref = np.zeros(limit + 1, dtype=bool)
         for ell in source.primes_up_to(limit).tolist():
             ref[ell::ell] = True
         oset = MultiplesOf(ell_set=source)
         assert np.array_equal(oset.indicator(0, limit + 1), ref)
-        for lo, hi in ((sets._SPAN - 3, 2 * sets._SPAN + 3), (1, sets._SPAN + 1),
+        for lo, hi in ((sets.WINDOW - 3, 2 * sets.WINDOW + 3), (1, sets.WINDOW + 1),
                        (limit - 10, limit + 1)):
             assert np.array_equal(oset.indicator(lo, hi), ref[lo:hi]), (lo, hi)
-        monkeypatch.setattr(sets, "_SPAN", 1000)
+        monkeypatch.setattr(sets, "WINDOW", 1000)
         monkeypatch.setattr(sets, "_GATHER", 100)
         assert np.array_equal(oset.indicator(0, 60001), ref[:60001])
         assert np.array_equal(oset.indicator(59000, 70001), ref[59000:70001])
@@ -375,9 +387,9 @@ class TestMembership:
                     assert bool(ind[n]) == spec.contains(n), (spec.kind, limit, n)
 
     def test_omega_bounded_indicator_across_blocks(self):
-        # The blockwise pass over the primes up to the root equals the
-        # every-prime formula it replaced, across blocks and on both sides
-        # of a prime square (isqrt(limit) reaches 1031 at 1031^2).
+        # The pass over the primes up to the root equals the every-prime
+        # formula it replaced, across pieces (2 * SIEVE_BLOCK is four) and on
+        # both sides of a prime square (isqrt(limit) reaches 1031 at 1031^2).
         for limit in (1031 * 1031 - 1, 1031 * 1031, 2 * SIEVE_BLOCK + 77):
             idx = np.arange(limit + 1, dtype=np.int64)
             omega, q = omega_reference(limit), np.ones(limit + 1, dtype=np.int64)
@@ -598,12 +610,12 @@ class TestDensity:
     # below the limit) reach that edge at most; then narrow windows, so that
     # the m_p span many of them and sit on both sides of each edge.
     @pytest.mark.parametrize("window, limit", [
-        *((DENSITY_WINDOW, DENSITY_WINDOW + d) for d in (-2, -1, 0, 1)),
-        (DENSITY_WINDOW, 2 * 10**6), (1000, 999), (1000, 1001), (1000, 30011), (64, 5000)])
+        *((WINDOW, WINDOW + d) for d in (-2, -1, 0, 1)),
+        (WINDOW, 2 * 10**6), (1000, 999), (1000, 1001), (1000, 30011), (64, 5000)])
     def test_windowed_count_matches_one_mask(self, window, limit, monkeypatch):
         # The windowed gather against one indicator over (0, limit + 1),
         # each on its own order set, so no sieve state is shared.
-        monkeypatch.setattr(sets, "DENSITY_WINDOW", window)
+        monkeypatch.setattr(sets, "WINDOW", window)
         edge_orders = [mult_order(p) for p in range(max(3, window - 300), window + 300)
                        if is_probable_prime(p)]
         specs = [{"kind": "multiples_of", "ells": [3]},
